@@ -22,8 +22,8 @@ from . import evaluate as E
 from . import plots
 from . import train as TR
 from .model import (CheckpointError, ConfigError, LabelsUnavailableError,
-                    build_discriminator, build_generator,
-                    load_checkpoint_payload, load_models, save_checkpoint)
+                    build_discriminator, build_generator, load_checkpoint_payload,
+                    load_models, restore_params, save_checkpoint)
 from .tensor import NumericError
 
 EXIT_OK = 0
@@ -59,9 +59,7 @@ def _write_manifest(out_dir, cfg_hash, seed, input_paths):
                    if os.path.isfile(p)},
     }
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    D.write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -111,9 +109,8 @@ def cmd_parse(args):
     root = args.input_dir
     if not os.path.isdir(root):
         raise D.DataError(f"not a directory: {root}; {LAYOUT_HINT}")
-    if not D.scan_annotation_dirs(root):
-        raise D.DataError(f"no annotation files under {root}; {LAYOUT_HINT}")
-    windows, counts = D.load_annotation_dataset(root, stride=args.stride)
+    files = D.scan_annotation_dirs(root)
+    windows, counts = D.load_annotation_files(files, stride=args.stride)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "windows.csv")
     D.write_windows_csv(windows, csv_path)
@@ -125,8 +122,7 @@ def cmd_parse(args):
     for name in D.CLASS_NAMES:
         print(f"  {name:<14}{hist[name]:6.2f}%  ({counts[name]} tracks)")
     print(f"wrote {csv_path}")
-    _write_manifest(args.out, "", args.seed or 0,
-                    D.scan_annotation_dirs(root).values())
+    _write_manifest(args.out, "", 0, files.values())
     return EXIT_OK
 
 
@@ -142,9 +138,9 @@ def cmd_train(args):
         disc = build_discriminator(cfg.model, seed=cfg.seed + 1) \
             if cfg.train.mode == "gan" else None
         best, log = TR.run_training(gen, disc, split, cfg.train)
-        TR.restore_params(gen, best["generator"])
+        restore_params(gen, best["generator"])
         if disc is not None:
-            TR.restore_params(disc, best["discriminator"])
+            restore_params(disc, best["discriminator"])
 
         ckpt = os.path.join(cfg.out_dir, "checkpoint.json")
         save_checkpoint(ckpt, gen, disc, config_dict=C.to_dict(cfg),
@@ -152,10 +148,8 @@ def cmd_train(args):
                               "val_ade": best["val_ade"],
                               "val_fde": best["val_fde"],
                               "n_train_windows": len(split.train)})
-        with open(os.path.join(cfg.out_dir, "train_log.csv"), "w") as fh:
-            fh.write(log.steps_csv())
-        with open(os.path.join(cfg.out_dir, "val_log.csv"), "w") as fh:
-            fh.write(log.epochs_csv())
+        D.write_atomic(os.path.join(cfg.out_dir, "train_log.csv"), log.steps_csv())
+        D.write_atomic(os.path.join(cfg.out_dir, "val_log.csv"), log.epochs_csv())
         C.save_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
         _write_manifest(cfg.out_dir, C.config_hash(cfg), cfg.seed,
                         [args.config] + _data_input_paths(cfg.data))
@@ -185,15 +179,12 @@ def cmd_eval(args):
     os.makedirs(out, exist_ok=True)
     report_k = E.eval_min_of_k(gen, chosen, k=k, seed=cfg.seed)
     report_1 = E.eval_min_of_k(gen, chosen, k=1, seed=cfg.seed)
-    with open(os.path.join(out, f"report_k{k}.csv"), "w") as fh:
-        fh.write(report_k.to_csv())
-    with open(os.path.join(out, "report_k1.csv"), "w") as fh:
-        fh.write(report_1.to_csv())
+    D.write_atomic(os.path.join(out, f"report_k{k}.csv"), report_k.to_csv())
+    D.write_atomic(os.path.join(out, "report_k1.csv"), report_1.to_csv())
     text = (f"split {args.split}, best of k={k}\n"
             + report_k.to_text(cfg.name)
             + f"\nsplit {args.split}, k=1\n" + report_1.to_text(cfg.name))
-    with open(os.path.join(out, "report.txt"), "w") as fh:
-        fh.write(text)
+    D.write_atomic(os.path.join(out, "report.txt"), text)
     _write_manifest(out, C.config_hash(cfg), cfg.seed,
                     [args.checkpoint] + _data_input_paths(cfg.data))
     sys.stdout.write(text)
@@ -210,19 +201,17 @@ def cmd_analyze(args):
     out = args.out or os.path.join(os.path.dirname(args.checkpoint) or ".",
                                    "analysis")
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "pca.csv"), "w") as fh:
-        fh.write(analysis.pca_csv())
-    with open(os.path.join(out, "distances.csv"), "w") as fh:
-        fh.write(analysis.distances_csv())
-    with open(os.path.join(out, "pca.svg"), "w") as fh:
-        fh.write(plots.scatter_svg(analysis.pca_coords, analysis.class_names,
-                                   title="class embeddings, top-2 PCA"))
+    D.write_atomic(os.path.join(out, "pca.csv"), analysis.pca_csv())
+    D.write_atomic(os.path.join(out, "distances.csv"), analysis.distances_csv())
+    D.write_atomic(os.path.join(out, "pca.svg"),
+                   plots.scatter_svg(analysis.pca_coords, analysis.class_names,
+                                     title="class embeddings, top-2 PCA"))
     ped = analysis.class_names.index("pedestrian")
     others = [i for i in range(len(analysis.class_names)) if i != ped]
-    with open(os.path.join(out, "distances.svg"), "w") as fh:
-        fh.write(plots.bar_svg([analysis.distance_table[ped, i] for i in others],
-                               [analysis.class_names[i] for i in others],
-                               title="embedding distance from pedestrian"))
+    D.write_atomic(os.path.join(out, "distances.svg"),
+                   plots.bar_svg([analysis.distance_table[ped, i] for i in others],
+                                 [analysis.class_names[i] for i in others],
+                                 title="embedding distance from pedestrian"))
     _write_manifest(out, C.config_hash(cfg), cfg.seed, [args.checkpoint])
     if analysis.degenerate:
         print("warning: embeddings are degenerate; PCA projected to zeros")
@@ -243,7 +232,6 @@ def build_parser():
     sp.add_argument("input_dir")
     sp.add_argument("--out", default="parsed")
     sp.add_argument("--stride", type=int, default=D.SUBSAMPLE_STRIDE)
-    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=cmd_parse)
 
     st = sub.add_parser("train", help="train from an experiment config")

@@ -144,8 +144,7 @@ def load_config(path):
 
 
 def save_config(path, config):
-    with open(path, "w") as fh:
-        fh.write(to_json(config))
+    D.write_atomic(path, to_json(config))
 
 
 def config_hash(config):

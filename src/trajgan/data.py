@@ -12,6 +12,8 @@ which every included agent is present at all 20 frames.
 from __future__ import annotations
 
 import csv
+import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +77,6 @@ class RawAnnotation:
     track_id: int
     bbox: tuple  # (xmin, ymin, xmax, ymax)
     frame: int
-    lost: bool
     occluded: bool
     generated: bool
     label: str  # canonical class name
@@ -112,16 +113,16 @@ def parse_annotations(source, class_vocab=CLASS_NAMES):
             raise UnknownLabelError(f"unknown class label {raw_label!r}", ln)
         if lost:
             continue
-        out.append(RawAnnotation(track_id, bbox, frame, lost, occluded, generated, label))
+        out.append(RawAnnotation(track_id, bbox, frame, occluded, generated, label))
     return out
 
 
 def serialize_annotations(annotations):
-    """Inverse of parse_annotations on well-formed records."""
+    """Inverse of parse_annotations on well-formed records, written as not lost."""
     lines = []
     for a in annotations:
         bbox = " ".join(repr(float(v)) for v in a.bbox)
-        lines.append(f'{a.track_id} {bbox} {a.frame} {int(a.lost)} '
+        lines.append(f'{a.track_id} {bbox} {a.frame} 0 '
                      f'{int(a.occluded)} {int(a.generated)} "{a.label}"')
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -326,32 +327,11 @@ def split_dataset(windows, seed):
                         test=shuffled[n_train + n_val:])
 
 
-@dataclass
-class RelativeTracks:
-    """Positions as a start point plus consecutive displacements."""
-
-    origins: np.ndarray  # (N, 2)
-    deltas: np.ndarray   # (N, T-1, 2)
-
-
-def to_relative(window_or_points):
-    """Convert absolute points (N, T, 2), or a window's points, to origin + deltas."""
-    points = window_or_points.points() if isinstance(window_or_points, SceneWindow) \
-        else window_or_points
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 3 or points.shape[2] != 2 or points.shape[1] < 1:
-        raise DataError(f"expected (N, T, 2) points, got {points.shape}")
-    return RelativeTracks(points[:, 0, :].copy(), np.diff(points, axis=1))
-
-
-def from_relative(rel):
-    """Inverse of to_relative; reconstructs absolute points exactly."""
-    n, t1 = rel.deltas.shape[0], rel.deltas.shape[1] + 1
-    pts = np.empty((n, t1, 2))
-    pts[:, 0, :] = rel.origins
-    np.cumsum(rel.deltas, axis=1, out=pts[:, 1:, :])
-    pts[:, 1:, :] += rel.origins[:, None, :]
-    return pts
+def displacements(points):
+    """Per-step displacements of (N, T, 2) points, zero at the first step."""
+    d = np.zeros_like(points)
+    d[:, 1:] = np.diff(points, axis=1)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -427,43 +407,61 @@ def synth_scene(kind, n_agents, classes, seed, *, n_windows=1, jitter=0.0,
 # serialization and dataset scanning
 
 WINDOW_CSV_HEADER = ["scene_id", "window_id", "agent_id", "class_index",
-                     "t", "x", "y", "is_future"]
+                     "t", "x", "y", "is_future", "frame_step"]
+
+
+def write_atomic(path, text):
+    """Replace ``path`` with ``text`` in one step.
+
+    The text goes to a temporary file in the same directory, is flushed to
+    disk, and then replaces ``path``; an interrupted write leaves the old
+    file (or none) and no temporary file.
+    """
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def write_windows_csv(windows, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(WINDOW_CSV_HEADER)
-        for win in windows:
-            pts = win.points()
-            for ai, aid in enumerate(win.agent_ids):
-                for t in range(pts.shape[1]):
-                    w.writerow([win.scene_id, win.window_id, aid,
-                                int(win.class_indices[ai]), t,
-                                repr(float(pts[ai, t, 0])), repr(float(pts[ai, t, 1])),
-                                int(t >= win.t_obs)])
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(WINDOW_CSV_HEADER)
+    for win in windows:
+        pts = win.points()
+        for ai, aid in enumerate(win.agent_ids):
+            for t in range(pts.shape[1]):
+                w.writerow([win.scene_id, win.window_id, aid,
+                            int(win.class_indices[ai]), t,
+                            repr(float(pts[ai, t, 0])), repr(float(pts[ai, t, 1])),
+                            int(t >= win.t_obs), win.frame_step])
+    write_atomic(path, out.getvalue())
 
 
 def read_windows_csv(path):
     """Rebuild SceneWindows from the CSV produced by write_windows_csv."""
     groups = {}
-    order = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != WINDOW_CSV_HEADER:
-            raise DataError(f"unexpected window CSV header: {header}")
+            missing = [c for c in WINDOW_CSV_HEADER if c not in (header or [])]
+            raise DataError(f"unexpected window CSV header {header}; "
+                            f"missing columns: {missing}")
         for row in reader:
-            scene_id, window_id, agent_id = row[0], row[1], int(row[2])
-            key = (scene_id, window_id)
-            if key not in groups:
-                groups[key] = {}
-                order.append(key)
-            agent = groups[key].setdefault(agent_id, {"class": int(row[3]), "pts": {}})
+            key = (row[0], row[1], int(row[8]))
+            agent = groups.setdefault(key, {}).setdefault(
+                int(row[2]), {"class": int(row[3]), "pts": {}})
             agent["pts"][int(row[4])] = (float(row[5]), float(row[6]), int(row[7]))
     windows = []
-    for scene_id, window_id in order:
-        agents = groups[(scene_id, window_id)]
+    for (scene_id, window_id, frame_step), agents in groups.items():
         ids = sorted(agents)
         cls, obs, fut = [], [], []
         for aid in ids:
@@ -478,7 +476,7 @@ def read_windows_csv(path):
             start = int(window_id.rsplit(":", 1)[1])
         except (IndexError, ValueError):
             start = 0
-        windows.append(SceneWindow(scene_id, start, 1, tuple(ids), np.array(cls),
+        windows.append(SceneWindow(scene_id, start, frame_step, tuple(ids), np.array(cls),
                                    np.array(obs), np.array(fut)))
     return windows
 
@@ -488,8 +486,6 @@ def scan_annotation_dirs(root):
 
     Returns a sorted dict of scene id ("scene/video") to file path.
     """
-    import os
-
     found = {}
     if not os.path.isdir(root):
         raise DataError(f"dataset root {root!r} is not a directory")
@@ -509,9 +505,16 @@ def scan_annotation_dirs(root):
 def load_annotation_dataset(root, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED,
                             class_vocab=CLASS_NAMES):
     """Parse a dataset directory into scene windows plus per-class track counts."""
+    return load_annotation_files(scan_annotation_dirs(root), stride, t_obs, t_pred,
+                                 class_vocab)
+
+
+def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED,
+                          class_vocab=CLASS_NAMES):
+    """load_annotation_dataset on the files scan_annotation_dirs found."""
     tracks_by_scene = {}
     track_counts = dict.fromkeys(CLASS_NAMES, 0)
-    for scene_id, path in scan_annotation_dirs(root).items():
+    for scene_id, path in files.items():
         with open(path) as fh:
             annotations = parse_annotations(fh, class_vocab)
         tracks = build_tracks(annotations)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import N_CLASSES
+from .data import N_CLASSES, displacements, write_atomic
 from .tensor import ContractError, Tensor
 
 ENCODER_KINDS = ("lstm", "transformer")
@@ -114,10 +114,11 @@ class Linear:
 class MLP:
     """Stack of Linears with the configured nonlinearity between them.
 
-    ``last_hidden`` retains the pre-activation tensors of the most recent
-    call when ``collect_hidden`` is set.  After a backward pass their
-    gradients show which hidden nodes the nonlinearity let through: a node
-    whose activation gates it off gets an exact zero there.
+    While ``collect_hidden`` is set, every call appends its pre-activation
+    tensors to ``last_hidden``; callers clear the list first.  After a
+    backward pass their gradients show which hidden nodes the nonlinearity
+    let through: a node whose activation gates it off gets an exact zero
+    there.
     """
 
     def __init__(self, dims, rng, activation="leaky_relu", slope=0.2):
@@ -136,7 +137,7 @@ class MLP:
             hidden.append(pre)
             x = T.activation(pre, self.activation, self.slope)
         if self.collect_hidden:
-            self.last_hidden = hidden
+            self.last_hidden.extend(hidden)
         return self.layers[-1](x)
 
     def named_parameters(self, prefix):
@@ -312,7 +313,7 @@ class SequenceEncoder:
             self.transformer = TransformerEncoder(e_dim, config, rng)
 
     def embed_step(self, xy, onehots):
-        """One time step: (R, 2) displacements + (R, 6) one-hots -> (R, e_dim)."""
+        """(M, 2) displacements + (M, 6) one-hots -> (M, e_dim), row by row."""
         cfg = self.config
         xy = T.mul_scalar(xy, cfg.input_scale)
         if cfg.use_labels and cfg.class_in_spatial:
@@ -326,25 +327,23 @@ class SequenceEncoder:
 
     def encode(self, xy_steps, onehots, collect_attn=None):
         """List of (R, 2) step tensors -> (R, hidden_dim) summaries."""
-        rows = xy_steps[0].shape[0]
+        rows, length = xy_steps[0].shape[0], len(xy_steps)
+        # every step of every agent in one call, time-major: row t*rows + r
+        e = self.embed_step(T.concat(xy_steps, axis=0),
+                            T.take_rows(onehots, np.tile(np.arange(rows), length)))
         if self.lstm is not None:
-            class_vec = self.class_embed(onehots) if self.config.use_labels else None
-            steps = []
-            for xy in xy_steps:
-                xy = T.mul_scalar(xy, self.config.input_scale)
-                if self.config.use_labels and self.config.class_in_spatial:
-                    s = self.spatial(T.concat([xy, onehots], axis=1))
-                else:
-                    s = self.spatial(xy)
-                steps.append(T.concat([s, class_vec], axis=1) if class_vec is not None else s)
+            # a step that depends on nothing needing a gradient enters the
+            # recurrence as a constant, so its cell updates stay off the tape
+            embed = [self.spatial] + ([self.class_embed] if self.class_embed else [])
+            fixed = not onehots.requires_grad and not any(
+                p.requires_grad for lin in embed for p in (lin.W, lin.b))
+            steps = [T.constant(e.data[t * rows:(t + 1) * rows])
+                     if fixed and not xy.requires_grad else T.narrow(e, 0, t * rows, rows)
+                     for t, xy in enumerate(xy_steps)]
             return self.lstm.run(steps, rows)
         # transformer attends over time, so each agent is encoded separately
-        outs = []
-        for r in range(rows):
-            seq = T.concat([T.narrow(xy, 0, r, 1) for xy in xy_steps], axis=0)
-            oh = T.take_rows(onehots, [r] * len(xy_steps))
-            e = self.embed_step(seq, oh)
-            outs.append(self.transformer.encode(e, collect_attn))
+        outs = [self.transformer.encode(T.take_rows(e, np.arange(r, rows * length, rows)),
+                                        collect_attn) for r in range(rows)]
         return T.concat(outs, axis=0)
 
     def named_parameters(self, prefix):
@@ -498,19 +497,10 @@ def build_discriminator(config, seed):
     return Discriminator(config, np.random.default_rng(seed))
 
 
-def observed_displacements(window):
-    """(N, t_obs, 2) displacement inputs, zero at the first step."""
-    d = np.zeros_like(window.observed)
-    d[:, 1:] = np.diff(window.observed, axis=1)
-    return d
-
-
-def full_displacements(window):
-    """Displacements over the whole 20-step trajectory, zero first."""
-    pts = window.points()
-    d = np.zeros_like(pts)
-    d[:, 1:] = np.diff(pts, axis=1)
-    return d
+def _step_tensors(points):
+    """Displacements of (N, T, 2) points as T constant (N, 2) step tensors."""
+    d = displacements(points)
+    return [T.constant(d[:, t]) for t in range(d.shape[1])]
 
 
 @dataclass
@@ -519,6 +509,7 @@ class PredictionSet:
 
     ``traj`` holds absolute positions as a (n_agents*k, 2*t_pred) tensor with
     rows grouped agent-major: row i*k + j is sample j of agent i.
+    ``obs_steps`` are the observed displacement steps the encoder read.
     """
 
     n_agents: int
@@ -527,6 +518,7 @@ class PredictionSet:
     noise: np.ndarray  # (n_agents, k, noise_dim)
     traj: Tensor
     disp_steps: list = field(default_factory=list)
+    obs_steps: list = field(default_factory=list)
 
     def trajectories(self):
         """(n_agents, k, t_pred, 2) predicted absolute positions."""
@@ -559,10 +551,8 @@ def generator_forward(gen, window, k=None, rng=None, z=None, t_pred=None):
     if z.shape != (n, k, cfg.noise_dim):
         raise ContractError(f"noise shape {z.shape} != {(n, k, cfg.noise_dim)}")
 
-    obs_disp = observed_displacements(window)
-    steps = [T.constant(obs_disp[:, t]) for t in range(window.t_obs)]
-    onehots = T.constant(window.onehots())
-    hidden = gen.encoder.encode(steps, onehots)
+    obs_steps = _step_tensors(window.observed)
+    hidden = gen.encoder.encode(obs_steps, T.constant(window.onehots()))
     pooled = gen.pooling(hidden, window.observed[:, -1])
 
     idx = np.repeat(np.arange(n), k)
@@ -572,14 +562,12 @@ def generator_forward(gen, window, k=None, rng=None, z=None, t_pred=None):
         window.observed[idx, -1],
         window.observed[idx, -1] - window.observed[idx, -2],
         t_pred)
-    return PredictionSet(n, k, t_pred, z, traj, disp_steps)
+    return PredictionSet(n, k, t_pred, z, traj, disp_steps, obs_steps)
 
 
 def score_real(disc, window):
     """Discriminator scores for the window's true trajectories, (N, 1) in (0,1)."""
-    d = full_displacements(window)
-    steps = [T.constant(d[:, t]) for t in range(d.shape[1])]
-    return disc.score_steps(steps, T.constant(window.onehots()),
+    return disc.score_steps(_step_tensors(window.points()), T.constant(window.onehots()),
                             expected_len=window.t_obs + window.t_pred)
 
 
@@ -591,9 +579,7 @@ def score_fake(disc, window, preds, sample=0):
         raise ContractError(f"sample {sample} out of range for k={preds.k}")
     n = window.n_agents
     rows = [i * preds.k + sample for i in range(n)]
-    obs_disp = observed_displacements(window)
-    steps = [T.constant(obs_disp[:, t]) for t in range(window.t_obs)]
-    steps += [T.take_rows(d, rows) for d in preds.disp_steps]
+    steps = preds.obs_steps + [T.take_rows(d, rows) for d in preds.disp_steps]
     return disc.score_steps(steps, T.constant(window.onehots()),
                             expected_len=window.t_obs + preds.t_pred)
 
@@ -613,9 +599,34 @@ def class_embedding_matrix(gen):
 CHECKPOINT_VERSION = 1
 
 
-def _params_payload(named):
-    return {name: {"shape": list(p.data.shape), "values": p.data.reshape(-1).tolist()}
-            for name, p in sorted(named.items())}
+def snapshot_params(model):
+    """Copies of a model's parameter arrays, keyed like named_parameters()."""
+    return {name: p.data.copy() for name, p in model.named_parameters().items()}
+
+
+def restore_params(model, values, source="snapshot"):
+    """Assign ``values`` (shaped like snapshot_params output) into ``model``.
+
+    Parameters are written in place, so arrays that view them stay valid.
+    Names and shapes must match the model; ``source`` names the values in
+    the CheckpointError raised otherwise.
+    """
+    named = model.named_parameters()
+    mismatched = sorted(set(named) ^ set(values))
+    if mismatched:
+        raise CheckpointError(f"{source} parameter names do not match the model: "
+                              f"{mismatched[:6]}")
+    for name, p in named.items():
+        arr = np.asarray(values[name], dtype=float)
+        if arr.shape != p.data.shape:
+            raise CheckpointError(f"{source} shape {arr.shape} for {name!r} does not "
+                                  f"match model shape {p.data.shape}")
+        p.data[...] = arr
+
+
+def _json_params(model):
+    return {name: {"shape": list(a.shape), "values": a.reshape(-1).tolist()}
+            for name, a in snapshot_params(model).items()}
 
 
 def save_checkpoint(path, gen, disc=None, config_dict=None, meta=None):
@@ -623,12 +634,10 @@ def save_checkpoint(path, gen, disc=None, config_dict=None, meta=None):
         "format_version": CHECKPOINT_VERSION,
         "config": config_dict or {},
         "meta": meta or {},
-        "generator": _params_payload(gen.named_parameters()),
-        "discriminator": _params_payload(disc.named_parameters()) if disc else None,
+        "generator": _json_params(gen),
+        "discriminator": _json_params(disc) if disc is not None else None,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint_payload(path):
@@ -646,25 +655,14 @@ def load_checkpoint_payload(path):
     return payload
 
 
-def _load_params(named, stored, version):
-    missing = sorted(set(named) ^ set(stored))
-    if missing:
-        raise CheckpointError(f"checkpoint (version {version}) parameter names do not "
-                              f"match the model: {missing[:6]}")
-    for name, p in named.items():
-        rec = stored[name]
-        shape = tuple(rec["shape"])
-        if shape != p.data.shape:
-            raise CheckpointError(f"checkpoint (version {version}) shape {shape} for "
-                                  f"{name!r} does not match model shape {p.data.shape}")
-        p.data = np.asarray(rec["values"], dtype=float).reshape(shape)
-
-
 def load_models(payload, gen, disc=None):
     """Assign checkpoint values into freshly built models (shape-checked)."""
-    version = payload["format_version"]
-    _load_params(gen.named_parameters(), payload["generator"], version)
-    if disc is not None:
-        if payload.get("discriminator") is None:
-            raise CheckpointError("checkpoint holds no discriminator parameters")
-        _load_params(disc.named_parameters(), payload["discriminator"], version)
+    source = f"checkpoint (version {payload['format_version']})"
+    for model, key in ((gen, "generator"), (disc, "discriminator")):
+        if model is None:
+            continue
+        stored = payload.get(key)
+        if stored is None:
+            raise CheckpointError(f"checkpoint holds no {key} parameters")
+        restore_params(model, {name: np.reshape(rec["values"], rec["shape"])
+                               for name, rec in stored.items()}, source)

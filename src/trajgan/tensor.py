@@ -454,7 +454,8 @@ def sqrt(a):
     out = np.sqrt(a.data)
 
     def bwd(g):
-        return (g * 0.5 / out,)
+        # zero subgradient at sqrt(0), where the derivative is infinite
+        return (np.divide(g * 0.5, out, out=np.zeros_like(out), where=out > 0),)
 
     return _make(out, (a,), bwd)
 

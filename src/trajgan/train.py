@@ -21,7 +21,7 @@ from .tensor import ContractError, Tape, no_grad
 from .optim import Adam, clip_grad_norm, grad_norm
 from .evaluate import eval_min_of_k
 from .model import (ConfigError, build_discriminator, build_generator,
-                    generator_forward, score_fake, score_real)
+                    generator_forward, score_fake, score_real, snapshot_params)
 
 TRAIN_MODES = ("gan", "nogan")
 LOG_FLOOR = 1e-7  # keeps both losses finite for scores numerically at 0 or 1
@@ -32,7 +32,7 @@ class TrainingError(RuntimeError):
 
 
 class TrainingDiverged(TrainingError):
-    """Loss left the finite range; message carries the gradient norms."""
+    """Loss or gradient norm left the finite range; the update was not applied."""
 
 
 @dataclass
@@ -158,21 +158,42 @@ def _cell(v):
 # ---------------------------------------------------------------------------
 # single steps
 
-def _nan_guard(value, gen, disc, context):
-    if not np.isfinite(value):
-        g = grad_norm(gen.parameters())
-        d = grad_norm(disc.parameters()) if disc is not None else 0.0
-        raise TrainingDiverged(f"{context} loss is {value}; grad norms: "
-                               f"generator={g:.6e} discriminator={d:.6e}")
-
-
-def _g_norm_and_step(gen, g_opt, config):
+def _update(network, params, opt, loss, config):
+    """Clip or measure the gradient norm, then step -- unless the loss or the
+    norm is not finite, in which case the parameters are left untouched."""
     if config.clip_norm is not None:
-        norm = clip_grad_norm(gen.parameters(), config.clip_norm)
+        norm = clip_grad_norm(params, config.clip_norm)
     else:
-        norm = grad_norm(gen.parameters())
-    g_opt.step()
+        norm = grad_norm(params)
+    if not (np.isfinite(loss) and np.isfinite(norm)):
+        raise TrainingDiverged(f"{network} loss is {loss}; grad norms: "
+                               f"{network}={norm:.6e}")
+    opt.step()
     return norm
+
+
+def _discriminator_loss(batch, gen, disc, rng):
+    """Discriminator loss on each window's truth against one generated
+    sample, drawn without gradient so nothing leaks into the generator."""
+    real, fake = [], []
+    for w in batch:
+        with no_grad():
+            preds = generator_forward(gen, w, k=1, rng=rng)
+        real.append(score_real(disc, w))
+        fake.append(score_fake(disc, w, preds, sample=0))
+    return d_loss(T.concat(real, axis=0), T.concat(fake, axis=0))
+
+
+def _generator_losses(batch, gen, config, rng, disc=None):
+    """Mean variety loss over the batch at k samples, plus the adversarial
+    scores of sample 0 when a discriminator is given."""
+    scores, norms = [], []
+    for w in batch:
+        preds = generator_forward(gen, w, k=config.k, rng=rng)
+        if disc is not None:
+            scores.append(score_fake(disc, w, preds, sample=0))
+        norms.append(variety_norms(w.future, preds))
+    return T.tmean(T.concat(norms, axis=0)), scores
 
 
 def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0):
@@ -189,21 +210,10 @@ def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0)
     d_val = d_norm = None
     for _ in range(config.d_steps):
         with Tape():
-            real, fake = [], []
-            for w in batch:
-                with no_grad():
-                    preds = generator_forward(gen, w, k=1, rng=rng)
-                real.append(score_real(disc, w))
-                fake.append(score_fake(disc, w, preds, sample=0))
-            loss_d = d_loss(T.concat(real, axis=0), T.concat(fake, axis=0))
+            loss_d = _discriminator_loss(batch, gen, disc, rng)
             T.backward(loss_d)
         d_val = float(loss_d.data)
-        _nan_guard(d_val, gen, disc, "discriminator")
-        if config.clip_norm is not None:
-            d_norm = clip_grad_norm(disc.parameters(), config.clip_norm)
-        else:
-            d_norm = grad_norm(disc.parameters())
-        d_opt.step()
+        d_norm = _update("discriminator", disc.parameters(), d_opt, d_val, config)
 
     g_val = v_val = g_norm = None
     d_params = disc.parameters()
@@ -212,18 +222,13 @@ def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0)
     try:
         for _ in range(config.g_steps):
             with Tape():
-                scores, norms = [], []
-                for w in batch:
-                    preds = generator_forward(gen, w, k=config.k, rng=rng)
-                    scores.append(score_fake(disc, w, preds, sample=0))
-                    norms.append(variety_norms(w.future, preds))
+                var, scores = _generator_losses(batch, gen, config, rng, disc)
                 adv = g_adv_loss(T.concat(scores, axis=0))
-                var = T.tmean(T.concat(norms, axis=0))
                 loss_g = T.add(adv, var)
                 T.backward(loss_g)
             g_val, v_val = float(adv.data), float(var.data)
-            _nan_guard(float(loss_g.data), gen, disc, "generator")
-            g_norm = _g_norm_and_step(gen, g_opt, config)
+            g_norm = _update("generator", gen.parameters(), g_opt, float(loss_g.data),
+                             config)
     finally:
         for p in d_params:
             p.requires_grad = True
@@ -240,15 +245,10 @@ def train_step_nogan(batch, gen, g_opt, config, rng, step=0, epoch=0):
     v_val = g_norm = None
     for _ in range(config.g_steps):
         with Tape():
-            norms = []
-            for w in batch:
-                preds = generator_forward(gen, w, k=config.k, rng=rng)
-                norms.append(variety_norms(w.future, preds))
-            loss = T.tmean(T.concat(norms, axis=0))
+            loss, _ = _generator_losses(batch, gen, config, rng)
             T.backward(loss)
         v_val = float(loss.data)
-        _nan_guard(v_val, gen, None, "variety")
-        g_norm = _g_norm_and_step(gen, g_opt, config)
+        g_norm = _update("generator", gen.parameters(), g_opt, v_val, config)
     return StepRecord(step, epoch, None, None, v_val, g_norm, None,
                       time.perf_counter() - t0)
 
@@ -256,34 +256,17 @@ def train_step_nogan(batch, gen, g_opt, config, rng, step=0, epoch=0):
 # ---------------------------------------------------------------------------
 # full loop
 
-def snapshot_params(gen, disc=None, epoch=None, val_ade=None, val_fde=None):
-    """Copy current parameter arrays, keyed like named_parameters()."""
-    return {
-        "epoch": epoch,
-        "val_ade": val_ade,
-        "val_fde": val_fde,
-        "generator": {n: p.data.copy() for n, p in gen.named_parameters().items()},
-        "discriminator": None if disc is None else
-            {n: p.data.copy() for n, p in disc.named_parameters().items()},
-    }
-
-
-def restore_params(model, values):
-    named = model.named_parameters()
-    if set(named) != set(values):
-        raise ContractError("parameter names do not match the snapshot")
-    for name, p in named.items():
-        arr = np.asarray(values[name], dtype=float)
-        if arr.shape != p.data.shape:
-            raise ContractError(f"snapshot shape {arr.shape} != parameter "
-                                f"{name} shape {p.data.shape}")
-        p.data = arr.copy()
+def _best(gen, disc, epoch=None, val_ade=None, val_fde=None):
+    return {"epoch": epoch, "val_ade": val_ade, "val_fde": val_fde,
+            "generator": snapshot_params(gen),
+            "discriminator": None if disc is None else snapshot_params(disc)}
 
 
 def run_training(gen, disc, split, config, start_epoch=0):
     """Shuffled epoch loop with per-epoch min-of-k validation.
 
-    Returns (best, log) where ``best`` is a parameter snapshot at the lowest
+    Returns (best, log) where ``best`` holds the epoch, its validation
+    ADE/FDE and the snapshot_params of each network at the lowest
     validation ADE seen (the initial state when epochs=0 or there is no
     validation split).  Noise and shuffling streams are derived per epoch
     from (seed, epoch), so a run resumed at an epoch boundary sees the same
@@ -299,7 +282,7 @@ def run_training(gen, disc, split, config, start_epoch=0):
     d_opt = Adam(disc.parameters(), lr=config.lr) \
         if config.mode == "gan" else None
     log = TrainLog()
-    best = snapshot_params(gen, disc)
+    best = _best(gen, disc)
     step = 0
     for epoch in range(start_epoch, config.epochs):
         order = np.random.default_rng([config.seed, epoch, 1]) \
@@ -320,7 +303,7 @@ def run_training(gen, disc, split, config, start_epoch=0):
                               include_baseline=False)
             log.epochs.append(EpochRecord(epoch, r.ade, r.fde))
             if best["val_ade"] is None or r.ade < best["val_ade"]:
-                best = snapshot_params(gen, disc, epoch, r.ade, r.fde)
+                best = _best(gen, disc, epoch, r.ade, r.fde)
     return best, log
 
 
@@ -351,22 +334,14 @@ def hidden_grad_fraction(hidden_tensors):
 def discriminator_hidden_fraction(batch, gen, disc, rng):
     """Run one discriminator pass and measure gradient flow through the
     classifier's hidden nodes.  Inactive nodes contribute exact zeros."""
+    disc.classifier.last_hidden = []
     disc.classifier.collect_hidden = True
-    hiddens = []
     try:
         with Tape():
-            real, fake = [], []
-            for w in batch:
-                with no_grad():
-                    preds = generator_forward(gen, w, k=1, rng=rng)
-                real.append(score_real(disc, w))
-                hiddens.extend(disc.classifier.last_hidden)
-                fake.append(score_fake(disc, w, preds, sample=0))
-                hiddens.extend(disc.classifier.last_hidden)
-            T.backward(d_loss(T.concat(real, axis=0), T.concat(fake, axis=0)))
+            T.backward(_discriminator_loss(batch, gen, disc, rng))
     finally:
         disc.classifier.collect_hidden = False
-    return hidden_grad_fraction(hiddens)
+    return hidden_grad_fraction(disc.classifier.last_hidden)
 
 
 def run_activation_ablation(windows, model_config, train_config, steps=200):

@@ -24,10 +24,10 @@ from trajgan.model import (Discriminator, Generator, ModelConfig,
                            PoolingModule, PredictionSet, build_generator,
                            class_embedding_matrix, draw_noise,
                            generator_forward, load_checkpoint_payload,
-                           load_models, score_fake, score_real)
+                           load_models, restore_params, score_fake, score_real)
 from trajgan.optim import Adam
 from trajgan.tensor import Tape
-from trajgan.train import (TrainConfig, d_loss, g_adv_loss, restore_params,
+from trajgan.train import (TrainConfig, d_loss, g_adv_loss,
                            run_activation_ablation, run_training,
                            train_step_gan, train_step_nogan, variety_loss,
                            variety_norms)

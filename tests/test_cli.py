@@ -158,11 +158,11 @@ def test_cmd_parse_golden_windows(tmp_path, capsys):
     assert lines[0] == ",".join(D.WINDOW_CSV_HEADER)
     assert len(lines) == 1 + 5 * 2 * 20
     # track 1 center x = frame + 5, y = 10; first window starts at frame 0
-    assert lines[1] == "plaza/video0,plaza/video0:0,1,4,0,5.0,10.0,0"
+    assert lines[1] == "plaza/video0,plaza/video0:0,1,4,0,5.0,10.0,0,12"
     # t=8 is the first future step: frame 96 -> x = 101
-    assert lines[9] == "plaza/video0,plaza/video0:0,1,4,8,101.0,10.0,1"
+    assert lines[9] == "plaza/video0,plaza/video0:0,1,4,8,101.0,10.0,1,12"
     # track 2 (biker -> bicyclist, index 0) center x = 2*frame + 5, y = 30
-    assert lines[21] == "plaza/video0,plaza/video0:0,2,0,0,5.0,30.0,0"
+    assert lines[21] == "plaza/video0,plaza/video0:0,2,0,0,5.0,30.0,0,12"
 
     summary = capsys.readouterr().out
     assert "pedestrian" in summary and "50.00%" in summary

@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,16 +215,17 @@ def test_split_needs_three_windows():
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 5), t=st.integers(2, 30))
 def test_relative_round_trip(seed, n, t):
     pts = np.random.default_rng(seed).uniform(-1e3, 1e3, (n, t, 2))
-    back = D.from_relative(D.to_relative(pts))
+    back = pts[:, :1] + np.cumsum(D.displacements(pts), axis=1)
     assert np.max(np.abs(back - pts)) < 1e-9
 
 
 def test_relative_of_window():
     (w,) = D.synth_scene("linear", 2, ["car", "bus"], seed=5)
-    rel = D.to_relative(w)
-    assert rel.origins.shape == (2, 2)
-    assert rel.deltas.shape == (2, 19, 2)
-    assert np.allclose(D.from_relative(rel), w.points(), atol=1e-9)
+    d = D.displacements(w.points())
+    assert d.shape == (2, 20, 2)
+    assert np.all(d[:, 0] == 0.0)
+    assert np.array_equal(d[:, 1:], np.diff(w.points(), axis=1))
+    assert np.allclose(w.points()[:, :1] + np.cumsum(d, axis=1), w.points(), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +327,52 @@ def test_load_annotation_dataset(tmp_path):
     assert all(w.n_agents == 2 for w in windows)
     hist = D.class_histogram(counts)
     assert sum(hist.values()) == pytest.approx(100.0, abs=0.01)
+
+
+def test_window_csv_keeps_frame_step_of_parsed_windows(tmp_path):
+    windows, _ = D.load_annotation_dataset(write_fixture_dataset(tmp_path / "ds"),
+                                           stride=12)
+    assert windows and all(w.frame_step == 12 for w in windows)
+    path = tmp_path / "windows.csv"
+    D.write_windows_csv(windows, path)
+    back = D.read_windows_csv(path)
+    assert [(w.window_id, w.start_frame, w.frame_step, w.agent_ids) for w in back] \
+        == [(w.window_id, w.start_frame, w.frame_step, w.agent_ids) for w in windows]
+    assert all(np.array_equal(a.points(), b.points()) for a, b in zip(windows, back))
+
+
+def test_window_csv_without_frame_step_is_rejected(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text("scene_id,window_id,agent_id,class_index,t,x,y,is_future\n"
+                    "s,s:0,0,4,0,1.0,2.0,0\n")
+    with pytest.raises(D.DataError, match="frame_step"):
+        D.read_windows_csv(path)
+
+
+def test_interrupted_csv_write_keeps_the_old_file(tmp_path):
+    windows = D.synth_scene("linear", 2, ["car", "bus"], seed=3, n_windows=3)
+    path = tmp_path / "windows.csv"
+    D.write_windows_csv(windows, path)
+    old = path.read_bytes()
+    # the last window's id cannot be encoded, so the write fails partway
+    bad = windows[:2] + [dataclasses.replace(windows[2], scene_id="bad\ud800")]
+    with pytest.raises(UnicodeEncodeError):
+        D.write_windows_csv(bad, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["windows.csv"]
+
+
+def test_write_atomic_failed_replace_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    D.write_atomic(path, "old\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        D.write_atomic(path, "new\n")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["manifest.json"]
 
 
 def test_scan_missing_root():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,43 @@ def test_pooling_grads():
     assert_grads_match(lambda: pool(H, pos).sum(), params)
 
 
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+def test_encode_embeds_every_step_like_embed_step(encoder, frozen):
+    # reference: embed_step on each step (LSTM) or each agent (transformer)
+    enc = M.SequenceEncoder(tiny_config(encoder=encoder), np.random.default_rng(65))
+    params = list(enc.named_parameters("enc").values())
+    for p in params:
+        p.requires_grad = not frozen
+    rng = np.random.default_rng(66)
+    steps = [Tensor(s, requires_grad=t >= 2)
+             for t, s in enumerate(rng.standard_normal((5, 3, 2)) * 10.0)]
+    oh = Tensor(np.eye(6)[[0, 3, 5]])
+
+    def reference():
+        if encoder == "lstm":
+            return enc.lstm.run([enc.embed_step(s, oh) for s in steps], 3)
+        return T.concat([enc.transformer.encode(enc.embed_step(
+            T.concat([T.narrow(s, 0, r, 1) for s in steps], axis=0),
+            T.take_rows(oh, [r] * 5))) for r in range(3)], axis=0)
+
+    def run(fn):
+        for t in params + steps:
+            t.grad = None
+        with Tape() as tape:
+            out = fn()
+            backward(T.tsum(out))
+            nodes = len(tape.nodes)
+        return out.data, [t.grad for t in params + steps[2:]], nodes
+
+    got, got_grads, got_nodes = run(lambda: enc.encode(steps, oh))
+    want, want_grads, want_nodes = run(reference)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
+    for g, w in zip(got_grads, want_grads):
+        assert (g is None and w is None) or np.allclose(g, w, rtol=1e-10, atol=1e-12)
+    assert got_nodes <= want_nodes
+
+
 # ---------------------------------------------------------------------------
 # decoder and generator
 
@@ -428,6 +467,32 @@ def test_checkpoint_shape_mismatch(tmp_path):
     with pytest.raises(M.CheckpointError) as exc:
         M.load_models(M.load_checkpoint_payload(path), other)
     assert "version 1" in str(exc.value)
+
+
+def test_restore_params_assigns_in_place_from_a_copy():
+    gen = M.build_generator(tiny_config(), seed=63)
+    snap = M.snapshot_params(M.build_generator(tiny_config(), seed=64))
+    arrays = {n: p.data for n, p in gen.named_parameters().items()}
+    M.restore_params(gen, snap)
+    for n, p in gen.named_parameters().items():
+        assert p.data is arrays[n]
+        assert np.array_equal(p.data, snap[n])
+    next(iter(arrays.values()))[...] += 1.0
+    assert not np.array_equal(next(iter(arrays.values())), next(iter(snap.values())))
+
+
+def test_checkpoint_json_layout(tmp_path):
+    gen = M.build_generator(tiny_config(), seed=67)
+    path = tmp_path / "ckpt.json"
+    M.save_checkpoint(path, gen, meta={"epoch": 1})
+    text = path.read_text()
+    payload = json.loads(text)
+    assert payload["format_version"] == 1 and payload["discriminator"] is None
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+    for name, p in gen.named_parameters().items():
+        assert payload["generator"][name] == {"shape": list(p.shape),
+                                              "values": p.data.reshape(-1).tolist()}
+    assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 def test_checkpoint_version_check(tmp_path):

@@ -285,6 +285,37 @@ def test_nan_loss_aborts_with_grad_norms():
     assert "grad norms" in str(err.value)
 
 
+def test_variety_gradient_is_finite_when_a_sample_matches_the_truth():
+    gen, _ = built_pair(seed=43)
+    (w,) = some_windows(seed=44, n_windows=1)
+    z = np.random.default_rng(45).standard_normal((w.n_agents, 2, 2))
+    truth = M.generator_forward(gen, w, k=2, z=z).trajectories()[:, 0]
+    with Tape():
+        loss = TR.variety_loss(truth, M.generator_forward(gen, w, k=2, z=z))
+        backward(loss)
+    assert float(loss.data) == 0.0
+    assert np.isfinite(TR.grad_norm(gen.parameters()))
+
+
+@pytest.mark.parametrize("network", ["generator", "discriminator"])
+def test_non_finite_gradient_aborts_before_any_update(network):
+    gen, disc = built_pair(seed=46)
+    cfg = tiny_train_config(mode="gan" if network == "discriminator" else "nogan")
+    g_opt, d_opt = Adam(gen.parameters(), lr=cfg.lr), Adam(disc.parameters(), lr=cfg.lr)
+    poisoned = (gen if network == "generator" else disc).parameters()[0]
+    poisoned.grad = np.full(poisoned.shape, np.nan)
+    params = gen.parameters() + disc.parameters()
+    before = [p.data.copy() for p in params]
+    with pytest.raises(TR.TrainingDiverged, match=network):
+        if network == "generator":
+            TR.train_step_nogan(some_windows(seed=47), gen, g_opt, cfg,
+                                np.random.default_rng(48))
+        else:
+            TR.train_step_gan(some_windows(seed=47), gen, disc, g_opt, d_opt, cfg,
+                              np.random.default_rng(48))
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+
+
 def test_empty_batch_rejected():
     gen, disc = built_pair(seed=27)
     cfg = tiny_train_config()
@@ -358,11 +389,11 @@ def test_resumed_runs_are_bit_identical_to_each_other():
     cfg = tiny_train_config(mode="nogan", epochs=2, batch_size=2)
     gen, _ = built_pair(seed=35)
     TR.run_training(gen, None, split, cfg)
-    snap = TR.snapshot_params(gen)
+    snap = M.snapshot_params(gen)
 
     def resume():
         g, _ = built_pair(seed=36)
-        TR.restore_params(g, snap["generator"])
+        M.restore_params(g, snap)
         cont = tiny_train_config(mode="nogan", epochs=4, batch_size=2)
         best, log = TR.run_training(g, None, split, cont, start_epoch=2)
         return g, log
@@ -378,15 +409,15 @@ def test_resumed_runs_are_bit_identical_to_each_other():
 
 def test_restore_params_shape_and_name_checks():
     gen, _ = built_pair(seed=37)
-    snap = TR.snapshot_params(gen)["generator"]
+    snap = M.snapshot_params(gen)
     bad = dict(snap)
     bad.pop(next(iter(bad)))
-    with pytest.raises(ContractError):
-        TR.restore_params(gen, bad)
+    with pytest.raises(M.CheckpointError):
+        M.restore_params(gen, bad)
     worse = {n: (v.copy() if i else np.zeros((1, 1)))
              for i, (n, v) in enumerate(snap.items())}
-    with pytest.raises(ContractError):
-        TR.restore_params(gen, worse)
+    with pytest.raises(M.CheckpointError):
+        M.restore_params(gen, worse)
 
 
 def test_train_log_csv_layout():
@@ -426,6 +457,16 @@ def test_hidden_grad_fraction_contracts():
     t = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):
         TR.hidden_grad_fraction([t])
+
+
+def test_discriminator_hidden_fraction_collects_real_and_fake_passes():
+    gen, disc = built_pair(seed=49)
+    ws = some_windows(seed=50)
+    frac = TR.discriminator_hidden_fraction(ws, gen, disc, np.random.default_rng(51))
+    assert 0.0 < frac <= 1.0
+    hidden_layers = len(disc.classifier.layers) - 1
+    assert len(disc.classifier.last_hidden) == 2 * len(ws) * hidden_layers
+    assert not disc.classifier.collect_hidden
 
 
 def test_activation_ablation_runs_and_orders_fractions():
