@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 
 import numpy as np
@@ -57,6 +58,8 @@ def _write_manifest(out_dir, cfg_hash, seed, input_paths):
         "seed": seed,
         "inputs": {str(p): _sha256_file(p) for p in sorted(input_paths)
                    if os.path.isfile(p)},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     path = os.path.join(out_dir, "manifest.json")
     D.write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .data import N_CLASSES, displacements, write_atomic
+from .data import N_CLASSES, SceneWindow, displacements, write_atomic
 from .tensor import ContractError, Tensor
 
 ENCODER_KINDS = ("lstm", "transformer")
@@ -359,8 +359,8 @@ class SequenceEncoder:
 
 class PoolingModule:
     """Permutation-invariant social context: embed relative positions of the
-    other agents, join with their hidden states, and take an elementwise max.
-    Single-agent scenes pool to a zero vector.
+    other agents in the same window, join with their hidden states, and take
+    an elementwise max.  Single-agent windows pool to a zero vector.
     """
 
     def __init__(self, config, rng):
@@ -371,19 +371,39 @@ class PoolingModule:
         self.mlp = MLP(dims, rng, config.activation, config.leaky_slope)
 
     def __call__(self, hidden, positions):
-        n = hidden.shape[0]
-        if n == 1:
-            return T.zeros((1, self.config.pool_dim))
-        positions = np.asarray(positions, dtype=float)
-        rel, j_idx = [], []
-        for i in range(n):
-            for j in range(n):
-                if j != i:
-                    rel.append(positions[j] - positions[i])
-                    j_idx.append(j)
-        rel_emb = self.pos_embed(T.constant(np.asarray(rel) * self.config.input_scale))
+        """Pool ``hidden`` (R, hidden_dim) rows window by window.
+
+        ``positions`` is one (n, 2) array for a single window, or a list of
+        per-window (n_w, 2) arrays whose rows stack to the R rows of
+        ``hidden``.  Returns (R, pool_dim).
+        """
+        if isinstance(positions, np.ndarray) and positions.ndim == 2:
+            positions = [positions]
+        counts = [len(p) for p in positions]
+        if sum(counts) != hidden.shape[0]:
+            raise ContractError(f"{sum(counts)} positions for {hidden.shape[0]} hidden rows")
+        # pair (i, j), j != i, of each window, grouped by i, at global row offsets
+        i_idx, j_idx, offset = [], [], 0
+        for n in counts:
+            i, j = np.nonzero(~np.eye(n, dtype=bool))
+            i_idx.append(offset + i)
+            j_idx.append(offset + j)
+            offset += n
+        i_idx, j_idx = np.concatenate(i_idx), np.concatenate(j_idx)
+        if not i_idx.size:
+            return T.zeros((hidden.shape[0], self.config.pool_dim))
+        pos = np.concatenate([np.asarray(p, dtype=float) for p in positions])
+        rel_emb = self.pos_embed(T.constant((pos[j_idx] - pos[i_idx]) * self.config.input_scale))
         feats = self.mlp(T.concat([rel_emb, T.take_rows(hidden, j_idx)], axis=1))
-        return T.blockwise_max(feats, n - 1)
+        # each pooled row i is the max over its own run of n - 1 pair rows
+        pooled_rows, starts = np.unique(i_idx, return_index=True)
+        pooled = T.segment_max(feats, starts)
+        if len(pooled_rows) == hidden.shape[0]:
+            return pooled
+        # single-agent windows read a zero row appended after the pooled rows
+        where = np.full(hidden.shape[0], len(pooled_rows))
+        where[pooled_rows] = np.arange(len(pooled_rows))
+        return T.take_rows(T.concat([pooled, T.zeros((1, self.config.pool_dim))]), where)
 
     def named_parameters(self, prefix):
         out = self.pos_embed.named_parameters(f"{prefix}.pos_embed")
@@ -503,12 +523,31 @@ def _step_tensors(points):
     return [T.constant(d[:, t]) for t in range(d.shape[1])]
 
 
+def _as_batch(windows):
+    """One SceneWindow or a sequence of them as a non-empty list of windows
+    that share t_obs and t_pred, so their agents stack into one set of rows."""
+    batch = [windows] if isinstance(windows, SceneWindow) else list(windows)
+    if not batch:
+        raise ContractError("no windows given")
+    lengths = {(w.t_obs, w.t_pred) for w in batch}
+    if len(lengths) > 1:
+        raise ContractError(f"windows differ in (t_obs, t_pred): {sorted(lengths)}")
+    return batch
+
+
+def stacked_onehots(batch):
+    """Class one-hots of every agent of every window, (R, N_CLASSES)."""
+    return np.concatenate([w.onehots() for w in batch])
+
+
 @dataclass
 class PredictionSet:
     """k sampled future trajectories per agent plus the noise that made them.
 
-    ``traj`` holds absolute positions as a (n_agents*k, 2*t_pred) tensor with
-    rows grouped agent-major: row i*k + j is sample j of agent i.
+    The agents of all windows of a batch are stacked as rows in batch order;
+    ``agent_counts`` holds each window's agent count (one window when not
+    given).  ``traj`` holds absolute positions as a (n_agents*k, 2*t_pred)
+    tensor with rows grouped agent-major: row i*k + j is sample j of agent i.
     ``obs_steps`` are the observed displacement steps the encoder read.
     """
 
@@ -519,6 +558,10 @@ class PredictionSet:
     traj: Tensor
     disp_steps: list = field(default_factory=list)
     obs_steps: list = field(default_factory=list)
+    agent_counts: tuple = ()
+
+    def __post_init__(self):
+        self.agent_counts = tuple(self.agent_counts) or (self.n_agents,)
 
     def trajectories(self):
         """(n_agents, k, t_pred, 2) predicted absolute positions."""
@@ -531,57 +574,73 @@ def draw_noise(rng, n_agents, k, noise_dim):
     return np.stack(samples, axis=1)
 
 
-def generator_forward(gen, window, k=None, rng=None, z=None, t_pred=None):
-    """Encode a window once, pool once, decode k noise samples per agent.
+def generator_forward(gen, windows, k=None, rng=None, z=None, t_pred=None):
+    """Encode, pool and decode k noise samples per agent for a batch of
+    windows in one pass over all their agents.
 
-    ``z`` overrides the noise with a given (n_agents, k, noise_dim) array;
-    otherwise ``rng`` supplies it.
+    ``windows`` is one SceneWindow or a sequence of them sharing t_obs and
+    t_pred; pooling stays inside each window.  ``z`` overrides the noise
+    with a given (n_agents, k, noise_dim) array over the stacked agents;
+    otherwise ``rng`` supplies it, drawn window by window in batch order.
     """
     cfg = gen.config
+    batch = _as_batch(windows)
     k = cfg.k_samples if k is None else k
     if k < 1:
         raise ContractError(f"need k >= 1 samples, got {k}")
-    n = window.n_agents
-    t_pred = window.t_pred if t_pred is None else t_pred
+    counts = [w.n_agents for w in batch]
+    n = sum(counts)
+    t_pred = batch[0].t_pred if t_pred is None else t_pred
     if z is None:
         if rng is None:
             raise ContractError("generator_forward needs either rng or z")
-        z = draw_noise(rng, n, k, cfg.noise_dim)
+        z = np.concatenate([draw_noise(rng, c, k, cfg.noise_dim) for c in counts])
     z = np.asarray(z, dtype=float)
     if z.shape != (n, k, cfg.noise_dim):
         raise ContractError(f"noise shape {z.shape} != {(n, k, cfg.noise_dim)}")
 
-    obs_steps = _step_tensors(window.observed)
-    hidden = gen.encoder.encode(obs_steps, T.constant(window.onehots()))
-    pooled = gen.pooling(hidden, window.observed[:, -1])
+    observed = np.concatenate([w.observed for w in batch])
+    obs_steps = _step_tensors(observed)
+    hidden = gen.encoder.encode(obs_steps, T.constant(stacked_onehots(batch)))
+    pooled = gen.pooling(hidden, [w.observed[:, -1] for w in batch])
 
     idx = np.repeat(np.arange(n), k)
     traj, disp_steps, _ = gen.decoder.decode(
         T.take_rows(hidden, idx), T.take_rows(pooled, idx),
         T.constant(z.reshape(n * k, cfg.noise_dim)),
-        window.observed[idx, -1],
-        window.observed[idx, -1] - window.observed[idx, -2],
+        observed[idx, -1],
+        observed[idx, -1] - observed[idx, -2],
         t_pred)
-    return PredictionSet(n, k, t_pred, z, traj, disp_steps, obs_steps)
+    return PredictionSet(n, k, t_pred, z, traj, disp_steps, obs_steps, tuple(counts))
 
 
-def score_real(disc, window):
-    """Discriminator scores for the window's true trajectories, (N, 1) in (0,1)."""
-    return disc.score_steps(_step_tensors(window.points()), T.constant(window.onehots()),
-                            expected_len=window.t_obs + window.t_pred)
+def real_steps(windows):
+    """Displacement steps of every window's true trajectories, agents stacked."""
+    return _step_tensors(np.concatenate([w.points() for w in _as_batch(windows)]))
 
 
-def score_fake(disc, window, preds, sample=0):
+def fake_steps(preds, sample=0):
+    """Observed steps followed by the steps of one generated sample per agent."""
+    if not 0 <= sample < preds.k:
+        raise ContractError(f"sample {sample} out of range for k={preds.k}")
+    rows = np.arange(preds.n_agents) * preds.k + sample
+    return preds.obs_steps + [T.take_rows(d, rows) for d in preds.disp_steps]
+
+
+def score_real(disc, windows):
+    """Discriminator scores for the windows' true trajectories, (R, 1) in (0,1)."""
+    batch = _as_batch(windows)
+    return disc.score_steps(real_steps(batch), T.constant(stacked_onehots(batch)),
+                            expected_len=batch[0].t_obs + batch[0].t_pred)
+
+
+def score_fake(disc, windows, preds, sample=0):
     """Scores for one generated sample per agent, gradients flowing to the
     generator through the predicted displacements.
     """
-    if not 0 <= sample < preds.k:
-        raise ContractError(f"sample {sample} out of range for k={preds.k}")
-    n = window.n_agents
-    rows = [i * preds.k + sample for i in range(n)]
-    steps = preds.obs_steps + [T.take_rows(d, rows) for d in preds.disp_steps]
-    return disc.score_steps(steps, T.constant(window.onehots()),
-                            expected_len=window.t_obs + preds.t_pred)
+    batch = _as_batch(windows)
+    return disc.score_steps(fake_steps(preds, sample), T.constant(stacked_onehots(batch)),
+                            expected_len=batch[0].t_obs + preds.t_pred)
 
 
 def class_embedding_matrix(gen):

@@ -10,6 +10,8 @@ broadcasting and no dtype other than float64.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 
@@ -51,11 +53,14 @@ class Tape:
 
     Use as a context manager; ops executed inside record themselves when any
     input requires grad.  Outside any tape (or inside ``no_grad``) ops run as
-    plain numpy and produce constants.
+    plain numpy and produce constants.  Tensors refer to their tape weakly,
+    so the tape and every intermediate it holds are freed by reference
+    counting as soon as nothing else refers to the tape.
     """
 
     def __init__(self):
         self.nodes = []
+        self.ref = weakref.ref(self)
 
     def __len__(self):
         return len(self.nodes)
@@ -100,15 +105,21 @@ class Tensor:
     the tape entry that produced this tensor (None for leaves).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape", "node_id")
+    __slots__ = ("data", "requires_grad", "grad", "tape_ref", "node_id", "__weakref__")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.tape = None
+        self.tape_ref = None
         self.node_id = None
+
+    @property
+    def tape(self):
+        """The tape that recorded this tensor, or None for leaves, constants
+        and tensors whose tape has been released."""
+        return None if self.tape_ref is None else self.tape_ref()
 
     @property
     def shape(self):
@@ -180,7 +191,7 @@ def _make(data, inputs, bwd):
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.tape = tape
+        out.tape_ref = tape.ref
         out.node_id = len(tape.nodes)
         tape.nodes.append(_Node(out, tuple(inputs), bwd))
     return out
@@ -343,28 +354,41 @@ def take_rows(a, indices):
     return _make(a.data[idx].copy(), (a,), bwd)
 
 
-def blockwise_max(a, block):
-    """Elementwise max over consecutive row blocks: (m*block, n) -> (m, n).
+def segment_max(a, starts):
+    """Elementwise max over consecutive row segments: (rows, n) -> (len(starts), n).
 
-    Backward routes each gradient entry to the first row attaining the max
-    within its block.
+    Segment s covers rows [starts[s], starts[s+1]), the last one runs to the
+    end; ``starts`` must begin at 0 and increase strictly, so no segment is
+    empty.  Backward routes each gradient entry to the first row attaining
+    the max within its segment.
     """
     if a.data.ndim != 2:
-        raise ShapeError(f"blockwise_max requires a 2-D tensor, got {a.shape}")
+        raise ShapeError(f"segment_max requires a 2-D tensor, got {a.shape}")
     rows, cols = a.shape
-    if block < 1 or rows % block != 0:
-        raise ShapeError(f"block size {block} does not divide row count {rows}")
-    m = rows // block
-    r = a.data.reshape(m, block, cols)
-    amax = r.argmax(axis=1)
-    data = np.take_along_axis(r, amax[:, None, :], axis=1)[:, 0, :]
+    starts = np.asarray(starts, dtype=np.intp)
+    if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or starts[-1] >= rows
+            or np.any(np.diff(starts) < 1)):
+        raise ShapeError(f"segment starts {starts.tolist()} invalid for {rows} rows")
+    data = np.maximum.reduceat(a.data, starts, axis=0)
 
     def bwd(g):
-        full = np.zeros((m, block, cols))
-        np.put_along_axis(full, amax[:, None, :], g[:, None, :], axis=1)
-        return (full.reshape(rows, cols),)
+        # first row of each segment holding the max (or a NaN, as argmax does)
+        seg = np.repeat(np.arange(starts.size), np.diff(starts, append=rows))
+        hit = (a.data == data[seg]) | np.isnan(a.data)
+        first = np.minimum.reduceat(np.where(hit, np.arange(rows)[:, None], rows),
+                                    starts, axis=0)
+        full = np.zeros((rows, cols))
+        full[first, np.arange(cols)] = g
+        return (full,)
 
     return _make(data, (a,), bwd)
+
+
+def blockwise_max(a, block):
+    """``segment_max`` over consecutive blocks of ``block`` rows each."""
+    if block < 1 or a.shape[0] % block != 0:
+        raise ShapeError(f"block size {block} does not divide row count {a.shape[0]}")
+    return segment_max(a, np.arange(0, a.shape[0], block))
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -521,12 +545,16 @@ def backward(loss):
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     seed = np.ones_like(loss.data)
-    tape = loss.tape
-    if tape is None:
+    if loss.node_id is None:
         # constant or bare leaf; nothing upstream of it
         if loss.requires_grad:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
+    tape = loss.tape
+    if tape is None:
+        raise ContractError("the tape that recorded this loss has been released; "
+                            "call backward inside its `with Tape()` block")
+    ref = tape.ref
     pending = {id(loss): seed}
     for node in reversed(tape.nodes[: loss.node_id + 1]):
         g = pending.pop(id(node.out), None)
@@ -537,7 +565,7 @@ def backward(loss):
         for t, ig in zip(node.inputs, node.bwd(g)):
             if ig is None or not t.requires_grad:
                 continue
-            if t.tape is tape and t.node_id is not None:
+            if t.tape_ref is ref and t.node_id is not None:
                 key = id(t)
                 if key in pending:
                     pending[key] = pending[key] + ig

@@ -20,8 +20,9 @@ from . import tensor as T
 from .tensor import ContractError, Tape, no_grad
 from .optim import Adam, clip_grad_norm, grad_norm
 from .evaluate import eval_min_of_k
-from .model import (ConfigError, build_discriminator, build_generator,
-                    generator_forward, score_fake, score_real, snapshot_params)
+from .model import (ConfigError, build_discriminator, build_generator, fake_steps,
+                    generator_forward, real_steps, score_fake, snapshot_params,
+                    stacked_onehots)
 
 TRAIN_MODES = ("gan", "nogan")
 LOG_FLOOR = 1e-7  # keeps both losses finite for scores numerically at 0 or 1
@@ -173,27 +174,25 @@ def _update(network, params, opt, loss, config):
 
 
 def _discriminator_loss(batch, gen, disc, rng):
-    """Discriminator loss on each window's truth against one generated
-    sample, drawn without gradient so nothing leaks into the generator."""
-    real, fake = [], []
-    for w in batch:
-        with no_grad():
-            preds = generator_forward(gen, w, k=1, rng=rng)
-        real.append(score_real(disc, w))
-        fake.append(score_fake(disc, w, preds, sample=0))
-    return d_loss(T.concat(real, axis=0), T.concat(fake, axis=0))
+    """Discriminator loss on every window's truth against one generated
+    sample, drawn without gradient so nothing leaks into the generator.
+    Real and fake rows share one discriminator pass: real rows first."""
+    with no_grad():
+        preds = generator_forward(gen, batch, k=1, rng=rng)
+    steps = [T.concat([r, f], axis=0) for r, f in zip(real_steps(batch), fake_steps(preds))]
+    onehots = stacked_onehots(batch)
+    scores = disc.score_steps(steps, T.constant(np.concatenate([onehots, onehots])))
+    rows = preds.n_agents
+    return d_loss(T.narrow(scores, 0, 0, rows), T.narrow(scores, 0, rows, rows))
 
 
 def _generator_losses(batch, gen, config, rng, disc=None):
-    """Mean variety loss over the batch at k samples, plus the adversarial
-    scores of sample 0 when a discriminator is given."""
-    scores, norms = [], []
-    for w in batch:
-        preds = generator_forward(gen, w, k=config.k, rng=rng)
-        if disc is not None:
-            scores.append(score_fake(disc, w, preds, sample=0))
-        norms.append(variety_norms(w.future, preds))
-    return T.tmean(T.concat(norms, axis=0)), scores
+    """Mean variety loss over every agent of the batch at k samples, plus
+    the adversarial scores of sample 0 when a discriminator is given."""
+    preds = generator_forward(gen, batch, k=config.k, rng=rng)
+    scores = None if disc is None else score_fake(disc, batch, preds, sample=0)
+    norms = variety_norms(np.concatenate([w.future for w in batch]), preds)
+    return T.tmean(norms), scores
 
 
 def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0):
@@ -223,7 +222,7 @@ def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0)
         for _ in range(config.g_steps):
             with Tape():
                 var, scores = _generator_losses(batch, gen, config, rng, disc)
-                adv = g_adv_loss(T.concat(scores, axis=0))
+                adv = g_adv_loss(scores)
                 loss_g = T.add(adv, var)
                 T.backward(loss_g)
             g_val, v_val = float(adv.data), float(var.data)

@@ -7,7 +7,11 @@ library is a real two-route check rather than the same code twice.
 
 import numpy as np
 
-from trajgan.tensor import Tape, backward
+from trajgan import tensor as T
+from trajgan.model import generator_forward, score_fake, score_real
+from trajgan.optim import clip_grad_norm, grad_norm
+from trajgan.tensor import Tape, backward, no_grad
+from trajgan.train import d_loss, g_adv_loss, variety_norms
 
 
 def finite_diff(f, leaves, h=1e-5, coords=None):
@@ -125,3 +129,66 @@ def jacobi_eigh(a, sweeps=100, tol=1e-14):
                 v = v @ rot
     order = np.argsort(np.diag(a))[::-1]
     return np.diag(a)[order], v[:, order]
+
+
+def _norm_and_step(params, opt, config):
+    norm = (grad_norm(params) if config.clip_norm is None
+            else clip_grad_norm(params, config.clip_norm))
+    opt.step()
+    return norm
+
+
+def _looped_generator_losses(batch, gen, config, rng, disc=None):
+    scores, norms = [], []
+    for w in batch:
+        preds = generator_forward(gen, w, k=config.k, rng=rng)
+        if disc is not None:
+            scores.append(score_fake(disc, w, preds, sample=0))
+        norms.append(variety_norms(w.future, preds))
+    return T.tmean(T.concat(norms, axis=0)), scores
+
+
+def looped_train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng):
+    """Reference GAN step that gives every window its own encoder, pooling,
+    decoder and discriminator passes.  Returns the record's loss and norm
+    fields as a dict."""
+    rec = dict(d_loss=None, g_adv=None, variety=None, grad_norm_g=None,
+               grad_norm_d=None)
+    for _ in range(config.d_steps):
+        with Tape():
+            real, fake = [], []
+            for w in batch:
+                with no_grad():
+                    preds = generator_forward(gen, w, k=1, rng=rng)
+                real.append(score_real(disc, w))
+                fake.append(score_fake(disc, w, preds, sample=0))
+            loss_d = d_loss(T.concat(real, axis=0), T.concat(fake, axis=0))
+            backward(loss_d)
+        rec["d_loss"] = float(loss_d.data)
+        rec["grad_norm_d"] = _norm_and_step(disc.parameters(), d_opt, config)
+    for p in disc.parameters():
+        p.requires_grad = False
+    for _ in range(config.g_steps):
+        with Tape():
+            var, scores = _looped_generator_losses(batch, gen, config, rng, disc)
+            adv = g_adv_loss(T.concat(scores, axis=0))
+            loss_g = T.add(adv, var)
+            backward(loss_g)
+        rec["g_adv"], rec["variety"] = float(adv.data), float(var.data)
+        rec["grad_norm_g"] = _norm_and_step(gen.parameters(), g_opt, config)
+    for p in disc.parameters():
+        p.requires_grad = True
+    return rec
+
+
+def looped_train_step_nogan(batch, gen, g_opt, config, rng):
+    """Reference variety-only step, one generator pass per window."""
+    rec = dict(d_loss=None, g_adv=None, variety=None, grad_norm_g=None,
+               grad_norm_d=None)
+    for _ in range(config.g_steps):
+        with Tape():
+            loss, _ = _looped_generator_losses(batch, gen, config, rng)
+            backward(loss)
+        rec["variety"] = float(loss.data)
+        rec["grad_norm_g"] = _norm_and_step(gen.parameters(), g_opt, config)
+    return rec

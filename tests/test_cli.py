@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -209,6 +210,8 @@ def test_cmd_train_eval_analyze_pipeline(tmp_path, capsys):
     assert manifest["config_hash"] == C.config_hash(C.load_config(cfg_path))
     assert manifest["seed"] == 0
     assert str(cfg_path) in manifest["inputs"]
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
 
     ckpt = out / "checkpoint.json"
     payload = load_checkpoint_payload(ckpt)

@@ -256,6 +256,41 @@ def test_pooling_grads():
     assert_grads_match(lambda: pool(H, pos).sum(), params)
 
 
+def test_pooling_packed_windows_stay_apart_bitwise():
+    cfg = tiny_config()
+    pool = M.PoolingModule(cfg, np.random.default_rng(67))
+    rng = np.random.default_rng(68)
+    counts = [3, 1, 5, 2]
+    H = rng.standard_normal((sum(counts), cfg.hidden_dim))
+    pos = [rng.uniform(0, 50, (n, 2)) for n in counts]
+    base = pool(Tensor(H), pos).data
+    offsets = np.cumsum([0] + counts)
+    assert np.array_equal(base[3], np.zeros(cfg.pool_dim))  # the lone agent
+    for w, n in enumerate(counts):
+        rows = slice(offsets[w], offsets[w + 1])
+        if n > 1:
+            # a window pooled alone matches its rows of the pack
+            np.testing.assert_allclose(pool(Tensor(H[rows]), pos[w]).data, base[rows],
+                                       rtol=1e-12, atol=1e-15)
+        # permuting the agents of window w moves only window w's rows
+        perm = rng.permutation(n)
+        H2, pos2 = H.copy(), list(pos)
+        H2[rows] = H[rows][perm]
+        pos2[w] = pos[w][perm]
+        permuted = pool(Tensor(H2), pos2).data
+        want = base.copy()
+        want[rows] = base[rows][perm]
+        assert permuted.tobytes() == want.tobytes()
+
+
+def test_pooling_all_single_agent_windows_are_zero():
+    pool = M.PoolingModule(tiny_config(), np.random.default_rng(69))
+    out = pool(Tensor(np.ones((3, 4))), [np.zeros((1, 2))] * 3)
+    assert np.array_equal(out.data, np.zeros((3, 3)))
+    with pytest.raises(ContractError):
+        pool(Tensor(np.ones((3, 4))), [np.zeros((1, 2))] * 2)
+
+
 @pytest.mark.parametrize("frozen", [False, True])
 @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
 def test_encode_embeds_every_step_like_embed_step(encoder, frozen):
@@ -359,6 +394,44 @@ def test_generator_noise_shape_contract():
         M.generator_forward(gen, w, k=2, z=np.zeros((3, 3, 2)))
     with pytest.raises(ContractError):
         M.generator_forward(gen, w, k=2)
+
+
+def test_generator_forward_packs_windows_like_separate_calls():
+    gen = M.build_generator(tiny_config(), seed=47)
+    ws = [make_window(seed=48 + n, n_agents=n) for n in (2, 1, 3)]
+    rng = np.random.default_rng(51)
+    packed = M.generator_forward(gen, ws, k=2, rng=rng)
+    ref_rng = np.random.default_rng(51)
+    alone = [M.generator_forward(gen, w, k=2, rng=ref_rng) for w in ws]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert packed.agent_counts == (2, 1, 3) and packed.n_agents == 6
+    assert alone[0].agent_counts == (2,)
+    assert np.array_equal(packed.noise, np.concatenate([p.noise for p in alone]))
+    np.testing.assert_allclose(packed.trajectories(),
+                               np.concatenate([p.trajectories() for p in alone]),
+                               rtol=1e-12, atol=1e-12)
+    disc = M.build_discriminator(tiny_config(), seed=52)
+    np.testing.assert_allclose(M.score_fake(disc, ws, packed, sample=1).data,
+                               np.concatenate([M.score_fake(disc, w, p, sample=1).data
+                                               for w, p in zip(ws, alone)]),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(M.score_real(disc, ws).data,
+                               np.concatenate([M.score_real(disc, w).data for w in ws]),
+                               rtol=1e-12, atol=0)
+
+
+def test_generator_forward_rejects_mixed_window_lengths():
+    gen = M.build_generator(tiny_config(), seed=53)
+    w = make_window(seed=54)
+    short = D.SceneWindow(w.scene_id, w.start_frame, w.frame_step, w.agent_ids,
+                          w.class_indices, w.observed, w.future[:, :6])
+    late = D.SceneWindow(w.scene_id, w.start_frame, w.frame_step, w.agent_ids,
+                         w.class_indices, w.observed[:, 1:], w.future)
+    for other in (short, late):
+        with pytest.raises(ContractError):
+            M.generator_forward(gen, [w, other], k=1, rng=np.random.default_rng(55))
+    with pytest.raises(ContractError):
+        M.generator_forward(gen, [], k=1, rng=np.random.default_rng(55))
 
 
 def test_generator_full_graph_grads():

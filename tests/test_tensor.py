@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -176,6 +179,75 @@ def test_blockwise_max_grads():
     rng = np.random.default_rng(8)
     x = rand_leaf(rng, (8, 3))
     assert_grads_match(lambda: T.blockwise_max(x, 4).sum(), [x])
+
+
+def test_segment_max_grads_uneven_and_one_row_segments():
+    rng = np.random.default_rng(9)
+    x = rand_leaf(rng, (9, 3))
+    w = Tensor(rng.standard_normal((4, 3)))
+    # segments of 1, 3, 1 and 4 rows
+    assert_grads_match(lambda: T.mul(T.segment_max(x, [0, 1, 4, 5]), w).sum(), [x])
+
+
+def test_segment_max_ties_route_gradient_to_first_row():
+    x = leaf([[2.0, 1.0], [2.0, 5.0], [7.0, 5.0], [3.0, 3.0], [3.0, 3.0]])
+    with Tape():
+        out = T.segment_max(x, [0, 3])
+        backward(T.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0]])).sum())
+    assert np.array_equal(out.data, [[7.0, 5.0], [3.0, 3.0]])
+    assert np.array_equal(x.grad, [[0.0, 0.0], [0.0, 2.0], [1.0, 0.0],
+                                   [3.0, 4.0], [0.0, 0.0]])
+
+
+def test_blockwise_max_is_segment_max_over_equal_blocks():
+    rng = np.random.default_rng(10)
+    data = rng.integers(0, 3, (12, 4)).astype(float)  # many ties
+    seed = rng.standard_normal((4, 4))
+    results = []
+    for op in (lambda a: T.blockwise_max(a, 3),
+               lambda a: T.segment_max(a, np.arange(0, 12, 3))):
+        x = leaf(data.copy())
+        with Tape():
+            out = op(x)
+            backward(T.mul(out, Tensor(seed)).sum())
+        results.append((out.data, x.grad))
+    (va, ga), (vb, gb) = results
+    assert va.tobytes() == vb.tobytes() and ga.tobytes() == gb.tobytes()
+    # reference: per-block argmax, which picks the first maximal row
+    blocks = data.reshape(4, 3, 4)
+    first = blocks.argmax(axis=1)
+    want = np.zeros((4, 3, 4))
+    for b in range(4):
+        for c in range(4):
+            want[b, first[b, c], c] = seed[b, c]
+    assert np.array_equal(va, blocks.max(axis=1))
+    assert np.array_equal(ga, want.reshape(12, 4))
+
+
+@pytest.mark.parametrize("starts", [[], [1, 2], [0, 2, 2], [0, 3, 1], [0, 6], [[0]]])
+def test_segment_max_rejects_bad_starts(starts):
+    with pytest.raises(ShapeError):
+        T.segment_max(leaf(np.zeros((6, 2))), starts)
+
+
+def test_tape_graph_freed_without_cycle_collector():
+    x = leaf(np.arange(6.0).reshape(2, 3))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with Tape():
+            hidden = T.tanh(x)
+            ref = weakref.ref(hidden)
+            loss = T.mul(hidden, hidden).sum()
+            backward(loss)
+        del hidden
+        assert ref() is None, "the step's graph outlived its tape block"
+        assert loss.tape is None
+        with pytest.raises(ContractError):
+            backward(loss)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_reduction_grads():
