@@ -214,36 +214,37 @@ def sinusoidal_positions(length, dim):
 
 
 class MultiHeadAttention:
+    """Multi-head self-attention over time of ``groups`` sequences at once.
+
+    The key projection has no bias: it would add the same amount to every
+    score of a query, which softmax ignores.
+    """
+
     def __init__(self, hidden_dim, heads, rng):
         if hidden_dim % heads:
             raise ConfigError(f"hidden_dim {hidden_dim} not divisible by {heads} heads")
         self.heads = heads
-        self.head_dim = hidden_dim // heads
         self.Wq = Linear(hidden_dim, hidden_dim, rng)
-        self.Wk = Linear(hidden_dim, hidden_dim, rng)
+        self.Wk = Tensor(_uniform_init(rng, hidden_dim, (hidden_dim, hidden_dim)),
+                         requires_grad=True)
         self.Wv = Linear(hidden_dim, hidden_dim, rng)
         self.Wo = Linear(hidden_dim, hidden_dim, rng)
 
-    def __call__(self, x, collect_attn=None):
-        q, k, v = self.Wq(x), self.Wk(x), self.Wv(x)
-        scale = 1.0 / np.sqrt(self.head_dim)
-        outs = []
-        for h in range(self.heads):
-            lo = h * self.head_dim
-            qh = T.narrow(q, 1, lo, self.head_dim)
-            kh = T.narrow(k, 1, lo, self.head_dim)
-            vh = T.narrow(v, 1, lo, self.head_dim)
-            scores = T.mul_scalar(T.matmul(qh, T.transpose(kh)), scale)
-            attn = T.softmax_rows(scores)
-            if collect_attn is not None:
-                collect_attn.append(attn.data.copy())
-            outs.append(T.matmul(attn, vh))
-        return self.Wo(T.concat(outs, axis=1))
+    def __call__(self, x, collect_attn=None, groups=1):
+        """``x`` holds ``groups`` sequences in time-major rows (row
+        t*groups + g).  ``collect_attn`` receives one (T, T) map per
+        sequence and head, sequence-major."""
+        out, attn = T.grouped_attention(self.Wq(x), T.matmul(x, self.Wk), self.Wv(x),
+                                        self.heads, groups)
+        if collect_attn is not None:
+            collect_attn.extend(attn.reshape(-1, *attn.shape[2:]).copy())
+        return self.Wo(out)
 
     def named_parameters(self, prefix):
-        out = {}
-        for name, lin in (("q", self.Wq), ("k", self.Wk), ("v", self.Wv), ("o", self.Wo)):
-            out.update(lin.named_parameters(f"{prefix}.{name}"))
+        out = self.Wq.named_parameters(f"{prefix}.q")
+        out[f"{prefix}.k.W"] = self.Wk
+        out.update(self.Wv.named_parameters(f"{prefix}.v"))
+        out.update(self.Wo.named_parameters(f"{prefix}.o"))
         return out
 
 
@@ -266,19 +267,21 @@ class TransformerEncoder:
                 "ln2": LayerNorm(cfg.hidden_dim),
             })
 
-    def encode(self, seq, collect_attn=None):
-        """(T, in_dim) sequence to a (1, hidden_dim) summary."""
-        length = seq.shape[0]
-        x = T.add(self.in_proj(seq),
-                  T.constant(sinusoidal_positions(length, self.config.hidden_dim)))
+    def encode(self, seq, collect_attn=None, rows=1):
+        """(T*rows, in_dim) sequences of ``rows`` agents in time-major rows
+        (row t*rows + r is step t of agent r) to (rows, hidden_dim)
+        summaries; each agent attends only over its own steps."""
+        length = seq.shape[0] // rows
+        pe = np.repeat(sinusoidal_positions(length, self.config.hidden_dim), rows, axis=0)
+        x = T.add(self.in_proj(seq), T.constant(pe))
         for layer in self.layers:
-            x = layer["ln1"](T.add(x, layer["mha"](x, collect_attn)))
+            x = layer["ln1"](T.add(x, layer["mha"](x, collect_attn, rows)))
             ff = layer["ff2"](T.activation(layer["ff1"](x), self.config.activation,
                                            self.config.leaky_slope))
             x = layer["ln2"](T.add(x, ff))
         if self.config.transformer_pool == "mean":
-            return T.tmean(x, axis=0, keepdims=True)
-        return T.narrow(x, 0, length - 1, 1)
+            return T.matmul(T.constant(np.tile(np.eye(rows), length) / length), x)
+        return T.narrow(x, 0, (length - 1) * rows, rows)
 
     def named_parameters(self, prefix):
         out = self.in_proj.named_parameters(f"{prefix}.in_proj")
@@ -341,10 +344,7 @@ class SequenceEncoder:
                      if fixed and not xy.requires_grad else T.narrow(e, 0, t * rows, rows)
                      for t, xy in enumerate(xy_steps)]
             return self.lstm.run(steps, rows)
-        # transformer attends over time, so each agent is encoded separately
-        outs = [self.transformer.encode(T.take_rows(e, np.arange(r, rows * length, rows)),
-                                        collect_attn) for r in range(rows)]
-        return T.concat(outs, axis=0)
+        return self.transformer.encode(e, collect_attn, rows)
 
     def named_parameters(self, prefix):
         out = self.spatial.named_parameters(f"{prefix}.spatial")
@@ -655,7 +655,9 @@ def class_embedding_matrix(gen):
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_VERSION = 1
+# version 2 dropped the attention key bias (`*.mha.k.b`), which no output
+# depends on; version-1 files load without it
+CHECKPOINT_VERSION = 2
 
 
 def snapshot_params(model):
@@ -708,9 +710,14 @@ def load_checkpoint_payload(path):
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}; "
-                              f"this build reads version {CHECKPOINT_VERSION}")
+                              f"this build reads versions 1 to {CHECKPOINT_VERSION}")
+    if version == 1:
+        for key in ("generator", "discriminator"):
+            if payload.get(key):
+                payload[key] = {name: rec for name, rec in payload[key].items()
+                                if not name.endswith(".mha.k.b")}
     return payload
 
 

@@ -3,9 +3,10 @@
 Gradients are computed by recording every differentiable operation on an
 explicit tape (a Wengert list) and replaying it backwards.  The op set is
 deliberately small: 2-D matmul, elementwise arithmetic with row/column
-vector broadcasting, concat/slice/gather, row softmax, reductions, and the
-handful of nonlinearities the models need.  There is no general
-broadcasting and no dtype other than float64.
+vector broadcasting, concat/slice/gather, row softmax, segment max,
+reductions, multi-head attention over grouped sequences, and the handful of
+nonlinearities the models need.  There is no general broadcasting and no
+dtype other than float64.
 """
 
 from __future__ import annotations
@@ -533,6 +534,44 @@ def softmax_rows(a):
         return (out * (g - dot),)
 
     return _make(out, (a,), bwd)
+
+
+def grouped_attention(q, k, v, heads, groups):
+    """Scaled dot-product attention of ``groups`` sequences at once.
+
+    ``q``, ``k``, ``v`` are (N, D) with N = length * groups rows in time-major
+    order (row t*groups + g is step t of sequence g); columns split into
+    ``heads`` heads of D // heads.  Each sequence attends only over its own
+    steps.  Returns the (N, D) output, heads side by side, and the
+    (groups, heads, length, length) attention weights as a plain array.
+    """
+    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(f"grouped_attention needs equal 2-D q, k, v, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    n, d = q.shape
+    if heads < 1 or groups < 1 or d % heads or n % groups or n == 0:
+        raise ShapeError(f"{heads} heads and {groups} groups do not divide shape {q.shape}")
+    length, hd = n // groups, d // heads
+
+    def split(a):  # (N, D) -> (groups, heads, length, head_dim)
+        return a.reshape(length, groups, heads, hd).transpose(1, 2, 0, 3)
+
+    def join(a):  # inverse of split
+        return a.transpose(2, 0, 1, 3).reshape(n, d)
+
+    scale = 1.0 / np.sqrt(hd)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = (qh @ kh.swapaxes(2, 3)) * scale
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    attn = e / e.sum(axis=3, keepdims=True)
+
+    def bwd(g):
+        gh = split(g)
+        ga = gh @ vh.swapaxes(2, 3)
+        gs = attn * (ga - (ga * attn).sum(axis=3, keepdims=True)) * scale
+        return join(gs @ kh), join(gs.swapaxes(2, 3) @ qh), join(attn.swapaxes(2, 3) @ gh)
+
+    return _make(join(attn @ vh), (q, k, v), bwd), attn
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,28 @@ def assert_grads_match(build_loss, leaves, rtol=1e-4, h=1e-5, coords=None):
     return worst
 
 
+def looped_attention(q, k, v, heads, groups):
+    """Reference for ``T.grouped_attention``: every sequence and head on its
+    own through matmul/transpose/mul_scalar/softmax_rows.  Returns the (N, D)
+    output tensor in the same time-major row order as the inputs."""
+    n, d = q.shape
+    hd = d // heads
+    seqs = []
+    for g in range(groups):
+        rows = np.arange(g, n, groups)
+        qg, kg, vg = (T.take_rows(a, rows) for a in (q, k, v))
+        outs = []
+        for h in range(heads):
+            qh, kh, vh = (T.narrow(a, 1, h * hd, hd) for a in (qg, kg, vg))
+            scores = T.mul_scalar(T.matmul(qh, T.transpose(kh)), 1.0 / np.sqrt(hd))
+            outs.append(T.matmul(T.softmax_rows(scores), vh))
+        seqs.append(T.concat(outs, axis=1))
+    # sequence-major rows g*length + t back to time-major t*groups + g
+    length = n // groups
+    return T.take_rows(T.concat(seqs, axis=0),
+                       (np.arange(n) % groups) * length + np.arange(n) // groups)
+
+
 def rmse_trajectory_ref(pred, truth):
     """Straight-loop per-trajectory RMSE: sqrt(mean_t of squared point error)."""
     pred = np.asarray(pred, dtype=float)

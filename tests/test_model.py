@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import assert_grads_match
+from oracles import assert_grads_match, looped_attention
 from trajgan import data as D
 from trajgan import model as M
 from trajgan import tensor as T
@@ -213,6 +213,65 @@ def test_transformer_grads():
         return T.mul(out, out).sum()
 
     assert_grads_match(loss, params, rtol=2e-4)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5])
+@pytest.mark.parametrize("pool", ["last", "mean"])
+def test_packed_transformer_encode_matches_per_agent_calls(pool, rows):
+    cfg = tiny_config(encoder="transformer", transformer_pool=pool, transformer_layers=2)
+    enc = M.TransformerEncoder(5, cfg, np.random.default_rng(70))
+    params = list(enc.named_parameters("enc").values())
+    rng = np.random.default_rng(71)
+    length = 4
+    seq = Tensor(rng.standard_normal((length * rows, 5)), requires_grad=True)
+    w = Tensor(rng.standard_normal((rows, cfg.hidden_dim)))
+
+    def run(fn):
+        for t in params + [seq]:
+            t.grad = None
+        with Tape():
+            out = fn()
+            backward(T.mul(out, w).sum())
+        return out.data, [t.grad for t in params + [seq]]
+
+    got, got_grads = run(lambda: enc.encode(seq, rows=rows))
+    want, want_grads = run(lambda: T.concat(
+        [enc.encode(T.take_rows(seq, np.arange(r, length * rows, rows)), rows=1)
+         for r in range(rows)], axis=0))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    for g, w_ in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w_, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+def test_encoder_tape_nodes_do_not_grow_with_agents(encoder):
+    # the whole encoder is one pass over all agents: no per-agent loop
+    enc = M.SequenceEncoder(tiny_config(encoder=encoder), np.random.default_rng(72))
+    rng = np.random.default_rng(73)
+
+    def nodes(rows):
+        steps = [Tensor(s) for s in rng.standard_normal((6, rows, 2))]
+        with Tape() as tape:
+            enc.encode(steps, Tensor(np.eye(6)[rng.integers(0, 6, rows)]))
+        return len(tape.nodes)
+
+    assert nodes(7) == nodes(1) > 0
+
+
+def test_attention_key_bias_changes_nothing():
+    # the key projection carries no bias: a bias would shift every score of
+    # a query by the same amount, which softmax removes
+    rng = np.random.default_rng(74)
+    mha = M.MultiHeadAttention(6, 3, rng)
+    assert list(mha.named_parameters("mha")) == ["mha.q.W", "mha.q.b", "mha.k.W", "mha.v.W",
+                                                  "mha.v.b", "mha.o.W", "mha.o.b"]
+    x = Tensor(rng.standard_normal((12, 6)))
+    bias = Tensor(rng.standard_normal(6) * 3.0)
+    for groups in (1, 3, 4):
+        got = mha(x, groups=groups).data
+        want = mha.Wo(looped_attention(mha.Wq(x), T.add(T.matmul(x, mha.Wk), bias),
+                                       mha.Wv(x), 3, groups)).data
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_sinusoidal_positions_shape_and_range():
@@ -539,7 +598,7 @@ def test_checkpoint_shape_mismatch(tmp_path):
     other = M.build_generator(tiny_config(hidden_dim=8), seed=61)
     with pytest.raises(M.CheckpointError) as exc:
         M.load_models(M.load_checkpoint_payload(path), other)
-    assert "version 1" in str(exc.value)
+    assert "version 2" in str(exc.value)
 
 
 def test_restore_params_assigns_in_place_from_a_copy():
@@ -560,12 +619,38 @@ def test_checkpoint_json_layout(tmp_path):
     M.save_checkpoint(path, gen, meta={"epoch": 1})
     text = path.read_text()
     payload = json.loads(text)
-    assert payload["format_version"] == 1 and payload["discriminator"] is None
+    assert payload["format_version"] == 2 and payload["discriminator"] is None
     assert text == json.dumps(payload, sort_keys=True) + "\n"
     for name, p in gen.named_parameters().items():
         assert payload["generator"][name] == {"shape": list(p.shape),
                                               "values": p.data.reshape(-1).tolist()}
     assert [f.name for f in tmp_path.iterdir()] == ["ckpt.json"]
+
+
+def test_version_1_transformer_checkpoint_loads_without_key_bias(tmp_path):
+    cfg = tiny_config(encoder="transformer")
+    gen = M.build_generator(cfg, seed=75)
+    disc = M.build_discriminator(cfg, seed=76)
+    path = tmp_path / "ckpt.json"
+    M.save_checkpoint(path, gen, disc)
+    # the version-1 layout: the same entries plus a key bias per attention layer
+    payload = json.loads(path.read_text())
+    payload["format_version"] = 1
+    added = 0
+    for key in ("generator", "discriminator"):
+        for name in list(payload[key]):
+            if name.endswith(".mha.k.W"):
+                payload[key][name[:-1] + "b"] = {"shape": [cfg.hidden_dim],
+                                                 "values": [0.5] * cfg.hidden_dim}
+                added += 1
+    assert added == 2
+    path.write_text(json.dumps(payload))
+    gen2 = M.build_generator(cfg, seed=77)
+    disc2 = M.build_discriminator(cfg, seed=78)
+    M.load_models(M.load_checkpoint_payload(path), gen2, disc2)
+    for a, b in ((gen, gen2), (disc, disc2)):
+        for name, p in a.named_parameters().items():
+            assert np.array_equal(p.data, b.named_parameters()[name].data), name
 
 
 def test_checkpoint_version_check(tmp_path):

@@ -4,7 +4,10 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import assert_grads_match, finite_diff
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import assert_grads_match, finite_diff, looped_attention
 from trajgan import tensor as T
 from trajgan.optim import Adam, AdamState, adam_step, clip_grad_norm, grad_norm
 from trajgan.tensor import (ContractError, NumericError, ShapeError, Tape, Tensor,
@@ -228,6 +231,81 @@ def test_blockwise_max_is_segment_max_over_equal_blocks():
 def test_segment_max_rejects_bad_starts(starts):
     with pytest.raises(ShapeError):
         T.segment_max(leaf(np.zeros((6, 2))), starts)
+
+
+def attention_values_and_grads(op, groups, length, heads, head_dim, seed):
+    """Output and q/k/v gradients of ``op`` under a random linear loss."""
+    rng = np.random.default_rng(seed)
+    n, d = groups * length, heads * head_dim
+    qkv = [rand_leaf(rng, (n, d)) for _ in range(3)]
+    w = Tensor(rng.standard_normal((n, d)))
+    with Tape():
+        out = op(*qkv, heads, groups)
+        backward(T.mul(out, w).sum())
+    return out.data, [x.grad for x in qkv]
+
+
+def fused_attention(q, k, v, heads, groups):
+    return T.grouped_attention(q, k, v, heads, groups)[0]
+
+
+def assert_attention_matches_oracle(groups, length, heads, head_dim, seed):
+    shape = (groups, length, heads, head_dim, seed)
+    got, got_grads = attention_values_and_grads(fused_attention, *shape)
+    want, want_grads = attention_values_and_grads(looped_attention, *shape)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("groups,length,heads,head_dim", [
+    (3, 4, 2, 3), (1, 5, 2, 2), (4, 1, 2, 2), (1, 1, 1, 1), (5, 3, 4, 1)])
+def test_grouped_attention_matches_per_sequence_per_head_oracle(groups, length, heads,
+                                                                head_dim):
+    assert_attention_matches_oracle(groups, length, heads, head_dim, seed=11)
+
+
+@settings(max_examples=30, deadline=None)
+@given(groups=st.integers(1, 4), length=st.integers(1, 5), heads=st.integers(1, 3),
+       head_dim=st.integers(1, 3), seed=st.integers(0, 10_000))
+def test_grouped_attention_oracle_property(groups, length, heads, head_dim, seed):
+    assert_attention_matches_oracle(groups, length, heads, head_dim, seed)
+
+
+def test_grouped_attention_grads():
+    rng = np.random.default_rng(12)
+    q, k, v = (rand_leaf(rng, (6, 4)) for _ in range(3))
+    w = Tensor(rng.standard_normal((6, 4)))
+    worst = assert_grads_match(
+        lambda: T.mul(fused_attention(q, k, v, 2, 3), w).sum(), [q, k, v], rtol=1e-6)
+    assert worst < 1e-6
+
+
+def test_grouped_attention_weights_and_layout():
+    rng = np.random.default_rng(13)
+    q, k, v = (rand_leaf(rng, (6, 4)) for _ in range(3))
+    out, attn = T.grouped_attention(q, k, v, 2, 3)
+    assert out.shape == (6, 4) and attn.shape == (3, 2, 2, 2)
+    assert np.allclose(attn.sum(axis=3), 1.0, atol=1e-12)
+    # step t of sequence g is row t*3 + g; head h owns columns 2h, 2h+1
+    g, h = 1, 1
+    vh = v.data[[g, 3 + g], 2:4]
+    np.testing.assert_allclose(out.data[[g, 3 + g], 2:4], attn[g, h] @ vh, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shapes,heads,groups", [
+    (((6, 4), (6, 4), (6, 3)), 2, 3),  # v differs
+    (((6, 4), (5, 4), (6, 4)), 2, 3),  # k differs
+    (((4,), (4,), (4,)), 2, 1),  # not 2-D
+    (((6, 4),) * 3, 3, 3),  # heads do not divide 4 columns
+    (((6, 4),) * 3, 2, 4),  # groups do not divide 6 rows
+    (((6, 4),) * 3, 0, 3),
+    (((6, 4),) * 3, 2, 0),
+])
+def test_grouped_attention_rejects_bad_shapes(shapes, heads, groups):
+    q, k, v = (leaf(np.zeros(s)) for s in shapes)
+    with pytest.raises(ShapeError):
+        T.grouped_attention(q, k, v, heads, groups)
 
 
 def test_tape_graph_freed_without_cycle_collector():
