@@ -163,24 +163,16 @@ class LSTMCell:
         bias[h:2 * h] = 1.0
         self.b = Tensor(bias, requires_grad=True)
 
-    def step(self, x, h, c):
-        hd = self.hidden_dim
-        gates = T.add(T.add(T.matmul(x, self.W_x), T.matmul(h, self.W_h)), self.b)
-        i = T.sigmoid(T.narrow(gates, 1, 0, hd))
-        f = T.sigmoid(T.narrow(gates, 1, hd, hd))
-        g = T.tanh(T.narrow(gates, 1, 2 * hd, hd))
-        o = T.sigmoid(T.narrow(gates, 1, 3 * hd, hd))
-        c_next = T.add(T.mul(f, c), T.mul(i, g))
-        h_next = T.mul(o, T.tanh(c_next))
-        return h_next, c_next
+    def step(self, x, hc):
+        """(R, input_dim) input and (R, 2*hidden) state [h | c] -> next [h | c]."""
+        return T.lstm_cell(x, hc, self.W_x, self.W_h, self.b)
 
     def run(self, steps, rows):
         """Feed a list of (rows, input_dim) tensors; return the final hidden."""
-        h = T.zeros((rows, self.hidden_dim))
-        c = T.zeros((rows, self.hidden_dim))
+        hc = T.zeros((rows, 2 * self.hidden_dim))
         for x in steps:
-            h, c = self.step(x, h, c)
-        return h
+            hc = self.step(x, hc)
+        return T.narrow(hc, 1, 0, self.hidden_dim)
 
     def named_parameters(self, prefix):
         return {f"{prefix}.W_x": self.W_x, f"{prefix}.W_h": self.W_h,
@@ -430,27 +422,27 @@ class Decoder:
     def decode(self, hidden, pooled, noise, last_pos, last_disp, t_pred):
         """Roll the decoder forward ``t_pred`` steps.
 
-        Returns (trajectory, disp_steps, pos_steps): trajectory is
-        (rows, 2*t_pred) absolute positions; disp/pos_steps are the per-step
-        (rows, 2) tensors.
+        Returns (trajectory, disp_steps): trajectory is (rows, 2*t_pred)
+        absolute positions; disp_steps are the per-step (rows, 2) tensors.
         """
-        rows = hidden.shape[0]
-        h = self.init_mlp(T.concat([hidden, pooled, noise], axis=1))
-        c = T.zeros((rows, self.config.hidden_dim))
+        rows, hd = hidden.shape[0], self.config.hidden_dim
+        hc = T.concat([self.init_mlp(T.concat([hidden, pooled, noise], axis=1)),
+                       T.zeros((rows, hd))], axis=1)
         x_in = T.constant(np.asarray(last_disp, dtype=float))
         pos = T.constant(np.asarray(last_pos, dtype=float))
         disp_steps, pos_steps = [], []
         for _ in range(t_pred):
             scaled = T.mul_scalar(x_in, self.config.input_scale)
-            h, c = self.cell.step(self.embed(scaled), h, c)
+            hc = self.cell.step(self.embed(scaled), hc)
             # gamma works in the scaled coordinate system; displacements
             # leave the decoder in data units
-            disp = T.mul_scalar(self.gamma(h), 1.0 / self.config.input_scale)
+            disp = T.mul_scalar(self.gamma(T.narrow(hc, 1, 0, hd)),
+                                1.0 / self.config.input_scale)
             pos = T.add(pos, disp)
             disp_steps.append(disp)
             pos_steps.append(pos)
             x_in = disp
-        return T.concat(pos_steps, axis=1), disp_steps, pos_steps
+        return T.concat(pos_steps, axis=1), disp_steps
 
     def named_parameters(self, prefix):
         out = self.init_mlp.named_parameters(f"{prefix}.init_mlp")
@@ -605,7 +597,7 @@ def generator_forward(gen, windows, k=None, rng=None, z=None, t_pred=None):
     pooled = gen.pooling(hidden, [w.observed[:, -1] for w in batch])
 
     idx = np.repeat(np.arange(n), k)
-    traj, disp_steps, _ = gen.decoder.decode(
+    traj, disp_steps = gen.decoder.decode(
         T.take_rows(hidden, idx), T.take_rows(pooled, idx),
         T.constant(z.reshape(n * k, cfg.noise_dim)),
         observed[idx, -1],

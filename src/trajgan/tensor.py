@@ -4,13 +4,14 @@ Gradients are computed by recording every differentiable operation on an
 explicit tape (a Wengert list) and replaying it backwards.  The op set is
 deliberately small: 2-D matmul, elementwise arithmetic with row/column
 vector broadcasting, concat/slice/gather, row softmax, segment max,
-reductions, multi-head attention over grouped sequences, and the handful of
-nonlinearities the models need.  There is no general broadcasting and no
-dtype other than float64.
+reductions, multi-head attention over grouped sequences, an LSTM cell step,
+and the handful of nonlinearities the models need.  There is no general
+broadcasting and no dtype other than float64.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
@@ -205,8 +206,7 @@ def _make(data, inputs, bwd):
 def _check_broadcast(sa, sb):
     if sa == sb:
         return
-    pa, pb = int(np.prod(sa, dtype=np.int64)), int(np.prod(sb, dtype=np.int64))
-    if pa == 1 or pb == 1:
+    if math.prod(sa) == 1 or math.prod(sb) == 1:
         return
     if len(sa) == 2 and sb in ((sa[1],), (1, sa[1]), (sa[0], 1)):
         return
@@ -447,11 +447,15 @@ def tanh(a):
     return _make(out, (a,), bwd)
 
 
+def _sigmoid(x):
+    """Numerically stable two-sided logistic function of an array."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a):
-    # numerically stable two-sided form
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = _sigmoid(a.data)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -572,6 +576,46 @@ def grouped_attention(q, k, v, heads, groups):
         return join(gs @ kh), join(gs.swapaxes(2, 3) @ qh), join(attn.swapaxes(2, 3) @ gh)
 
     return _make(join(attn @ vh), (q, k, v), bwd), attn
+
+
+def lstm_cell(x, hc, W_x, W_h, b):
+    """One LSTM step, gate order (input, forget, cell, output).
+
+    ``x`` is (R, I) input, ``hc`` the (R, 2H) state ``[h | c]``, ``W_x``
+    (I, 4H), ``W_h`` (H, 4H) and ``b`` (4H,).  Returns the next ``[h | c]``
+    as one tape node; the arithmetic is that of the composed ops,
+    ``(x@W_x + h@W_h) + b``, sigmoid/tanh gates, ``c' = f*c + i*g`` and
+    ``h' = o*tanh(c')``, so the values are the same bit for bit.
+    """
+    hd = W_h.shape[0]
+    if (x.data.ndim != 2 or hc.data.ndim != 2 or hc.shape != (x.shape[0], 2 * hd)
+            or W_x.shape != (x.shape[1], 4 * hd) or W_h.shape != (hd, 4 * hd)
+            or b.shape != (4 * hd,)):
+        raise ShapeError(f"lstm_cell shapes do not fit: x {x.shape}, hc {hc.shape}, "
+                         f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
+    h, c = hc.data[:, :hd], hc.data[:, hd:]
+    gates = (x.data @ W_x.data + h @ W_h.data) + b.data
+    i = _sigmoid(gates[:, :hd])
+    f = _sigmoid(gates[:, hd:2 * hd])
+    g = np.tanh(gates[:, 2 * hd:3 * hd])
+    o = _sigmoid(gates[:, 3 * hd:])
+    c_next = f * c + i * g
+    tc = np.tanh(c_next)
+    out = np.concatenate([o * tc, c_next], axis=1)
+
+    def bwd(grad):
+        dh = grad[:, :hd]
+        dc = grad[:, hd:] + dh * o * (1.0 - tc * tc)
+        dgates = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
+                                 dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+        dhc = (np.concatenate([dgates @ W_h.data.T, dc * f], axis=1)
+               if hc.requires_grad else None)
+        return (dgates @ W_x.data.T if x.requires_grad else None, dhc,
+                x.data.T @ dgates if W_x.requires_grad else None,
+                h.T @ dgates if W_h.requires_grad else None,
+                dgates.sum(axis=0) if b.requires_grad else None)
+
+    return _make(out, (x, hc, W_x, W_h, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,22 @@ def looped_attention(q, k, v, heads, groups):
                        (np.arange(n) % groups) * length + np.arange(n) // groups)
 
 
+def looped_lstm_step(x, hc, W_x, W_h, b):
+    """Reference for ``T.lstm_cell``: the step composed of matmul, add,
+    narrow, sigmoid, tanh and mul nodes, 17 of them between the narrowed
+    state and the concatenated next ``[h | c]``."""
+    hd = W_h.shape[0]
+    h, c = T.narrow(hc, 1, 0, hd), T.narrow(hc, 1, hd, hd)
+    gates = T.add(T.add(T.matmul(x, W_x), T.matmul(h, W_h)), b)
+    i = T.sigmoid(T.narrow(gates, 1, 0, hd))
+    f = T.sigmoid(T.narrow(gates, 1, hd, hd))
+    g = T.tanh(T.narrow(gates, 1, 2 * hd, hd))
+    o = T.sigmoid(T.narrow(gates, 1, 3 * hd, hd))
+    c_next = T.add(T.mul(f, c), T.mul(i, g))
+    h_next = T.mul(o, T.tanh(c_next))
+    return T.concat([h_next, c_next], axis=1)
+
+
 def rmse_trajectory_ref(pred, truth):
     """Straight-loop per-trajectory RMSE: sqrt(mean_t of squared point error)."""
     pred = np.asarray(pred, dtype=float)

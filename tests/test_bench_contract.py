@@ -6,12 +6,17 @@ it fail in the unit suite instead.
 """
 
 import importlib.util
+import inspect
 import pathlib
 
 from trajgan import config, data, evaluate, model, optim, train
 from trajgan import tensor as T
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# tape-recording ops the benchmark's op pass does not wrap yet: their time
+# counts as the calling layer's self time and their nodes as tensor.nodes.other
+KNOWN_UNTRACED = {"segment_max", "grouped_attention", "lstm_cell"}
 
 
 def load_tracing():
@@ -25,6 +30,16 @@ def test_every_traced_tensor_op_exists():
     tracing = load_tracing()
     missing = [name for name in tracing.TENSOR_OPS if not callable(getattr(T, name, None))]
     assert not missing
+
+
+def test_every_recording_op_is_traced_or_known_untraced():
+    recording = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+                 if not name.startswith("_") and fn.__module__ == T.__name__
+                 and "_make" in fn.__code__.co_names}
+    traced = set(load_tracing().TENSOR_OPS)
+    assert recording - traced - KNOWN_UNTRACED == set()
+    # the known set stays exact: no stale names, none the tracer already wraps
+    assert KNOWN_UNTRACED <= recording - traced
 
 
 def test_layer_and_op_patches_resolve():

@@ -27,7 +27,9 @@ def make_window(seed=0, n_agents=3, jitter=0.5, kind="linear"):
 
 
 def np_sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # the two-sided form T.sigmoid uses, so values can be compared exactly
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +77,24 @@ def test_lstm_cell_matches_hand_evaluation():
     c_ref = f * c0 + i * g
     h_ref = o * np.tanh(c_ref)
 
-    h1, c1 = cell.step(Tensor(x), Tensor(h0), Tensor(c0))
-    assert np.allclose(h1.data, h_ref, atol=1e-12)
-    assert np.allclose(c1.data, c_ref, atol=1e-12)
+    hc1 = cell.step(Tensor(x), Tensor(np.concatenate([h0, c0], axis=1)))
+    assert np.array_equal(hc1.data[:, :2], h_ref)
+    assert np.array_equal(hc1.data[:, 2:], c_ref)
+
+
+def lstm_cell_nodes(tape):
+    return sum(node.bwd.__qualname__.split(".", 1)[0] == "lstm_cell" for node in tape.nodes)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 9])
+def test_lstm_recurrence_records_one_node_per_step(rows):
+    cell = M.LSTMCell(2, 3, np.random.default_rng(6))
+    steps = [Tensor(x) for x in np.random.default_rng(7).standard_normal((5, rows, 2))]
+    with Tape() as tape:
+        h = cell.run(steps, rows)
+    assert h.shape == (rows, 3)
+    # five cell steps and the final narrow to h, whatever the row count
+    assert lstm_cell_nodes(tape) == 5 and len(tape.nodes) == 6
 
 
 def test_lstm_zero_weights_give_zero_hidden():
@@ -256,6 +273,21 @@ def test_encoder_tape_nodes_do_not_grow_with_agents(encoder):
         return len(tape.nodes)
 
     assert nodes(7) == nodes(1) > 0
+
+
+def test_decoder_tape_nodes_do_not_grow_with_rows():
+    dec = M.Decoder(tiny_config(), np.random.default_rng(74))
+    rng = np.random.default_rng(75)
+
+    def nodes(rows):
+        hidden, pooled, noise = (Tensor(rng.standard_normal((rows, d))) for d in (4, 3, 2))
+        with Tape() as tape:
+            dec.decode(hidden, pooled, noise, rng.standard_normal((rows, 2)),
+                       rng.standard_normal((rows, 2)), 5)
+        return len(tape.nodes), lstm_cell_nodes(tape)
+
+    assert nodes(7) == nodes(1)
+    assert nodes(1)[1] == 5
 
 
 def test_attention_key_bias_changes_nothing():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_grads_match, finite_diff, looped_attention
+from oracles import assert_grads_match, finite_diff, looped_attention, looped_lstm_step
 from trajgan import tensor as T
 from trajgan.optim import Adam, AdamState, adam_step, clip_grad_norm, grad_norm
 from trajgan.tensor import (ContractError, NumericError, ShapeError, Tape, Tensor,
@@ -306,6 +306,74 @@ def test_grouped_attention_rejects_bad_shapes(shapes, heads, groups):
     q, k, v = (leaf(np.zeros(s)) for s in shapes)
     with pytest.raises(ShapeError):
         T.grouped_attention(q, k, v, heads, groups)
+
+
+def lstm_leaves(rng, rows, in_dim, hidden, trainable=(True,) * 5):
+    """x, [h | c], W_x, W_h and b for one LSTM step; ``trainable`` says
+    which of them require a gradient."""
+    shapes = ((rows, in_dim), (rows, 2 * hidden), (in_dim, 4 * hidden),
+              (hidden, 4 * hidden), (4 * hidden,))
+    return [Tensor(rng.standard_normal(s) * 2.0, requires_grad=flag)
+            for s, flag in zip(shapes, trainable)]
+
+
+def lstm_values_and_grads(op, leaves, w):
+    for x in leaves:
+        x.grad = None
+    with Tape():
+        out = op(*leaves)
+        backward(T.mul(out, w).sum())
+    return out.data, [x.grad for x in leaves]
+
+
+def assert_lstm_matches_oracle(rows, in_dim, hidden, seed, trainable=(True,) * 5):
+    rng = np.random.default_rng(seed)
+    leaves = lstm_leaves(rng, rows, in_dim, hidden, trainable)
+    w = Tensor(rng.standard_normal((rows, 2 * hidden)))
+    got, got_grads = lstm_values_and_grads(T.lstm_cell, leaves, w)
+    want, want_grads = lstm_values_and_grads(looped_lstm_step, leaves, w)
+    assert np.array_equal(got, want)
+    for g, w_ in zip(got_grads, want_grads):
+        if w_ is None:
+            assert g is None
+        else:
+            np.testing.assert_allclose(g, w_, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("rows,in_dim,hidden", [(3, 4, 5), (1, 1, 1), (6, 2, 3), (2, 7, 1)])
+def test_lstm_cell_matches_composed_oracle(rows, in_dim, hidden):
+    assert_lstm_matches_oracle(rows, in_dim, hidden, seed=14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 5), in_dim=st.integers(1, 4), hidden=st.integers(1, 4),
+       trainable=st.tuples(*[st.booleans()] * 5).filter(any), seed=st.integers(0, 10_000))
+def test_lstm_cell_oracle_property(rows, in_dim, hidden, trainable, seed):
+    assert_lstm_matches_oracle(rows, in_dim, hidden, seed, trainable)
+
+
+def test_lstm_cell_grads():
+    rng = np.random.default_rng(15)
+    leaves = lstm_leaves(rng, 3, 2, 3)
+    for x in leaves:
+        x.data *= 0.5  # keep the gates off saturation, where differences lose digits
+    w = Tensor(rng.standard_normal((3, 6)))
+    worst = assert_grads_match(lambda: T.mul(T.lstm_cell(*leaves), w).sum(), leaves,
+                               rtol=1e-6)
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("shapes", [
+    ((3, 2), (3, 5), (2, 12), (3, 12), (12,)),  # hc not 2H wide
+    ((3, 2), (2, 6), (2, 12), (3, 12), (12,)),  # hc rows differ from x
+    ((3, 2), (3, 6), (4, 12), (3, 12), (12,)),  # W_x rows differ from input dim
+    ((3, 2), (3, 6), (2, 12), (3, 9), (12,)),  # W_h not (H, 4H)
+    ((3, 2), (3, 6), (2, 12), (3, 12), (9,)),  # b not 4H long
+    ((2,), (3, 6), (2, 12), (3, 12), (12,)),  # x not 2-D
+])
+def test_lstm_cell_rejects_bad_shapes(shapes):
+    with pytest.raises(ShapeError):
+        T.lstm_cell(*(leaf(np.zeros(s)) for s in shapes))
 
 
 def test_tape_graph_freed_without_cycle_collector():
