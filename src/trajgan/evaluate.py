@@ -38,27 +38,50 @@ REFERENCE_MARKER = "paper, not reproduced"
 # ---------------------------------------------------------------------------
 # metrics
 
-def _check_pair(pred, truth):
+def _stack_pairs(pairs):
+    """A dataset of (pred, truth) pairs of (T, 2) trajectories as a list of
+    predictions and a list of truths; every trajectory must have the same
+    length."""
+    if not pairs:
+        raise ContractError("need at least one trajectory")
+    shapes = {np.shape(x) for pair in pairs for x in pair}
+    if len(shapes) > 1:
+        raise ContractError(f"trajectories differ in shape: {sorted(shapes)}")
+    return [p for p, _ in pairs], [t for _, t in pairs]
+
+
+def _trajectory_errors(pred, truth):
+    """Per-trajectory RMSE and squared final-point error of (n, T, 2)
+    predicted and true trajectories, each an (n,) array; n, T >= 1."""
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
         raise ContractError(f"prediction shape {pred.shape} != truth {truth.shape}")
-    if pred.ndim != 2 or pred.shape[1] != 2 or pred.shape[0] < 1:
-        raise ContractError(f"expected (T, 2) trajectories, got {pred.shape}")
-    return pred, truth
+    if pred.ndim != 3 or pred.shape[2] != 2 or min(pred.shape) < 1:
+        raise ContractError(f"expected (n, T, 2) trajectories, got {pred.shape}")
+    sq = ((pred - truth) ** 2).sum(axis=2)
+    return np.sqrt(sq.mean(axis=1)), sq[:, -1]
+
+
+def _ade_fde(rmse, final_sq, form):
+    """ADE and FDE from ``_trajectory_errors`` output."""
+    if form not in FDE_FORMS:
+        raise ContractError(f"fde form must be one of {FDE_FORMS}, got {form!r}")
+    fde_value = np.sqrt(final_sq.mean()) if form == "rms" else np.sqrt(final_sq).mean()
+    return float(rmse.mean()), float(fde_value)
 
 
 def rmse_trajectory(pred, truth):
     """Root mean square of the pointwise Euclidean errors of one trajectory."""
-    pred, truth = _check_pair(pred, truth)
-    return float(np.sqrt(np.mean(np.sum((pred - truth) ** 2, axis=1))))
+    pred, truth = np.asarray(pred, dtype=float), np.asarray(truth, dtype=float)
+    if pred.ndim != 2:
+        raise ContractError(f"expected a (T, 2) trajectory, got {pred.shape}")
+    return float(_trajectory_errors(pred[None], truth[None])[0][0])
 
 
 def ade(pairs):
     """Mean per-trajectory RMSE over a dataset of (pred, truth) pairs."""
-    if not pairs:
-        raise ContractError("ade needs at least one trajectory")
-    return float(np.mean([rmse_trajectory(p, t) for p, t in pairs]))
+    return float(_trajectory_errors(*_stack_pairs(pairs))[0].mean())
 
 
 def fde(pairs, form="rms"):
@@ -68,17 +91,7 @@ def fde(pairs, form="rms"):
     averages the distances instead, for comparison with work that reports
     the arithmetic form.
     """
-    if not pairs:
-        raise ContractError("fde needs at least one trajectory")
-    if form not in FDE_FORMS:
-        raise ContractError(f"fde form must be one of {FDE_FORMS}, got {form!r}")
-    finals = []
-    for p, t in pairs:
-        p, t = _check_pair(p, t)
-        finals.append(np.sum((p[-1] - t[-1]) ** 2))
-    if form == "rms":
-        return float(np.sqrt(np.mean(finals)))
-    return float(np.mean(np.sqrt(finals)))
+    return _ade_fde(*_trajectory_errors(*_stack_pairs(pairs)), form)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +108,11 @@ def constant_velocity_baseline(window):
 
 def baseline_metrics(windows, fde_form="rms"):
     """(ADE, FDE) of the constant-velocity baseline over the given windows."""
-    pairs = []
-    for w in windows:
-        pred = constant_velocity_baseline(w)
-        pairs.extend((pred[a], w.future[a]) for a in range(w.n_agents))
-    return ade(pairs), fde(pairs, form=fde_form)
+    if not windows:
+        raise ContractError("need at least one window")
+    pred = np.concatenate([constant_velocity_baseline(w) for w in windows])
+    truth = np.concatenate([w.future for w in windows])
+    return _ade_fde(*_trajectory_errors(pred, truth), fde_form)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +173,7 @@ def eval_min_of_k(gen, windows, k, seed=0, fde_form="rms", include_baseline=True
         raise ContractError(f"need k >= 1, got {k}")
     if not windows:
         raise ContractError("no windows to evaluate")
-    picked, classes = [], []
+    picked, truth, classes = [], [], []
     for i, w in enumerate(windows):
         rng = np.random.default_rng([seed, i])
         with T.no_grad():
@@ -168,19 +181,20 @@ def eval_min_of_k(gen, windows, k, seed=0, fde_form="rms", include_baseline=True
         trajs = preds.trajectories()
         err = trajs - w.future[:, None]
         best = (err ** 2).sum(axis=(2, 3)).argmin(axis=1)
-        for a in range(w.n_agents):
-            picked.append((trajs[a, best[a]], w.future[a]))
-            classes.append(w.class_indices[a])
+        picked.append(trajs[np.arange(w.n_agents), best])
+        truth.append(w.future)
+        classes.append(w.class_indices)
 
+    rmse, final_sq = _trajectory_errors(np.concatenate(picked), np.concatenate(truth))
+    classes = np.concatenate(classes)
     per_class = {}
-    classes = np.asarray(classes)
-    for ci in sorted(set(classes.tolist())):
-        sub = [picked[j] for j in np.nonzero(classes == ci)[0]]
+    for ci in np.unique(classes):
+        sub = classes == ci
         per_class[CLASS_NAMES[ci]] = ClassMetrics(
-            ade(sub), fde(sub, form=fde_form), len(sub))
+            *_ade_fde(rmse[sub], final_sq[sub], fde_form), int(sub.sum()))
 
-    report = EvalReport(ade(picked), fde(picked, form=fde_form),
-                        len(picked), k, fde_form, per_class)
+    report = EvalReport(*_ade_fde(rmse, final_sq, fde_form), len(rmse), k, fde_form,
+                        per_class)
     if include_baseline:
         report.baseline_ade, report.baseline_fde = baseline_metrics(
             windows, fde_form=fde_form)

@@ -10,7 +10,7 @@ through the embeddings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,14 +148,14 @@ class MLP:
 
 
 class LSTMCell:
-    """Single LSTM cell, gate order (input, forget, cell, output).
+    """Single LSTM cell, gate order (input, forget, cell, output), run over
+    whole sequences at once.
 
     Forget-gate bias starts at 1 so early training does not erase state.
     """
 
     def __init__(self, input_dim, hidden_dim, rng):
         h = hidden_dim
-        self.hidden_dim = h
         self.W_x = Tensor(_uniform_init(rng, input_dim, (input_dim, 4 * h)),
                           requires_grad=True)
         self.W_h = Tensor(_uniform_init(rng, h, (h, 4 * h)), requires_grad=True)
@@ -163,16 +163,11 @@ class LSTMCell:
         bias[h:2 * h] = 1.0
         self.b = Tensor(bias, requires_grad=True)
 
-    def step(self, x, hc):
-        """(R, input_dim) input and (R, 2*hidden) state [h | c] -> next [h | c]."""
-        return T.lstm_cell(x, hc, self.W_x, self.W_h, self.b)
-
-    def run(self, steps, rows):
-        """Feed a list of (rows, input_dim) tensors; return the final hidden."""
-        hc = T.zeros((rows, 2 * self.hidden_dim))
-        for x in steps:
-            hc = self.step(x, hc)
-        return T.narrow(hc, 1, 0, self.hidden_dim)
+    def run(self, x, rows):
+        """Run ``rows`` sequences from a zero state; ``x`` holds their
+        (T*rows, input_dim) steps time-major (row t*rows + r is step t of
+        sequence r).  Returns the (rows, hidden_dim) final hidden state."""
+        return T.lstm_sequence(x, self.W_x, self.W_h, self.b, rows)
 
     def named_parameters(self, prefix):
         return {f"{prefix}.W_x": self.W_x, f"{prefix}.W_h": self.W_h,
@@ -320,22 +315,15 @@ class SequenceEncoder:
             return s
         return T.concat([s, self.class_embed(onehots)], axis=1)
 
-    def encode(self, xy_steps, onehots, collect_attn=None):
-        """List of (R, 2) step tensors -> (R, hidden_dim) summaries."""
-        rows, length = xy_steps[0].shape[0], len(xy_steps)
-        # every step of every agent in one call, time-major: row t*rows + r
-        e = self.embed_step(T.concat(xy_steps, axis=0),
-                            T.take_rows(onehots, np.tile(np.arange(rows), length)))
+    def encode(self, xy, onehots, collect_attn=None):
+        """(T*R, 2) displacements of R agents, time-major (row t*R + r is
+        step t of agent r), and their (R, 6) one-hots -> (R, hidden_dim)
+        summaries.  Every step of every agent is embedded in one call."""
+        rows = onehots.shape[0]
+        e = self.embed_step(xy, T.take_rows(onehots, np.tile(np.arange(rows),
+                                                             xy.shape[0] // rows)))
         if self.lstm is not None:
-            # a step that depends on nothing needing a gradient enters the
-            # recurrence as a constant, so its cell updates stay off the tape
-            embed = [self.spatial] + ([self.class_embed] if self.class_embed else [])
-            fixed = not onehots.requires_grad and not any(
-                p.requires_grad for lin in embed for p in (lin.W, lin.b))
-            steps = [T.constant(e.data[t * rows:(t + 1) * rows])
-                     if fixed and not xy.requires_grad else T.narrow(e, 0, t * rows, rows)
-                     for t, xy in enumerate(xy_steps)]
-            return self.lstm.run(steps, rows)
+            return self.lstm.run(e, rows)
         return self.transformer.encode(e, collect_attn, rows)
 
     def named_parameters(self, prefix):
@@ -420,29 +408,19 @@ class Decoder:
         self.gamma = MLP(gamma_dims, rng, config.activation, config.leaky_slope)
 
     def decode(self, hidden, pooled, noise, last_pos, last_disp, t_pred):
-        """Roll the decoder forward ``t_pred`` steps.
+        """Roll the decoder forward ``t_pred`` steps in one ``T.lstm_rollout``.
 
-        Returns (trajectory, disp_steps): trajectory is (rows, 2*t_pred)
-        absolute positions; disp_steps are the per-step (rows, 2) tensors.
+        Returns (trajectory, displacements): the (rows, 2*t_pred) absolute
+        positions and the (t_pred*rows, 2) displacements in time-major order
+        (row t*rows + r is step t of row r).  ``gamma`` works in the scaled
+        coordinate system; displacements leave the decoder in data units.
         """
-        rows, hd = hidden.shape[0], self.config.hidden_dim
-        hc = T.concat([self.init_mlp(T.concat([hidden, pooled, noise], axis=1)),
-                       T.zeros((rows, hd))], axis=1)
-        x_in = T.constant(np.asarray(last_disp, dtype=float))
-        pos = T.constant(np.asarray(last_pos, dtype=float))
-        disp_steps, pos_steps = [], []
-        for _ in range(t_pred):
-            scaled = T.mul_scalar(x_in, self.config.input_scale)
-            hc = self.cell.step(self.embed(scaled), hc)
-            # gamma works in the scaled coordinate system; displacements
-            # leave the decoder in data units
-            disp = T.mul_scalar(self.gamma(T.narrow(hc, 1, 0, hd)),
-                                1.0 / self.config.input_scale)
-            pos = T.add(pos, disp)
-            disp_steps.append(disp)
-            pos_steps.append(pos)
-            x_in = disp
-        return T.concat(pos_steps, axis=1), disp_steps
+        cfg = self.config
+        h0 = self.init_mlp(T.concat([hidden, pooled, noise], axis=1))
+        return T.lstm_rollout(
+            h0, (self.embed.W, self.embed.b), (self.cell.W_x, self.cell.W_h, self.cell.b),
+            [(layer.W, layer.b) for layer in self.gamma.layers], last_pos, last_disp,
+            t_pred, cfg.input_scale, cfg.activation, cfg.leaky_slope)
 
     def named_parameters(self, prefix):
         out = self.init_mlp.named_parameters(f"{prefix}.init_mlp")
@@ -485,11 +463,13 @@ class Discriminator:
         dims = (config.hidden_dim,) + config.classifier_mlp_hidden + (1,)
         self.classifier = MLP(dims, rng, config.activation, config.leaky_slope)
 
-    def score_steps(self, disp_steps, onehots, expected_len=None):
-        if expected_len is not None and len(disp_steps) != expected_len:
-            raise ContractError(f"discriminator expected {expected_len} steps, "
-                                f"got {len(disp_steps)}")
-        hidden = self.encoder.encode(disp_steps, onehots)
+    def score_steps(self, steps, onehots, expected_len=None):
+        """Scores in (0, 1) of the (T*R, 2) time-major displacements of R
+        trajectories with their (R, 6) one-hots, as an (R, 1) tensor."""
+        if expected_len is not None and steps.shape[0] != expected_len * onehots.shape[0]:
+            raise ContractError(f"discriminator expected {expected_len} steps of "
+                                f"{onehots.shape[0]} rows, got {steps.shape[0]} rows")
+        hidden = self.encoder.encode(steps, onehots)
         return T.sigmoid(self.classifier(hidden))
 
     def named_parameters(self):
@@ -509,10 +489,10 @@ def build_discriminator(config, seed):
     return Discriminator(config, np.random.default_rng(seed))
 
 
-def _step_tensors(points):
-    """Displacements of (N, T, 2) points as T constant (N, 2) step tensors."""
-    d = displacements(points)
-    return [T.constant(d[:, t]) for t in range(d.shape[1])]
+def _time_major_steps(points):
+    """Displacements of (N, T, 2) points as one constant (T*N, 2) tensor,
+    row t*N + i holding step t of trajectory i."""
+    return T.constant(displacements(points).transpose(1, 0, 2).reshape(-1, 2))
 
 
 def _as_batch(windows):
@@ -540,7 +520,11 @@ class PredictionSet:
     ``agent_counts`` holds each window's agent count (one window when not
     given).  ``traj`` holds absolute positions as a (n_agents*k, 2*t_pred)
     tensor with rows grouped agent-major: row i*k + j is sample j of agent i.
-    ``obs_steps`` are the observed displacement steps the encoder read.
+    ``disp_steps`` holds the predicted displacements as one
+    (t_pred*n_agents*k, 2) tensor in time-major order: row t*n_agents*k + i*k
+    + j is step t of sample j of agent i.  ``obs_steps`` is the
+    (t_obs*n_agents, 2) constant of observed displacements the encoder read,
+    row t*n_agents + i.
     """
 
     n_agents: int
@@ -548,8 +532,8 @@ class PredictionSet:
     t_pred: int
     noise: np.ndarray  # (n_agents, k, noise_dim)
     traj: Tensor
-    disp_steps: list = field(default_factory=list)
-    obs_steps: list = field(default_factory=list)
+    disp_steps: Tensor = None
+    obs_steps: Tensor = None
     agent_counts: tuple = ()
 
     def __post_init__(self):
@@ -592,7 +576,7 @@ def generator_forward(gen, windows, k=None, rng=None, z=None, t_pred=None):
         raise ContractError(f"noise shape {z.shape} != {(n, k, cfg.noise_dim)}")
 
     observed = np.concatenate([w.observed for w in batch])
-    obs_steps = _step_tensors(observed)
+    obs_steps = _time_major_steps(observed)
     hidden = gen.encoder.encode(obs_steps, T.constant(stacked_onehots(batch)))
     pooled = gen.pooling(hidden, [w.observed[:, -1] for w in batch])
 
@@ -607,16 +591,20 @@ def generator_forward(gen, windows, k=None, rng=None, z=None, t_pred=None):
 
 
 def real_steps(windows):
-    """Displacement steps of every window's true trajectories, agents stacked."""
-    return _step_tensors(np.concatenate([w.points() for w in _as_batch(windows)]))
+    """Displacements of every window's true trajectories, agents stacked, as
+    one time-major (T*R, 2) constant."""
+    return _time_major_steps(np.concatenate([w.points() for w in _as_batch(windows)]))
 
 
 def fake_steps(preds, sample=0):
-    """Observed steps followed by the steps of one generated sample per agent."""
+    """Observed steps followed by the steps of one generated sample per
+    agent, as one time-major (T*n_agents, 2) tensor."""
     if not 0 <= sample < preds.k:
         raise ContractError(f"sample {sample} out of range for k={preds.k}")
-    rows = np.arange(preds.n_agents) * preds.k + sample
-    return preds.obs_steps + [T.take_rows(d, rows) for d in preds.disp_steps]
+    width = preds.n_agents * preds.k
+    rows = np.arange(preds.t_pred)[:, None] * width \
+        + np.arange(preds.n_agents) * preds.k + sample
+    return T.concat([preds.obs_steps, T.take_rows(preds.disp_steps, rows.reshape(-1))])
 
 
 def score_real(disc, windows):

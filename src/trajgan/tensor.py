@@ -4,8 +4,9 @@ Gradients are computed by recording every differentiable operation on an
 explicit tape (a Wengert list) and replaying it backwards.  The op set is
 deliberately small: 2-D matmul, elementwise arithmetic with row/column
 vector broadcasting, concat/slice/gather, row softmax, segment max,
-reductions, multi-head attention over grouped sequences, an LSTM cell step,
-and the handful of nonlinearities the models need.  There is no general
+reductions, multi-head attention over grouped sequences, an LSTM run over
+whole sequences, the decoder's autoregressive LSTM rollout, and the handful
+of nonlinearities the models need.  There is no general
 broadcasting and no dtype other than float64.
 """
 
@@ -185,18 +186,35 @@ def zeros(shape):
     return Tensor(np.zeros(shape), requires_grad=False)
 
 
-def _make(data, inputs, bwd):
-    """Wrap an op result, recording it on the active tape when grads flow."""
+def _recording_tape(inputs):
+    """The tape an op on ``inputs`` records itself on, or None."""
+    tape = _active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
+def _output(data):
     if _debug_checks and not np.all(np.isfinite(data)):
         raise NumericError("non-finite value produced by an operation")
-    out = Tensor(data, requires_grad=False)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out.tape_ref = tape.ref
-        out.node_id = len(tape.nodes)
-        tape.nodes.append(_Node(out, tuple(inputs), bwd))
-    return out
+    return Tensor(data, requires_grad=False)
+
+
+def _make(data, inputs, bwd):
+    """Wrap an op result, recording it on the active tape when grads flow.
+
+    An op with several outputs passes a tuple of arrays and gets a tuple of
+    tensors back.  They share one node, whose ``bwd`` takes a tuple with one
+    gradient per output, None for an output no gradient reached.
+    """
+    many = type(data) is tuple
+    outs = tuple(map(_output, data)) if many else (_output(data),)
+    tape = _recording_tape(inputs)
+    if tape is not None:
+        for out in outs:
+            out.requires_grad = True
+            out.tape_ref = tape.ref
+            out.node_id = len(tape.nodes)
+        tape.nodes.append(_Node(outs if many else outs[0], tuple(inputs), bwd))
+    return outs if many else outs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,48 +437,55 @@ def tmean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # Nonlinearities.  Kinked ops take their subgradient from the positive branch.
 
+def _sigmoid(x):
+    """Numerically stable two-sided logistic function of an array: 1/(1+e)
+    for x >= 0 and e/(1+e) below, e = exp(-|x|), without a branching select."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, (x >= 0).astype(np.float64)) / (1.0 + e)
+
+
+def _activate(x, kind, slope):
+    """The nonlinearity ``kind`` of an array."""
+    if kind == "relu":
+        return np.where(x >= 0.0, x, 0.0)
+    if kind == "leaky_relu":
+        return np.where(x >= 0.0, x, slope * x)
+    if kind == "tanh":
+        return np.tanh(x)
+    return _sigmoid(x)
+
+
+def _activate_grad(g, x, out, kind, slope):
+    """Backward of ``_activate`` given its input ``x`` and output ``out``."""
+    if kind == "relu":
+        return g * (x >= 0.0)
+    if kind == "leaky_relu":
+        return g * np.where(x >= 0.0, 1.0, slope)
+    if kind == "tanh":
+        return g * (1.0 - out * out)
+    return g * out * (1.0 - out)
+
+
 def relu(a):
-    mask = a.data >= 0.0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _make(np.where(mask, a.data, 0.0), (a,), bwd)
+    out = _activate(a.data, "relu", 0.0)
+    return _make(out, (a,), lambda g: (_activate_grad(g, a.data, out, "relu", 0.0),))
 
 
 def leaky_relu(a, slope=0.2):
     slope = float(slope)
-    mask = a.data >= 0.0
-
-    def bwd(g):
-        return (g * np.where(mask, 1.0, slope),)
-
-    return _make(np.where(mask, a.data, slope * a.data), (a,), bwd)
+    out = _activate(a.data, "leaky_relu", slope)
+    return _make(out, (a,),
+                 lambda g: (_activate_grad(g, a.data, out, "leaky_relu", slope),))
 
 
 def tanh(a):
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (a,), bwd)
-
-
-def _sigmoid(x):
-    """Numerically stable two-sided logistic function of an array."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    out = _activate(a.data, "tanh", 0.0)
+    return _make(out, (a,), lambda g: (_activate_grad(g, a.data, out, "tanh", 0.0),))
 
 
 def sigmoid(a):
-    out = _sigmoid(a.data)
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (a,), bwd)
+    out = _activate(a.data, "sigmoid", 0.0)
+    return _make(out, (a,), lambda g: (_activate_grad(g, a.data, out, "sigmoid", 0.0),))
 
 
 def exp(a):
@@ -578,48 +603,197 @@ def grouped_attention(q, k, v, heads, groups):
     return _make(join(attn @ vh), (q, k, v), bwd), attn
 
 
-def lstm_cell(x, hc, W_x, W_h, b):
-    """One LSTM step, gate order (input, forget, cell, output).
+def _acc(a, b):
+    """``a + b``, either of which may be None for a gradient that is absent;
+    the order of the sum is the order in which the tape would add them."""
+    return b if a is None else a if b is None else a + b
 
-    ``x`` is (R, I) input, ``hc`` the (R, 2H) state ``[h | c]``, ``W_x``
-    (I, 4H), ``W_h`` (H, 4H) and ``b`` (4H,).  Returns the next ``[h | c]``
-    as one tape node; the arithmetic is that of the composed ops,
-    ``(x@W_x + h@W_h) + b``, sigmoid/tanh gates, ``c' = f*c + i*g`` and
-    ``h' = o*tanh(c')``, so the values are the same bit for bit.
+
+def _lstm_step(x, h, c, W_x, W_h, b):
+    """One LSTM step on arrays, gate order (input, forget, cell, output).
+
+    Returns the next h and c, and what ``_lstm_step_grad`` needs of the step.
     """
-    hd = W_h.shape[0]
-    if (x.data.ndim != 2 or hc.data.ndim != 2 or hc.shape != (x.shape[0], 2 * hd)
-            or W_x.shape != (x.shape[1], 4 * hd) or W_h.shape != (hd, 4 * hd)
-            or b.shape != (4 * hd,)):
-        raise ShapeError(f"lstm_cell shapes do not fit: x {x.shape}, hc {hc.shape}, "
-                         f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
-    h, c = hc.data[:, :hd], hc.data[:, hd:]
-    gates = (x.data @ W_x.data + h @ W_h.data) + b.data
-    i = _sigmoid(gates[:, :hd])
-    f = _sigmoid(gates[:, hd:2 * hd])
+    hd = h.shape[1]
+    gates = x @ W_x
+    gates += h @ W_h
+    gates += b
+    # one sigmoid call over all four blocks is cheaper than three over the
+    # gates that need it, and gives the same values elementwise
+    s = _sigmoid(gates)
+    i, f, o = s[:, :hd], s[:, hd:2 * hd], s[:, 3 * hd:]
     g = np.tanh(gates[:, 2 * hd:3 * hd])
-    o = _sigmoid(gates[:, 3 * hd:])
     c_next = f * c + i * g
     tc = np.tanh(c_next)
-    out = np.concatenate([o * tc, c_next], axis=1)
+    return o * tc, c_next, (x, h, c, i, f, g, o, tc)
+
+
+def _lstm_step_grad(dh, dc, saved, grads, needs):
+    """Backward of one ``_lstm_step`` from the gradients of its h and c
+    outputs (``dc`` None when none reached c).
+
+    Adds the step's W_x, W_h and b gradients to ``grads`` where ``needs``
+    says so and returns the gate gradients and the gradient of the step's
+    input c; the caller multiplies the gate gradients into x and h.
+    """
+    x, h, c, i, f, g, o, tc = saved
+    dc = _acc(dc, dh * o * (1.0 - tc * tc))
+    dgates = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+    if needs[0]:
+        grads[0] = _acc(grads[0], x.T @ dgates)
+    if needs[1]:
+        grads[1] = _acc(grads[1], h.T @ dgates)
+    if needs[2]:
+        grads[2] = _acc(grads[2], dgates.sum(axis=0))
+    return dgates, dc * f
+
+
+def lstm_sequence(x, W_x, W_h, b, rows):
+    """Run an LSTM from a zero state over ``rows`` sequences at once.
+
+    ``x`` is (T*rows, I) in time-major order (row t*rows + r is step t of
+    sequence r), ``W_x`` (I, 4H), ``W_h`` (H, 4H) and ``b`` (4H,), gate
+    order (input, forget, cell, output).  Returns the (rows, H) hidden state
+    after the last step as one tape node.  Each step computes
+    ``(x_t@W_x + h@W_h) + b``, sigmoid/tanh gates, ``c' = f*c + i*g`` and
+    ``h' = o*tanh(c')`` in the order the composed ops do, so the values are
+    the same bit for bit.  The backward is one numpy loop back over the
+    steps; the per-step activations are kept only while the op records on a
+    tape.
+    """
+    hd = W_h.shape[0]
+    if (x.data.ndim != 2 or rows < 1 or x.shape[0] < rows or x.shape[0] % rows
+            or W_x.shape != (x.shape[1], 4 * hd) or W_h.shape != (hd, 4 * hd)
+            or b.shape != (4 * hd,)):
+        raise ShapeError(f"lstm_sequence shapes do not fit: x {x.shape} in {rows} rows, "
+                         f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
+    inputs = (x, W_x, W_h, b)
+    record = _recording_tape(inputs) is not None
+    h = c = np.zeros((rows, hd))
+    saved = []
+    for start in range(0, x.shape[0], rows):
+        h, c, step = _lstm_step(x.data[start:start + rows], h, c, W_x.data, W_h.data, b.data)
+        if record:
+            saved.append(step)
 
     def bwd(grad):
-        dh = grad[:, :hd]
-        dc = grad[:, hd:] + dh * o * (1.0 - tc * tc)
-        dgates = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
-                                 dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
-        dhc = (np.concatenate([dgates @ W_h.data.T, dc * f], axis=1)
-               if hc.requires_grad else None)
-        return (dgates @ W_x.data.T if x.requires_grad else None, dhc,
-                x.data.T @ dgates if W_x.requires_grad else None,
-                h.T @ dgates if W_h.requires_grad else None,
-                dgates.sum(axis=0) if b.requires_grad else None)
+        grads = [None, None, None]
+        needs = (W_x.requires_grad, W_h.requires_grad, b.requires_grad)
+        dx = np.empty_like(x.data) if x.requires_grad else None
+        dh, dc = grad, None
+        for t in reversed(range(len(saved))):
+            dgates, dc = _lstm_step_grad(dh, dc, saved[t], grads, needs)
+            if dx is not None:
+                dx[t * rows:(t + 1) * rows] = dgates @ W_x.data.T
+            if t:
+                dh = dgates @ W_h.data.T
+        return (dx, *grads)
 
-    return _make(out, (x, hc, W_x, W_h, b), bwd)
+    return _make(h, inputs, bwd)
+
+
+def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
+                 activation="leaky_relu", slope=0.2):
+    """Autoregressive LSTM decoder over ``t_pred`` steps as one tape node.
+
+    Each step multiplies the previous displacement (``last_disp`` at the
+    first step) by ``scale``, embeds it with ``embed`` = (W, b), advances
+    the LSTM ``cell`` = (W_x, W_h, b) from the (R, H) hidden state ``h0``
+    and a zero cell state, maps h through the MLP ``gamma`` = [(W, b), ...]
+    with ``activation`` between its layers, and divides by ``scale``: that
+    is the step's displacement, fed back as the next input and added to the
+    position (``last_pos`` before the first step).  ``last_pos`` and
+    ``last_disp`` are (R, 2) arrays.
+
+    Returns the (R, 2*t_pred) positions, step t in columns 2t and 2t+1, and
+    the (t_pred*R, 2) displacements in time-major order (row t*R + r).  The
+    arithmetic is that of the composed ops, step by step, so the values are
+    the same bit for bit; the backward is one numpy loop back over the
+    steps, and the per-step activations are kept only while the op records
+    on a tape.
+    """
+    W_e, b_e = embed
+    W_x, W_h, b = cell
+    layers = [tuple(layer) for layer in gamma]
+    rows, hd = h0.shape if h0.data.ndim == 2 else (0, 0)
+    widths = [hd] + [W.shape[-1] for W, _ in layers]
+    if (rows < 1 or t_pred < 1 or not layers or widths[-1] != 2
+            or W_e.data.ndim != 2 or W_e.shape[0] != 2 or b_e.shape != W_e.shape[1:]
+            or W_x.shape != (W_e.shape[1], 4 * hd) or W_h.shape != (hd, 4 * hd)
+            or b.shape != (4 * hd,)
+            or any(W.shape != (n, m) or b_.shape != (m,)
+                   for (W, b_), n, m in zip(layers, widths, widths[1:]))
+            or np.shape(last_pos) != (rows, 2) or np.shape(last_disp) != (rows, 2)):
+        raise ShapeError(f"lstm_rollout shapes do not fit: h0 {h0.shape}, embed "
+                         f"{[p.shape for p in embed]}, cell {[p.shape for p in cell]}, "
+                         f"gamma {[(W.shape, b_.shape) for W, b_ in layers]}, last_pos "
+                         f"{np.shape(last_pos)}, last_disp {np.shape(last_disp)}, "
+                         f"t_pred {t_pred}")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation kind {activation!r}; "
+                         f"expected one of {ACTIVATIONS}")
+    scale, slope = float(scale), float(slope)
+    inv = 1.0 / scale
+    inputs = (h0, W_e, b_e, W_x, W_h, b) + tuple(p for layer in layers for p in layer)
+    record = _recording_tape(inputs) is not None
+    x_in = np.asarray(last_disp, dtype=np.float64)
+    pos = np.asarray(last_pos, dtype=np.float64)
+    h, c = h0.data, np.zeros((rows, hd))
+    W_out, b_out = layers[-1]
+    positions, disps, saved = [], [], []
+    for _ in range(t_pred):
+        scaled = x_in * scale
+        h, c, step = _lstm_step(scaled @ W_e.data + b_e.data, h, c,
+                                W_x.data, W_h.data, b.data)
+        acts, pres = [h], []
+        for W, b_ in layers[:-1]:
+            pres.append(acts[-1] @ W.data + b_.data)
+            acts.append(_activate(pres[-1], activation, slope))
+        x_in = (acts[-1] @ W_out.data + b_out.data) * inv
+        pos = pos + x_in
+        positions.append(pos)
+        disps.append(x_in)
+        if record:
+            saved.append((scaled, step, acts, pres))
+
+    def bwd(grads):
+        g_pos, g_disp = (np.zeros(shape) if g is None else g
+                         for g, shape in zip(grads, ((rows, 2 * t_pred), (t_pred * rows, 2))))
+        d_embed, d_cell = [None, None], [None, None, None]
+        d_gamma = [[None, None] for _ in layers]
+        dh = dc = gp = gx = None
+        for t in reversed(range(t_pred)):
+            scaled, step, acts, pres = saved[t]
+            # the position feeds the next position; the displacement feeds
+            # the fake steps, the next step's input and the position
+            gp = _acc(g_pos[:, 2 * t:2 * t + 2], gp)
+            g = _acc(_acc(g_disp[t * rows:(t + 1) * rows], gx), gp) * inv
+            for j in reversed(range(len(layers))):
+                if j < len(layers) - 1:
+                    g = _activate_grad(g, pres[j], acts[j + 1], activation, slope)
+                d_gamma[j][1] = _acc(d_gamma[j][1], g.sum(axis=0))
+                d_gamma[j][0] = _acc(d_gamma[j][0], acts[j].T @ g)
+                g = g @ layers[j][0].data.T
+            dgates, dc = _lstm_step_grad(_acc(dh, g), dc, step, d_cell, (True,) * 3)
+            dh = dgates @ W_h.data.T
+            g = dgates @ W_x.data.T
+            d_embed[1] = _acc(d_embed[1], g.sum(axis=0))
+            d_embed[0] = _acc(d_embed[0], scaled.T @ g)
+            gx = (g @ W_e.data.T) * scale
+        return (dh, *d_embed, *d_cell, *(d for pair in d_gamma for d in pair))
+
+    return _make((np.concatenate(positions, axis=1), np.concatenate(disps, axis=0)),
+                 inputs, bwd)
 
 
 # ---------------------------------------------------------------------------
 # Backward
+
+def _keep_grad(out, g):
+    if out.requires_grad:
+        out.grad = g.copy() if out.grad is None else out.grad + g
+
 
 def backward(loss):
     """Propagate d(loss)/d(tensor) to every requires_grad tensor reachable
@@ -640,11 +814,18 @@ def backward(loss):
     ref = tape.ref
     pending = {id(loss): seed}
     for node in reversed(tape.nodes[: loss.node_id + 1]):
-        g = pending.pop(id(node.out), None)
-        if g is None:
-            continue
-        if node.out.requires_grad:
-            node.out.grad = g.copy() if node.out.grad is None else node.out.grad + g
+        if type(node.out) is tuple:
+            g = tuple(pending.pop(id(out), None) for out in node.out)
+            if all(part is None for part in g):
+                continue
+            for out, part in zip(node.out, g):
+                if part is not None:
+                    _keep_grad(out, part)
+        else:
+            g = pending.pop(id(node.out), None)
+            if g is None:
+                continue
+            _keep_grad(node.out, g)
         for t, ig in zip(node.inputs, node.bwd(g)):
             if ig is None or not t.requires_grad:
                 continue

@@ -179,10 +179,12 @@ def _discriminator_loss(batch, gen, disc, rng):
     Real and fake rows share one discriminator pass: real rows first."""
     with no_grad():
         preds = generator_forward(gen, batch, k=1, rng=rng)
-    steps = [T.concat([r, f], axis=0) for r, f in zip(real_steps(batch), fake_steps(preds))]
+    # both sides are constants: interleave them step by step in numpy
+    rows = preds.n_agents
+    real, fake = (s.data.reshape(-1, rows, 2) for s in (real_steps(batch), fake_steps(preds)))
+    steps = T.constant(np.concatenate([real, fake], axis=1).reshape(-1, 2))
     onehots = stacked_onehots(batch)
     scores = disc.score_steps(steps, T.constant(np.concatenate([onehots, onehots])))
-    rows = preds.n_agents
     return d_loss(T.narrow(scores, 0, 0, rows), T.narrow(scores, 0, rows, rows))
 
 

@@ -8,6 +8,8 @@ library is a real two-route check rather than the same code twice.
 import numpy as np
 
 from trajgan import tensor as T
+from trajgan.data import CLASS_NAMES
+from trajgan.evaluate import constant_velocity_baseline
 from trajgan.model import generator_forward, score_fake, score_real
 from trajgan.optim import clip_grad_norm, grad_norm
 from trajgan.tensor import Tape, backward, no_grad
@@ -108,6 +110,119 @@ def looped_lstm_step(x, hc, W_x, W_h, b):
     c_next = T.add(T.mul(f, c), T.mul(i, g))
     h_next = T.mul(o, T.tanh(c_next))
     return T.concat([h_next, c_next], axis=1)
+
+
+def sigmoid_ref(x):
+    """The two-sided stable logistic function as a branching select."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def lstm_cell(x, hc, W_x, W_h, b):
+    """Reference LSTM step as one tape node, gate order (input, forget, cell,
+    output).
+
+    ``x`` is (R, I) input, ``hc`` the (R, 2H) state ``[h | c]``, ``W_x``
+    (I, 4H), ``W_h`` (H, 4H) and ``b`` (4H,).  Returns the next ``[h | c]``;
+    the arithmetic is that of the composed ops in ``looped_lstm_step``, so
+    the values are the same bit for bit.
+    """
+    hd = W_h.shape[0]
+    if (x.data.ndim != 2 or hc.data.ndim != 2 or hc.shape != (x.shape[0], 2 * hd)
+            or W_x.shape != (x.shape[1], 4 * hd) or W_h.shape != (hd, 4 * hd)
+            or b.shape != (4 * hd,)):
+        raise T.ShapeError(f"lstm_cell shapes do not fit: x {x.shape}, hc {hc.shape}, "
+                           f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
+    h, c = hc.data[:, :hd], hc.data[:, hd:]
+    gates = (x.data @ W_x.data + h @ W_h.data) + b.data
+    i = sigmoid_ref(gates[:, :hd])
+    f = sigmoid_ref(gates[:, hd:2 * hd])
+    g = np.tanh(gates[:, 2 * hd:3 * hd])
+    o = sigmoid_ref(gates[:, 3 * hd:])
+    c_next = f * c + i * g
+    tc = np.tanh(c_next)
+    out = np.concatenate([o * tc, c_next], axis=1)
+
+    def bwd(grad):
+        dh = grad[:, :hd]
+        dc = grad[:, hd:] + dh * o * (1.0 - tc * tc)
+        dgates = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
+                                 dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+        dhc = (np.concatenate([dgates @ W_h.data.T, dc * f], axis=1)
+               if hc.requires_grad else None)
+        return (dgates @ W_x.data.T if x.requires_grad else None, dhc,
+                x.data.T @ dgates if W_x.requires_grad else None,
+                h.T @ dgates if W_h.requires_grad else None,
+                dgates.sum(axis=0) if b.requires_grad else None)
+
+    return T._make(out, (x, hc, W_x, W_h, b), bwd)
+
+
+def looped_lstm_sequence(x, W_x, W_h, b, rows):
+    """Reference for ``T.lstm_sequence``: one ``lstm_cell`` node per step on
+    a narrowed slice of ``x``, from a zero ``[h | c]``, and a final narrow."""
+    hd = W_h.shape[0]
+    hc = T.zeros((rows, 2 * hd))
+    for start in range(0, x.shape[0], rows):
+        hc = lstm_cell(T.narrow(x, 0, start, rows), hc, W_x, W_h, b)
+    return T.narrow(hc, 1, 0, hd)
+
+
+def looped_decode(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
+                  activation="leaky_relu", slope=0.2):
+    """Reference for ``T.lstm_rollout``: the decoder loop composed of
+    mul_scalar, matmul, add, ``lstm_cell``, narrow and activation nodes, a
+    dozen per step.  Returns the positions and the time-major displacements."""
+    rows, hd = h0.shape
+    hc = T.concat([h0, T.zeros((rows, hd))], axis=1)
+    x_in = T.constant(np.asarray(last_disp, dtype=float))
+    pos = T.constant(np.asarray(last_pos, dtype=float))
+    disp_steps, pos_steps = [], []
+    for _ in range(t_pred):
+        scaled = T.mul_scalar(x_in, scale)
+        hc = lstm_cell(T.add(T.matmul(scaled, embed[0]), embed[1]), hc, *cell)
+        out = T.narrow(hc, 1, 0, hd)
+        for j, (W, b) in enumerate(gamma):
+            if j:
+                out = T.activation(out, activation, slope)
+            out = T.add(T.matmul(out, W), b)
+        disp = T.mul_scalar(out, 1.0 / scale)
+        pos = T.add(pos, disp)
+        disp_steps.append(disp)
+        pos_steps.append(pos)
+        x_in = disp
+    return T.concat(pos_steps, axis=1), T.concat(disp_steps, axis=0)
+
+
+def looped_eval_report(gen, windows, k, seed=0, fde_form="rms"):
+    """Reference for ``evaluate.eval_min_of_k``'s scoring: every agent's best
+    sample picked and scored on its own, with straight loops.  Returns
+    {scope: (ade, fde, n)} for "model", "constant_velocity" and each class
+    seen, as "class:<name>"."""
+    rows = []  # (class index, best prediction, truth, baseline prediction)
+    for i, w in enumerate(windows):
+        with no_grad():
+            preds = generator_forward(gen, w, k=k, rng=np.random.default_rng([seed, i]))
+        trajs = preds.trajectories()
+        base = constant_velocity_baseline(w)
+        for a in range(w.n_agents):
+            errs = [rmse_trajectory_ref(trajs[a, j], w.future[a]) for j in range(k)]
+            rows.append((int(w.class_indices[a]), trajs[a, int(np.argmin(errs))],
+                         w.future[a], base[a]))
+
+    def scores(picked):
+        finals = [float(np.sum((p[-1] - t[-1]) ** 2)) for p, t in picked]
+        f = (np.sqrt(sum(finals) / len(finals)) if fde_form == "rms"
+             else sum(np.sqrt(finals)) / len(finals))
+        return (ade_ref([p for p, _ in picked], [t for _, t in picked]), float(f),
+                len(picked))
+
+    out = {"model": scores([(p, t) for _, p, t, _ in rows]),
+           "constant_velocity": scores([(b, t) for _, _, t, b in rows])}
+    for ci in sorted({r[0] for r in rows}):
+        out[f"class:{CLASS_NAMES[ci]}"] = scores([(p, t) for c, p, t, _ in rows if c == ci])
+    return out
 
 
 def rmse_trajectory_ref(pred, truth):

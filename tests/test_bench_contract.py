@@ -6,9 +6,9 @@ it fail in the unit suite instead.
 """
 
 import importlib.util
-import inspect
 import pathlib
 
+from test_tensor import recording_ops
 from trajgan import config, data, evaluate, model, optim, train
 from trajgan import tensor as T
 
@@ -16,7 +16,7 @@ TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.p
 
 # tape-recording ops the benchmark's op pass does not wrap yet: their time
 # counts as the calling layer's self time and their nodes as tensor.nodes.other
-KNOWN_UNTRACED = {"segment_max", "grouped_attention", "lstm_cell"}
+KNOWN_UNTRACED = {"segment_max", "grouped_attention", "lstm_sequence", "lstm_rollout"}
 
 
 def load_tracing():
@@ -33,9 +33,7 @@ def test_every_traced_tensor_op_exists():
 
 
 def test_every_recording_op_is_traced_or_known_untraced():
-    recording = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
-                 if not name.startswith("_") and fn.__module__ == T.__name__
-                 and "_make" in fn.__code__.co_names}
+    recording = recording_ops()
     traced = set(load_tracing().TENSOR_OPS)
     assert recording - traced - KNOWN_UNTRACED == set()
     # the known set stays exact: no stale names, none the tracer already wraps

@@ -7,7 +7,7 @@ from trajgan import evaluate as E
 from trajgan import model as M
 from trajgan.tensor import ContractError
 
-from oracles import ade_ref, fde_ref, rmse_trajectory_ref, jacobi_eigh
+from oracles import ade_ref, fde_ref, jacobi_eigh, looped_eval_report, rmse_trajectory_ref
 
 
 def rand_pairs(rng, n, t):
@@ -153,6 +153,28 @@ def test_min_of_k_nested_improvement():
     ades = [E.eval_min_of_k(gen, ws, k=k, seed=9).ade for k in (1, 4, 8)]
     assert ades[1] <= ades[0] + 1e-12
     assert ades[2] <= ades[1] + 1e-12
+
+
+@pytest.mark.parametrize("fde_form", E.FDE_FORMS)
+def test_eval_report_matches_per_agent_loop_oracle(fde_form):
+    gen = tiny_gen(use_labels=True)
+    ws = [w for seed, kind in ((13, "turn"), (14, "linear"))
+          for w in D.synth_scene(kind, 4, ["pedestrian", "car", "bus", "car"], seed=seed,
+                                 n_windows=2, jitter=1.0)]
+    rep = E.eval_min_of_k(gen, ws, k=5, seed=15, fde_form=fde_form)
+    got = {"model": (rep.ade, rep.fde, rep.n_trajectories),
+           "constant_velocity": (rep.baseline_ade, rep.baseline_fde, rep.n_trajectories)}
+    got.update({f"class:{name}": (m.ade, m.fde, m.n) for name, m in rep.per_class.items()})
+    want = looped_eval_report(gen, ws, k=5, seed=15, fde_form=fde_form)
+    assert list(got) == list(want)
+    for scope, (a, f, n) in want.items():
+        assert got[scope][2] == n
+        np.testing.assert_allclose(got[scope][:2], (a, f), rtol=1e-12, atol=0)
+
+
+def test_metrics_reject_trajectories_of_mixed_length():
+    with pytest.raises(ContractError):
+        E.ade([(np.zeros((3, 2)), np.zeros((3, 2))), (np.zeros((4, 2)), np.zeros((4, 2)))])
 
 
 def test_eval_rejects_bad_inputs():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import assert_grads_match, looped_attention
+from oracles import assert_grads_match, looped_attention, looped_decode, sigmoid_ref
 from trajgan import data as D
 from trajgan import model as M
 from trajgan import tensor as T
@@ -26,10 +26,9 @@ def make_window(seed=0, n_agents=3, jitter=0.5, kind="linear"):
     return w
 
 
-def np_sigmoid(x):
-    # the two-sided form T.sigmoid uses, so values can be compared exactly
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+def node_kinds(tape):
+    """Op name of every node on a tape, in order."""
+    return [node.bwd.__qualname__.split(".", 1)[0] for node in tape.nodes]
 
 
 # ---------------------------------------------------------------------------
@@ -65,44 +64,38 @@ def test_default_config_matches_training_setup():
 def test_lstm_cell_matches_hand_evaluation():
     rng = np.random.default_rng(0)
     cell = M.LSTMCell(3, 2, rng)
-    x = rng.standard_normal((4, 3))
-    h0 = rng.standard_normal((4, 2))
-    c0 = rng.standard_normal((4, 2))
+    xs = rng.standard_normal((3, 4, 3))  # three steps of four rows
 
-    gates = x @ cell.W_x.data + h0 @ cell.W_h.data + cell.b.data
-    i = np_sigmoid(gates[:, 0:2])
-    f = np_sigmoid(gates[:, 2:4])
-    g = np.tanh(gates[:, 4:6])
-    o = np_sigmoid(gates[:, 6:8])
-    c_ref = f * c0 + i * g
-    h_ref = o * np.tanh(c_ref)
+    h = c = np.zeros((4, 2))
+    for x in xs:
+        gates = x @ cell.W_x.data + h @ cell.W_h.data + cell.b.data
+        i = sigmoid_ref(gates[:, 0:2])
+        f = sigmoid_ref(gates[:, 2:4])
+        g = np.tanh(gates[:, 4:6])
+        o = sigmoid_ref(gates[:, 6:8])
+        c = f * c + i * g
+        h = o * np.tanh(c)
 
-    hc1 = cell.step(Tensor(x), Tensor(np.concatenate([h0, c0], axis=1)))
-    assert np.array_equal(hc1.data[:, :2], h_ref)
-    assert np.array_equal(hc1.data[:, 2:], c_ref)
-
-
-def lstm_cell_nodes(tape):
-    return sum(node.bwd.__qualname__.split(".", 1)[0] == "lstm_cell" for node in tape.nodes)
+    assert np.array_equal(cell.run(Tensor(xs.reshape(12, 3)), rows=4).data, h)
 
 
 @pytest.mark.parametrize("rows", [1, 4, 9])
-def test_lstm_recurrence_records_one_node_per_step(rows):
+def test_lstm_recurrence_records_one_node_per_sequence(rows):
     cell = M.LSTMCell(2, 3, np.random.default_rng(6))
-    steps = [Tensor(x) for x in np.random.default_rng(7).standard_normal((5, rows, 2))]
-    with Tape() as tape:
-        h = cell.run(steps, rows)
-    assert h.shape == (rows, 3)
-    # five cell steps and the final narrow to h, whatever the row count
-    assert lstm_cell_nodes(tape) == 5 and len(tape.nodes) == 6
+    for length in (1, 5, 12):
+        x = Tensor(np.random.default_rng(7).standard_normal((length * rows, 2)),
+                   requires_grad=True)
+        with Tape() as tape:
+            h = cell.run(x, rows)
+        assert h.shape == (rows, 3)
+        assert node_kinds(tape) == ["lstm_sequence"]
 
 
 def test_lstm_zero_weights_give_zero_hidden():
     cell = M.LSTMCell(2, 3, np.random.default_rng(1))
     for p in (cell.W_x, cell.W_h, cell.b):
         p.data[:] = 0.0
-    h = cell.run([Tensor(np.random.default_rng(2).standard_normal((5, 2)))
-                  for _ in range(8)], rows=5)
+    h = cell.run(Tensor(np.random.default_rng(2).standard_normal((8 * 5, 2))), rows=5)
     assert np.array_equal(h.data, np.zeros((5, 3)))
 
 
@@ -119,7 +112,7 @@ def test_lstm_grads_through_8_steps():
     xs = [rng.standard_normal((2, 2)) for _ in range(8)]
 
     def loss():
-        return cell.run([Tensor(x) for x in xs], rows=2).sum()
+        return cell.run(Tensor(np.concatenate(xs)), rows=2).sum()
 
     assert_grads_match(loss, [cell.W_x, cell.W_h, cell.b])
 
@@ -176,7 +169,7 @@ def test_class_embedding_matrix():
 def test_attention_rows_sum_to_one():
     cfg = tiny_config(encoder="transformer")
     enc = M.SequenceEncoder(cfg, np.random.default_rng(10))
-    steps = [Tensor(np.random.default_rng(11).standard_normal((2, 2))) for _ in range(6)]
+    steps = Tensor(np.random.default_rng(11).standard_normal((6 * 2, 2)))
     attn = []
     enc.encode(steps, Tensor(np.eye(6)[[0, 1]]), collect_attn=attn)
     assert len(attn) == 2 * cfg.transformer_heads * cfg.transformer_layers
@@ -203,16 +196,16 @@ def test_transformer_positions_matter():
     rng = np.random.default_rng(14)
     steps = [rng.standard_normal((1, 2)) for _ in range(5)]
     oh = Tensor(np.eye(6)[[3]])
-    base = enc.encode([Tensor(s) for s in steps], oh).data.copy()
+    base = enc.encode(Tensor(np.concatenate(steps)), oh).data.copy()
     swapped = [steps[1], steps[0]] + steps[2:]
-    out = enc.encode([Tensor(s) for s in swapped], oh).data
+    out = enc.encode(Tensor(np.concatenate(swapped)), oh).data
     assert not np.allclose(base, out)
 
 
 def test_transformer_mean_pool():
     cfg = tiny_config(encoder="transformer", transformer_pool="mean")
     enc = M.SequenceEncoder(cfg, np.random.default_rng(15))
-    steps = [Tensor(np.random.default_rng(16).standard_normal((3, 2))) for _ in range(4)]
+    steps = Tensor(np.random.default_rng(16).standard_normal((4 * 3, 2)))
     out = enc.encode(steps, Tensor(np.eye(6)[[0, 1, 2]]))
     assert out.shape == (3, 4)
 
@@ -226,7 +219,7 @@ def test_transformer_grads():
     params = list(enc.named_parameters("enc").values())
 
     def loss():
-        out = enc.encode([Tensor(s) for s in steps], Tensor(oh))
+        out = enc.encode(Tensor(np.concatenate(steps)), Tensor(oh))
         return T.mul(out, out).sum()
 
     assert_grads_match(loss, params, rtol=2e-4)
@@ -262,32 +255,74 @@ def test_packed_transformer_encode_matches_per_agent_calls(pool, rows):
 
 @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
 def test_encoder_tape_nodes_do_not_grow_with_agents(encoder):
-    # the whole encoder is one pass over all agents: no per-agent loop
+    # the whole encoder is one pass over all agents and steps: no per-agent
+    # or per-step loop records nodes
     enc = M.SequenceEncoder(tiny_config(encoder=encoder), np.random.default_rng(72))
     rng = np.random.default_rng(73)
 
-    def nodes(rows):
-        steps = [Tensor(s) for s in rng.standard_normal((6, rows, 2))]
+    def nodes(rows, length):
+        steps = Tensor(rng.standard_normal((length * rows, 2)))
         with Tape() as tape:
             enc.encode(steps, Tensor(np.eye(6)[rng.integers(0, 6, rows)]))
-        return len(tape.nodes)
+        return node_kinds(tape)
 
-    assert nodes(7) == nodes(1) > 0
+    counts = {(rows, length): nodes(rows, length) for rows in (1, 7) for length in (1, 8, 20)}
+    assert len(set(map(tuple, counts.values()))) == 1
+    if encoder == "lstm":
+        assert counts[(7, 20)].count("lstm_sequence") == 1
 
 
 def test_decoder_tape_nodes_do_not_grow_with_rows():
+    # one rollout node, and the same nodes before it, whatever the rows and steps
     dec = M.Decoder(tiny_config(), np.random.default_rng(74))
     rng = np.random.default_rng(75)
 
-    def nodes(rows):
+    def nodes(rows, t_pred):
         hidden, pooled, noise = (Tensor(rng.standard_normal((rows, d))) for d in (4, 3, 2))
         with Tape() as tape:
             dec.decode(hidden, pooled, noise, rng.standard_normal((rows, 2)),
-                       rng.standard_normal((rows, 2)), 5)
-        return len(tape.nodes), lstm_cell_nodes(tape)
+                       rng.standard_normal((rows, 2)), t_pred)
+        return node_kinds(tape)
 
-    assert nodes(7) == nodes(1)
-    assert nodes(1)[1] == 5
+    kinds = nodes(1, 1)
+    assert kinds[-1] == "lstm_rollout" and kinds.count("lstm_rollout") == 1
+    for rows in (1, 7):
+        for t_pred in (1, 5, 12):
+            assert nodes(rows, t_pred) == kinds
+
+
+@pytest.mark.parametrize("activation,gamma_hidden", [("leaky_relu", (3,)), ("relu", (3, 2)),
+                                                     ("leaky_relu", ())])
+def test_decoder_matches_looped_oracle(activation, gamma_hidden):
+    cfg = tiny_config(activation=activation, gamma_mlp_hidden=gamma_hidden)
+    dec = M.Decoder(cfg, np.random.default_rng(76))
+    rng = np.random.default_rng(77)
+    params = list(dec.named_parameters("dec").values())
+    inputs = [Tensor(rng.standard_normal((5, d)), requires_grad=True) for d in (4, 3, 2)]
+    last_pos, last_disp = rng.standard_normal((2, 5, 2)) * 20.0
+    weights = [Tensor(rng.standard_normal((5, 12))), Tensor(rng.standard_normal((30, 2)))]
+
+    def looped():
+        h0 = dec.init_mlp(T.concat(inputs, axis=1))
+        return looped_decode(h0, (dec.embed.W, dec.embed.b),
+                             (dec.cell.W_x, dec.cell.W_h, dec.cell.b),
+                             [(layer.W, layer.b) for layer in dec.gamma.layers],
+                             last_pos, last_disp, 6, cfg.input_scale, activation,
+                             cfg.leaky_slope)
+
+    def run(fn):
+        for t in params + inputs:
+            t.grad = None
+        with Tape():
+            traj, disp = fn()
+            backward(T.add(T.mul(traj, weights[0]).sum(), T.mul(disp, weights[1]).sum()))
+        return traj.data, disp.data, [t.grad for t in params + inputs]
+
+    got = run(lambda: dec.decode(*inputs, last_pos, last_disp, 6))
+    want = run(looped)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for g, w in zip(got[2], want[2]):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-13)
 
 
 def test_attention_key_bias_changes_nothing():
@@ -397,7 +432,7 @@ def test_encode_embeds_every_step_like_embed_step(encoder, frozen):
 
     def reference():
         if encoder == "lstm":
-            return enc.lstm.run([enc.embed_step(s, oh) for s in steps], 3)
+            return enc.lstm.run(T.concat([enc.embed_step(s, oh) for s in steps]), 3)
         return T.concat([enc.transformer.encode(enc.embed_step(
             T.concat([T.narrow(s, 0, r, 1) for s in steps], axis=0),
             T.take_rows(oh, [r] * 5))) for r in range(3)], axis=0)
@@ -411,7 +446,7 @@ def test_encode_embeds_every_step_like_embed_step(encoder, frozen):
             nodes = len(tape.nodes)
         return out.data, [t.grad for t in params + steps[2:]], nodes
 
-    got, got_grads, got_nodes = run(lambda: enc.encode(steps, oh))
+    got, got_grads, got_nodes = run(lambda: enc.encode(T.concat(steps), oh))
     want, want_grads, want_nodes = run(reference)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
     for g, w in zip(got_grads, want_grads):
@@ -430,7 +465,13 @@ def test_generator_forward_shapes_and_layout():
     assert preds.traj.shape == (12, 24)
     assert preds.trajectories().shape == (3, 4, 12, 2)
     assert preds.noise.shape == (3, 4, 2)
-    assert len(preds.disp_steps) == 12
+    # time-major displacements: row t*12 + i*4 + j is step t of sample j of agent i
+    assert preds.disp_steps.shape == (12 * 12, 2) and preds.obs_steps.shape == (8 * 3, 2)
+    steps = preds.disp_steps.data.reshape(12, 12, 2).transpose(1, 0, 2)
+    traj = preds.traj.data.reshape(12, 12, 2)
+    np.testing.assert_allclose(traj[:, 1:] - traj[:, :-1], steps[:, 1:], rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(traj[:, 0] - np.repeat(w.observed[:, -1], 4, axis=0), steps[:, 0],
+                               rtol=1e-9, atol=1e-9)
 
 
 def test_generator_deterministic_given_noise():
@@ -568,7 +609,7 @@ def test_zero_classifier_scores_half():
 
 def test_score_length_contract():
     disc = M.build_discriminator(tiny_config(), seed=51)
-    steps = [Tensor(np.zeros((2, 2))) for _ in range(10)]
+    steps = Tensor(np.zeros((10 * 2, 2)))  # ten steps of two agents
     with pytest.raises(ContractError):
         disc.score_steps(steps, Tensor(np.eye(6)[[0, 1]]), expected_len=20)
 

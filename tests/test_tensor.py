@@ -1,4 +1,8 @@
+import ast
 import gc
+import inspect
+import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_grads_match, finite_diff, looped_attention, looped_lstm_step
+from oracles import (assert_grads_match, finite_diff, looped_attention, looped_decode,
+                     looped_lstm_sequence, looped_lstm_step, lstm_cell, sigmoid_ref)
 from trajgan import tensor as T
 from trajgan.optim import Adam, AdamState, adam_step, clip_grad_norm, grad_norm
 from trajgan.tensor import (ContractError, NumericError, ShapeError, Tape, Tensor,
@@ -58,6 +63,16 @@ def test_leaky_relu_slope_limits_exact():
     x = leaf(rng.standard_normal((5, 7)))
     assert np.array_equal(T.leaky_relu(x, 1.0).data, x.data)
     assert np.array_equal(T.leaky_relu(x, 0.0).data, T.relu(x).data)
+
+
+def test_branch_free_sigmoid_equals_branching_select():
+    rng = np.random.default_rng(1)
+    tiny = np.finfo(float).tiny
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, tiny / 8, -tiny / 8,
+                      5e-324, -5e-324, 746.0, -746.0, 745.0, -745.0, 36.7, -36.7, 1e-300])
+    spread = rng.standard_normal((300, 40)) * 10.0 ** rng.uniform(-8, 3, (300, 40))
+    for x in (edges, edges.reshape(3, 6), spread, spread[:, ::3]):
+        assert np.array_equal(T._sigmoid(x), sigmoid_ref(x), equal_nan=True)
 
 
 def test_activation_dispatcher_rejects_unknown():
@@ -140,6 +155,10 @@ def test_elementwise_and_broadcast_grads():
     T.sigmoid,
     T.exp,
     lambda x: T.clamp_min(x, 0.1),
+    T.neg,
+    lambda x: T.add_scalar(x, 1.5),
+    lambda x: T.mul_scalar(x, -0.5),
+    lambda x: T.tsum(x, axis=0),
 ])
 def test_unary_grads(fn):
     rng = np.random.default_rng(4)
@@ -277,7 +296,7 @@ def test_grouped_attention_grads():
     q, k, v = (rand_leaf(rng, (6, 4)) for _ in range(3))
     w = Tensor(rng.standard_normal((6, 4)))
     worst = assert_grads_match(
-        lambda: T.mul(fused_attention(q, k, v, 2, 3), w).sum(), [q, k, v], rtol=1e-6)
+        lambda: T.mul(T.grouped_attention(q, k, v, 2, 3)[0], w).sum(), [q, k, v], rtol=1e-6)
     assert worst < 1e-6
 
 
@@ -308,6 +327,41 @@ def test_grouped_attention_rejects_bad_shapes(shapes, heads, groups):
         T.grouped_attention(q, k, v, heads, groups)
 
 
+# the reference LSTM step in oracles.py against the composed ops: the fused
+# sequence ops below are checked through it
+
+def weighted_sum(outs, weights):
+    """sum(output * weight) over one output or a tuple of them."""
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    loss = T.mul(outs[0], weights[0]).sum()
+    for o, w in zip(outs[1:], weights[1:]):
+        loss = T.add(loss, T.mul(o, w).sum())
+    return loss
+
+
+def values_and_grads(fn, leaves, weights):
+    for x in leaves:
+        x.grad = None
+    with Tape():
+        outs = fn()
+        backward(weighted_sum(outs, weights))
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    return [o.data for o in outs], [x.grad for x in leaves]
+
+
+def assert_fused_matches_looped(fused, looped, leaves, weights):
+    """Forward values bit for bit, gradients of every leaf to rtol 1e-10."""
+    got, got_grads = values_and_grads(fused, leaves, weights)
+    want, want_grads = values_and_grads(looped, leaves, weights)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    for g, w in zip(got_grads, want_grads):
+        if w is None:
+            assert g is None
+        else:
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-13)
+
+
 def lstm_leaves(rng, rows, in_dim, hidden, trainable=(True,) * 5):
     """x, [h | c], W_x, W_h and b for one LSTM step; ``trainable`` says
     which of them require a gradient."""
@@ -317,27 +371,12 @@ def lstm_leaves(rng, rows, in_dim, hidden, trainable=(True,) * 5):
             for s, flag in zip(shapes, trainable)]
 
 
-def lstm_values_and_grads(op, leaves, w):
-    for x in leaves:
-        x.grad = None
-    with Tape():
-        out = op(*leaves)
-        backward(T.mul(out, w).sum())
-    return out.data, [x.grad for x in leaves]
-
-
 def assert_lstm_matches_oracle(rows, in_dim, hidden, seed, trainable=(True,) * 5):
     rng = np.random.default_rng(seed)
     leaves = lstm_leaves(rng, rows, in_dim, hidden, trainable)
-    w = Tensor(rng.standard_normal((rows, 2 * hidden)))
-    got, got_grads = lstm_values_and_grads(T.lstm_cell, leaves, w)
-    want, want_grads = lstm_values_and_grads(looped_lstm_step, leaves, w)
-    assert np.array_equal(got, want)
-    for g, w_ in zip(got_grads, want_grads):
-        if w_ is None:
-            assert g is None
-        else:
-            np.testing.assert_allclose(g, w_, rtol=1e-10, atol=1e-13)
+    w = [Tensor(rng.standard_normal((rows, 2 * hidden)))]
+    assert_fused_matches_looped(lambda: lstm_cell(*leaves), lambda: looped_lstm_step(*leaves),
+                                leaves, w)
 
 
 @pytest.mark.parametrize("rows,in_dim,hidden", [(3, 4, 5), (1, 1, 1), (6, 2, 3), (2, 7, 1)])
@@ -358,7 +397,7 @@ def test_lstm_cell_grads():
     for x in leaves:
         x.data *= 0.5  # keep the gates off saturation, where differences lose digits
     w = Tensor(rng.standard_normal((3, 6)))
-    worst = assert_grads_match(lambda: T.mul(T.lstm_cell(*leaves), w).sum(), leaves,
+    worst = assert_grads_match(lambda: T.mul(lstm_cell(*leaves), w).sum(), leaves,
                                rtol=1e-6)
     assert worst < 1e-6
 
@@ -373,7 +412,243 @@ def test_lstm_cell_grads():
 ])
 def test_lstm_cell_rejects_bad_shapes(shapes):
     with pytest.raises(ShapeError):
-        T.lstm_cell(*(leaf(np.zeros(s)) for s in shapes))
+        lstm_cell(*(leaf(np.zeros(s)) for s in shapes))
+
+
+# ---------------------------------------------------------------------------
+# fused LSTM ops against their looped references
+
+def sequence_leaves(rng, rows, length, in_dim, hidden, trainable=(True,) * 4):
+    """x, W_x, W_h and b of an LSTM over ``rows`` sequences of ``length``."""
+    shapes = ((length * rows, in_dim), (in_dim, 4 * hidden), (hidden, 4 * hidden),
+              (4 * hidden,))
+    return [Tensor(rng.standard_normal(s) * 1.5, requires_grad=flag)
+            for s, flag in zip(shapes, trainable)]
+
+
+def assert_sequence_matches_oracle(rows, length, in_dim, hidden, seed,
+                                   trainable=(True,) * 4):
+    rng = np.random.default_rng(seed)
+    leaves = sequence_leaves(rng, rows, length, in_dim, hidden, trainable)
+    w = [Tensor(rng.standard_normal((rows, hidden)))]
+    assert_fused_matches_looped(lambda: T.lstm_sequence(*leaves, rows),
+                                lambda: looped_lstm_sequence(*leaves, rows), leaves, w)
+
+
+@pytest.mark.parametrize("rows,length,in_dim,hidden",
+                         [(3, 4, 2, 5), (1, 1, 1, 1), (6, 8, 3, 2), (2, 20, 5, 4)])
+def test_lstm_sequence_matches_looped_oracle(rows, length, in_dim, hidden):
+    assert_sequence_matches_oracle(rows, length, in_dim, hidden, seed=16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 5), length=st.integers(1, 6), in_dim=st.integers(1, 4),
+       hidden=st.integers(1, 4), trainable=st.tuples(*[st.booleans()] * 4).filter(any),
+       seed=st.integers(0, 10_000))
+def test_lstm_sequence_oracle_property(rows, length, in_dim, hidden, trainable, seed):
+    assert_sequence_matches_oracle(rows, length, in_dim, hidden, seed, trainable)
+
+
+def test_lstm_sequence_grads():
+    rng = np.random.default_rng(17)
+    leaves = sequence_leaves(rng, 3, 4, 2, 3)
+    for x in leaves:
+        x.data *= 0.4  # keep the gates off saturation, where differences lose digits
+    w = Tensor(rng.standard_normal((3, 3)))
+    worst = assert_grads_match(lambda: T.mul(T.lstm_sequence(*leaves, 3), w).sum(), leaves,
+                               rtol=1e-6)
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("shapes,rows", [
+    (((6, 2), (2, 12), (3, 12), (12,)), 4),  # rows do not divide x
+    (((6, 2), (2, 12), (3, 12), (12,)), 0),
+    (((2, 2), (2, 12), (3, 12), (12,)), 3),  # not one whole step
+    (((6, 3), (2, 12), (3, 12), (12,)), 3),  # W_x rows differ from input dim
+    (((6, 2), (2, 12), (3, 9), (12,)), 3),  # W_h not (H, 4H)
+    (((6, 2), (2, 12), (3, 12), (9,)), 3),  # b not 4H long
+    (((6,), (2, 12), (3, 12), (12,)), 3),  # x not 2-D
+])
+def test_lstm_sequence_rejects_bad_shapes(shapes, rows):
+    with pytest.raises(ShapeError):
+        T.lstm_sequence(*(leaf(np.zeros(s)) for s in shapes), rows)
+
+
+def rollout_leaves(rng, rows, embed_dim, hidden, gamma_hidden, trainable=None, scale=0.7):
+    """h0, the embedding's W and b, the cell's W_x, W_h and b, then W and b
+    of each gamma layer."""
+    widths = (hidden, *gamma_hidden, 2)
+    shapes = [(rows, hidden), (2, embed_dim), (embed_dim,), (embed_dim, 4 * hidden),
+              (hidden, 4 * hidden), (4 * hidden,)]
+    for n, m in zip(widths, widths[1:]):
+        shapes += [(n, m), (m,)]
+    trainable = trainable or (True,) * len(shapes)
+    return [Tensor(rng.standard_normal(s) * scale, requires_grad=flag)
+            for s, flag in zip(shapes, trainable)]
+
+
+def rollout_call(op, leaves, last, t_pred, scale, activation, slope=0.2):
+    h0, W_e, b_e, W_x, W_h, b, *gamma = leaves
+    return lambda: op(h0, (W_e, b_e), (W_x, W_h, b), list(zip(gamma[::2], gamma[1::2])),
+                      last[0], last[1], t_pred, scale, activation, slope)
+
+
+def rollout_weights(rng, rows, t_pred):
+    return [Tensor(rng.standard_normal((rows, 2 * t_pred))),
+            Tensor(rng.standard_normal((t_pred * rows, 2)))]
+
+
+def assert_rollout_matches_oracle(rng, leaves, t_pred, activation, scale=0.02):
+    rows = leaves[0].shape[0]
+    last = rng.standard_normal((2, rows, 2)) * 5.0
+    assert_fused_matches_looped(
+        rollout_call(T.lstm_rollout, leaves, last, t_pred, scale, activation),
+        rollout_call(looped_decode, leaves, last, t_pred, scale, activation),
+        leaves, rollout_weights(rng, rows, t_pred))
+
+
+@pytest.mark.parametrize("rows,hidden,gamma_hidden,t_pred,activation", [
+    (3, 4, (5,), 6, "leaky_relu"), (1, 1, (), 1, "relu"), (4, 3, (2, 3), 4, "tanh"),
+    (2, 2, (1,), 12, "sigmoid")])
+def test_lstm_rollout_matches_looped_oracle(rows, hidden, gamma_hidden, t_pred, activation):
+    rng = np.random.default_rng(18)
+    leaves = rollout_leaves(rng, rows, 3, hidden, gamma_hidden)
+    assert_rollout_matches_oracle(rng, leaves, t_pred, activation)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 4), hidden=st.integers(1, 4),
+       gamma_hidden=st.lists(st.integers(1, 3), max_size=2),
+       activation=st.sampled_from(T.ACTIVATIONS), t_pred=st.integers(1, 5),
+       trainable=st.lists(st.booleans(), min_size=10, max_size=10).filter(any),
+       seed=st.integers(0, 10_000))
+def test_lstm_rollout_oracle_property(rows, hidden, gamma_hidden, activation, t_pred,
+                                      trainable, seed):
+    rng = np.random.default_rng(seed)
+    # the ten flags cover h0, the embedding, the cell and two gamma layers;
+    # deeper gamma layers follow the last flag
+    flags = trainable + [trainable[-1]] * (2 * len(gamma_hidden))
+    leaves = rollout_leaves(rng, rows, 2, hidden, gamma_hidden, flags)
+    assert_rollout_matches_oracle(rng, leaves, t_pred, activation)
+
+
+@pytest.mark.parametrize("gamma_hidden,activation", [
+    ((3,), "leaky_relu"), ((), "leaky_relu"), ((2, 3), "relu"), ((3,), "tanh")])
+def test_lstm_rollout_grads(gamma_hidden, activation):
+    rng = np.random.default_rng(19)
+    leaves = rollout_leaves(rng, 2, 2, 3, gamma_hidden, scale=0.5)
+    last = rng.standard_normal((2, 2, 2))
+    w = rollout_weights(rng, 2, 3)
+    loss = rollout_call(T.lstm_rollout, leaves, last, 3, 0.3, activation)
+    # a step of 1e-4: at 1e-5 cancellation noise reaches 2e-6 on the
+    # smallest gradients, and the truncation error is still far below 1e-6
+    worst = assert_grads_match(lambda: weighted_sum(loss(), w), leaves, rtol=1e-6, h=1e-4)
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_lstm_rollout_grads_at_the_kink(activation):
+    # gamma's first hidden unit has zero weights and bias, so its
+    # pre-activation is exactly 0 at every step and every perturbation of
+    # another input: the op takes the positive branch there, as the
+    # composed ops do, and finite differences agree on every input except
+    # the unit's own weights, where they average the two one-sided slopes
+    rng = np.random.default_rng(20)
+    leaves = rollout_leaves(rng, 2, 2, 3, (3,), scale=0.5)
+    W1, b1 = leaves[6], leaves[7]
+    W1.data[:, 0] = 0.0
+    b1.data[0] = 0.0
+    last = rng.standard_normal((2, 2, 2))
+    w = rollout_weights(rng, 2, 4)
+    loss = rollout_call(T.lstm_rollout, leaves, last, 4, 0.3, activation)
+    kinked = {(6, i) for i in range(0, W1.size, 3)} | {(7, 0)}
+    coords = [(li, i) for li, x in enumerate(leaves) for i in range(x.size)
+              if (li, i) not in kinked]
+    worst = assert_grads_match(lambda: weighted_sum(loss(), w), leaves, rtol=1e-6,
+                               h=1e-4, coords=coords)
+    assert worst < 1e-6
+    assert_rollout_matches_oracle(rng, leaves, 4, activation, scale=0.3)
+
+
+@pytest.mark.parametrize("change", ["h0", "embed", "cell", "gamma_width", "gamma_out",
+                                    "last_pos", "t_pred", "no_gamma"])
+def test_lstm_rollout_rejects_bad_shapes(change):
+    leaves = rollout_leaves(np.random.default_rng(21), 3, 2, 4, (5,))
+    h0, W_e, b_e, W_x, W_h, b, W1, b1, W2, b2 = leaves
+    args = dict(h0=h0, embed=(W_e, b_e), cell=(W_x, W_h, b), gamma=[(W1, b1), (W2, b2)],
+                last_pos=np.zeros((3, 2)), last_disp=np.zeros((3, 2)), t_pred=4)
+    bad = {"h0": dict(h0=leaf(np.zeros((3, 5)))),
+           "embed": dict(embed=(leaf(np.zeros((3, 2))), b_e)),
+           "cell": dict(cell=(W_x, leaf(np.zeros((4, 12))), b)),
+           "gamma_width": dict(gamma=[(W1, b1), (leaf(np.zeros((4, 2))), b2)]),
+           "gamma_out": dict(gamma=[(W1, b1), (leaf(np.zeros((5, 3))), leaf(np.zeros(3)))]),
+           "last_pos": dict(last_pos=np.zeros((2, 2))),
+           "t_pred": dict(t_pred=0),
+           "no_gamma": dict(gamma=[])}
+    args.update(bad[change])
+    with pytest.raises(ShapeError):
+        T.lstm_rollout(scale=0.5, **args)
+
+
+@pytest.mark.parametrize("op", ["sequence", "rollout"])
+def test_fused_lstm_ops_keep_no_activations_under_no_grad(op):
+    # 200 steps: a recording call holds every step's activations, many
+    # times the size of its outputs; a call under no_grad holds none
+    rng = np.random.default_rng(22)
+    rows, steps = 32, 200
+    if op == "sequence":
+        leaves = sequence_leaves(rng, rows, steps, 8, 16)
+        run = lambda: (T.lstm_sequence(*leaves, rows),)  # noqa: E731
+    else:
+        run = rollout_call(T.lstm_rollout, rollout_leaves(rng, rows, 8, 16, (16,)),
+                           np.zeros((2, rows, 2)), steps, 0.02, "leaky_relu")
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            outs = run()
+            return tracemalloc.get_traced_memory()[1], outs
+        finally:
+            tracemalloc.stop()
+
+    with Tape() as tape:
+        with no_grad():
+            quiet, outs = peak_bytes()
+        assert len(tape.nodes) == 0 and not any(o.requires_grad for o in outs)
+        recorded, outs = peak_bytes()
+        assert len(tape.nodes) == 1 and all(o.requires_grad for o in outs)
+    assert quiet * 5 < recorded
+
+
+# ---------------------------------------------------------------------------
+# every recording op has a finite-difference gradcheck
+
+def recording_ops():
+    """The public functions of trajgan.tensor that record tape nodes."""
+    return {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+            if not name.startswith("_") and fn.__module__ == T.__name__
+            and "_make" in fn.__code__.co_names}
+
+
+def gradchecked_ops():
+    """Every ``T.<name>`` referred to by a test of this file that calls
+    ``assert_grads_match`` or ``finite_diff`` itself, in its body, its
+    lambdas or its parametrize decorators."""
+    tree = ast.parse(pathlib.Path(__file__).read_text())
+    covered = set()
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("test_")):
+            continue
+        nodes = list(ast.walk(fn))
+        if {"assert_grads_match", "finite_diff"} & {n.id for n in nodes
+                                                    if isinstance(n, ast.Name)}:
+            covered |= {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name) and n.value.id == "T"}
+    return covered
+
+
+def test_every_recording_op_has_a_finite_difference_gradcheck():
+    assert recording_ops() - gradchecked_ops() == set()
 
 
 def test_tape_graph_freed_without_cycle_collector():
