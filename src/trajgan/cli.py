@@ -2,8 +2,9 @@
 
 Every command is deterministic given (config, seed, inputs) and leaves a
 manifest recording the resolved config hash, the seed, and checksums of its
-file inputs.  Exit codes: 0 ok, 2 config problems, 3 data problems,
-4 numeric failures, 5 output directory already locked.
+file inputs; ``parse`` adds the checksum of the window CSV it wrote and its
+line, track and window counts.  Exit codes: 0 ok, 2 config problems, 3 data
+problems, 4 numeric failures, 5 output directory already locked.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, cfg_hash, seed, input_paths):
+def _write_manifest(out_dir, cfg_hash, seed, input_paths, **extra):
     manifest = {
         "config_hash": cfg_hash,
         "seed": seed,
@@ -60,6 +61,7 @@ def _write_manifest(out_dir, cfg_hash, seed, input_paths):
                    if os.path.isfile(p)},
         "python": platform.python_version(),
         "numpy": np.__version__,
+        **extra,
     }
     path = os.path.join(out_dir, "manifest.json")
     D.write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -125,7 +127,13 @@ def cmd_parse(args):
     for name in D.CLASS_NAMES:
         print(f"  {name:<14}{hist[name]:6.2f}%  ({counts[name]} tracks)")
     print(f"wrote {csv_path}")
-    _write_manifest(args.out, "", 0, files.values())
+    lines = 0
+    for path in files.values():
+        with open(path) as fh:
+            lines += sum(1 for _ in fh)
+    _write_manifest(args.out, "", 0, files.values(),
+                    outputs={"windows.csv": _sha256_file(csv_path)},
+                    counts={"lines": lines, "tracks": total, "windows": len(windows)})
     return EXIT_OK
 
 

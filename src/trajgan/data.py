@@ -15,6 +15,9 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,14 +75,45 @@ def one_hot(idx, n=N_CLASSES):
     return v
 
 
-@dataclass(frozen=True)
-class RawAnnotation:
+class RawAnnotation(NamedTuple):
+    """One annotated box that was not lost: an immutable named tuple.
+
+    Records with equal fields compare equal.  A named tuple is built in about
+    a quarter of a frozen dataclass's time, which counts at one record per
+    annotation line.
+    """
+
     track_id: int
     bbox: tuple  # (xmin, ymin, xmax, ymax)
     frame: int
     occluded: bool
     generated: bool
     label: str  # canonical class name
+
+
+def _check_line(line, ln, class_vocab):
+    """Check every field of one annotation line, in the order they come.
+
+    Returns ``(lost, occluded, generated, label)`` from the line's last four
+    fields; raises AnnotationParseError for the first field at fault.
+    """
+    parts = line.split(None, 9)
+    if len(parts) != 10:
+        raise AnnotationParseError(f"expected 10 fields, got {len(parts)}", ln)
+    try:
+        int(parts[0])
+        bbox = tuple(float(p) for p in parts[1:5])
+        int(parts[5])
+        lost, occluded, generated = (int(p) != 0 for p in parts[6:9])
+    except ValueError as e:
+        raise AnnotationParseError(str(e), ln) from None
+    if bbox[0] > bbox[2] or bbox[1] > bbox[3]:
+        raise AnnotationParseError(f"bbox not ordered: {bbox}", ln)
+    raw_label = parts[9].strip().strip('"')
+    label = normalize_label(raw_label, class_vocab)
+    if label is None:
+        raise UnknownLabelError(f"unknown class label {raw_label!r}", ln)
+    return lost, occluded, generated, label
 
 
 def parse_annotations(source, class_vocab=CLASS_NAMES):
@@ -90,30 +124,36 @@ def parse_annotations(source, class_vocab=CLASS_NAMES):
     Malformed lines and unknown labels raise with the 1-based line number.
     """
     lines = source.splitlines() if isinstance(source, str) else source
+    # A line's last four fields (lost, occluded, generated, label) take few
+    # distinct spellings.  The first line with a new spelling is checked in
+    # full; later ones look it up and convert only their first six fields.
+    tails = {}
     out = []
+    append = out.append
+    new_record = tuple.__new__  # skips the named tuple's Python-level __new__
     for ln, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(None, 9)
-        if len(parts) != 10:
-            raise AnnotationParseError(f"expected 10 fields, got {len(parts)}", ln)
+        parts = line.split(None, 6)
+        tail = tails.get(parts[6]) if len(parts) == 7 else None
+        if tail is None:
+            if not parts:
+                continue
+            tail = tails[parts[6]] = _check_line(line, ln, class_vocab)
         try:
             track_id = int(parts[0])
-            bbox = tuple(float(p) for p in parts[1:5])
+            xmin = float(parts[1])
+            ymin = float(parts[2])
+            xmax = float(parts[3])
+            ymax = float(parts[4])
             frame = int(parts[5])
-            lost, occluded, generated = (bool(int(p)) for p in parts[6:9])
         except ValueError as e:
             raise AnnotationParseError(str(e), ln) from None
-        if bbox[0] > bbox[2] or bbox[1] > bbox[3]:
-            raise AnnotationParseError(f"bbox not ordered: {bbox}", ln)
-        raw_label = parts[9].strip().strip('"')
-        label = normalize_label(raw_label, class_vocab)
-        if label is None:
-            raise UnknownLabelError(f"unknown class label {raw_label!r}", ln)
+        if xmin > xmax or ymin > ymax:
+            raise AnnotationParseError(f"bbox not ordered: {(xmin, ymin, xmax, ymax)}", ln)
+        lost, occluded, generated, label = tail
         if lost:
             continue
-        out.append(RawAnnotation(track_id, bbox, frame, occluded, generated, label))
+        append(new_record(RawAnnotation, (track_id, (xmin, ymin, xmax, ymax), frame,
+                                          occluded, generated, label)))
     return out
 
 
@@ -125,11 +165,6 @@ def serialize_annotations(annotations):
         lines.append(f'{a.track_id} {bbox} {a.frame} 0 '
                      f'{int(a.occluded)} {int(a.generated)} "{a.label}"')
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def bbox_center(bbox):
-    xmin, ymin, xmax, ymax = bbox
-    return ((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
 
 
 @dataclass
@@ -167,30 +202,41 @@ def build_tracks(annotations):
     (out-of-view gaps left by dropped lost records), so every returned track
     has unit frame spacing.  Duplicate frames keep the first record.
     """
-    by_id = {}
-    for a in annotations:
-        by_id.setdefault(a.track_id, []).append(a)
+    annotations = list(annotations)
+    if not annotations:
+        return []
+    n = len(annotations)
+    track_ids = list(map(itemgetter(0), annotations))
+    # ids sort by rank, so an id need not fit in int64
+    rank = {tid: r for r, tid in enumerate(sorted(set(track_ids)))}
+    ids = np.fromiter(map(rank.__getitem__, track_ids), np.int64, n)
+    try:
+        frames = np.fromiter(map(itemgetter(2), annotations), np.int64, n)
+    except OverflowError:
+        raise DataError("an annotated frame lies outside the int64 range") from None
+    boxes = np.fromiter(chain.from_iterable(map(itemgetter(1), annotations)),
+                        np.float64, 4 * n).reshape(n, 4)
+    # stable: records of one (track, frame) stay in input order, first one wins
+    order = np.lexsort((frames, ids))
+    ids, frames = ids[order], frames[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ids[1:] != ids[:-1]) | (frames[1:] != frames[:-1])
+    order, ids, frames = order[first], ids[first], frames[first]
+    box = boxes[order]
+    xy = np.empty((order.size, 2))
+    xy[:, 0] = (box[:, 0] + box[:, 2]) / 2.0
+    xy[:, 1] = (box[:, 1] + box[:, 3]) / 2.0
+    new_id = ids[1:] != ids[:-1]
+    cuts = np.flatnonzero(new_id | (frames[1:] - frames[:-1] != 1)) + 1
+    bounds = [0, *cuts.tolist(), order.size]
     tracks = []
-    for tid in sorted(by_id):
-        rows = sorted(by_id[tid], key=lambda a: a.frame)
-        seen = set()
-        frames, pts = [], []
-        label = rows[0].label
-        for a in rows:
-            if a.frame in seen:
-                continue
-            seen.add(a.frame)
-            frames.append(a.frame)
-            pts.append(bbox_center(a.bbox))
-        frames = np.asarray(frames, dtype=np.int64)
-        pts = np.asarray(pts)
-        cuts = np.flatnonzero(np.diff(frames) != 1)
-        start = 0
-        for cut in list(cuts) + [frames.size - 1]:
-            end = cut + 1
-            tracks.append(AgentTrack(tid, label, frames[start:end], pts[start:end]))
-            start = end
-    return [t for t in tracks if len(t) > 0]
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        if start == 0 or new_id[start - 1]:
+            # every piece of a track takes the label of its first record
+            first_record = annotations[order[start]]
+        tracks.append(AgentTrack(first_record.track_id, first_record.label,
+                                 frames[start:end], xy[start:end]))
+    return tracks
 
 
 def subsample(track, stride, offset=0):
@@ -272,33 +318,29 @@ def build_windows(tracks_by_scene, t_obs=T_OBS, t_pred=T_PRED):
     span = t_obs + t_pred
     windows = []
     for scene_id in sorted(tracks_by_scene):
-        tracks = tracks_by_scene[scene_id]
-        steps = {int(d) for t in tracks for d in np.diff(t.frames)}
+        tracks = sorted(tracks_by_scene[scene_id], key=lambda t: t.track_id)  # stable
+        diffs = [np.diff(t.frames) for t in tracks]
+        steps = np.unique(np.concatenate(diffs)).tolist() if diffs else []
         if len(steps) > 1:
-            raise DataError(f"scene {scene_id}: inconsistent frame steps {sorted(steps)}")
-        step = steps.pop() if steps else 1
-        frame_to_row = [dict(zip(t.frames.tolist(), range(len(t)))) for t in tracks]
-        all_frames = sorted({int(f) for t in tracks for f in t.frames})
-        for start in all_frames:
-            span_frames = [start + i * step for i in range(span)]
-            members = []
-            for ti, t in enumerate(tracks):
-                rows = frame_to_row[ti]
-                if all(f in rows for f in span_frames):
-                    members.append((t.track_id, ti, rows[start]))
-            if not members:
-                continue
-            members.sort()
-            ids, cls, obs, fut = [], [], [], []
-            for tid, ti, row0 in members:
-                t = tracks[ti]
-                pts = t.xy[row0:row0 + span]
-                ids.append(tid)
-                cls.append(t.class_idx)
-                obs.append(pts[:t_obs])
-                fut.append(pts[t_obs:])
-            windows.append(SceneWindow(scene_id, start, step, tuple(ids),
-                                       np.array(cls), np.array(obs), np.array(fut)))
+            raise DataError(f"scene {scene_id}: inconsistent frame steps {steps}")
+        step = steps[0] if steps else 1
+        # Every track is gap-free at ``step``, so it covers the span that
+        # begins at ``start`` exactly when ``start`` is one of its frames and
+        # no later than its last frame less the span.
+        firsts = [int(t.frames[0]) for t in tracks]
+        last_starts = [int(t.frames[-1]) - (span - 1) * step for t in tracks]
+        classes = [t.class_idx for t in tracks]
+        starts = sorted({start for first, last in zip(firsts, last_starts)
+                         for start in range(first, last + 1, step)})
+        for start in starts:
+            members = [j for j, (first, last) in enumerate(zip(firsts, last_starts))
+                       if first <= start <= last and (start - first) % step == 0]
+            rows = [(start - firsts[j]) // step for j in members]
+            pts = np.array([tracks[j].xy[row:row + span] for j, row in zip(members, rows)])
+            windows.append(SceneWindow(scene_id, start, step,
+                                       tuple(tracks[j].track_id for j in members),
+                                       np.array([classes[j] for j in members]),
+                                       pts[:, :t_obs].copy(), pts[:, t_obs:].copy()))
     return windows
 
 
@@ -430,54 +472,181 @@ def write_atomic(path, text):
             os.unlink(tmp)
 
 
+def _csv_cells(fields):
+    """``fields`` as csv.writer quotes them, joined by commas, with no line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)  # its "\r\n" line end decides what needs quotes
+    return buf.getvalue()[:-2]
+
+
 def write_windows_csv(windows, path):
-    out = io.StringIO()
-    w = csv.writer(out)
-    w.writerow(WINDOW_CSV_HEADER)
+    """Write one row per agent per step, with the text csv.writer would give.
+
+    Only ``scene_id`` and ``window_id`` can need quoting; they go through
+    csv.writer once per window, and the numeric cells are formatted directly
+    (``repr`` of each coordinate, which reads back exactly).
+    """
+    lines = [_csv_cells(WINDOW_CSV_HEADER) + "\r\n"]
+    append = lines.append
     for win in windows:
-        pts = win.points()
-        for ai, aid in enumerate(win.agent_ids):
-            for t in range(pts.shape[1]):
-                w.writerow([win.scene_id, win.window_id, aid,
-                            int(win.class_indices[ai]), t,
-                            repr(float(pts[ai, t, 0])), repr(float(pts[ai, t, 1])),
-                            int(t >= win.t_obs), win.frame_step])
-    write_atomic(path, out.getvalue())
+        quoted_ids = _csv_cells((win.scene_id, win.window_id))
+        t_obs, step = win.t_obs, win.frame_step
+        for aid, cls, agent in zip(win.agent_ids, win.class_indices.tolist(),
+                                   win.points().tolist()):
+            head = f"{quoted_ids},{aid},{cls}"
+            for t, (x, y) in enumerate(agent):
+                append(f"{head},{t},{x!r},{y!r},{int(t >= t_obs)},{step}\r\n")
+    write_atomic(path, "".join(lines))
+
+
+_WINDOW_CSV_INTS = ("agent_id", "class_index", "t", "is_future", "frame_step")
+
+
+def _window_csv_error(path, row, message):
+    """DataError naming the 1-based line that ends data row ``row`` of a window CSV."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in range(row + 2):  # the header and rows 0..row
+            next(reader)
+        return DataError(f"line {reader.line_num}: {message}")
+
+
+def _int_column(cells):
+    """int64 array of integer cells, converting each distinct cell once (ids,
+    steps and flags take few values)."""
+    values = {cell: int(cell) for cell in set(cells)}
+    return np.fromiter(map(values.__getitem__, cells), np.int64, len(cells))
+
+
+def _first_bad_cell(cells):
+    """(row, message) for the first numeric cell of the flattened rows that is
+    not a number of its column's kind, or an integer that int64 cannot hold."""
+    width = len(WINDOW_CSV_HEADER)
+    for k, cell in enumerate(cells):
+        name = WINDOW_CSV_HEADER[k % width]
+        try:
+            if name in _WINDOW_CSV_INTS:
+                np.int64(int(cell))
+            elif name in ("x", "y"):
+                float(cell)
+        except (ValueError, OverflowError):
+            return k // width, f"{name} {cell!r} is not a valid number"
+    raise AssertionError("every numeric cell converts")
 
 
 def read_windows_csv(path):
-    """Rebuild SceneWindows from the CSV produced by write_windows_csv."""
-    groups = {}
+    """Rebuild SceneWindows from a window CSV such as write_windows_csv writes.
+
+    Rows may come in any order.  The rows that share ``scene_id``,
+    ``window_id`` and ``frame_step`` make one window; windows come in the
+    order of their first rows, agents by id and steps by ``t``.  Each agent
+    of a window has exactly one row for each step ``0..T-1`` (a duplicate row
+    is rejected), the same ``class_index`` on all of them, and ``is_future``
+    0 on its first steps and 1 on the rest.  All agents of a window have the
+    same ``T`` and the same number of observed steps, at least one.  A row
+    that breaks this, or that has other than nine cells or a numeric cell
+    that does not parse, raises DataError naming its 1-based line.
+    """
+    width = len(WINDOW_CSV_HEADER)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != WINDOW_CSV_HEADER:
-            missing = [c for c in WINDOW_CSV_HEADER if c not in (header or [])]
-            raise DataError(f"unexpected window CSV header {header}; "
-                            f"missing columns: {missing}")
-        for row in reader:
-            key = (row[0], row[1], int(row[8]))
-            agent = groups.setdefault(key, {}).setdefault(
-                int(row[2]), {"class": int(row[3]), "pts": {}})
-            agent["pts"][int(row[4])] = (float(row[5]), float(row[6]), int(row[7]))
+
+        def full_row(row):
+            if len(row) != width:
+                raise DataError(f"line {reader.line_num}: expected {width} cells, "
+                                f"got {len(row)}")
+            return row
+
+        try:
+            header = next(reader, None)
+            if header != WINDOW_CSV_HEADER:
+                missing = [c for c in WINDOW_CSV_HEADER if c not in (header or [])]
+                raise DataError(f"unexpected window CSV header {header}; "
+                                f"missing columns: {missing}")
+            # flattened as they are read: keeping every row's list alive would
+            # set off the cyclic garbage collector again and again
+            cells = list(chain.from_iterable(map(full_row, reader)))
+        except csv.Error as e:
+            raise DataError(f"line {reader.line_num}: {e}") from None
+    n = len(cells) // width
+    if n == 0:
+        return []
+    scene_ids, window_ids = cells[0::width], cells[1::width]
+    try:
+        agent, cls, t, is_future, steps = (_int_column(cells[col::width])
+                                           for col in (2, 3, 4, 7, 8))
+        xy = np.empty((n, 2))
+        xy[:, 0] = np.fromiter(map(float, cells[5::width]), np.float64, n)
+        xy[:, 1] = np.fromiter(map(float, cells[6::width]), np.float64, n)
+    except (ValueError, OverflowError):
+        raise _window_csv_error(path, *_first_bad_cell(cells)) from None
+    del cells
+    # (scene_id, window_id, frame_step) -> window number, in order of first row
+    keys = dict.fromkeys(zip(scene_ids, window_ids, steps.tolist()))
+    for number, key in enumerate(keys):
+        keys[key] = number
+    window = np.fromiter(map(keys.__getitem__, zip(scene_ids, window_ids, steps.tolist())),
+                         np.int64, n)
+
+    order = np.lexsort((t, agent, window))  # stable: duplicates keep file order
+    window, agent, t, is_future, cls = (a[order] for a in (window, agent, t, is_future, cls))
+    same_agent = np.zeros(n, dtype=bool)  # sorted row i continues row i-1's agent
+    same_agent[1:] = (window[1:] == window[:-1]) & (agent[1:] == agent[:-1])
+    starts = np.flatnonzero(~same_agent)  # each agent's first sorted row
+    lengths = np.diff(np.append(starts, n))
+    position = np.arange(n) - np.repeat(starts, lengths)
+
+    def error(j, message):
+        return _window_csv_error(path, order[j], f"window {window_ids[order[j]]!r} "
+                                                 f"agent {agent[j]}: {message}")
+
+    row_checks = (
+        (same_agent & (t == np.r_[0, t[:-1]]), "duplicate row for step {t}"),
+        (t != position, "steps must run 0..T-1; found step {t} in place of step {i}"),
+        ((is_future != 0) & (is_future != 1), "is_future must be 0 or 1"),
+        (same_agent & (is_future < np.r_[0, is_future[:-1]]),
+         "is_future goes from 1 back to 0 at step {t}"),
+        (same_agent & (cls != np.r_[0, cls[:-1]]), "class_index changes at step {t}"),
+    )
+    for bad, message in row_checks:
+        if bad.any():
+            j = np.flatnonzero(bad)
+            j = j[np.argmin(order[j])]  # the offending row that comes first in the file
+            raise error(j, message.format(t=t[j], i=position[j]))
+
+    observed = lengths - np.add.reduceat(is_future, starts)
+    window_of = window[starts]
+    first = np.flatnonzero(np.r_[True, window_of[1:] != window_of[:-1]])  # per window
+    n_agents = np.diff(np.append(first, starts.size))
+    longest = np.repeat(np.maximum.reduceat(lengths, first), n_agents)
+    observed0 = np.repeat(observed[first], n_agents)
+    agent_checks = (
+        (lengths != longest, "has {L} steps where another agent of its window has {L0}"),
+        (observed == 0, "has no observed step"),
+        (observed != observed0,
+         "has {obs} observed steps where another agent of its window has {obs0}"),
+    )
+    for bad, message in agent_checks:
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            raise error(starts[k] + lengths[k] - 1, message.format(
+                L=lengths[k], L0=longest[k], obs=observed[k], obs0=observed0[k]))
+
+    xy = xy[order]
+    ids, cls = agent[starts].tolist(), cls[starts]
+    starts, lengths, observed = starts.tolist(), lengths.tolist(), observed.tolist()
     windows = []
-    for (scene_id, window_id, frame_step), agents in groups.items():
-        ids = sorted(agents)
-        cls, obs, fut = [], [], []
-        for aid in ids:
-            rec = agents[aid]
-            ts = sorted(rec["pts"])
-            pts = np.array([[rec["pts"][t][0], rec["pts"][t][1]] for t in ts])
-            n_obs = sum(1 for t in ts if rec["pts"][t][2] == 0)
-            cls.append(rec["class"])
-            obs.append(pts[:n_obs])
-            fut.append(pts[n_obs:])
+    for (scene_id, window_id, frame_step), a0, count in zip(keys, first.tolist(),
+                                                          n_agents.tolist()):
+        a1 = a0 + count
+        span, n_obs = lengths[a0], observed[a0]
+        pts = xy[starts[a0]:starts[a0] + count * span].reshape(count, span, 2)
         try:
             start = int(window_id.rsplit(":", 1)[1])
         except (IndexError, ValueError):
             start = 0
-        windows.append(SceneWindow(scene_id, start, frame_step, tuple(ids), np.array(cls),
-                                   np.array(obs), np.array(fut)))
+        windows.append(SceneWindow(scene_id, start, frame_step, tuple(ids[a0:a1]),
+                                   cls[a0:a1], pts[:, :n_obs].copy(), pts[:, n_obs:].copy()))
     return windows
 
 

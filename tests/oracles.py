@@ -5,10 +5,13 @@ loops, central differences, textbook formulas) so that agreement with the
 library is a real two-route check rather than the same code twice.
 """
 
+import csv
+import io
+
 import numpy as np
 
 from trajgan import tensor as T
-from trajgan.data import CLASS_NAMES
+from trajgan.data import CLASS_NAMES, WINDOW_CSV_HEADER, AgentTrack, DataError, SceneWindow
 from trajgan.evaluate import constant_velocity_baseline
 from trajgan.model import generator_forward, score_fake, score_real
 from trajgan.optim import clip_grad_norm, grad_norm
@@ -345,3 +348,90 @@ def looped_train_step_nogan(batch, gen, g_opt, config, rng):
         rec["variety"] = float(loss.data)
         rec["grad_norm_g"] = _norm_and_step(gen.parameters(), g_opt, config)
     return rec
+
+
+# ---------------------------------------------------------------------------
+# data pipeline
+
+def looped_build_tracks(annotations):
+    """Per-record grouping into tracks: a dict per track id, a set for the
+    frames already seen (the first record of a frame wins), a cut at every
+    gap."""
+    by_id = {}
+    for a in annotations:
+        by_id.setdefault(a.track_id, []).append(a)
+    tracks = []
+    for tid in sorted(by_id):
+        rows = sorted(by_id[tid], key=lambda a: a.frame)
+        seen = set()
+        frames, pts = [], []
+        label = rows[0].label
+        for a in rows:
+            if a.frame in seen:
+                continue
+            seen.add(a.frame)
+            frames.append(a.frame)
+            xmin, ymin, xmax, ymax = a.bbox
+            pts.append(((xmin + xmax) / 2.0, (ymin + ymax) / 2.0))
+        frames = np.asarray(frames, dtype=np.int64)
+        pts = np.asarray(pts)
+        cuts = np.flatnonzero(np.diff(frames) != 1)
+        start = 0
+        for cut in list(cuts) + [frames.size - 1]:
+            end = cut + 1
+            tracks.append(AgentTrack(tid, label, frames[start:end], pts[start:end]))
+            start = end
+    return [t for t in tracks if len(t) > 0]
+
+
+def looped_build_windows(tracks_by_scene, t_obs, t_pred):
+    """Window membership by looking up every frame of the span in a
+    frame -> row dict of every track, for every start frame of the scene."""
+    span = t_obs + t_pred
+    windows = []
+    for scene_id in sorted(tracks_by_scene):
+        tracks = tracks_by_scene[scene_id]
+        steps = {int(d) for t in tracks for d in np.diff(t.frames)}
+        if len(steps) > 1:
+            raise DataError(f"scene {scene_id}: inconsistent frame steps {sorted(steps)}")
+        step = steps.pop() if steps else 1
+        frame_to_row = [dict(zip(t.frames.tolist(), range(len(t)))) for t in tracks]
+        all_frames = sorted({int(f) for t in tracks for f in t.frames})
+        for start in all_frames:
+            span_frames = [start + i * step for i in range(span)]
+            members = []
+            for ti, t in enumerate(tracks):
+                rows = frame_to_row[ti]
+                if all(f in rows for f in span_frames):
+                    members.append((t.track_id, ti, rows[start]))
+            if not members:
+                continue
+            members.sort()
+            ids, cls, obs, fut = [], [], [], []
+            for tid, ti, row0 in members:
+                t = tracks[ti]
+                pts = t.xy[row0:row0 + span]
+                ids.append(tid)
+                cls.append(t.class_idx)
+                obs.append(pts[:t_obs])
+                fut.append(pts[t_obs:])
+            windows.append(SceneWindow(scene_id, start, step, tuple(ids),
+                                       np.array(cls), np.array(obs), np.array(fut)))
+    return windows
+
+
+def csv_writer_windows_text(windows):
+    """The window CSV text with every row, numbers included, passed through
+    csv.writer."""
+    out = io.StringIO()
+    w = csv.writer(out)
+    w.writerow(WINDOW_CSV_HEADER)
+    for win in windows:
+        pts = win.points()
+        for ai, aid in enumerate(win.agent_ids):
+            for t in range(pts.shape[1]):
+                w.writerow([win.scene_id, win.window_id, aid,
+                            int(win.class_indices[ai]), t,
+                            repr(float(pts[ai, t, 0])), repr(float(pts[ai, t, 1])),
+                            int(t >= win.t_obs), win.frame_step])
+    return out.getvalue()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -174,6 +175,20 @@ def test_cmd_parse_golden_windows(tmp_path, capsys):
     assert all(w.n_agents == 2 for w in back)
 
 
+def test_cmd_parse_manifest_records_output_and_counts(tmp_path, capsys):
+    data_root = write_fixture_dataset(tmp_path / "ds")
+    out = tmp_path / "parsed"
+    assert cli.main(["parse", str(data_root), "--out", str(out)]) == cli.EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    digest = hashlib.sha256((out / "windows.csv").read_bytes()).hexdigest()
+    assert manifest["outputs"] == {"windows.csv": digest}
+    assert manifest["counts"] == {"lines": 576, "tracks": 2, "windows": 5}
+    # a second parse of the same tree writes the same manifest
+    again = tmp_path / "again"
+    assert cli.main(["parse", str(data_root), "--out", str(again)]) == cli.EXIT_OK
+    assert (again / "manifest.json").read_text() == (out / "manifest.json").read_text()
+
+
 def test_cmd_parse_missing_and_empty_dirs(tmp_path, capsys):
     rc = cli.main(["parse", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_DATA
@@ -293,6 +308,20 @@ def test_cmd_train_exit_codes(tmp_path, capsys):
     cfg.data.root = str(tmp_path / "absent.csv")
     missing_data = write_config(tmp_path, cfg)
     assert cli.main(["train", "--config", str(missing_data)]) == cli.EXIT_DATA
+
+
+def test_cmd_train_malformed_window_csv_exit(tmp_path, capsys):
+    windows = C.load_windows(small_experiment(tmp_path).data)
+    csv_path = tmp_path / "w.csv"
+    D.write_windows_csv(windows, csv_path)
+    header, *rows = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join([header] + rows[:-1]) + "\n")  # last agent loses a step
+    cfg = small_experiment(tmp_path)
+    cfg.data.source = "windows_csv"
+    cfg.data.root = str(csv_path)
+    rc = cli.main(["train", "--config", str(write_config(tmp_path, cfg))])
+    assert rc == cli.EXIT_DATA
+    assert f"line {len(rows)}:" in capsys.readouterr().err
 
 
 def test_cmd_train_numeric_failure_exit(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import csv_writer_windows_text, looped_build_tracks, looped_build_windows
 from trajgan import data as D
 
 
@@ -26,7 +28,9 @@ def test_parse_single_line():
     assert a.track_id == 3
     assert a.frame == 0
     assert a.label == "pedestrian"
-    assert D.bbox_center(a.bbox) == (20.0, 30.0)
+    assert a.bbox == (10.0, 20.0, 30.0, 40.0)
+    (track,) = D.build_tracks([a])
+    assert track.xy.tolist() == [[20.0, 30.0]]  # the box centre
 
 
 def test_parse_drops_lost_keeps_occluded():
@@ -70,6 +74,69 @@ def test_parse_serialize_round_trip():
     assert once == again
 
 
+def record(tid, bbox, frame, occluded=False, generated=False, label="car"):
+    return (tid, tuple(float(v) for v in bbox), frame, occluded, generated, label)
+
+
+PARSE_TOLERANCE = {
+    "crlf line ends": ('1 0 0 2 2 0 0 0 0 "Car"\r\n2 0 0 4 4 1 0 1 0 "Bus"\r\n',
+                       [record(1, (0, 0, 2, 2), 0),
+                        record(2, (0, 0, 4, 4), 1, occluded=True, label="bus")]),
+    "tabs": ('1\t0\t0\t2\t2\t5\t0\t0\t1\t"Car"\n',
+             [record(1, (0, 0, 2, 2), 5, generated=True)]),
+    "leading and trailing whitespace": ('  \t1 0.5 0 2 2 0 0 0 0 "Car" \t \n',
+                                        [record(1, (0.5, 0, 2, 2), 0)]),
+    "blank and whitespace-only lines": ('\n \t \n1 0 0 2 2 3 0 0 0 "Car"\n\n   \n',
+                                        [record(1, (0, 0, 2, 2), 3)]),
+    "golf cart": ('1 0 0 2 2 0 0 0 0 "golf cart"\n2 0 0 2 2 0 0 0 0 "Golf Cart"\n',
+                  [record(1, (0, 0, 2, 2), 0, label="golf cart"),
+                   record(2, (0, 0, 2, 2), 0, label="golf cart")]),
+    "aliased and upper-case labels": (
+        '1 0 0 2 2 0 0 0 0 "Cart"\n2 0 0 2 2 0 0 0 0 "BIKER"\n'
+        '3 0 0 2 2 0 0 0 0 "Skater"\n4 0 0 2 2 0 0 0 0 "PEDESTRIAN"\n'
+        '5 0 0 2 2 0 0 0 0 "Cart"\n',
+        [record(1, (0, 0, 2, 2), 0, label="golf cart"),
+         record(2, (0, 0, 2, 2), 0, label="bicyclist"),
+         record(3, (0, 0, 2, 2), 0, label="skateboarder"),
+         record(4, (0, 0, 2, 2), 0, label="pedestrian"),
+         record(5, (0, 0, 2, 2), 0, label="golf cart")]),
+    "repeated unknown label": ('1 0 0 2 2 0 0 0 0 "Car"\n\n3 0 0 2 2 0 0 0 0 "Unicycle"\n'
+                               '4 0 0 2 2 0 0 0 0 "Unicycle"\n',
+                               (D.UnknownLabelError, 3)),
+    "unknown label on a lost line": ('1 0 0 2 2 0 1 0 0 "Unicycle"\n', (D.UnknownLabelError, 1)),
+    "bad number after a seen label": ('1 0 0 2 2 0 0 0 0 "Car"\n1 0 x 2 2 1 0 0 0 "Car"\n',
+                                      (D.AnnotationParseError, 2)),
+    "unordered bbox after a seen label": ('1 0 0 2 2 0 0 0 0 "Car"\n1 3 0 2 2 1 0 0 0 "Car"\n',
+                                          (D.AnnotationParseError, 2)),
+    "bad flag": ('1 0 0 2 2 0 0 0 0 "Car"\n1 0 0 2 2 1 0 y 0 "Car"\n',
+                 (D.AnnotationParseError, 2)),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_TOLERANCE))
+def test_parser_tolerance(case):
+    text, want = PARSE_TOLERANCE[case]
+    for source in (text, text.splitlines(keepends=True)):
+        if isinstance(want, tuple):
+            error, line = want
+            with pytest.raises(error) as exc:
+                D.parse_annotations(source)
+            assert exc.value.line_number == line
+        else:
+            got = D.parse_annotations(source)
+            assert [(a.track_id, a.bbox, a.frame, a.occluded, a.generated, a.label)
+                    for a in got] == want
+            assert all(type(a.occluded) is bool and type(a.generated) is bool for a in got)
+
+
+def test_raw_annotation_is_an_immutable_record():
+    (a,) = D.parse_annotations(SAMPLE)
+    assert a == D.RawAnnotation(3, (10.0, 20.0, 30.0, 40.0), 0, False, False, "pedestrian")
+    assert a._replace(frame=1) != a
+    with pytest.raises(AttributeError):
+        a.frame = 1
+
+
 def test_class_ordering_is_alphabetical():
     assert D.CLASS_NAMES == tuple(sorted(D.CLASS_NAMES))
     assert D.class_index("Biker") == 0
@@ -94,6 +161,48 @@ def test_build_tracks_dedupes_frames():
     (track,) = D.build_tracks(D.parse_annotations(text))
     assert track.frames.tolist() == [0, 1]
     assert track.xy[0].tolist() == [1.0, 1.0]  # first record wins
+
+
+def test_build_tracks_takes_any_int_id_and_rejects_frames_beyond_int64():
+    big = 2**70
+    text = f'{big} 0 0 2 2 0 0 0 0 "Car"\n{-big} 0 0 2 2 0 0 0 0 "Bus"\n'
+    tracks = D.build_tracks(D.parse_annotations(text))
+    assert [(t.track_id, t.class_name) for t in tracks] == [(-big, "bus"), (big, "car")]
+    with pytest.raises(D.DataError, match="int64"):
+        D.build_tracks(D.parse_annotations(f'1 0 0 2 2 {2**63} 0 0 0 "Car"\n'))
+
+
+def assert_same_tracks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.track_id, a.class_name) == (b.track_id, b.class_name)
+        assert type(a.track_id) is type(b.track_id)
+        assert a.frames.tolist() == b.frames.tolist()
+        assert a.xy.dtype == b.xy.dtype and a.xy.tobytes() == b.xy.tobytes()
+
+
+coords = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def annotation_lists(draw):
+    """Records of a few tracks in any order: ids may repeat with another
+    label, frames may repeat (duplicates) or skip (gaps), and a track may
+    have a single frame."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        tid = draw(st.integers(0, 4))
+        label = draw(st.sampled_from(("car", "bus", "pedestrian")))
+        for frame in draw(st.lists(st.integers(0, 30), min_size=1, max_size=25)):
+            bbox = tuple(draw(coords) for _ in range(4))
+            out.append(D.RawAnnotation(tid, bbox, frame, False, False, label))
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotations=annotation_lists())
+def test_build_tracks_matches_looped_reference(annotations):
+    assert_same_tracks(D.build_tracks(annotations), looped_build_tracks(annotations))
 
 
 def test_subsample_keeps_aligned_frames():
@@ -170,6 +279,50 @@ def test_windows_respect_subsampled_step():
 
 def test_short_tracks_give_no_windows():
     assert D.build_windows({"s": [make_track(1, range(19))]}) == []
+
+
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.scene_id, a.start_frame, a.frame_step, a.agent_ids) \
+            == (b.scene_id, b.start_frame, b.frame_step, b.agent_ids)
+        assert [type(v) for v in (a.start_frame, a.frame_step, *a.agent_ids)] \
+            == [type(v) for v in (b.start_frame, b.frame_step, *b.agent_ids)]
+        for name in ("class_indices", "observed", "future"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def scene_tracks(draw):
+    """Scenes of gap-free tracks at one step, each starting at its own frame
+    (so tracks need not share a clock); ids may repeat, tracks may have one
+    frame, and now and then a track has a gap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scenes = {}
+    for scene in draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=2, unique=True)):
+        step = draw(st.integers(1, 4))
+        tracks = []
+        for _ in range(draw(st.integers(0, 6))):
+            frames = draw(st.integers(0, 12)) + step * np.arange(draw(st.integers(1, 30)))
+            if draw(st.integers(0, 9)) == 0:
+                frames[frames.size // 2:] += 1  # a gap: the scene's steps disagree
+            tracks.append(D.AgentTrack(draw(st.integers(0, 5)), draw(st.sampled_from(D.CLASS_NAMES)),
+                                       frames, rng.uniform(-500, 500, (frames.size, 2))))
+        scenes[scene] = tracks
+    return scenes
+
+
+@settings(max_examples=150, deadline=None)
+@given(tracks_by_scene=scene_tracks(), t_obs=st.integers(1, 8), t_pred=st.integers(0, 12))
+def test_build_windows_matches_looped_reference(tracks_by_scene, t_obs, t_pred):
+    try:
+        want = looped_build_windows(tracks_by_scene, t_obs, t_pred)
+    except D.DataError as exc:
+        with pytest.raises(D.DataError, match=re.escape(str(exc))):
+            D.build_windows(tracks_by_scene, t_obs, t_pred)
+        return
+    assert_same_windows(D.build_windows(tracks_by_scene, t_obs, t_pred), want)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +453,81 @@ def test_window_csv_round_trip(tmp_path):
         assert np.array_equal(w0.class_indices, w1.class_indices)
         assert np.array_equal(w0.observed, w1.observed)
         assert np.array_equal(w0.future, w1.future)
+
+
+def test_window_csv_text_matches_csv_writer(tmp_path):
+    windows = []
+    for k, scene_id in enumerate(("plaza, north", 'say "hi"', " padded scene ", "two\nlines")):
+        windows += D.synth_scene("turn", 2, ["car", "bus"], seed=k, n_windows=2, jitter=0.3,
+                                 scene_id=scene_id)
+    w = windows[0]
+    pts = w.points()
+    pts[0, :4] = [(-0.0, 1e-300), (1e20, 0.1 + 0.2), (5e-324, -123456789.125), (1.0, -1e-7)]
+    windows[0] = D.SceneWindow(w.scene_id, 7, 12, (3, 11), w.class_indices,
+                               pts[:, :w.t_obs], pts[:, w.t_obs:])
+    path = tmp_path / "windows.csv"
+    D.write_windows_csv(windows, path)
+    with open(path, newline="") as fh:
+        assert fh.read() == csv_writer_windows_text(windows)
+    assert_same_windows(D.read_windows_csv(path), windows)
+
+
+def test_window_csv_row_order_is_free(tmp_path):
+    windows = D.synth_scene("turn", 3, ["car", "bus"], seed=4, n_windows=3, jitter=0.2)
+    path = tmp_path / "windows.csv"
+    D.write_windows_csv(windows, path)
+    header, *rows = path.read_text().splitlines()
+    np.random.default_rng(0).shuffle(rows)
+    path.write_text("\n".join([header] + rows) + "\n")
+    back = {w.window_id: w for w in D.read_windows_csv(path)}
+    assert_same_windows([back[w.window_id] for w in windows], windows)
+
+
+def window_csv_rows():
+    """Window s:0 of agents 1 and 2 over steps 0..2, two of them observed;
+    the header is line 1, agent 1 lines 2-4 and agent 2 lines 5-7."""
+    return [f"s,s:0,{aid},4,{t},{t}.5,{aid}.0,{int(t >= 2)},1"
+            for aid in (1, 2) for t in range(3)]
+
+
+def replaced(rows, i, **cells):
+    cols = rows[i].split(",")
+    for name, value in cells.items():
+        cols[D.WINDOW_CSV_HEADER.index(name)] = value
+    return rows[:i] + [",".join(cols)] + rows[i + 1:]
+
+
+MALFORMED_WINDOW_CSV = {
+    "short row": (lambda r: r[:3] + ["s,s:0,2,4,0,0.5"] + r[4:], 5, "expected 9 cells"),
+    "non-numeric cell": (lambda r: replaced(r, 1, x="abc"), 3, "x 'abc'"),
+    "agent missing its last step": (lambda r: r[:5], 6, "has 2 steps"),
+    "no observed step": (lambda r: [replaced(r, i, is_future="1")[i] for i in range(6)], 4,
+                         "no observed step"),
+    "duplicate row": (lambda r: r[:2] + [r[1]] + r[2:], 4, "duplicate row for step 1"),
+    "steps not 0..T-1": (lambda r: r[:3] + [replaced(r, i, t=str(i - 2))[i] for i in (3, 4, 5)],
+                         5, "found step 1 in place of step 0"),
+    "is_future not 0s then 1s": (lambda r: replaced(replaced(r, 1, is_future="1"), 2,
+                                                    is_future="0"),
+                                 4, "is_future goes from 1 back to 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_WINDOW_CSV))
+def test_malformed_window_csv_names_its_line(tmp_path, case):
+    edit, line, message = MALFORMED_WINDOW_CSV[case]
+    path = tmp_path / "windows.csv"
+    path.write_text("\n".join([",".join(D.WINDOW_CSV_HEADER)] + edit(window_csv_rows())) + "\n")
+    with pytest.raises(D.DataError, match=rf"^line {line}: .*{re.escape(message)}"):
+        D.read_windows_csv(path)
+
+
+def test_valid_window_csv_rows_read_back(tmp_path):
+    path = tmp_path / "windows.csv"
+    path.write_text("\n".join([",".join(D.WINDOW_CSV_HEADER)] + window_csv_rows()) + "\n")
+    (w,) = D.read_windows_csv(path)
+    assert (w.window_id, w.agent_ids, w.frame_step) == ("s:0", (1, 2), 1)
+    assert w.observed.shape == (2, 2, 2) and w.future.shape == (2, 1, 2)
+    assert w.points()[1, :, 0].tolist() == [0.5, 1.5, 2.5]
 
 
 def write_fixture_dataset(root):
