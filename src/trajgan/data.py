@@ -350,9 +350,6 @@ class DatasetSplit:
     val: list = field(default_factory=list)
     test: list = field(default_factory=list)
 
-    def __iter__(self):
-        return iter((self.train, self.val, self.test))
-
 
 def split_dataset(windows, seed):
     """Deterministic seeded shuffle into 80/10/10 train/val/test parts."""

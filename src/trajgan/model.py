@@ -114,11 +114,12 @@ class Linear:
 class MLP:
     """Stack of Linears with the configured nonlinearity between them.
 
-    While ``collect_hidden`` is set, every call appends its pre-activation
-    tensors to ``last_hidden``; callers clear the list first.  After a
-    backward pass their gradients show which hidden nodes the nonlinearity
-    let through: a node whose activation gates it off gets an exact zero
-    there.
+    While ``collect_hidden`` is set, every call adds a zero-valued leaf to
+    each pre-activation and appends those probe leaves to ``last_hidden``;
+    callers clear the list first.  The sum has the pre-activation's value,
+    and after a backward pass each probe's gradient is the loss gradient at
+    its pre-activation.  It shows which hidden nodes the nonlinearity let
+    through: a node whose activation gates it off gets an exact zero there.
     """
 
     def __init__(self, dims, rng, activation="leaky_relu", slope=0.2):
@@ -131,13 +132,13 @@ class MLP:
         self.last_hidden = []
 
     def __call__(self, x):
-        hidden = []
         for layer in self.layers[:-1]:
             pre = layer(x)
-            hidden.append(pre)
+            if self.collect_hidden:
+                probe = Tensor(np.zeros(pre.shape), requires_grad=True)
+                self.last_hidden.append(probe)
+                pre = T.add(pre, probe)
             x = T.activation(pre, self.activation, self.slope)
-        if self.collect_hidden:
-            self.last_hidden.extend(hidden)
         return self.layers[-1](x)
 
     def named_parameters(self, prefix):
@@ -217,14 +218,11 @@ class MultiHeadAttention:
         self.Wv = Linear(hidden_dim, hidden_dim, rng)
         self.Wo = Linear(hidden_dim, hidden_dim, rng)
 
-    def __call__(self, x, collect_attn=None, groups=1):
+    def __call__(self, x, groups=1):
         """``x`` holds ``groups`` sequences in time-major rows (row
-        t*groups + g).  ``collect_attn`` receives one (T, T) map per
-        sequence and head, sequence-major."""
-        out, attn = T.grouped_attention(self.Wq(x), T.matmul(x, self.Wk), self.Wv(x),
-                                        self.heads, groups)
-        if collect_attn is not None:
-            collect_attn.extend(attn.reshape(-1, *attn.shape[2:]).copy())
+        t*groups + g)."""
+        out, _ = T.grouped_attention(self.Wq(x), T.matmul(x, self.Wk), self.Wv(x),
+                                     self.heads, groups)
         return self.Wo(out)
 
     def named_parameters(self, prefix):
@@ -254,7 +252,7 @@ class TransformerEncoder:
                 "ln2": LayerNorm(cfg.hidden_dim),
             })
 
-    def encode(self, seq, collect_attn=None, rows=1):
+    def encode(self, seq, rows=1):
         """(T*rows, in_dim) sequences of ``rows`` agents in time-major rows
         (row t*rows + r is step t of agent r) to (rows, hidden_dim)
         summaries; each agent attends only over its own steps."""
@@ -262,7 +260,7 @@ class TransformerEncoder:
         pe = np.repeat(sinusoidal_positions(length, self.config.hidden_dim), rows, axis=0)
         x = T.add(self.in_proj(seq), T.constant(pe))
         for layer in self.layers:
-            x = layer["ln1"](T.add(x, layer["mha"](x, collect_attn, rows)))
+            x = layer["ln1"](T.add(x, layer["mha"](x, rows)))
             ff = layer["ff2"](T.activation(layer["ff1"](x), self.config.activation,
                                            self.config.leaky_slope))
             x = layer["ln2"](T.add(x, ff))
@@ -315,7 +313,7 @@ class SequenceEncoder:
             return s
         return T.concat([s, self.class_embed(onehots)], axis=1)
 
-    def encode(self, xy, onehots, collect_attn=None):
+    def encode(self, xy, onehots):
         """(T*R, 2) displacements of R agents, time-major (row t*R + r is
         step t of agent r), and their (R, 6) one-hots -> (R, hidden_dim)
         summaries.  Every step of every agent is embedded in one call."""
@@ -324,7 +322,7 @@ class SequenceEncoder:
                                                              xy.shape[0] // rows)))
         if self.lstm is not None:
             return self.lstm.run(e, rows)
-        return self.transformer.encode(e, collect_attn, rows)
+        return self.transformer.encode(e, rows)
 
     def named_parameters(self, prefix):
         out = self.spatial.named_parameters(f"{prefix}.spatial")
@@ -550,7 +548,7 @@ def draw_noise(rng, n_agents, k, noise_dim):
     return np.stack(samples, axis=1)
 
 
-def generator_forward(gen, windows, k=None, rng=None, z=None, t_pred=None):
+def generator_forward(gen, windows, k=None, rng=None, z=None):
     """Encode, pool and decode k noise samples per agent for a batch of
     windows in one pass over all their agents.
 
@@ -566,7 +564,7 @@ def generator_forward(gen, windows, k=None, rng=None, z=None, t_pred=None):
         raise ContractError(f"need k >= 1 samples, got {k}")
     counts = [w.n_agents for w in batch]
     n = sum(counts)
-    t_pred = batch[0].t_pred if t_pred is None else t_pred
+    t_pred = batch[0].t_pred
     if z is None:
         if rng is None:
             raise ContractError("generator_forward needs either rng or z")

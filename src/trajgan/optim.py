@@ -1,8 +1,8 @@
-"""Adam optimizer operating on Tensor leaves.
+"""Adam optimizer and gradient-norm helpers operating on Tensor leaves.
 
-State lives outside the tensors so the same parameters can be driven by
-independent optimizers (generator vs discriminator).  ``adam_step`` consumes
-accumulated gradients and zeroes them afterwards.
+Each ``Adam`` owns its moment estimates and step count, so the generator
+and the discriminator are driven by independent optimizers.  ``step``
+consumes the accumulated gradients and clears them afterwards.
 """
 
 from __future__ import annotations
@@ -12,51 +12,40 @@ import numpy as np
 from .tensor import ContractError, Tensor
 
 
-class AdamState:
-    """Per-parameter Adam state: moment estimates, step count, hyperparameters."""
-
-    def __init__(self, shape, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-
-
-def adam_step(params, states):
-    """One bias-corrected Adam update for each parameter; grads are zeroed."""
-    if len(params) != len(states):
-        raise ContractError(f"{len(params)} params but {len(states)} states")
-    for p, s in zip(params, states):
-        if p.grad is None:
-            raise ContractError("adam_step on a parameter with no accumulated gradient")
-        g = p.grad
-        s.t += 1
-        s.m = s.beta1 * s.m + (1.0 - s.beta1) * g
-        s.v = s.beta2 * s.v + (1.0 - s.beta2) * (g * g)
-        m_hat = s.m / (1.0 - s.beta1 ** s.t)
-        v_hat = s.v / (1.0 - s.beta2 ** s.t)
-        p.data -= s.lr * m_hat / (np.sqrt(v_hat) + s.epsilon)
-        p.grad = None
-
-
 class Adam:
-    """Convenience wrapper pairing a parameter list with AdamStates."""
+    """Bias-corrected Adam over a fixed list of requires_grad leaves.
+
+    ``m`` and ``v`` hold one moment array per parameter; the
+    hyperparameters and the step count ``t`` are shared by all of them.
+    """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
         self.params = list(params)
         for p in self.params:
             if not isinstance(p, Tensor) or not p.requires_grad:
                 raise ContractError("Adam expects requires_grad leaf tensors")
-        self.states = [AdamState(p.shape, lr, beta1, beta2, epsilon) for p in self.params]
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.t = 0
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
 
     def step(self):
-        adam_step(self.params, self.states)
-
-    def zero_grad(self):
-        for p in self.params:
+        """One update of every parameter; gradients are cleared.  Raises
+        ContractError, before changing anything, if a parameter has none."""
+        if any(p.grad is None for p in self.params):
+            raise ContractError("Adam step on a parameter with no accumulated gradient")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat, v_hat = self.m[i] / c1, self.v[i] / c2
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
             p.grad = None
 
 

@@ -103,9 +103,11 @@ def _active_tape():
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode autodiff.
 
-    ``data`` is the value (row-major ndarray), ``grad`` accumulates gradients
-    across backward calls until explicitly zeroed, ``node_id`` is the index of
-    the tape entry that produced this tensor (None for leaves).
+    ``data`` is the value (row-major ndarray).  ``node_id`` is the index of
+    the tape entry that produced this tensor, None for a leaf: a tensor no
+    op produced.  ``grad`` lives on requires_grad leaves only; it
+    accumulates across backward calls until explicitly zeroed, and stays
+    None on every op output.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "tape_ref", "node_id", "__weakref__")
@@ -790,14 +792,10 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
 # ---------------------------------------------------------------------------
 # Backward
 
-def _keep_grad(out, g):
-    if out.requires_grad:
-        out.grad = g.copy() if out.grad is None else out.grad + g
-
-
 def backward(loss):
-    """Propagate d(loss)/d(tensor) to every requires_grad tensor reachable
-    from ``loss``.  Gradients accumulate across calls until zeroed.
+    """Add d(loss)/d(leaf) to the ``grad`` of every requires_grad leaf
+    reachable from ``loss``.  Gradients accumulate across calls until
+    zeroed; op outputs keep none.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -818,22 +816,18 @@ def backward(loss):
             g = tuple(pending.pop(id(out), None) for out in node.out)
             if all(part is None for part in g):
                 continue
-            for out, part in zip(node.out, g):
-                if part is not None:
-                    _keep_grad(out, part)
         else:
             g = pending.pop(id(node.out), None)
             if g is None:
                 continue
-            _keep_grad(node.out, g)
         for t, ig in zip(node.inputs, node.bwd(g)):
             if ig is None or not t.requires_grad:
                 continue
-            if t.tape_ref is ref and t.node_id is not None:
+            if t.node_id is None:
+                t.grad = ig.copy() if t.grad is None else t.grad + ig
+            elif t.tape_ref is ref:
                 key = id(t)
                 if key in pending:
                     pending[key] = pending[key] + ig
                 else:
                     pending[key] = ig
-            else:
-                t.grad = ig.copy() if t.grad is None else t.grad + ig

@@ -159,13 +159,14 @@ def _cell(v):
 # ---------------------------------------------------------------------------
 # single steps
 
-def _update(network, params, opt, loss, config):
-    """Clip or measure the gradient norm, then step -- unless the loss or the
-    norm is not finite, in which case the parameters are left untouched."""
+def _update(network, opt, loss, config):
+    """Clip or measure the gradient norm of ``opt.params``, then step --
+    unless the loss or the norm is not finite, in which case the parameters
+    are left untouched."""
     if config.clip_norm is not None:
-        norm = clip_grad_norm(params, config.clip_norm)
+        norm = clip_grad_norm(opt.params, config.clip_norm)
     else:
-        norm = grad_norm(params)
+        norm = grad_norm(opt.params)
     if not (np.isfinite(loss) and np.isfinite(norm)):
         raise TrainingDiverged(f"{network} loss is {loss}; grad norms: "
                                f"{network}={norm:.6e}")
@@ -214,7 +215,7 @@ def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0)
             loss_d = _discriminator_loss(batch, gen, disc, rng)
             T.backward(loss_d)
         d_val = float(loss_d.data)
-        d_norm = _update("discriminator", disc.parameters(), d_opt, d_val, config)
+        d_norm = _update("discriminator", d_opt, d_val, config)
 
     g_val = v_val = g_norm = None
     d_params = disc.parameters()
@@ -228,8 +229,7 @@ def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0)
                 loss_g = T.add(adv, var)
                 T.backward(loss_g)
             g_val, v_val = float(adv.data), float(var.data)
-            g_norm = _update("generator", gen.parameters(), g_opt, float(loss_g.data),
-                             config)
+            g_norm = _update("generator", g_opt, float(loss_g.data), config)
     finally:
         for p in d_params:
             p.requires_grad = True
@@ -249,7 +249,7 @@ def train_step_nogan(batch, gen, g_opt, config, rng, step=0, epoch=0):
             loss, _ = _generator_losses(batch, gen, config, rng)
             T.backward(loss)
         v_val = float(loss.data)
-        g_norm = _update("generator", gen.parameters(), g_opt, v_val, config)
+        g_norm = _update("generator", g_opt, v_val, config)
     return StepRecord(step, epoch, None, None, v_val, g_norm, None,
                       time.perf_counter() - t0)
 
@@ -319,7 +319,8 @@ class AblationResult:
 
 
 def hidden_grad_fraction(hidden_tensors):
-    """Fraction of nonzero entries across the given activation gradients."""
+    """Fraction of nonzero entries across the gradients of the given leaves,
+    such as the probes an MLP collects in ``last_hidden``."""
     total = nonzero = 0
     for h in hidden_tensors:
         if h.grad is None:

@@ -175,8 +175,7 @@ def test_05_nogan_overfits_fixed_batch():
     reached = None
     for s in range(500):
         lr = 1e-2 if s < 150 else (1e-3 if s < 400 else 1e-4)
-        for st in opt.states:
-            st.lr = lr
+        opt.lr = lr
         # recreating the rng fixes the noise draws, so the target of the
         # memorization is deterministic
         rec = train_step_nogan(windows, gen, opt, tc,

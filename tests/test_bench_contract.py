@@ -8,6 +8,8 @@ it fail in the unit suite instead.
 import importlib.util
 import pathlib
 
+import numpy as np
+
 from test_tensor import recording_ops
 from trajgan import config, data, evaluate, model, optim, train
 from trajgan import tensor as T
@@ -66,3 +68,13 @@ def test_workload_entry_points_exist():
     disc = model.build_discriminator(cfg, seed=1)
     assert callable(gen.encoder.encode) and callable(gen.pooling)
     assert callable(gen.decoder.decode) and callable(disc.score_steps)
+    # the worker counts an optimizer's params and wraps its step per instance
+    params = disc.parameters()
+    opt = optim.Adam(params, lr=1e-3)
+    assert [id(p) for p in opt.params] == [id(p) for p in params]
+    calls, step = [], opt.step
+    opt.step = lambda: calls.append(step())
+    for p in params:
+        p.grad = np.zeros(p.shape)
+    opt.step()
+    assert calls == [None] and all(p.grad is None for p in params)

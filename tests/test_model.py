@@ -59,6 +59,37 @@ def test_default_config_matches_training_setup():
 
 
 # ---------------------------------------------------------------------------
+# MLP
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_mlp_probe_leaves_carry_the_pre_activation_gradient(activation, monkeypatch):
+    rng = np.random.default_rng(8)
+    mlp = M.MLP((3, 4, 5, 1), rng, activation)
+    for layer in mlp.layers:  # a row whose units are all off would sit on the kink
+        layer.b.data[:] = rng.standard_normal(layer.b.shape)
+    x = Tensor(rng.standard_normal((6, 3)))
+    w = Tensor(rng.standard_normal((6, 1)))
+    plain = mlp(x).data
+    mlp.collect_hidden = True
+    assert np.array_equal(mlp(x).data, plain)
+    probes = mlp.last_hidden
+    assert [p.shape for p in probes] == [(6, 4), (6, 5)]
+    assert all(p.requires_grad and p.node_id is None and not p.data.any() for p in probes)
+
+    # finite differences move the probes, so every call gets the same ones
+    supply = []
+    monkeypatch.setattr(M, "Tensor", lambda data, requires_grad=False: supply.pop(0))
+
+    def loss():
+        supply[:] = probes
+        return T.mul(mlp(x), w).sum()
+
+    assert_grads_match(loss, probes)
+    if activation == "relu":
+        assert not all(p.grad.all() for p in probes)  # relu gates some nodes off
+
+
+# ---------------------------------------------------------------------------
 # LSTM cell
 
 def test_lstm_cell_matches_hand_evaluation():
@@ -166,26 +197,11 @@ def test_class_embedding_matrix():
 # ---------------------------------------------------------------------------
 # transformer
 
-def test_attention_rows_sum_to_one():
-    cfg = tiny_config(encoder="transformer")
-    enc = M.SequenceEncoder(cfg, np.random.default_rng(10))
-    steps = Tensor(np.random.default_rng(11).standard_normal((6 * 2, 2)))
-    attn = []
-    enc.encode(steps, Tensor(np.eye(6)[[0, 1]]), collect_attn=attn)
-    assert len(attn) == 2 * cfg.transformer_heads * cfg.transformer_layers
-    for a in attn:
-        assert a.shape == (6, 6)
-        assert np.allclose(a.sum(axis=1), 1.0, atol=1e-12)
-
-
 def test_single_token_attention_is_identity_weight():
     rng = np.random.default_rng(12)
     mha = M.MultiHeadAttention(4, 2, rng)
     x = Tensor(rng.standard_normal((1, 4)))
-    attn = []
-    out = mha(x, collect_attn=attn)
-    for a in attn:
-        assert np.array_equal(a, np.ones((1, 1)))
+    out = mha(x)
     manual = (x.data @ mha.Wv.W.data + mha.Wv.b.data) @ mha.Wo.W.data + mha.Wo.b.data
     assert np.allclose(out.data, manual, atol=1e-12)
 

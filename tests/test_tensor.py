@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import (assert_grads_match, finite_diff, looped_attention, looped_decode,
                      looped_lstm_sequence, looped_lstm_step, lstm_cell, sigmoid_ref)
 from trajgan import tensor as T
-from trajgan.optim import Adam, AdamState, adam_step, clip_grad_norm, grad_norm
+from trajgan.optim import Adam, clip_grad_norm, grad_norm
 from trajgan.tensor import (ContractError, NumericError, ShapeError, Tape, Tensor,
                             backward, no_grad)
 
@@ -734,6 +734,20 @@ def test_backward_rejects_non_scalar():
             backward(out)
 
 
+def test_backward_keeps_gradients_on_leaves_only():
+    rng = np.random.default_rng(23)
+    leaves = rollout_leaves(rng, 2, 2, 3, (3,), scale=0.5)
+    last = rng.standard_normal((2, 2, 2))
+    with Tape() as tape:
+        outs = rollout_call(T.lstm_rollout, leaves, last, 3, 0.3, "leaky_relu")()
+        backward(T.tanh(weighted_sum(outs, rollout_weights(rng, 2, 3))))
+    assert tape.nodes[0].out is outs
+    produced = [out for node in tape.nodes
+                for out in (node.out if type(node.out) is tuple else (node.out,))]
+    assert all(t.grad is None for t in produced)
+    assert all(x.grad is not None for x in leaves)
+
+
 def test_backward_visits_each_node_once():
     rng = np.random.default_rng(12)
     w = rand_leaf(rng, (3, 3))
@@ -816,7 +830,7 @@ def test_float64_everywhere():
 def test_adam_first_step_equals_lr():
     w = leaf([0.0])
     w.grad = np.array([1.0])
-    adam_step([w], [AdamState((1,), lr=0.001)])
+    Adam([w], lr=0.001).step()
     assert abs(w.data[0] - (-0.001)) < 1e-9
     assert w.grad is None
 
@@ -824,14 +838,20 @@ def test_adam_first_step_equals_lr():
 def test_adam_zero_grad_leaves_param_unchanged():
     w = leaf([5.0, -3.0])
     w.grad = np.zeros(2)
-    adam_step([w], [AdamState((2,), lr=0.1)])
+    Adam([w], lr=0.1).step()
     assert np.array_equal(w.data, [5.0, -3.0])
 
 
 def test_adam_missing_grad_is_contract_error():
-    w = leaf([1.0])
+    # the check comes before any update: the parameter that has a gradient
+    # keeps its value and its gradient, and the step count does not move
+    a, b = leaf([1.0]), leaf([2.0])
+    a.grad = np.array([0.5])
+    opt = Adam([a, b], lr=0.1)
     with pytest.raises(ContractError):
-        adam_step([w], [AdamState((1,))])
+        opt.step()
+    assert np.array_equal(a.data, [1.0]) and np.array_equal(a.grad, [0.5])
+    assert np.array_equal(b.data, [2.0]) and opt.t == 0
 
 
 def test_adam_converges_on_quadratic():
