@@ -439,11 +439,20 @@ def tmean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # Nonlinearities.  Kinked ops take their subgradient from the positive branch.
 
-def _sigmoid(x):
+def _sigmoid(x, out=None, e=None):
     """Numerically stable two-sided logistic function of an array: 1/(1+e)
-    for x >= 0 and e/(1+e) below, e = exp(-|x|), without a branching select."""
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, (x >= 0).astype(np.float64)) / (1.0 + e)
+    for x >= 0 and e/(1+e) below, e = exp(-|x|), without a branching select.
+
+    Writes into ``out``, with ``e`` as its temporary, when both are given
+    (each the shape of ``x``); else into fresh arrays.
+    """
+    if out is None:
+        out, e = np.empty_like(x), np.empty_like(x)
+    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
+    np.greater_equal(x, 0.0, out=out)  # 1.0 where x >= 0, else 0.0
+    np.maximum(e, out, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def _activate(x, kind, slope):
@@ -611,23 +620,62 @@ def _acc(a, b):
     return b if a is None else a if b is None else a + b
 
 
-def _lstm_step(x, h, c, W_x, W_h, b):
+# Grow-only LSTM step buffers, one set per hidden size; see ``_lstm_workspace``.
+_lstm_workspaces = {}
+
+
+def _lstm_workspace(rows, hd):
+    """Step buffers for an LSTM call over ``rows`` rows of hidden size
+    ``hd``: the gates, exp(-|gates|) and the sigmoid, each (rows, 4*hd),
+    then the tanh gate, a temporary, h and c, each (rows, hd) and
+    uninitialised, and last a read-only (rows, hd) zero state.
+
+    They are views of arrays kept in module state from call to call and
+    grown, never shrunk, so the steps of one call and every later call
+    write into the same memory instead of freeing and allocating fresh
+    temporaries each step: at eval's hundreds of rows the allocator would
+    hand those back to the kernel and fault them in again every step.  It
+    is single-threaded: two calls of one hidden size running at once would
+    share the buffers.  No op returns a view of them, and a recording call
+    keeps none but the zero state, which nothing can write.
+    """
+    full = _lstm_workspaces.get(hd)
+    if full is None or full[0].shape[0] < rows:
+        wide, narrow = (rows, 4 * hd), (rows, hd)
+        zero = np.zeros(narrow)
+        zero.flags.writeable = False
+        full = _lstm_workspaces[hd] = (*(np.empty(wide) for _ in range(3)),
+                                       *(np.empty(narrow) for _ in range(4)), zero)
+    return tuple(a[:rows] for a in full)
+
+
+def _lstm_step(x, h, c, W_x, W_h, b, ws, keep):
     """One LSTM step on arrays, gate order (input, forget, cell, output).
 
+    Computes in ``ws``, the call's ``_lstm_workspace``; the next h and c go
+    into its h and c arrays, which may be the input h and c themselves.
+    With ``keep``, for a step that the backward will read, every array the
+    step returns is fresh instead and only its temporaries use ``ws``.
     Returns the next h and c, and what ``_lstm_step_grad`` needs of the step.
     """
     hd = h.shape[1]
-    gates = x @ W_x
-    gates += h @ W_h
+    gates, e, s, g, tmp, h_next, c_next, _ = ws
+    if keep:
+        s, g, tmp, h_next, c_next = map(np.empty_like, (s, g, tmp, h_next, c_next))
+    np.matmul(x, W_x, out=gates)
+    gates += np.matmul(h, W_h, out=e)
     gates += b
     # one sigmoid call over all four blocks is cheaper than three over the
     # gates that need it, and gives the same values elementwise
-    s = _sigmoid(gates)
+    _sigmoid(gates, s, e)
     i, f, o = s[:, :hd], s[:, hd:2 * hd], s[:, 3 * hd:]
-    g = np.tanh(gates[:, 2 * hd:3 * hd])
-    c_next = f * c + i * g
-    tc = np.tanh(c_next)
-    return o * tc, c_next, (x, h, c, i, f, g, o, tc)
+    np.tanh(gates[:, 2 * hd:3 * hd], out=g)
+    # f*c + i*g, in place when c_next is c
+    np.multiply(f, c, out=c_next)
+    c_next += np.multiply(i, g, out=tmp)
+    tc = np.tanh(c_next, out=tmp)
+    np.multiply(o, tc, out=h_next)
+    return h_next, c_next, (x, h, c, i, f, g, o, tc)
 
 
 def _lstm_step_grad(dh, dc, saved, grads, needs):
@@ -662,7 +710,7 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     ``h' = o*tanh(c')`` in the order the composed ops do, so the values are
     the same bit for bit.  The backward is one numpy loop back over the
     steps; the per-step activations are kept only while the op records on a
-    tape.
+    tape.  The steps compute in the reused ``_lstm_workspace``.
     """
     hd = W_h.shape[0]
     if (x.data.ndim != 2 or rows < 1 or x.shape[0] < rows or x.shape[0] % rows
@@ -672,10 +720,12 @@ def lstm_sequence(x, W_x, W_h, b, rows):
                          f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
     inputs = (x, W_x, W_h, b)
     record = _recording_tape(inputs) is not None
-    h = c = np.zeros((rows, hd))
+    ws = _lstm_workspace(rows, hd)
+    h = c = ws[-1]
     saved = []
     for start in range(0, x.shape[0], rows):
-        h, c, step = _lstm_step(x.data[start:start + rows], h, c, W_x.data, W_h.data, b.data)
+        h, c, step = _lstm_step(x.data[start:start + rows], h, c, W_x.data, W_h.data,
+                                b.data, ws, record)
         if record:
             saved.append(step)
 
@@ -692,7 +742,7 @@ def lstm_sequence(x, W_x, W_h, b, rows):
                 dh = dgates @ W_h.data.T
         return (dx, *grads)
 
-    return _make(h, inputs, bwd)
+    return _make(h if record else h.copy(), inputs, bwd)
 
 
 def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
@@ -713,7 +763,7 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     arithmetic is that of the composed ops, step by step, so the values are
     the same bit for bit; the backward is one numpy loop back over the
     steps, and the per-step activations are kept only while the op records
-    on a tape.
+    on a tape.  The LSTM steps compute in the reused ``_lstm_workspace``.
     """
     W_e, b_e = embed
     W_x, W_h, b = cell
@@ -739,23 +789,24 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     inv = 1.0 / scale
     inputs = (h0, W_e, b_e, W_x, W_h, b) + tuple(p for layer in layers for p in layer)
     record = _recording_tape(inputs) is not None
+    ws = _lstm_workspace(rows, hd)
     x_in = np.asarray(last_disp, dtype=np.float64)
     pos = np.asarray(last_pos, dtype=np.float64)
-    h, c = h0.data, np.zeros((rows, hd))
+    h, c = h0.data, ws[-1]
     W_out, b_out = layers[-1]
-    positions, disps, saved = [], [], []
-    for _ in range(t_pred):
+    positions, disps = np.empty((rows, 2 * t_pred)), np.empty((t_pred * rows, 2))
+    saved = []
+    for t in range(t_pred):
         scaled = x_in * scale
         h, c, step = _lstm_step(scaled @ W_e.data + b_e.data, h, c,
-                                W_x.data, W_h.data, b.data)
+                                W_x.data, W_h.data, b.data, ws, record)
         acts, pres = [h], []
         for W, b_ in layers[:-1]:
             pres.append(acts[-1] @ W.data + b_.data)
             acts.append(_activate(pres[-1], activation, slope))
-        x_in = (acts[-1] @ W_out.data + b_out.data) * inv
-        pos = pos + x_in
-        positions.append(pos)
-        disps.append(x_in)
+        x_in = np.multiply(acts[-1] @ W_out.data + b_out.data, inv,
+                           out=disps[t * rows:(t + 1) * rows])
+        pos = np.add(pos, x_in, out=positions[:, 2 * t:2 * t + 2])
         if record:
             saved.append((scaled, step, acts, pres))
 
@@ -785,8 +836,7 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
             gx = (g @ W_e.data.T) * scale
         return (dh, *d_embed, *d_cell, *(d for pair in d_gamma for d in pair))
 
-    return _make((np.concatenate(positions, axis=1), np.concatenate(disps, axis=0)),
-                 inputs, bwd)
+    return _make((positions, disps), inputs, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,13 @@ def hidden_grad_fraction(hidden_tensors):
 
 def discriminator_hidden_fraction(batch, gen, disc, rng):
     """Run one discriminator pass and measure gradient flow through the
-    classifier's hidden nodes.  Inactive nodes contribute exact zeros."""
+    classifier's hidden nodes.  Inactive nodes contribute exact zeros.
+
+    The discriminator's parameters are frozen for the pass, so it leaves no
+    gradient on them for a later update to pick up."""
+    d_params = disc.parameters()
+    for p in d_params:
+        p.requires_grad = False
     disc.classifier.last_hidden = []
     disc.classifier.collect_hidden = True
     try:
@@ -343,6 +349,8 @@ def discriminator_hidden_fraction(batch, gen, disc, rng):
             T.backward(_discriminator_loss(batch, gen, disc, rng))
     finally:
         disc.classifier.collect_hidden = False
+        for p in d_params:
+            p.requires_grad = True
     return hidden_grad_fraction(disc.classifier.last_hidden)
 
 

@@ -65,14 +65,29 @@ def test_leaky_relu_slope_limits_exact():
     assert np.array_equal(T.leaky_relu(x, 0.0).data, T.relu(x).data)
 
 
-def test_branch_free_sigmoid_equals_branching_select():
+def sigmoid_inputs():
+    """Edge values (signed zeros, infinities, NaN, subnormals, the ends of
+    exp's range) and a wide random spread, each also as a 2-D or strided
+    array."""
     rng = np.random.default_rng(1)
     tiny = np.finfo(float).tiny
     edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, tiny / 8, -tiny / 8,
                       5e-324, -5e-324, 746.0, -746.0, 745.0, -745.0, 36.7, -36.7, 1e-300])
     spread = rng.standard_normal((300, 40)) * 10.0 ** rng.uniform(-8, 3, (300, 40))
-    for x in (edges, edges.reshape(3, 6), spread, spread[:, ::3]):
+    return edges, edges.reshape(3, 6), spread, spread[:, ::3]
+
+
+def test_branch_free_sigmoid_equals_branching_select():
+    for x in sigmoid_inputs():
         assert np.array_equal(T._sigmoid(x), sigmoid_ref(x), equal_nan=True)
+
+
+def test_sigmoid_into_used_buffers_equals_fresh_sigmoid():
+    for x in sigmoid_inputs():
+        out, e = np.full(x.shape, 7.0), np.full(x.shape, -3.0)
+        got = T._sigmoid(x, out, e)
+        assert got is out
+        assert np.array_equal(out, T._sigmoid(x), equal_nan=True)
 
 
 def test_activation_dispatcher_rejects_unknown():
@@ -618,6 +633,86 @@ def test_fused_lstm_ops_keep_no_activations_under_no_grad(op):
         recorded, outs = peak_bytes()
         assert len(tape.nodes) == 1 and all(o.requires_grad for o in outs)
     assert quiet * 5 < recorded
+
+
+def lstm_op_calls(rng, rows, hidden):
+    """A ``lstm_sequence`` and a ``lstm_rollout`` call on trainable leaves of
+    ``rows`` rows and hidden size ``hidden``, each with its leaves; a call
+    returns a tuple of outputs."""
+    seq = sequence_leaves(rng, rows, 6, 3, hidden)
+    roll = rollout_leaves(rng, rows, 4, hidden, (5,))
+    return [(lambda: (T.lstm_sequence(*seq, rows),), seq),
+            (rollout_call(T.lstm_rollout, roll, rng.standard_normal((2, rows, 2)), 5, 0.02,
+                          "leaky_relu"), roll)]
+
+
+def test_no_grad_lstm_ops_share_no_memory_between_calls():
+    # every call computes in one reused workspace per hidden size;
+    # interleave row counts and hidden sizes so it grows, is sliced and is
+    # shared, and hold every output across the calls that follow it
+    rng = np.random.default_rng(23)
+    held = []
+    for rows in (320, 16, 320):
+        for hidden in (16, 5):
+            for call, _ in lstm_op_calls(rng, rows, hidden):
+                with Tape():
+                    want = [o.data.copy() for o in call()]
+                with no_grad():
+                    got = call()
+                assert all(np.array_equal(g.data, w) for g, w in zip(got, want))
+                held += zip(got, want)
+    assert all(np.array_equal(g.data, w) for g, w in held)
+    assert not any(np.shares_memory(g.data, ws) for g, _ in held
+                   for full in T._lstm_workspaces.values() for ws in full)
+
+
+def test_recorded_lstm_steps_survive_calls_before_backward():
+    # the activations a recording call keeps for its backward are its own:
+    # a call of the same hidden size between forward and backward, recording
+    # or not, leaves the gradients unchanged
+    rng = np.random.default_rng(25)
+    (seq, seq_leaves), (roll, roll_leaves) = lstm_op_calls(rng, 16, 5)
+    others = [call for call, _ in lstm_op_calls(rng, 320, 5)]
+    for call, leaves in ((seq, seq_leaves), (roll, roll_leaves)):
+        grads = []
+        for between in ([], others):
+            for x in leaves:
+                x.zero_grad()
+            with Tape():
+                outs = call()
+                with no_grad():
+                    for other in between:
+                        other()
+                for other in between:
+                    other()
+                backward(weighted_sum(outs, [Tensor(np.cos(o.data)) for o in outs]))
+            grads.append([x.grad.copy() for x in leaves])
+        assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
+@pytest.mark.parametrize("op", ["sequence", "rollout"])
+def test_warm_no_grad_lstm_ops_allocate_no_gate_array(op):
+    # once warm, a call that does not record writes every step into its
+    # workspace: the whole call allocates less than one (R, 4H) gate array.
+    # The rollout's embedding and output layer still allocate per step, so
+    # they are kept two columns wide here
+    rng = np.random.default_rng(24)
+    rows, hidden = 320, 16
+    if op == "sequence":
+        leaves = sequence_leaves(rng, rows, 8, 2, hidden)
+        run = lambda: T.lstm_sequence(*leaves, rows)  # noqa: E731
+    else:
+        run = rollout_call(T.lstm_rollout, rollout_leaves(rng, rows, 2, hidden, ()),
+                           np.zeros((2, rows, 2)), 4, 0.02, "leaky_relu")
+    with no_grad():
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < rows * 4 * hidden * 8
 
 
 # ---------------------------------------------------------------------------

@@ -520,6 +520,18 @@ def test_discriminator_hidden_fraction_collects_real_and_fake_passes():
     assert not disc.classifier.collect_hidden
 
 
+def test_discriminator_hidden_fraction_leaves_no_parameter_gradient():
+    # a caller that trains on after the probe must not add its gradients
+    # into the next discriminator update
+    gen, disc = built_pair(seed=49)
+    frac = TR.discriminator_hidden_fraction(some_windows(seed=50), gen, disc,
+                                            np.random.default_rng(51))
+    assert frac == 1.0
+    params = disc.parameters()
+    assert params and all(p.grad is None and p.requires_grad for p in params)
+    assert all(p.grad is None for p in gen.parameters())
+
+
 def test_activation_ablation_runs_and_orders_fractions():
     cfg = tiny_train_config(k=1, seed=41)
     ws = some_windows(n_agents=2, seed=42, n_windows=1)
