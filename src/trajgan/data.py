@@ -24,6 +24,10 @@ import numpy as np
 CLASS_NAMES = ("bicyclist", "bus", "car", "golf cart", "pedestrian", "skateboarder")
 N_CLASSES = len(CLASS_NAMES)
 
+# SceneWindow.onehots indexes rows of this; fancy indexing returns a writable copy
+_ONEHOT_ROWS = np.eye(N_CLASSES)
+_ONEHOT_ROWS.flags.writeable = False
+
 # dataset label strings normalized to the canonical vocabulary
 LABEL_ALIASES = {
     "biker": "bicyclist",
@@ -279,9 +283,9 @@ class SceneWindow:
             raise DataError("inconsistent window shapes")
         if n < 1:
             raise DataError("window must contain at least one agent")
-        if not (np.all(np.isfinite(self.observed)) and np.all(np.isfinite(self.future))):
+        if not (np.isfinite(self.observed).all() and np.isfinite(self.future).all()):
             raise DataError("non-finite coordinates in window")
-        if np.any(self.class_indices < 0) or np.any(self.class_indices >= N_CLASSES):
+        if (self.class_indices < 0).any() or (self.class_indices >= N_CLASSES).any():
             raise DataError("class index out of range")
 
     @property
@@ -301,7 +305,7 @@ class SceneWindow:
         return f"{self.scene_id}:{self.start_frame}"
 
     def onehots(self):
-        return np.eye(N_CLASSES)[self.class_indices]
+        return _ONEHOT_ROWS[self.class_indices]
 
     def points(self):
         """(N, t_obs + t_pred, 2) concatenated observed and future."""

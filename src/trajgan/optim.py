@@ -1,5 +1,13 @@
 """Adam optimizer and gradient-norm helpers operating on Tensor leaves.
 
+``Adam`` packs its parameters into one float64 vector, so a step is a fixed
+number of vector operations however many tensors a network has.  Code that
+writes a parameter in place (``p.data[...] = ...``, as
+``model.restore_params`` does) writes through to that vector; rebinding
+``p.data`` detaches the parameter, and the next step raises ContractError.
+Building an ``Adam`` also tells glibc to keep freed heap memory in the
+process (``_keep_freed_heap``), so train steps stop page-faulting.
+
 Each ``Adam`` owns its moment estimates and step count, so the generator
 and the discriminator are driven by independent optimizers.  ``step``
 consumes the accumulated gradients and clears them afterwards.
@@ -7,16 +15,96 @@ consumes the accumulated gradients and clears them afterwards.
 
 from __future__ import annotations
 
+import ctypes
+import math
+import sys
+import weakref
+
 import numpy as np
 
 from .tensor import ContractError, Tensor
+
+_SLOT_ALIGN = 8  # float64 elements in 64 bytes
+
+# packed parameter -> (its vector, its slot index).  Weak, so a packing lives
+# exactly as long as its parameters; the values hold no reference back.
+_SLOTS = weakref.WeakKeyDictionary()
+
+
+# glibc's mallopt parameters, and the thresholds its own dynamic mmap
+# threshold grows to on a 64-bit build
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_freed_heap():
+    """Keep the memory a train step frees in the process for the next step.
+
+    A step allocates and frees megabytes of tape arrays.  glibc hands the top
+    of its heap back to the kernel whenever more than M_TRIM_THRESHOLD
+    (128 KiB at start) is free there, and the next step faults those pages
+    in again (about 500 minor faults per transformer step).  The per-tensor
+    Adam kept the heap top in use by chance, reallocating its moments after
+    each backward; the packed one allocates nothing that outlives a step.
+    So this sets the mmap and trim thresholds to the most glibc's dynamic
+    adjustment would raise them to.  Process-wide and idempotent; a no-op
+    off Linux or where the C library has no mallopt.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
+def _aligned_zeros(n):
+    """A zeroed float64 vector of ``n`` elements starting on a 64-byte boundary."""
+    raw = np.zeros(n + _SLOT_ALIGN)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start:start + n]
+
+
+def _pack(params, offsets):
+    """The vector that holds ``params`` at ``offsets``.  Unpacked parameters
+    are copied into a new vector and their ``data`` rebound to views of it;
+    parameters packed earlier for this same list reuse their vector."""
+    owners = [_SLOTS.get(p) for p in params]
+    if all(o is None for o in owners):
+        vec = _aligned_zeros(offsets[-1])
+        for i, p in enumerate(params):
+            view = vec[offsets[i]:offsets[i] + p.data.size].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            _SLOTS[p] = (vec, i)
+        return vec
+    # reused only when every parameter holds slot i of one vector of this size
+    vec = owners[0] and owners[0][0]
+    if (vec is None or vec.size != offsets[-1]
+            or any(o is None or o[0] is not vec or o[1] != i for i, o in enumerate(owners))):
+        raise ContractError("a parameter is already packed by an optimizer over a "
+                            "different parameter list")
+    return vec
 
 
 class Adam:
     """Bias-corrected Adam over a fixed list of requires_grad leaves.
 
-    ``m`` and ``v`` hold one moment array per parameter; the
-    hyperparameters and the step count ``t`` are shared by all of them.
+    The parameters' values are copied bit for bit into one vector: each
+    parameter's slot starts on a 64-byte boundary, with zero padding
+    between slots, and ``p.data`` becomes a C-contiguous view of its slot.
+    ``m``, ``v``, the gathered gradient and two scratch vectors share that
+    layout; the hyperparameters and the step count ``t`` are shared by all
+    parameters.  The update is the per-tensor Adam's elementwise
+    arithmetic in the same order, so its values are bit-identical to it.
+
+    A parameter belongs to one packing.  A second ``Adam`` over the same
+    list, in the same order, moves the same vector (with its own moments);
+    any other list holding an already packed parameter raises
+    ContractError.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -24,38 +112,76 @@ class Adam:
         for p in self.params:
             if not isinstance(p, Tensor) or not p.requires_grad:
                 raise ContractError("Adam expects requires_grad leaf tensors")
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ContractError("Adam got the same parameter twice")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m = [np.zeros(p.shape) for p in self.params]
-        self.v = [np.zeros(p.shape) for p in self.params]
+        sizes = [p.data.size for p in self.params]
+        offsets = [0]
+        for s in sizes:
+            offsets.append(offsets[-1] + -(-s // _SLOT_ALIGN) * _SLOT_ALIGN)
+        self.vec = _pack(self.params, offsets)
+        self._views = [p.data for p in self.params]
+        # zeros that fill each slot's tail in the gather; None where it has none
+        self._pads = [np.zeros(end - start - s) if end - start > s else None
+                      for start, end, s in zip(offsets, offsets[1:], sizes)]
+        n = offsets[-1]
+        self.m, self.v, self._g, self._s, self._u = (_aligned_zeros(n) for _ in range(5))
+        _keep_freed_heap()
 
     def step(self):
         """One update of every parameter; gradients are cleared.  Raises
-        ContractError, before changing anything, if a parameter has none."""
-        if any(p.grad is None for p in self.params):
-            raise ContractError("Adam step on a parameter with no accumulated gradient")
+        ContractError, before changing anything, if a parameter has no
+        gradient, one of another shape, or no longer views its slot."""
+        parts = []
+        for p, view, pad in zip(self.params, self._views, self._pads):
+            g = p.grad
+            if g is None:
+                raise ContractError("Adam step on a parameter with no accumulated gradient")
+            if g.shape != view.shape:
+                raise ContractError(f"gradient of shape {g.shape} for a parameter of "
+                                    f"shape {view.shape}")
+            if p.data is not view:
+                raise ContractError("parameter data was rebound away from its packed slot")
+            parts.append(g.ravel())
+            if pad is not None:
+                parts.append(pad)
+        g, s, u, m, v = self._g, self._s, self._u, self.m, self.v
+        np.concatenate(parts, out=g)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
-            m_hat, v_hat = self.m[i] / c1, self.v[i] / c2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - b2
+        v += s
+        # vec -= lr*(m/c1) / (sqrt(v/c2) + eps); padding stays 0 (0/eps)
+        np.divide(m, c1, out=s)
+        s *= self.lr
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        u += self.epsilon
+        s /= u
+        self.vec -= s
+        for p in self.params:
             p.grad = None
 
 
 def grad_norm(params):
-    """Global L2 norm over all accumulated gradients (missing grads count as 0)."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    return float(np.sqrt(total))
+    """Global L2 norm over all accumulated gradients (missing grads count as
+    0): one gather and one dot product."""
+    grads = [p.grad.ravel() for p in params if p.grad is not None]
+    if not grads:
+        return 0.0
+    g = np.concatenate(grads)
+    return math.sqrt(g @ g)
 
 
 def clip_grad_norm(params, max_norm):

@@ -287,6 +287,39 @@ def jacobi_eigh(a, sweeps=100, tol=1e-14):
     return np.diag(a)[order], v[:, order]
 
 
+class LoopedAdam:
+    """Per-tensor Adam, one moment array per parameter: the reference that
+    the packed ``optim.Adam`` must match bit for bit."""
+
+    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.epsilon = lr, beta1, beta2, epsilon
+        self.t = 0
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * (g * g)
+            m_hat, v_hat = self.m[i] / c1, self.v[i] / c2
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            p.grad = None
+
+
+def grad_norm_ref(params):
+    """Global L2 norm as a sum of per-tensor sums of squares."""
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            total += float(np.sum(p.grad * p.grad))
+    return float(np.sqrt(total))
+
+
 def _norm_and_step(params, opt, config):
     norm = (grad_norm(params) if config.clip_norm is None
             else clip_grad_norm(params, config.clip_norm))
