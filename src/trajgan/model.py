@@ -149,10 +149,13 @@ class MLP:
 
 
 class LSTMCell:
-    """Single LSTM cell, gate order (input, forget, cell, output), run over
-    whole sequences at once.
+    """Single LSTM cell, run over whole sequences at once.
 
-    Forget-gate bias starts at 1 so early training does not erase state.
+    The gate blocks of ``W_x``, ``W_h`` and ``b`` are stored in the order
+    (input, forget, cell, output), which checkpoints keep; the ops compute
+    feature-major in the order (input, forget, output, cell) and permute
+    once per call (see ``tensor.lstm_sequence``).  Forget-gate bias starts
+    at 1 so early training does not erase state.
     """
 
     def __init__(self, input_dim, hidden_dim, rng):
@@ -335,6 +338,21 @@ class SequenceEncoder:
         return out
 
 
+def _pair_indices(counts):
+    """Row pairs (i, j), j != i, of the agents of each window, for windows of
+    ``counts`` agents stacked in order: grouped by i, j ascending within a
+    group, at global row offsets.  Returns the i and j index arrays."""
+    counts = np.asarray(counts, dtype=np.intp)
+    first = np.repeat(np.cumsum(counts) - counts, counts)  # window start, per row
+    partners = np.repeat(counts - 1, counts)
+    i = np.repeat(np.arange(first.size), partners)
+    # the k-th partner of row i is the k-th row of its window, i skipped
+    k = np.arange(i.size) - np.repeat(np.cumsum(partners) - partners, partners)
+    j = np.repeat(first, partners) + k
+    j += j >= i
+    return i, j
+
+
 class PoolingModule:
     """Permutation-invariant social context: embed relative positions of the
     other agents in the same window, join with their hidden states, and take
@@ -360,14 +378,7 @@ class PoolingModule:
         counts = [len(p) for p in positions]
         if sum(counts) != hidden.shape[0]:
             raise ContractError(f"{sum(counts)} positions for {hidden.shape[0]} hidden rows")
-        # pair (i, j), j != i, of each window, grouped by i, at global row offsets
-        i_idx, j_idx, offset = [], [], 0
-        for n in counts:
-            i, j = np.nonzero(~np.eye(n, dtype=bool))
-            i_idx.append(offset + i)
-            j_idx.append(offset + j)
-            offset += n
-        i_idx, j_idx = np.concatenate(i_idx), np.concatenate(j_idx)
+        i_idx, j_idx = _pair_indices(counts)
         if not i_idx.size:
             return T.zeros((hidden.shape[0], self.config.pool_dim))
         pos = np.concatenate([np.asarray(p, dtype=float) for p in positions])

@@ -12,6 +12,7 @@ broadcasting and no dtype other than float64.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 
@@ -444,7 +445,8 @@ def _sigmoid(x, out=None, e=None):
     for x >= 0 and e/(1+e) below, e = exp(-|x|), without a branching select.
 
     Writes into ``out``, with ``e`` as its temporary, when both are given
-    (each the shape of ``x``); else into fresh arrays.
+    (each the shape of ``x``; ``out`` may be ``x`` itself); else into fresh
+    arrays.
     """
     if out is None:
         out, e = np.empty_like(x), np.empty_like(x)
@@ -620,83 +622,160 @@ def _acc(a, b):
     return b if a is None else a if b is None else a + b
 
 
+def _acc_into(total, part):
+    """``_acc`` that adds into ``total``, an array the caller owns."""
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+def _affine(W, x, b):
+    """``W @ x + b`` on arrays, the sum in place of the product."""
+    out = np.matmul(W, x)
+    out += b
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_order(hd):
+    """Row indices that take the stored gate blocks (input, forget, cell,
+    output) of hidden size ``hd`` to the compute order (input, forget,
+    output, cell), which puts the three sigmoid gates in one block.  It
+    swaps two blocks, so it also takes the compute order back.  Cached per
+    ``hd``; read-only."""
+    r = np.arange(hd)
+    order = np.concatenate([r, r + hd, r + 3 * hd, r + 2 * hd])
+    order.flags.writeable = False
+    return order
+
+
+def _compute_order(W_x, W_h, b, ws):
+    """An LSTM cell's (I, 4H) W_x and (H, 4H) W_h as the fresh (4H, I) and
+    (4H, H) transposed weights that the feature-major steps use, gate rows
+    in the compute order.  Its (4H,) b goes, in the same order, into every
+    column of the bias block of ``ws``, the call's ``_lstm_workspace``: a
+    step adds a full block faster than it broadcasts a column, and without
+    numpy's broadcasting buffer."""
+    order = _gate_order(W_h.shape[0])
+    np.copyto(ws[2], b.data[order][:, None])
+    return W_x.data.T[order], W_h.data.T[order]
+
+
+def _storage_order(grads, hd):
+    """Gradients of the ``_compute_order`` arrays (the bias one as a (4H,)
+    vector) as gradients of the stored W_x, W_h and b; None stays None."""
+    order = _gate_order(hd)
+    return tuple(None if g is None else g[order].T if g.ndim == 2 else g[order]
+                 for g in grads)
+
+
 # Grow-only LSTM step buffers, one set per hidden size; see ``_lstm_workspace``.
 _lstm_workspaces = {}
 
 
 def _lstm_workspace(rows, hd):
-    """Step buffers for an LSTM call over ``rows`` rows of hidden size
-    ``hd``: the gates, exp(-|gates|) and the sigmoid, each (rows, 4*hd),
-    then the tanh gate, a temporary, h and c, each (rows, hd) and
-    uninitialised, and last a read-only (rows, hd) zero state.
+    """Feature-major step buffers for an LSTM call over ``rows`` rows of
+    hidden size ``hd``: the gates, a temporary and the bias, each
+    (4*hd, rows), then tanh(c), h and c, each (hd, rows), all uninitialised;
+    last a read-only (hd, rows) zero state.
 
-    They are views of arrays kept in module state from call to call and
-    grown, never shrunk, so the steps of one call and every later call
-    write into the same memory instead of freeing and allocating fresh
-    temporaries each step: at eval's hundreds of rows the allocator would
-    hand those back to the kernel and fault them in again every step.  It
-    is single-threaded: two calls of one hidden size running at once would
-    share the buffers.  No op returns a view of them, and a recording call
-    keeps none but the zero state, which nothing can write.
+    Each is a contiguous block of a flat array kept in module state from
+    call to call and grown, never shrunk, so the steps of one call and every
+    later call write into the same memory instead of freeing and allocating
+    fresh temporaries each step: at eval's hundreds of rows the allocator
+    would hand those back to the kernel and fault them in again every step.
+    The flat arrays are reshaped to the call's row count, because column
+    slices of wider buffers would be strided.  It is single-threaded: two
+    calls of one hidden size running at once would share the buffers.  No op
+    returns a view of them, and a recording call keeps none but the zero
+    state, which nothing can write.
     """
+    n = rows * hd
     full = _lstm_workspaces.get(hd)
-    if full is None or full[0].shape[0] < rows:
-        wide, narrow = (rows, 4 * hd), (rows, hd)
-        zero = np.zeros(narrow)
+    if full is None or full[1].size < n:
+        zero = np.zeros(n)
         zero.flags.writeable = False
-        full = _lstm_workspaces[hd] = (*(np.empty(wide) for _ in range(3)),
-                                       *(np.empty(narrow) for _ in range(4)), zero)
-    return tuple(a[:rows] for a in full)
+        full = _lstm_workspaces[hd] = (np.empty(15 * n), zero)
+    flat, zero = full
+    ws = flat[:15 * n].reshape(15 * hd, rows)
+    return (ws[:4 * hd], ws[4 * hd:8 * hd], ws[8 * hd:12 * hd], ws[12 * hd:13 * hd],
+            ws[13 * hd:14 * hd], ws[14 * hd:], zero[:n].reshape(hd, rows))
 
 
-def _lstm_step(x, h, c, W_x, W_h, b, ws, keep):
-    """One LSTM step on arrays, gate order (input, forget, cell, output).
+def _lstm_step(x, h, c, A_x, A_h, ws, keep):
+    """One LSTM step on feature-major arrays: ``x`` is the (I, R) input,
+    ``h`` and ``c`` the (H, R) state, and ``A_x`` and ``A_h`` the cell's
+    ``_compute_order`` weights, whose bias is in ``ws``.  So the gates are
+    rows in the order (input, forget, output, cell), and each gate is one
+    contiguous block.
 
     Computes in ``ws``, the call's ``_lstm_workspace``; the next h and c go
     into its h and c arrays, which may be the input h and c themselves.
-    With ``keep``, for a step that the backward will read, every array the
-    step returns is fresh instead and only its temporaries use ``ws``.
-    Returns the next h and c, and what ``_lstm_step_grad`` needs of the step.
+    With ``keep``, for a step that the backward will read, the gates,
+    tanh(c) and the next h and c are blocks of one fresh array instead and
+    only the temporary is in ``ws``.  Returns the next h and c, and what
+    ``_lstm_step_grad`` needs of the step.
     """
-    hd = h.shape[1]
-    gates, e, s, g, tmp, h_next, c_next, _ = ws
+    hd = h.shape[0]
+    gates, tmp, b, tc, h_next, c_next, _ = ws
     if keep:
-        s, g, tmp, h_next, c_next = map(np.empty_like, (s, g, tmp, h_next, c_next))
-    np.matmul(x, W_x, out=gates)
-    gates += np.matmul(h, W_h, out=e)
+        fresh = np.empty((7 * hd, h.shape[1]))
+        gates, tc, h_next, c_next = (fresh[:4 * hd], fresh[4 * hd:5 * hd],
+                                     fresh[5 * hd:6 * hd], fresh[6 * hd:])
+    np.matmul(A_x, x, out=gates)
+    gates += np.matmul(A_h, h, out=tmp)
     gates += b
-    # one sigmoid call over all four blocks is cheaper than three over the
-    # gates that need it, and gives the same values elementwise
-    _sigmoid(gates, s, e)
-    i, f, o = s[:, :hd], s[:, hd:2 * hd], s[:, 3 * hd:]
-    np.tanh(gates[:, 2 * hd:3 * hd], out=g)
+    # the activations overwrite their gates: one sigmoid over the first
+    # three blocks, one tanh over the cell gate
+    sig, g = gates[:3 * hd], gates[3 * hd:]
+    _sigmoid(sig, sig, tmp[:3 * hd])
+    np.tanh(g, out=g)
     # f*c + i*g, in place when c_next is c
-    np.multiply(f, c, out=c_next)
-    c_next += np.multiply(i, g, out=tmp)
-    tc = np.tanh(c_next, out=tmp)
-    np.multiply(o, tc, out=h_next)
-    return h_next, c_next, (x, h, c, i, f, g, o, tc)
+    np.multiply(gates[hd:2 * hd], c, out=c_next)
+    c_next += np.multiply(gates[:hd], g, out=tc)
+    np.tanh(c_next, out=tc)
+    np.multiply(gates[2 * hd:3 * hd], tc, out=h_next)
+    return h_next, c_next, (x, h, c, gates, tc)
 
 
-def _lstm_step_grad(dh, dc, saved, grads, needs):
-    """Backward of one ``_lstm_step`` from the gradients of its h and c
-    outputs (``dc`` None when none reached c).
+def _lstm_step_grad(dh, dc, saved, grads, needs, buf):
+    """Backward of one ``_lstm_step`` from the (H, R) gradients of its h and
+    c outputs (``dc`` None when none reached c, else overwritten).
 
-    Adds the step's W_x, W_h and b gradients to ``grads`` where ``needs``
-    says so and returns the gate gradients and the gradient of the step's
-    input c; the caller multiplies the gate gradients into x and h.
+    Adds the step's gradients of the ``_compute_order`` arrays to ``grads``
+    where ``needs`` says so, and returns the (4H, R) gate gradients and the
+    gradient of the step's input c.  The gate gradients are rows of ``buf``,
+    an (8H, R) scratch array; the caller multiplies them into x and h.
     """
-    x, h, c, i, f, g, o, tc = saved
-    dc = _acc(dc, dh * o * (1.0 - tc * tc))
-    dgates = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
-                             dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
+    x, h, c, act, tc = saved
+    hd = h.shape[0]
+    i, f, o, g = act[:hd], act[hd:2 * hd], act[2 * hd:3 * hd], act[3 * hd:]
+    dgates, tmp = buf[:4 * hd], buf[4 * hd:]
+    u, v = tmp[:hd], tmp[hd:2 * hd]
+    # dc + dh*o*(1 - tc*tc)
+    np.subtract(1.0, np.multiply(tc, tc, out=u), out=u)
+    np.multiply(dh, o, out=v)
+    v *= u
+    dc = v.copy() if dc is None else np.add(dc, v, out=dc)
+    # the sigmoid gates: (dc*g, dc*c, dh*tc) * s * (1 - s) over one block
+    np.multiply(dc, g, out=dgates[:hd])
+    np.multiply(dc, c, out=dgates[hd:2 * hd])
+    np.multiply(dh, tc, out=dgates[2 * hd:3 * hd])
+    dsig, sig = dgates[:3 * hd], act[:3 * hd]
+    dsig *= sig
+    dsig *= np.subtract(1.0, sig, out=tmp[:3 * hd])
+    # the cell gate: dc * i * (1 - g*g)
+    np.subtract(1.0, np.multiply(g, g, out=u), out=u)
+    np.multiply(dc, i, out=dgates[3 * hd:])
+    dgates[3 * hd:] *= u
     if needs[0]:
-        grads[0] = _acc(grads[0], x.T @ dgates)
+        grads[0] = _acc_into(grads[0], dgates @ x.T)
     if needs[1]:
-        grads[1] = _acc(grads[1], h.T @ dgates)
+        grads[1] = _acc_into(grads[1], dgates @ h.T)
     if needs[2]:
-        grads[2] = _acc(grads[2], dgates.sum(axis=0))
-    return dgates, dc * f
+        grads[2] = _acc_into(grads[2], dgates.sum(axis=1))
+    return dgates, np.multiply(dc, f, out=dc)
 
 
 def lstm_sequence(x, W_x, W_h, b, rows):
@@ -705,12 +784,17 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     ``x`` is (T*rows, I) in time-major order (row t*rows + r is step t of
     sequence r), ``W_x`` (I, 4H), ``W_h`` (H, 4H) and ``b`` (4H,), gate
     order (input, forget, cell, output).  Returns the (rows, H) hidden state
-    after the last step as one tape node.  Each step computes
-    ``(x_t@W_x + h@W_h) + b``, sigmoid/tanh gates, ``c' = f*c + i*g`` and
-    ``h' = o*tanh(c')`` in the order the composed ops do, so the values are
-    the same bit for bit.  The backward is one numpy loop back over the
-    steps; the per-step activations are kept only while the op records on a
-    tape.  The steps compute in the reused ``_lstm_workspace``.
+    after the last step as one tape node.
+
+    The steps run feature-major (``_lstm_step``): each computes
+    ``(W_xᵀ x_tᵀ + W_hᵀ hᵀ) + b`` with the gate rows in the order (input,
+    forget, output, cell), sigmoid/tanh gates, ``c' = f*c + i*g`` and
+    ``h' = o*tanh(c')``, with the operations, their order and their array
+    layouts those of the same step composed of transpose, take_rows, matmul,
+    add, narrow, sigmoid, tanh and mul ops, so the values are the same bit
+    for bit.  The backward is one numpy loop back over the steps; the
+    per-step activations are kept only while the op records on a tape.  The
+    steps compute in the reused ``_lstm_workspace``.
     """
     hd = W_h.shape[0]
     if (x.data.ndim != 2 or rows < 1 or x.shape[0] < rows or x.shape[0] % rows
@@ -721,11 +805,14 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     inputs = (x, W_x, W_h, b)
     record = _recording_tape(inputs) is not None
     ws = _lstm_workspace(rows, hd)
+    A_x, A_h = _compute_order(W_x, W_h, b, ws)
+    steps = x.shape[0] // rows
+    # every step's input as its own contiguous (I, rows) block
+    xs = x.data.reshape(steps, rows, x.shape[1]).transpose(0, 2, 1).copy()
     h = c = ws[-1]
     saved = []
-    for start in range(0, x.shape[0], rows):
-        h, c, step = _lstm_step(x.data[start:start + rows], h, c, W_x.data, W_h.data,
-                                b.data, ws, record)
+    for x_t in xs:
+        h, c, step = _lstm_step(x_t, h, c, A_x, A_h, ws, record)
         if record:
             saved.append(step)
 
@@ -733,16 +820,17 @@ def lstm_sequence(x, W_x, W_h, b, rows):
         grads = [None, None, None]
         needs = (W_x.requires_grad, W_h.requires_grad, b.requires_grad)
         dx = np.empty_like(x.data) if x.requires_grad else None
-        dh, dc = grad, None
-        for t in reversed(range(len(saved))):
-            dgates, dc = _lstm_step_grad(dh, dc, saved[t], grads, needs)
+        buf = np.empty((8 * hd, rows))
+        dh, dc = grad.T.copy(), None
+        for t in reversed(range(steps)):
+            dgates, dc = _lstm_step_grad(dh, dc, saved[t], grads, needs, buf)
             if dx is not None:
-                dx[t * rows:(t + 1) * rows] = dgates @ W_x.data.T
+                np.matmul(dgates.T, A_x, out=dx[t * rows:(t + 1) * rows])
             if t:
-                dh = dgates @ W_h.data.T
-        return (dx, *grads)
+                np.matmul(A_h.T, dgates, out=dh)
+        return (dx, *_storage_order(grads, hd))
 
-    return _make(h if record else h.copy(), inputs, bwd)
+    return _make(h.T.copy(), inputs, bwd)
 
 
 def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
@@ -759,11 +847,15 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     ``last_disp`` are (R, 2) arrays.
 
     Returns the (R, 2*t_pred) positions, step t in columns 2t and 2t+1, and
-    the (t_pred*R, 2) displacements in time-major order (row t*R + r).  The
-    arithmetic is that of the composed ops, step by step, so the values are
-    the same bit for bit; the backward is one numpy loop back over the
-    steps, and the per-step activations are kept only while the op records
-    on a tape.  The LSTM steps compute in the reused ``_lstm_workspace``.
+    the (t_pred*R, 2) displacements in time-major order (row t*R + r).
+    Every step runs feature-major, the embedding and ``gamma`` as well as
+    the cell (see ``lstm_sequence``), and writes its displacement and
+    position into transposed views of the outputs.  The operations, their
+    order and their array layouts are those of the composed feature-major
+    ops, so the values are the same bit for bit; the backward is one numpy
+    loop back over the steps, and the per-step activations are kept only
+    while the op records on a tape.  The LSTM steps compute in the reused
+    ``_lstm_workspace``.
     """
     W_e, b_e = embed
     W_x, W_h, b = cell
@@ -790,23 +882,32 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     inputs = (h0, W_e, b_e, W_x, W_h, b) + tuple(p for layer in layers for p in layer)
     record = _recording_tape(inputs) is not None
     ws = _lstm_workspace(rows, hd)
-    x_in = np.asarray(last_disp, dtype=np.float64)
-    pos = np.asarray(last_pos, dtype=np.float64)
-    h, c = h0.data, ws[-1]
-    W_out, b_out = layers[-1]
+    A_x, A_h = _compute_order(W_x, W_h, b, ws)
+    # the embedding and every gamma layer as transposed weights and a bias column
+    W_eT, b_eT = W_e.data.T.copy(), b_e.data[:, None]
+    layers_T = [(W.data.T.copy(), b_.data[:, None]) for W, b_ in layers]
+    W_out, b_out = layers_T.pop()
+    x_in = np.asarray(last_disp, dtype=np.float64).T
+    pos = np.asarray(last_pos, dtype=np.float64).T
+    # h0 feature-major: a copy the backward keeps, or else the workspace h
+    h, c = (h0.data.T.copy() if record else ws[4]), ws[-1]
+    if not record:
+        np.copyto(h, h0.data.T)
     positions, disps = np.empty((rows, 2 * t_pred)), np.empty((t_pred * rows, 2))
+    scaled = np.empty((2, rows))
     saved = []
     for t in range(t_pred):
-        scaled = x_in * scale
-        h, c, step = _lstm_step(scaled @ W_e.data + b_e.data, h, c,
-                                W_x.data, W_h.data, b.data, ws, record)
+        if record:
+            scaled = np.empty((2, rows))
+        np.multiply(x_in, scale, out=scaled)
+        h, c, step = _lstm_step(_affine(W_eT, scaled, b_eT), h, c, A_x, A_h, ws, record)
         acts, pres = [h], []
-        for W, b_ in layers[:-1]:
-            pres.append(acts[-1] @ W.data + b_.data)
+        for W, b_ in layers_T:
+            pres.append(_affine(W, acts[-1], b_))
             acts.append(_activate(pres[-1], activation, slope))
-        x_in = np.multiply(acts[-1] @ W_out.data + b_out.data, inv,
-                           out=disps[t * rows:(t + 1) * rows])
-        pos = np.add(pos, x_in, out=positions[:, 2 * t:2 * t + 2])
+        x_in = np.multiply(_affine(W_out, acts[-1], b_out), inv,
+                           out=disps[t * rows:(t + 1) * rows].T)
+        pos = np.add(pos, x_in, out=positions[:, 2 * t:2 * t + 2].T)
         if record:
             saved.append((scaled, step, acts, pres))
 
@@ -815,26 +916,28 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
                          for g, shape in zip(grads, ((rows, 2 * t_pred), (t_pred * rows, 2))))
         d_embed, d_cell = [None, None], [None, None, None]
         d_gamma = [[None, None] for _ in layers]
+        buf = np.empty((8 * hd, rows))
         dh = dc = gp = gx = None
         for t in reversed(range(t_pred)):
             scaled, step, acts, pres = saved[t]
             # the position feeds the next position; the displacement feeds
             # the fake steps, the next step's input and the position
-            gp = _acc(g_pos[:, 2 * t:2 * t + 2], gp)
-            g = _acc(_acc(g_disp[t * rows:(t + 1) * rows], gx), gp) * inv
+            gp = _acc(g_pos[:, 2 * t:2 * t + 2].T, gp)
+            g = _acc(_acc(g_disp[t * rows:(t + 1) * rows].T, gx), gp) * inv
             for j in reversed(range(len(layers))):
                 if j < len(layers) - 1:
                     g = _activate_grad(g, pres[j], acts[j + 1], activation, slope)
-                d_gamma[j][1] = _acc(d_gamma[j][1], g.sum(axis=0))
-                d_gamma[j][0] = _acc(d_gamma[j][0], acts[j].T @ g)
-                g = g @ layers[j][0].data.T
-            dgates, dc = _lstm_step_grad(_acc(dh, g), dc, step, d_cell, (True,) * 3)
-            dh = dgates @ W_h.data.T
-            g = dgates @ W_x.data.T
-            d_embed[1] = _acc(d_embed[1], g.sum(axis=0))
-            d_embed[0] = _acc(d_embed[0], scaled.T @ g)
-            gx = (g @ W_e.data.T) * scale
-        return (dh, *d_embed, *d_cell, *(d for pair in d_gamma for d in pair))
+                d_gamma[j][1] = _acc_into(d_gamma[j][1], g.sum(axis=1))
+                d_gamma[j][0] = _acc_into(d_gamma[j][0], acts[j] @ g.T)
+                g = layers[j][0].data @ g
+            dgates, dc = _lstm_step_grad(_acc(dh, g), dc, step, d_cell, (True,) * 3, buf)
+            dh = A_h.T @ dgates
+            g = A_x.T @ dgates
+            d_embed[1] = _acc_into(d_embed[1], g.sum(axis=1))
+            d_embed[0] = _acc_into(d_embed[0], scaled @ g.T)
+            gx = (W_e.data @ g) * scale
+        return (dh.T, *d_embed, *_storage_order(d_cell, hd),
+                *(d for pair in d_gamma for d in pair))
 
     return _make((positions, disps), inputs, bwd)
 

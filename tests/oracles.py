@@ -99,20 +99,37 @@ def looped_attention(q, k, v, heads, groups):
                        (np.arange(n) % groups) * length + np.arange(n) // groups)
 
 
+def gate_order(hd):
+    """Rows that take the stored gate blocks (input, forget, cell, output)
+    to the compute order (input, forget, output, cell), and back."""
+    r = np.arange(hd)
+    return np.concatenate([r, r + hd, r + 3 * hd, r + 2 * hd])
+
+
+def column(b):
+    """A (n,) tensor as an (n, 1) column."""
+    return T._make(b.data[:, None].copy(), (b,), lambda g: (g[:, 0],))
+
+
 def looped_lstm_step(x, hc, W_x, W_h, b):
-    """Reference for ``T.lstm_cell``: the step composed of matmul, add,
-    narrow, sigmoid, tanh and mul nodes, 17 of them between the narrowed
-    state and the concatenated next ``[h | c]``."""
+    """Reference for ``lstm_cell``: the feature-major step composed of
+    transpose, take_rows, matmul, add, narrow, sigmoid, tanh and mul nodes
+    on the (I, R) input and the (2H, R) state ``[h; c]``.  The weights are
+    transposed and their gate rows put in the compute order (input, forget,
+    output, cell) as tape ops, so their gradients reach the stored order."""
     hd = W_h.shape[0]
-    h, c = T.narrow(hc, 1, 0, hd), T.narrow(hc, 1, hd, hd)
-    gates = T.add(T.add(T.matmul(x, W_x), T.matmul(h, W_h)), b)
-    i = T.sigmoid(T.narrow(gates, 1, 0, hd))
-    f = T.sigmoid(T.narrow(gates, 1, hd, hd))
-    g = T.tanh(T.narrow(gates, 1, 2 * hd, hd))
-    o = T.sigmoid(T.narrow(gates, 1, 3 * hd, hd))
+    order = gate_order(hd)
+    h, c = T.narrow(hc, 0, 0, hd), T.narrow(hc, 0, hd, hd)
+    gates = T.add(T.add(T.matmul(T.take_rows(T.transpose(W_x), order), x),
+                        T.matmul(T.take_rows(T.transpose(W_h), order), h)),
+                  T.take_rows(column(b), order))
+    i = T.sigmoid(T.narrow(gates, 0, 0, hd))
+    f = T.sigmoid(T.narrow(gates, 0, hd, hd))
+    o = T.sigmoid(T.narrow(gates, 0, 2 * hd, hd))
+    g = T.tanh(T.narrow(gates, 0, 3 * hd, hd))
     c_next = T.add(T.mul(f, c), T.mul(i, g))
     h_next = T.mul(o, T.tanh(c_next))
-    return T.concat([h_next, c_next], axis=1)
+    return T.concat([h_next, c_next], axis=0)
 
 
 def sigmoid_ref(x):
@@ -123,79 +140,96 @@ def sigmoid_ref(x):
 
 
 def lstm_cell(x, hc, W_x, W_h, b):
-    """Reference LSTM step as one tape node, gate order (input, forget, cell,
-    output).
+    """Reference LSTM step as one tape node, feature-major.
 
-    ``x`` is (R, I) input, ``hc`` the (R, 2H) state ``[h | c]``, ``W_x``
-    (I, 4H), ``W_h`` (H, 4H) and ``b`` (4H,).  Returns the next ``[h | c]``;
-    the arithmetic is that of the composed ops in ``looped_lstm_step``, so
-    the values are the same bit for bit.
+    ``x`` is the (I, R) input, ``hc`` the (2H, R) state ``[h; c]``, ``W_x``
+    (I, 4H), ``W_h`` (H, 4H) and ``b`` (4H,) in the stored gate order
+    (input, forget, cell, output).  Returns the next ``[h; c]``; the
+    arithmetic, array layouts included, is that of the composed ops in
+    ``looped_lstm_step``, so the values are the same bit for bit.
     """
     hd = W_h.shape[0]
-    if (x.data.ndim != 2 or hc.data.ndim != 2 or hc.shape != (x.shape[0], 2 * hd)
-            or W_x.shape != (x.shape[1], 4 * hd) or W_h.shape != (hd, 4 * hd)
+    if (x.data.ndim != 2 or hc.data.ndim != 2 or hc.shape != (2 * hd, x.shape[1])
+            or W_x.shape != (x.shape[0], 4 * hd) or W_h.shape != (hd, 4 * hd)
             or b.shape != (4 * hd,)):
         raise T.ShapeError(f"lstm_cell shapes do not fit: x {x.shape}, hc {hc.shape}, "
                            f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
-    h, c = hc.data[:, :hd], hc.data[:, hd:]
-    gates = (x.data @ W_x.data + h @ W_h.data) + b.data
-    i = sigmoid_ref(gates[:, :hd])
-    f = sigmoid_ref(gates[:, hd:2 * hd])
-    g = np.tanh(gates[:, 2 * hd:3 * hd])
-    o = sigmoid_ref(gates[:, 3 * hd:])
+    order = gate_order(hd)
+    A_x, A_h = W_x.data.T.copy()[order], W_h.data.T.copy()[order]
+    h, c = hc.data[:hd], hc.data[hd:]
+    gates = (A_x @ x.data + A_h @ h) + b.data[order][:, None]
+    i = sigmoid_ref(gates[:hd])
+    f = sigmoid_ref(gates[hd:2 * hd])
+    o = sigmoid_ref(gates[2 * hd:3 * hd])
+    g = np.tanh(gates[3 * hd:])
     c_next = f * c + i * g
     tc = np.tanh(c_next)
-    out = np.concatenate([o * tc, c_next], axis=1)
+    out = np.concatenate([o * tc, c_next], axis=0)
 
     def bwd(grad):
-        dh = grad[:, :hd]
-        dc = grad[:, hd:] + dh * o * (1.0 - tc * tc)
+        dh = grad[:hd]
+        dc = grad[hd:] + dh * o * (1.0 - tc * tc)
         dgates = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
-                                 dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)], axis=1)
-        dhc = (np.concatenate([dgates @ W_h.data.T, dc * f], axis=1)
+                                 dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=0)
+        dhc = (np.concatenate([A_h.T @ dgates, dc * f], axis=0)
                if hc.requires_grad else None)
-        return (dgates @ W_x.data.T if x.requires_grad else None, dhc,
-                x.data.T @ dgates if W_x.requires_grad else None,
-                h.T @ dgates if W_h.requires_grad else None,
-                dgates.sum(axis=0) if b.requires_grad else None)
+        return (A_x.T @ dgates if x.requires_grad else None, dhc,
+                (dgates @ x.data.T)[order].T if W_x.requires_grad else None,
+                (dgates @ h.T)[order].T if W_h.requires_grad else None,
+                dgates.sum(axis=1)[order] if b.requires_grad else None)
 
     return T._make(out, (x, hc, W_x, W_h, b), bwd)
 
 
 def looped_lstm_sequence(x, W_x, W_h, b, rows):
     """Reference for ``T.lstm_sequence``: one ``lstm_cell`` node per step on
-    a narrowed slice of ``x``, from a zero ``[h | c]``, and a final narrow."""
+    a narrowed and transposed slice of ``x``, from a zero ``[h; c]``, and a
+    final narrow and transpose."""
     hd = W_h.shape[0]
-    hc = T.zeros((rows, 2 * hd))
+    hc = T.zeros((2 * hd, rows))
     for start in range(0, x.shape[0], rows):
-        hc = lstm_cell(T.narrow(x, 0, start, rows), hc, W_x, W_h, b)
-    return T.narrow(hc, 1, 0, hd)
+        hc = lstm_cell(T.transpose(T.narrow(x, 0, start, rows)), hc, W_x, W_h, b)
+    return T.transpose(T.narrow(hc, 0, 0, hd))
 
 
 def looped_decode(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
                   activation="leaky_relu", slope=0.2):
     """Reference for ``T.lstm_rollout``: the decoder loop composed of
-    mul_scalar, matmul, add, ``lstm_cell``, narrow and activation nodes, a
-    dozen per step.  Returns the positions and the time-major displacements."""
+    mul_scalar, transpose, matmul, add, ``lstm_cell``, narrow and activation
+    nodes, a dozen per step, all feature-major.  Returns the positions and
+    the time-major displacements."""
     rows, hd = h0.shape
-    hc = T.concat([h0, T.zeros((rows, hd))], axis=1)
-    x_in = T.constant(np.asarray(last_disp, dtype=float))
-    pos = T.constant(np.asarray(last_pos, dtype=float))
+    hc = T.concat([T.transpose(h0), T.zeros((hd, rows))], axis=0)
+    x_in = T.transpose(T.constant(np.asarray(last_disp, dtype=float)))
+    pos = T.transpose(T.constant(np.asarray(last_pos, dtype=float)))
     disp_steps, pos_steps = [], []
     for _ in range(t_pred):
         scaled = T.mul_scalar(x_in, scale)
-        hc = lstm_cell(T.add(T.matmul(scaled, embed[0]), embed[1]), hc, *cell)
-        out = T.narrow(hc, 1, 0, hd)
+        emb = T.add(T.matmul(T.transpose(embed[0]), scaled), column(embed[1]))
+        hc = lstm_cell(emb, hc, *cell)
+        out = T.narrow(hc, 0, 0, hd)
         for j, (W, b) in enumerate(gamma):
             if j:
                 out = T.activation(out, activation, slope)
-            out = T.add(T.matmul(out, W), b)
+            out = T.add(T.matmul(T.transpose(W), out), column(b))
         disp = T.mul_scalar(out, 1.0 / scale)
         pos = T.add(pos, disp)
-        disp_steps.append(disp)
-        pos_steps.append(pos)
+        disp_steps.append(T.transpose(disp))
+        pos_steps.append(T.transpose(pos))
         x_in = disp
     return T.concat(pos_steps, axis=1), T.concat(disp_steps, axis=0)
+
+
+def looped_pair_indices(counts):
+    """Reference for ``model._pair_indices``: the off-diagonal entries of
+    each window's agent-by-agent grid, window by window."""
+    i_idx, j_idx, offset = [], [], 0
+    for n in counts:
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        i_idx.append(offset + i)
+        j_idx.append(offset + j)
+        offset += n
+    return np.concatenate(i_idx), np.concatenate(j_idx)
 
 
 def looped_eval_report(gen, windows, k, seed=0, fde_form="rms"):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import assert_grads_match, looped_attention, looped_decode, sigmoid_ref
+from oracles import (assert_grads_match, looped_attention, looped_decode, looped_pair_indices,
+                     sigmoid_ref)
 from trajgan import data as D
 from trajgan import model as M
 from trajgan import tensor as T
@@ -146,6 +147,62 @@ def test_lstm_grads_through_8_steps():
         return cell.run(Tensor(np.concatenate(xs)), rows=2).sum()
 
     assert_grads_match(loss, [cell.W_x, cell.W_h, cell.b])
+
+
+def gated_cell(in_dim, hidden, output_bias):
+    """An ``LSTMCell`` with zero W_h whose gates follow the stored order
+    (input, forget, cell, output): the input gate is shut (bias -30) unless
+    input feature 0 is 1, which opens it (weight +60); the forget gate is
+    open (+30); the cell gate reads tanh(0.5); the output gate has bias
+    ``output_bias``.  So the first step with feature 0 set writes
+    c = tanh(0.5), and later steps without it keep c."""
+    h = hidden
+    cell = M.LSTMCell(in_dim, hidden, np.random.default_rng(0))
+    cell.W_x.data[:] = 0.0
+    cell.W_x.data[0, :h] = 60.0
+    cell.W_h.data[:] = 0.0
+    cell.b.data[:] = np.repeat([-30.0, 30.0, 0.5, output_bias], h)
+    return cell
+
+
+@pytest.mark.parametrize("output_bias,want", [
+    (0.0, 0.5 * np.tanh(np.tanh(0.5))),  # o = 1/2, c kept from the first step
+    (-30.0, 0.0),  # the output gate shuts h
+])
+def test_lstm_sequence_reads_gates_in_storage_order(output_bias, want):
+    # a slip in the gate order that the fused op and its oracle shared
+    # would pass their comparison; this reads the order from the parameters
+    rows, hidden = 3, 4
+    cell = gated_cell(2, hidden, output_bias)
+    for steps in (1, 2, 7):
+        x = np.zeros((steps * rows, 2))
+        x[:rows, 0] = 1.0  # the first step only
+        h = cell.run(Tensor(x), rows).data
+        np.testing.assert_allclose(h, np.full((rows, hidden), want), rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("output_bias,want", [
+    (0.0, 0.5 * np.tanh(np.tanh(0.5))),
+    (-30.0, 0.0),
+])
+def test_lstm_rollout_reads_gates_in_storage_order(output_bias, want):
+    # the cell's input is the embedded x displacement: 1 at the first step,
+    # then gamma's x output, which is zero; gamma's y output is h[0], so
+    # the y displacements show h at every step
+    rows, hidden, steps = 3, 4, 6
+    cell = gated_cell(2, hidden, output_bias)
+    W_e, b_e = Tensor(np.eye(2)), Tensor(np.zeros(2))
+    W_g = np.zeros((hidden, 2))
+    W_g[0, 1] = 1.0
+    last_disp = np.zeros((rows, 2))
+    last_disp[:, 0] = 1.0
+    _, disps = T.lstm_rollout(Tensor(np.zeros((rows, hidden))), (W_e, b_e),
+                              (cell.W_x, cell.W_h, cell.b),
+                              [(Tensor(W_g), Tensor(np.zeros(2)))], np.zeros((rows, 2)),
+                              last_disp, steps, 1.0)
+    assert np.array_equal(disps.data[:, 0], np.zeros(steps * rows))
+    np.testing.assert_allclose(disps.data[:, 1], np.full(steps * rows, want),
+                               rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +480,13 @@ def test_pooling_packed_windows_stay_apart_bitwise():
         want = base.copy()
         want[rows] = base[rows][perm]
         assert permuted.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("counts", [(1, 3, 16, 2, 1), (1, 1, 1), (5,)])
+def test_pair_indices_match_per_window_loop(counts):
+    got, want = M._pair_indices(counts), looped_pair_indices(counts)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_pooling_all_single_agent_windows_are_zero():

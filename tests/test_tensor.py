@@ -378,9 +378,9 @@ def assert_fused_matches_looped(fused, looped, leaves, weights):
 
 
 def lstm_leaves(rng, rows, in_dim, hidden, trainable=(True,) * 5):
-    """x, [h | c], W_x, W_h and b for one LSTM step; ``trainable`` says
-    which of them require a gradient."""
-    shapes = ((rows, in_dim), (rows, 2 * hidden), (in_dim, 4 * hidden),
+    """The feature-major x and [h; c], then W_x, W_h and b for one LSTM
+    step; ``trainable`` says which of them require a gradient."""
+    shapes = ((in_dim, rows), (2 * hidden, rows), (in_dim, 4 * hidden),
               (hidden, 4 * hidden), (4 * hidden,))
     return [Tensor(rng.standard_normal(s) * 2.0, requires_grad=flag)
             for s, flag in zip(shapes, trainable)]
@@ -389,7 +389,7 @@ def lstm_leaves(rng, rows, in_dim, hidden, trainable=(True,) * 5):
 def assert_lstm_matches_oracle(rows, in_dim, hidden, seed, trainable=(True,) * 5):
     rng = np.random.default_rng(seed)
     leaves = lstm_leaves(rng, rows, in_dim, hidden, trainable)
-    w = [Tensor(rng.standard_normal((rows, 2 * hidden)))]
+    w = [Tensor(rng.standard_normal((2 * hidden, rows)))]
     assert_fused_matches_looped(lambda: lstm_cell(*leaves), lambda: looped_lstm_step(*leaves),
                                 leaves, w)
 
@@ -411,19 +411,19 @@ def test_lstm_cell_grads():
     leaves = lstm_leaves(rng, 3, 2, 3)
     for x in leaves:
         x.data *= 0.5  # keep the gates off saturation, where differences lose digits
-    w = Tensor(rng.standard_normal((3, 6)))
+    w = Tensor(rng.standard_normal((6, 3)))
     worst = assert_grads_match(lambda: T.mul(lstm_cell(*leaves), w).sum(), leaves,
                                rtol=1e-6)
     assert worst < 1e-6
 
 
 @pytest.mark.parametrize("shapes", [
-    ((3, 2), (3, 5), (2, 12), (3, 12), (12,)),  # hc not 2H wide
-    ((3, 2), (2, 6), (2, 12), (3, 12), (12,)),  # hc rows differ from x
-    ((3, 2), (3, 6), (4, 12), (3, 12), (12,)),  # W_x rows differ from input dim
-    ((3, 2), (3, 6), (2, 12), (3, 9), (12,)),  # W_h not (H, 4H)
-    ((3, 2), (3, 6), (2, 12), (3, 12), (9,)),  # b not 4H long
-    ((2,), (3, 6), (2, 12), (3, 12), (12,)),  # x not 2-D
+    ((2, 3), (5, 3), (2, 12), (3, 12), (12,)),  # hc not 2H tall
+    ((2, 3), (6, 2), (2, 12), (3, 12), (12,)),  # hc columns differ from x
+    ((2, 3), (6, 3), (4, 12), (3, 12), (12,)),  # W_x rows differ from input dim
+    ((2, 3), (6, 3), (2, 12), (3, 9), (12,)),  # W_h not (H, 4H)
+    ((2, 3), (6, 3), (2, 12), (3, 12), (9,)),  # b not 4H long
+    ((2,), (6, 3), (2, 12), (3, 12), (12,)),  # x not 2-D
 ])
 def test_lstm_cell_rejects_bad_shapes(shapes):
     with pytest.raises(ShapeError):
@@ -664,6 +664,22 @@ def test_no_grad_lstm_ops_share_no_memory_between_calls():
     assert all(np.array_equal(g.data, w) for g, w in held)
     assert not any(np.shares_memory(g.data, ws) for g, _ in held
                    for full in T._lstm_workspaces.values() for ws in full)
+
+
+@pytest.mark.parametrize("hidden", [1, 16])
+@pytest.mark.parametrize("rows", [1, 2, 18, 320])
+def test_recording_and_no_grad_lstm_calls_compute_the_same_values(rows, hidden):
+    # a recording call keeps each step's activations in fresh arrays and a
+    # call that does not record writes them into the workspace; both run
+    # the same arithmetic, matrix-vector products at one row included
+    rng = np.random.default_rng(26)
+    for call, _ in lstm_op_calls(rng, rows, hidden):
+        with Tape() as tape:
+            want = [o.data.copy() for o in call()]
+        assert len(tape.nodes) == 1
+        with no_grad():
+            got = call()
+        assert all(np.array_equal(g.data, w) for g, w in zip(got, want))
 
 
 def test_recorded_lstm_steps_survive_calls_before_backward():
