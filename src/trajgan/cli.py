@@ -177,8 +177,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     payload, cfg, gen = _rebuild_from_checkpoint(args.checkpoint)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    # the split is the checkpoint's; --seed reseeds only the sampling noise
+    seed = cfg.seed if args.seed is None else args.seed
     k = args.k or cfg.train.k
     windows = C.load_windows(cfg.data)
     split = D.split_dataset(windows, seed=cfg.seed)
@@ -188,15 +188,15 @@ def cmd_eval(args):
 
     out = args.out or os.path.join(os.path.dirname(args.checkpoint) or ".", "eval")
     os.makedirs(out, exist_ok=True)
-    report_k = E.eval_min_of_k(gen, chosen, k=k, seed=cfg.seed)
-    report_1 = E.eval_min_of_k(gen, chosen, k=1, seed=cfg.seed)
+    report_k = E.eval_min_of_k(gen, chosen, k=k, seed=seed)
+    report_1 = E.eval_min_of_k(gen, chosen, k=1, seed=seed)
     D.write_atomic(os.path.join(out, f"report_k{k}.csv"), report_k.to_csv())
     D.write_atomic(os.path.join(out, "report_k1.csv"), report_1.to_csv())
     text = (f"split {args.split}, best of k={k}\n"
             + report_k.to_text(cfg.name)
             + f"\nsplit {args.split}, k=1\n" + report_1.to_text(cfg.name))
     D.write_atomic(os.path.join(out, "report.txt"), text)
-    _write_manifest(out, C.config_hash(cfg), cfg.seed,
+    _write_manifest(out, C.config_hash(cfg), seed,
                     [args.checkpoint] + _data_input_paths(cfg.data))
     sys.stdout.write(text)
     return EXIT_OK
@@ -256,7 +256,8 @@ def build_parser():
     se.add_argument("--checkpoint", required=True)
     se.add_argument("--split", choices=("train", "val", "test"), default="test")
     se.add_argument("--k", type=int, default=None)
-    se.add_argument("--seed", type=int, default=None)
+    se.add_argument("--seed", type=int, default=None,
+                    help="reseed the sampling noise; the split stays the checkpoint's")
     se.add_argument("--out", default=None)
     se.set_defaults(func=cmd_eval)
 

@@ -73,12 +73,6 @@ def normalize_label(name, class_vocab=CLASS_NAMES):
     return key
 
 
-def one_hot(idx, n=N_CLASSES):
-    v = np.zeros(n)
-    v[idx] = 1.0
-    return v
-
-
 class RawAnnotation(NamedTuple):
     """One annotated box that was not lost: an immutable named tuple.
 

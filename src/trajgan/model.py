@@ -525,10 +525,9 @@ def stacked_onehots(batch):
 class PredictionSet:
     """k sampled future trajectories per agent plus the noise that made them.
 
-    The agents of all windows of a batch are stacked as rows in batch order;
-    ``agent_counts`` holds each window's agent count (one window when not
-    given).  ``traj`` holds absolute positions as a (n_agents*k, 2*t_pred)
-    tensor with rows grouped agent-major: row i*k + j is sample j of agent i.
+    The agents of all windows of a batch are stacked as rows in batch order.
+    ``traj`` holds absolute positions as a (n_agents*k, 2*t_pred) tensor
+    with rows grouped agent-major: row i*k + j is sample j of agent i.
     ``disp_steps`` holds the predicted displacements as one
     (t_pred*n_agents*k, 2) tensor in time-major order: row t*n_agents*k + i*k
     + j is step t of sample j of agent i.  ``obs_steps`` is the
@@ -543,10 +542,6 @@ class PredictionSet:
     traj: Tensor
     disp_steps: Tensor = None
     obs_steps: Tensor = None
-    agent_counts: tuple = ()
-
-    def __post_init__(self):
-        self.agent_counts = tuple(self.agent_counts) or (self.n_agents,)
 
     def trajectories(self):
         """(n_agents, k, t_pred, 2) predicted absolute positions."""
@@ -596,7 +591,7 @@ def generator_forward(gen, windows, k=None, rng=None, z=None):
         observed[idx, -1],
         observed[idx, -1] - observed[idx, -2],
         t_pred)
-    return PredictionSet(n, k, t_pred, z, traj, disp_steps, obs_steps, tuple(counts))
+    return PredictionSet(n, k, t_pred, z, traj, disp_steps, obs_steps)
 
 
 def real_steps(windows):
@@ -698,13 +693,15 @@ def load_checkpoint_payload(path):
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"checkpoint {path} does not hold a JSON object")
     version = payload.get("format_version")
     if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}; "
                               f"this build reads versions 1 to {CHECKPOINT_VERSION}")
     if version == 1:
         for key in ("generator", "discriminator"):
-            if payload.get(key):
+            if isinstance(payload.get(key), dict):
                 payload[key] = {name: rec for name, rec in payload[key].items()
                                 if not name.endswith(".mha.k.b")}
     return payload
@@ -717,7 +714,14 @@ def load_models(payload, gen, disc=None):
         if model is None:
             continue
         stored = payload.get(key)
-        if stored is None:
-            raise CheckpointError(f"checkpoint holds no {key} parameters")
-        restore_params(model, {name: np.reshape(rec["values"], rec["shape"])
-                               for name, rec in stored.items()}, source)
+        if not isinstance(stored, dict):
+            raise CheckpointError(f"checkpoint holds no {key} parameter object")
+        values = {}
+        for name, rec in stored.items():
+            try:
+                values[name] = np.reshape(np.asarray(rec["values"], dtype=float),
+                                          rec["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(f"{source} {key} parameter {name!r} is malformed: "
+                                      f"{type(exc).__name__} {exc}") from exc
+        restore_params(model, values, source)

@@ -5,6 +5,8 @@ number of vector operations however many tensors a network has.  Code that
 writes a parameter in place (``p.data[...] = ...``, as
 ``model.restore_params`` does) writes through to that vector; rebinding
 ``p.data`` detaches the parameter, and the next step raises ContractError.
+The newest ``Adam`` owns its parameters: building one packs them afresh,
+which detaches them from any older ``Adam`` in the same way.
 Building an ``Adam`` also tells glibc to keep freed heap memory in the
 process (``_keep_freed_heap``), so train steps stop page-faulting.
 
@@ -18,18 +20,10 @@ from __future__ import annotations
 import ctypes
 import math
 import sys
-import weakref
 
 import numpy as np
 
 from .tensor import ContractError, Tensor
-
-_SLOT_ALIGN = 8  # float64 elements in 64 bytes
-
-# packed parameter -> (its vector, its slot index).  Weak, so a packing lives
-# exactly as long as its parameters; the values hold no reference back.
-_SLOTS = weakref.WeakKeyDictionary()
-
 
 # glibc's mallopt parameters, and the thresholds its own dynamic mmap
 # threshold grows to on a 64-bit build
@@ -61,50 +55,19 @@ def _keep_freed_heap():
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
-def _aligned_zeros(n):
-    """A zeroed float64 vector of ``n`` elements starting on a 64-byte boundary."""
-    raw = np.zeros(n + _SLOT_ALIGN)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start:start + n]
-
-
-def _pack(params, offsets):
-    """The vector that holds ``params`` at ``offsets``.  Unpacked parameters
-    are copied into a new vector and their ``data`` rebound to views of it;
-    parameters packed earlier for this same list reuse their vector."""
-    owners = [_SLOTS.get(p) for p in params]
-    if all(o is None for o in owners):
-        vec = _aligned_zeros(offsets[-1])
-        for i, p in enumerate(params):
-            view = vec[offsets[i]:offsets[i] + p.data.size].reshape(p.data.shape)
-            view[...] = p.data
-            p.data = view
-            _SLOTS[p] = (vec, i)
-        return vec
-    # reused only when every parameter holds slot i of one vector of this size
-    vec = owners[0] and owners[0][0]
-    if (vec is None or vec.size != offsets[-1]
-            or any(o is None or o[0] is not vec or o[1] != i for i, o in enumerate(owners))):
-        raise ContractError("a parameter is already packed by an optimizer over a "
-                            "different parameter list")
-    return vec
-
-
 class Adam:
     """Bias-corrected Adam over a fixed list of requires_grad leaves.
 
-    The parameters' values are copied bit for bit into one vector: each
-    parameter's slot starts on a 64-byte boundary, with zero padding
-    between slots, and ``p.data`` becomes a C-contiguous view of its slot.
-    ``m``, ``v``, the gathered gradient and two scratch vectors share that
-    layout; the hyperparameters and the step count ``t`` are shared by all
-    parameters.  The update is the per-tensor Adam's elementwise
-    arithmetic in the same order, so its values are bit-identical to it.
+    The parameters' current values are copied bit for bit, back to back,
+    into one float64 vector, and each ``p.data`` becomes a C-contiguous view
+    of its slice.  ``m``, ``v``, the gathered gradient and two scratch
+    vectors have the same length; the hyperparameters and the step count
+    ``t`` are shared by all parameters.  The update is the per-tensor Adam's
+    elementwise arithmetic in the same order, so its values are
+    bit-identical to it.
 
-    A parameter belongs to one packing.  A second ``Adam`` over the same
-    list, in the same order, moves the same vector (with its own moments);
-    any other list holding an already packed parameter raises
-    ContractError.
+    The newest ``Adam`` owns its parameters: an older ``Adam`` over any of
+    them finds it rebound and raises ContractError at its next step.
     """
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -114,30 +77,26 @@ class Adam:
                 raise ContractError("Adam expects requires_grad leaf tensors")
         if len({id(p) for p in self.params}) != len(self.params):
             raise ContractError("Adam got the same parameter twice")
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
+        self.lr, self.beta1, self.beta2, self.epsilon = lr, beta1, beta2, epsilon
         self.t = 0
-        sizes = [p.data.size for p in self.params]
-        offsets = [0]
-        for s in sizes:
-            offsets.append(offsets[-1] + -(-s // _SLOT_ALIGN) * _SLOT_ALIGN)
-        self.vec = _pack(self.params, offsets)
+        n = sum(p.data.size for p in self.params)
+        self.vec = np.zeros(n)
+        start = 0
+        for p in self.params:
+            view = self.vec[start:start + p.data.size].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            start += view.size
         self._views = [p.data for p in self.params]
-        # zeros that fill each slot's tail in the gather; None where it has none
-        self._pads = [np.zeros(end - start - s) if end - start > s else None
-                      for start, end, s in zip(offsets, offsets[1:], sizes)]
-        n = offsets[-1]
-        self.m, self.v, self._g, self._s, self._u = (_aligned_zeros(n) for _ in range(5))
+        self.m, self.v, self._g, self._s, self._u = (np.zeros(n) for _ in range(5))
         _keep_freed_heap()
 
     def step(self):
         """One update of every parameter; gradients are cleared.  Raises
         ContractError, before changing anything, if a parameter has no
-        gradient, one of another shape, or no longer views its slot."""
+        gradient, one of another shape, or no longer views its slice."""
         parts = []
-        for p, view, pad in zip(self.params, self._views, self._pads):
+        for p, view in zip(self.params, self._views):
             g = p.grad
             if g is None:
                 raise ContractError("Adam step on a parameter with no accumulated gradient")
@@ -145,10 +104,8 @@ class Adam:
                 raise ContractError(f"gradient of shape {g.shape} for a parameter of "
                                     f"shape {view.shape}")
             if p.data is not view:
-                raise ContractError("parameter data was rebound away from its packed slot")
+                raise ContractError("parameter data was rebound away from its packed slice")
             parts.append(g.ravel())
-            if pad is not None:
-                parts.append(pad)
         g, s, u, m, v = self._g, self._s, self._u, self.m, self.v
         np.concatenate(parts, out=g)
         self.t += 1
@@ -162,7 +119,7 @@ class Adam:
         np.multiply(g, g, out=s)
         s *= 1.0 - b2
         v += s
-        # vec -= lr*(m/c1) / (sqrt(v/c2) + eps); padding stays 0 (0/eps)
+        # vec -= lr*(m/c1) / (sqrt(v/c2) + eps)
         np.divide(m, c1, out=s)
         s *= self.lr
         np.divide(v, c2, out=u)

@@ -11,7 +11,8 @@ from trajgan import cli
 from trajgan import config as C
 from trajgan import data as D
 from trajgan import plots
-from trajgan.model import ConfigError, ModelConfig, load_checkpoint_payload
+from trajgan.model import (ConfigError, ModelConfig, build_generator,
+                           load_checkpoint_payload, save_checkpoint)
 from trajgan.train import TrainConfig
 
 
@@ -341,6 +342,52 @@ def test_cmd_train_numeric_failure_exit(tmp_path, monkeypatch):
 def test_cmd_eval_missing_checkpoint_and_bad_split(tmp_path):
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "no.json")]) \
         == cli.EXIT_CONFIG
+
+
+def test_cmd_eval_seed_reseeds_sampling_not_the_split(tmp_path):
+    cfg = small_experiment(tmp_path)
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == cli.EXIT_OK
+    ckpt = str(tmp_path / "run" / "checkpoint.json")
+    rows = {}
+    for name, flags in (("own", []), ("reseeded", ["--seed", "1"])):
+        out = tmp_path / name
+        assert cli.main(["eval", "--checkpoint", ckpt, "--out", str(out)] + flags) \
+            == cli.EXIT_OK
+        # the constant-velocity row depends on the scored windows only
+        rows[name] = [line for line in (out / "report_k2.csv").read_text().splitlines()
+                      if line.startswith("constant_velocity,")]
+        assert json.loads((out / "manifest.json").read_text())["seed"] == (1 if flags else 0)
+    assert len(rows["own"]) == 1 and rows["own"] == rows["reseeded"]
+
+
+def _drop_values(payload):
+    rec = next(iter(payload["generator"].values()))
+    del rec["values"]
+    return payload
+
+
+def _short_values(payload):
+    rec = next(iter(payload["generator"].values()))
+    rec["values"] = rec["values"][:-1]
+    return payload
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda payload: [1, 2], "checkpoint.json"),
+    (lambda payload: {**payload, "generator": [1, 2]}, "generator"),
+    (lambda payload: {**payload, "format_version": 1, "generator": [1, 2]}, "generator"),
+    (_drop_values, "parameter"),
+    (_short_values, "parameter"),
+], ids=["not_an_object", "parameters_not_an_object", "v1_parameters_not_an_object",
+        "no_values", "values_do_not_fit_shape"])
+def test_cmd_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, named):
+    cfg = small_experiment(tmp_path)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, build_generator(cfg.model, seed=cfg.seed),
+                    config_dict=C.to_dict(cfg))
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    assert cli.main(["eval", "--checkpoint", str(path)]) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
 
 
 def test_cmd_analyze_rejects_label_free_checkpoint(tmp_path, capsys):

@@ -12,7 +12,7 @@ from trajgan import model as M
 from trajgan.optim import Adam, clip_grad_norm, grad_norm
 from trajgan.tensor import ContractError, Tensor
 
-# odd sizes and single elements, so most slots end in padding
+# odd sizes and single elements
 SHAPES = [(1,), (3,), (5, 7), (2, 3, 3), (13,), (1, 1), (8,), (4, 9)]
 
 
@@ -60,47 +60,39 @@ def test_packing_keeps_values_and_gives_aligned_contiguous_views():
         assert p.data.tobytes() == np.ascontiguousarray(old).tobytes()
         assert p.data.shape == old.shape and p.data.dtype == np.float64
         assert p.data.flags.c_contiguous
-        assert p.data.ctypes.data % 64 == 0
         assert np.shares_memory(p.data, opt.vec)
-    # padding between slots is zero and the slots cover every value
-    assert opt.vec.size % 8 == 0
     assert np.count_nonzero(opt.vec) == sum(np.count_nonzero(p.data) for p in params)
 
 
-def test_second_adam_over_same_list_shares_the_vector():
-    params = leaves()
-    first = Adam(params, lr=0.1)
-    views = [p.data for p in params]
-    second = Adam(list(params), lr=0.1)
-    assert second.vec is first.vec
-    assert all(p.data is v for p, v in zip(params, views))
-    for p in params:
-        p.grad = np.ones(p.shape)
-    second.step()
-    # the first optimizer's vector moved too, and it can still step
-    assert np.array_equal(first.vec, second.vec)
-    for p in params:
-        p.grad = np.ones(p.shape)
-    first.step()
-    assert first.t == second.t == 1
-
-
 @pytest.mark.parametrize("other", [
+    lambda ps, extra: list(ps),
     lambda ps, extra: ps[:3],
     lambda ps, extra: ps[::-1],
     lambda ps, extra: [extra] + ps,
     lambda ps, extra: [ps[0]] + leaves(seed=4),
-], ids=["prefix", "reordered", "unpacked_then_packed", "packed_then_unpacked"])
-def test_packed_parameter_in_another_layout_is_contract_error(other):
+], ids=["same_list", "prefix", "reordered", "unpacked_then_packed",
+        "packed_then_unpacked"])
+def test_newest_adam_owns_its_parameters(other):
     params = leaves()
-    first = Adam(params)
+    first = Adam(params, lr=0.1)
     extra = Tensor(np.ones(3), requires_grad=True)
-    extra_data = extra.data
+    newer = other(params, extra)
+    before = [p.data.copy() for p in params + newer]
+    second = Adam(newer, lr=0.1)
+    # the newest optimizer packs afresh and keeps every value
+    for p, old in zip(params + newer, before):
+        assert p.data.tobytes() == old.tobytes()
+    assert all(np.shares_memory(p.data, second.vec) for p in newer)
+    # the older one now finds a parameter rebound and changes nothing
+    packed = first.vec.copy()
+    for p in params:
+        p.grad = np.ones(p.shape)
     with pytest.raises(ContractError):
-        Adam(other(params, extra))
-    # nothing was detached or repacked
-    assert all(np.shares_memory(p.data, first.vec) for p in params)
-    assert extra.data is extra_data
+        first.step()
+    assert first.t == 0 and not first.m.any() and not first.v.any()
+    assert np.array_equal(first.vec, packed)
+    for p, old in zip(params + newer, before):
+        assert p.data.tobytes() == old.tobytes()
 
 
 def test_same_parameter_twice_is_contract_error():
