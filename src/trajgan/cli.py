@@ -179,12 +179,12 @@ def cmd_eval(args):
     payload, cfg, gen = _rebuild_from_checkpoint(args.checkpoint)
     # the split is the checkpoint's; --seed reseeds only the sampling noise
     seed = cfg.seed if args.seed is None else args.seed
-    k = args.k or cfg.train.k
+    k = cfg.train.k if args.k is None else args.k
+    if k < 1:
+        raise ConfigError(f"--k must be at least 1, got {k}")
     windows = C.load_windows(cfg.data)
-    split = D.split_dataset(windows, seed=cfg.seed)
+    split = D.split_dataset(windows, seed=cfg.seed)  # no part is empty
     chosen = getattr(split, args.split)
-    if not chosen:
-        raise D.DataError(f"split {args.split!r} holds no windows")
 
     out = args.out or os.path.join(os.path.dirname(args.checkpoint) or ".", "eval")
     os.makedirs(out, exist_ok=True)

@@ -7,8 +7,6 @@ writes a parameter in place (``p.data[...] = ...``, as
 ``p.data`` detaches the parameter, and the next step raises ContractError.
 The newest ``Adam`` owns its parameters: building one packs them afresh,
 which detaches them from any older ``Adam`` in the same way.
-Building an ``Adam`` also tells glibc to keep freed heap memory in the
-process (``_keep_freed_heap``), so train steps stop page-faulting.
 
 Each ``Adam`` owns its moment estimates and step count, so the generator
 and the discriminator are driven by independent optimizers.  ``step``
@@ -17,42 +15,11 @@ consumes the accumulated gradients and clears them afterwards.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import sys
 
 import numpy as np
 
 from .tensor import ContractError, Tensor
-
-# glibc's mallopt parameters, and the thresholds its own dynamic mmap
-# threshold grows to on a 64-bit build
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
-
-
-def _keep_freed_heap():
-    """Keep the memory a train step frees in the process for the next step.
-
-    A step allocates and frees megabytes of tape arrays.  glibc hands the top
-    of its heap back to the kernel whenever more than M_TRIM_THRESHOLD
-    (128 KiB at start) is free there, and the next step faults those pages
-    in again (about 500 minor faults per transformer step).  The per-tensor
-    Adam kept the heap top in use by chance, reallocating its moments after
-    each backward; the packed one allocates nothing that outlives a step.
-    So this sets the mmap and trim thresholds to the most glibc's dynamic
-    adjustment would raise them to.  Process-wide and idempotent; a no-op
-    off Linux or where the C library has no mallopt.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
 class Adam:
@@ -89,7 +56,6 @@ class Adam:
             start += view.size
         self._views = [p.data for p in self.params]
         self.m, self.v, self._g, self._s, self._u = (np.zeros(n) for _ in range(5))
-        _keep_freed_heap()
 
     def step(self):
         """One update of every parameter; gradients are cleared.  Raises

@@ -7,13 +7,16 @@ vector broadcasting, concat/slice/gather, row softmax, segment max,
 reductions, multi-head attention over grouped sequences, an LSTM run over
 whole sequences, the decoder's autoregressive LSTM rollout, and the handful
 of nonlinearities the models need.  There is no general
-broadcasting and no dtype other than float64.
+broadcasting and no dtype other than float64.  Importing this module tells
+glibc to keep freed heap memory in the process (``_keep_freed_heap``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -29,6 +32,39 @@ class ContractError(RuntimeError):
 
 class NumericError(ArithmeticError):
     """NaN or Inf produced while debug validation is enabled."""
+
+
+# glibc's mallopt parameters, and the thresholds its own dynamic mmap
+# threshold grows to on a 64-bit build
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_freed_heap():
+    """Keep the memory an operation frees in the process for the next one.
+
+    A train step allocates and frees megabytes of tape arrays, and an LSTM
+    call frees its step blocks.  glibc hands the top of its heap back to the
+    kernel whenever more than M_TRIM_THRESHOLD (128 KiB at start) is free
+    there, and the next step or call faults those pages in again: about 500
+    minor faults per transformer train step, and over 100 per no-grad
+    ``lstm_sequence`` plus ``lstm_rollout`` at eval's 320 rows.  So this
+    sets the mmap and trim thresholds to the most glibc's dynamic adjustment
+    would raise them to.  Called once, when this module is imported;
+    process-wide; a no-op off Linux or where the C library has no mallopt.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
+_keep_freed_heap()
 
 
 _debug_checks = False
@@ -650,16 +686,16 @@ def _gate_order(hd):
     return order
 
 
-def _compute_order(W_x, W_h, b, ws):
-    """An LSTM cell's (I, 4H) W_x and (H, 4H) W_h as the fresh (4H, I) and
-    (4H, H) transposed weights that the feature-major steps use, gate rows
-    in the compute order.  Its (4H,) b goes, in the same order, into every
-    column of the bias block of ``ws``, the call's ``_lstm_workspace``: a
-    step adds a full block faster than it broadcasts a column, and without
-    numpy's broadcasting buffer."""
+def _compute_order(W_x, W_h, b, rows):
+    """An LSTM cell's (I, 4H) W_x, (H, 4H) W_h and (4H,) b as the fresh
+    (4H, I) and (4H, H) transposed weights and the (4H, rows) bias block
+    that the feature-major steps over ``rows`` rows use, gate rows in the
+    compute order.  The bias is in every column of its block: a step adds a
+    full block faster than it broadcasts a column, and without numpy's
+    broadcasting buffer."""
     order = _gate_order(W_h.shape[0])
-    np.copyto(ws[2], b.data[order][:, None])
-    return W_x.data.T[order], W_h.data.T[order]
+    bias = np.repeat(b.data[order][:, None], rows, axis=1)
+    return W_x.data.T[order], W_h.data.T[order], bias
 
 
 def _storage_order(grads, hd):
@@ -670,59 +706,21 @@ def _storage_order(grads, hd):
                  for g in grads)
 
 
-# Grow-only LSTM step buffers, one set per hidden size; see ``_lstm_workspace``.
-_lstm_workspaces = {}
-
-
-def _lstm_workspace(rows, hd):
-    """Feature-major step buffers for an LSTM call over ``rows`` rows of
-    hidden size ``hd``: the gates, a temporary and the bias, each
-    (4*hd, rows), then tanh(c), h and c, each (hd, rows), all uninitialised;
-    last a read-only (hd, rows) zero state.
-
-    Each is a contiguous block of a flat array kept in module state from
-    call to call and grown, never shrunk, so the steps of one call and every
-    later call write into the same memory instead of freeing and allocating
-    fresh temporaries each step: at eval's hundreds of rows the allocator
-    would hand those back to the kernel and fault them in again every step.
-    The flat arrays are reshaped to the call's row count, because column
-    slices of wider buffers would be strided.  It is single-threaded: two
-    calls of one hidden size running at once would share the buffers.  No op
-    returns a view of them, and a recording call keeps none but the zero
-    state, which nothing can write.
-    """
-    n = rows * hd
-    full = _lstm_workspaces.get(hd)
-    if full is None or full[1].size < n:
-        zero = np.zeros(n)
-        zero.flags.writeable = False
-        full = _lstm_workspaces[hd] = (np.empty(15 * n), zero)
-    flat, zero = full
-    ws = flat[:15 * n].reshape(15 * hd, rows)
-    return (ws[:4 * hd], ws[4 * hd:8 * hd], ws[8 * hd:12 * hd], ws[12 * hd:13 * hd],
-            ws[13 * hd:14 * hd], ws[14 * hd:], zero[:n].reshape(hd, rows))
-
-
-def _lstm_step(x, h, c, A_x, A_h, ws, keep):
+def _lstm_step(x, h, c, cell, tmp, out):
     """One LSTM step on feature-major arrays: ``x`` is the (I, R) input,
-    ``h`` and ``c`` the (H, R) state, and ``A_x`` and ``A_h`` the cell's
-    ``_compute_order`` weights, whose bias is in ``ws``.  So the gates are
-    rows in the order (input, forget, output, cell), and each gate is one
-    contiguous block.
+    ``h`` and ``c`` the (H, R) state, and ``cell`` the ``_compute_order``
+    arrays.  So the gates are rows in the order (input, forget, output,
+    cell), and each gate is one contiguous block.
 
-    Computes in ``ws``, the call's ``_lstm_workspace``; the next h and c go
-    into its h and c arrays, which may be the input h and c themselves.
-    With ``keep``, for a step that the backward will read, the gates,
-    tanh(c) and the next h and c are blocks of one fresh array instead and
-    only the temporary is in ``ws``.  Returns the next h and c, and what
-    ``_lstm_step_grad`` needs of the step.
+    The gates, tanh(c), h and c of the step go into the four blocks of
+    ``out``, a (7H, R) array whose h and c blocks may be the input h and c
+    themselves; ``tmp`` is a (4H, R) scratch array.  Returns the next h and
+    c, and what ``_lstm_step_grad`` needs of the step.
     """
     hd = h.shape[0]
-    gates, tmp, b, tc, h_next, c_next, _ = ws
-    if keep:
-        fresh = np.empty((7 * hd, h.shape[1]))
-        gates, tc, h_next, c_next = (fresh[:4 * hd], fresh[4 * hd:5 * hd],
-                                     fresh[5 * hd:6 * hd], fresh[6 * hd:])
+    A_x, A_h, b = cell
+    gates, tc, h_next, c_next = (out[:4 * hd], out[4 * hd:5 * hd],
+                                 out[5 * hd:6 * hd], out[6 * hd:])
     np.matmul(A_x, x, out=gates)
     gates += np.matmul(A_h, h, out=tmp)
     gates += b
@@ -793,8 +791,7 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     layouts those of the same step composed of transpose, take_rows, matmul,
     add, narrow, sigmoid, tanh and mul ops, so the values are the same bit
     for bit.  The backward is one numpy loop back over the steps; the
-    per-step activations are kept only while the op records on a tape.  The
-    steps compute in the reused ``_lstm_workspace``.
+    per-step activations are kept only while the op records on a tape.
     """
     hd = W_h.shape[0]
     if (x.data.ndim != 2 or rows < 1 or x.shape[0] < rows or x.shape[0] % rows
@@ -804,15 +801,18 @@ def lstm_sequence(x, W_x, W_h, b, rows):
                          f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
     inputs = (x, W_x, W_h, b)
     record = _recording_tape(inputs) is not None
-    ws = _lstm_workspace(rows, hd)
-    A_x, A_h = _compute_order(W_x, W_h, b, ws)
+    ordered = _compute_order(W_x, W_h, b, rows)
+    A_x, A_h, _ = ordered
     steps = x.shape[0] // rows
     # every step's input as its own contiguous (I, rows) block
     xs = x.data.reshape(steps, rows, x.shape[1]).transpose(0, 2, 1).copy()
-    h = c = ws[-1]
+    # each step's outputs: a block of its own while recording, for the
+    # backward to read, else one block that every step overwrites
+    tmp, blocks = np.empty((4 * hd, rows)), np.empty((steps if record else 1, 7 * hd, rows))
+    h = c = np.zeros((hd, rows))
     saved = []
-    for x_t in xs:
-        h, c, step = _lstm_step(x_t, h, c, A_x, A_h, ws, record)
+    for t, x_t in enumerate(xs):
+        h, c, step = _lstm_step(x_t, h, c, ordered, tmp, blocks[t if record else 0])
         if record:
             saved.append(step)
 
@@ -854,8 +854,7 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     order and their array layouts are those of the composed feature-major
     ops, so the values are the same bit for bit; the backward is one numpy
     loop back over the steps, and the per-step activations are kept only
-    while the op records on a tape.  The LSTM steps compute in the reused
-    ``_lstm_workspace``.
+    while the op records on a tape.
     """
     W_e, b_e = embed
     W_x, W_h, b = cell
@@ -881,26 +880,23 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     inv = 1.0 / scale
     inputs = (h0, W_e, b_e, W_x, W_h, b) + tuple(p for layer in layers for p in layer)
     record = _recording_tape(inputs) is not None
-    ws = _lstm_workspace(rows, hd)
-    A_x, A_h = _compute_order(W_x, W_h, b, ws)
+    ordered = _compute_order(W_x, W_h, b, rows)
+    A_x, A_h, _ = ordered
     # the embedding and every gamma layer as transposed weights and a bias column
     W_eT, b_eT = W_e.data.T.copy(), b_e.data[:, None]
     layers_T = [(W.data.T.copy(), b_.data[:, None]) for W, b_ in layers]
     W_out, b_out = layers_T.pop()
     x_in = np.asarray(last_disp, dtype=np.float64).T
     pos = np.asarray(last_pos, dtype=np.float64).T
-    # h0 feature-major: a copy the backward keeps, or else the workspace h
-    h, c = (h0.data.T.copy() if record else ws[4]), ws[-1]
-    if not record:
-        np.copyto(h, h0.data.T)
+    # the LSTM steps' outputs, as in ``lstm_sequence``
+    tmp, blocks = np.empty((4 * hd, rows)), np.empty((t_pred if record else 1, 7 * hd, rows))
+    h, c = h0.data.T.copy(), np.zeros((hd, rows))
     positions, disps = np.empty((rows, 2 * t_pred)), np.empty((t_pred * rows, 2))
-    scaled = np.empty((2, rows))
     saved = []
     for t in range(t_pred):
-        if record:
-            scaled = np.empty((2, rows))
-        np.multiply(x_in, scale, out=scaled)
-        h, c, step = _lstm_step(_affine(W_eT, scaled, b_eT), h, c, A_x, A_h, ws, record)
+        scaled = np.multiply(x_in, scale, order="C")
+        h, c, step = _lstm_step(_affine(W_eT, scaled, b_eT), h, c, ordered, tmp,
+                                blocks[t if record else 0])
         acts, pres = [h], []
         for W, b_ in layers_T:
             pres.append(_affine(W, acts[-1], b_))

@@ -339,9 +339,27 @@ def test_cmd_train_numeric_failure_exit(tmp_path, monkeypatch):
     assert not (tmp_path / "run" / cli.LOCK_NAME).exists()
 
 
-def test_cmd_eval_missing_checkpoint_and_bad_split(tmp_path):
+def test_cmd_eval_missing_checkpoint_and_bad_split(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", str(tmp_path / "no.json")]) \
         == cli.EXIT_CONFIG
+    # argparse rejects a split name before any file is read
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["eval", "--checkpoint", str(tmp_path / "no.json"), "--split", "holdout"])
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert "invalid choice: 'holdout'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_cmd_eval_rejects_k_below_one(tmp_path, capsys, k):
+    cfg = small_experiment(tmp_path)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, build_generator(cfg.model, seed=cfg.seed),
+                    config_dict=C.to_dict(cfg))
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--checkpoint", str(path), "--out", str(out), "--k", str(k)]) \
+        == cli.EXIT_CONFIG
+    assert f"--k must be at least 1, got {k}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_eval_seed_reseeds_sampling_not_the_split(tmp_path):

@@ -345,6 +345,13 @@ def test_split_is_partition_within_one_of_targets(n):
         assert abs(len(part) - round(frac * n)) <= 1
 
 
+def test_split_gives_every_part_a_window():
+    # so a chosen part is never empty, whatever the split name
+    for n in range(3, 61):
+        split = D.split_dataset(list(range(n)), seed=n)
+        assert min(len(split.train), len(split.val), len(split.test)) >= 1, n
+
+
 def test_split_deterministic_and_seed_sensitive():
     windows = D.synth_scene("linear", 1, ["car"], seed=0, n_windows=40)
     a = D.split_dataset(windows, seed=3)

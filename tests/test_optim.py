@@ -1,9 +1,3 @@
-import os
-import pathlib
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
 import pytest
 
@@ -173,33 +167,3 @@ def test_grad_norm_and_clip_match_per_tensor_oracle():
     clip_grad_norm(params, 10.0)
     assert all(g is None or np.array_equal(p.grad, g) for p, g in zip(params, kept))
     assert grad_norm([]) == 0.0
-
-
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap trimming")
-def test_adam_keeps_freed_heap_memory_in_the_process():
-    # in a fresh process: 4 MB of 10 kB arrays freed and allocated again
-    # faults its pages back in unless the heap top is kept
-    script = textwrap.dedent("""
-        import resource, sys
-        import numpy as np
-        from trajgan.optim import Adam
-        from trajgan.tensor import Tensor
-        if sys.argv[1] == "adam":
-            Adam([Tensor(np.zeros(3), requires_grad=True)])
-        def churn():
-            arrays = [np.ones(1250) for _ in range(400)]
-            del arrays
-        churn()
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(10):
-            churn()
-        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
-    """)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
-    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    faults = {}
-    for mode in ("plain", "adam"):
-        out = subprocess.run([sys.executable, "-c", script, mode], env=env, check=True,
-                             capture_output=True, text=True, timeout=60).stdout
-        faults[mode] = float(out)
-    assert faults["adam"] < 10 < faults["plain"], faults

@@ -1,7 +1,11 @@
 import ast
 import gc
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
 
@@ -647,9 +651,8 @@ def lstm_op_calls(rng, rows, hidden):
 
 
 def test_no_grad_lstm_ops_share_no_memory_between_calls():
-    # every call computes in one reused workspace per hidden size;
-    # interleave row counts and hidden sizes so it grows, is sliced and is
-    # shared, and hold every output across the calls that follow it
+    # interleave row counts and hidden sizes, and hold every output across
+    # the calls that follow it: no later call may write into it
     rng = np.random.default_rng(23)
     held = []
     for rows in (320, 16, 320):
@@ -662,16 +665,14 @@ def test_no_grad_lstm_ops_share_no_memory_between_calls():
                 assert all(np.array_equal(g.data, w) for g, w in zip(got, want))
                 held += zip(got, want)
     assert all(np.array_equal(g.data, w) for g, w in held)
-    assert not any(np.shares_memory(g.data, ws) for g, _ in held
-                   for full in T._lstm_workspaces.values() for ws in full)
 
 
 @pytest.mark.parametrize("hidden", [1, 16])
 @pytest.mark.parametrize("rows", [1, 2, 18, 320])
 def test_recording_and_no_grad_lstm_calls_compute_the_same_values(rows, hidden):
-    # a recording call keeps each step's activations in fresh arrays and a
-    # call that does not record writes them into the workspace; both run
-    # the same arithmetic, matrix-vector products at one row included
+    # a recording call keeps each step's activations in a block of its own
+    # and a call that does not record overwrites one block every step; both
+    # run the same arithmetic, matrix-vector products at one row included
     rng = np.random.default_rng(26)
     for call, _ in lstm_op_calls(rng, rows, hidden):
         with Tape() as tape:
@@ -683,7 +684,7 @@ def test_recording_and_no_grad_lstm_calls_compute_the_same_values(rows, hidden):
 
 
 def test_recorded_lstm_steps_survive_calls_before_backward():
-    # the activations a recording call keeps for its backward are its own:
+    # the step blocks a recording call keeps for its backward are its own:
     # a call of the same hidden size between forward and backward, recording
     # or not, leaves the gradients unchanged
     rng = np.random.default_rng(25)
@@ -706,29 +707,62 @@ def test_recorded_lstm_steps_survive_calls_before_backward():
         assert all(np.array_equal(a, b) for a, b in zip(*grads))
 
 
-@pytest.mark.parametrize("op", ["sequence", "rollout"])
-def test_warm_no_grad_lstm_ops_allocate_no_gate_array(op):
-    # once warm, a call that does not record writes every step into its
-    # workspace: the whole call allocates less than one (R, 4H) gate array.
-    # The rollout's embedding and output layer still allocate per step, so
-    # they are kept two columns wide here
-    rng = np.random.default_rng(24)
-    rows, hidden = 320, 16
-    if op == "sequence":
-        leaves = sequence_leaves(rng, rows, 8, 2, hidden)
-        run = lambda: T.lstm_sequence(*leaves, rows)  # noqa: E731
-    else:
-        run = rollout_call(T.lstm_rollout, rollout_leaves(rng, rows, 2, hidden, ()),
-                           np.zeros((2, rows, 2)), 4, 0.02, "leaky_relu")
-    with no_grad():
-        run()
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < rows * 4 * hidden * 8
+def minor_faults_per_call(setup, call, calls=10):
+    """Minor page faults per run of the statements ``call`` in a fresh
+    interpreter, after the statements ``setup`` and one warm-up run.  The
+    interpreter has ``src`` on its path and glibc's default heap settings:
+    no ``MALLOC_*`` variable in its environment."""
+    script = "\n".join(["import resource", textwrap.dedent(setup), "def call():",
+                        textwrap.indent(textwrap.dedent(call), "    "), "call()",
+                        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+                        f"for _ in range({calls}):", "    call()",
+                        "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+                        f"print((after - before) / {calls})"])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return float(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                capture_output=True, text=True, timeout=60).stdout)
+
+
+GLIBC = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap trimming")
+
+
+@GLIBC
+def test_importing_tensor_keeps_freed_heap_memory_in_the_process():
+    # 4 MB of 10 kB arrays freed and allocated again faults its pages back
+    # in unless the heap top is kept
+    churn = """
+        arrays = [np.ones(1250) for _ in range(400)]
+        del arrays
+    """
+    plain = minor_faults_per_call("import numpy as np", churn)
+    kept = minor_faults_per_call("import numpy as np\nimport trajgan.tensor", churn)
+    assert kept < 10 < plain, (kept, plain)
+
+
+@GLIBC
+def test_warm_no_grad_lstm_ops_take_no_page_faults():
+    # eval's shapes: 320 rows, hidden size 16, 8 observed and 12 predicted
+    # steps.  Every call allocates and frees its step blocks, which stay in
+    # the process for the next call
+    setup = """
+        import numpy as np
+        from trajgan import tensor as T
+        rng = np.random.default_rng(24)
+        rows, hd = 320, 16
+        def leaf(*shape):
+            return T.Tensor(rng.standard_normal(shape) * 0.5)
+        cell = (leaf(16, 4 * hd), leaf(hd, 4 * hd), leaf(4 * hd))
+        x, h0, embed = leaf(8 * rows, 16), leaf(rows, hd), (leaf(2, 16), leaf(16))
+        gamma = [(leaf(hd, 32), leaf(32)), (leaf(32, 2), leaf(2))]
+        last = rng.standard_normal((rows, 2))
+    """
+    call = """
+        with T.no_grad():
+            T.lstm_sequence(x, *cell, rows)
+            T.lstm_rollout(h0, embed, cell, gamma, last, last, 12, 0.5)
+    """
+    assert minor_faults_per_call(setup, call) < 10
 
 
 # ---------------------------------------------------------------------------
