@@ -11,7 +11,9 @@ import io
 import numpy as np
 
 from trajgan import tensor as T
-from trajgan.data import CLASS_NAMES, WINDOW_CSV_HEADER, AgentTrack, DataError, SceneWindow
+from trajgan.data import (CLASS_NAMES, LABEL_ALIASES, WINDOW_CSV_HEADER, AgentTrack,
+                          AnnotationParseError, DataError, RawAnnotation, SceneWindow,
+                          UnknownLabelError)
 from trajgan.evaluate import constant_velocity_baseline
 from trajgan.model import generator_forward, score_fake, score_real
 from trajgan.optim import clip_grad_norm, grad_norm
@@ -419,6 +421,66 @@ def looped_train_step_nogan(batch, gen, g_opt, config, rng):
 
 # ---------------------------------------------------------------------------
 # data pipeline
+
+def _check_line_ref(line, ln):
+    """Check every field of one annotation line, in the order they come.
+
+    Returns ``(lost, occluded, generated, label)`` from the line's last four
+    fields; raises AnnotationParseError for the first field at fault.
+    """
+    parts = line.split(None, 9)
+    if len(parts) != 10:
+        raise AnnotationParseError(f"expected 10 fields, got {len(parts)}", ln)
+    try:
+        int(parts[0])
+        bbox = tuple(float(p) for p in parts[1:5])
+        int(parts[5])
+        lost, occluded, generated = (int(p) != 0 for p in parts[6:9])
+    except ValueError as e:
+        raise AnnotationParseError(str(e), ln) from None
+    if bbox[0] > bbox[2] or bbox[1] > bbox[3]:
+        raise AnnotationParseError(f"bbox not ordered: {bbox}", ln)
+    raw_label = parts[9].strip().strip('"')
+    label = raw_label.strip().lower()
+    label = LABEL_ALIASES.get(label, label)
+    if label not in CLASS_NAMES:
+        raise UnknownLabelError(f"unknown class label {raw_label!r}", ln)
+    return lost, occluded, generated, label
+
+
+def parse_annotations_ref(source):
+    """The two-pass annotation parser: a line whose last four fields are new
+    is first checked in full, field by field, and then converted again.
+    ``trajgan.data.parse_annotations`` must give the same records, or raise
+    the same error class with the same line and message."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    tails = {}
+    out = []
+    for ln, line in enumerate(lines, start=1):
+        parts = line.split(None, 6)
+        tail = tails.get(parts[6]) if len(parts) == 7 else None
+        if tail is None:
+            if not parts:
+                continue
+            tail = tails[parts[6]] = _check_line_ref(line, ln)
+        try:
+            track_id = int(parts[0])
+            xmin = float(parts[1])
+            ymin = float(parts[2])
+            xmax = float(parts[3])
+            ymax = float(parts[4])
+            frame = int(parts[5])
+        except ValueError as e:
+            raise AnnotationParseError(str(e), ln) from None
+        if xmin > xmax or ymin > ymax:
+            raise AnnotationParseError(f"bbox not ordered: {(xmin, ymin, xmax, ymax)}", ln)
+        lost, occluded, generated, label = tail
+        if lost:
+            continue
+        out.append(RawAnnotation(track_id, (xmin, ymin, xmax, ymax), frame,
+                                 occluded, generated, label))
+    return out
+
 
 def looped_build_tracks(annotations):
     """Per-record grouping into tracks: a dict per track id, a set for the

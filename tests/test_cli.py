@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import platform
 import xml.etree.ElementTree as ET
 
@@ -76,6 +77,14 @@ def test_config_hash_stable_and_sensitive(tmp_path):
     assert C.config_hash(a) == C.config_hash(b)
     b.train.k = 7
     assert C.config_hash(a) != C.config_hash(b)
+
+
+def test_preset_config_json_and_hash_bytes():
+    preset = pathlib.Path(__file__).resolve().parents[1] / "presets" / "gan_lstm_label.json"
+    cfg = C.load_config(preset)
+    assert C.to_json(cfg) == preset.read_text()
+    assert C.config_hash(cfg) == \
+        "b067da0a1f05e9716bb7b5e85393cdb8fd8426f8a2f36b471a84e0c6b7af8872"
 
 
 def test_data_validation_errors(tmp_path):

@@ -1,13 +1,17 @@
 import dataclasses
+import importlib.util
 import os
+import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import csv_writer_windows_text, looped_build_tracks, looped_build_windows
+from oracles import (csv_writer_windows_text, looped_build_tracks, looped_build_windows,
+                     parse_annotations_ref)
 from trajgan import data as D
 
 
@@ -100,16 +104,31 @@ PARSE_TOLERANCE = {
          record(3, (0, 0, 2, 2), 0, label="skateboarder"),
          record(4, (0, 0, 2, 2), 0, label="pedestrian"),
          record(5, (0, 0, 2, 2), 0, label="golf cart")]),
+    # errors: (class, line, message); a line's first fault is reported, checked
+    # in the order field count, fields in turn, bbox order, label
     "repeated unknown label": ('1 0 0 2 2 0 0 0 0 "Car"\n\n3 0 0 2 2 0 0 0 0 "Unicycle"\n'
                                '4 0 0 2 2 0 0 0 0 "Unicycle"\n',
-                               (D.UnknownLabelError, 3)),
-    "unknown label on a lost line": ('1 0 0 2 2 0 1 0 0 "Unicycle"\n', (D.UnknownLabelError, 1)),
+                               (D.UnknownLabelError, 3, "unknown class label 'Unicycle'")),
+    "unknown label on a lost line": ('1 0 0 2 2 0 1 0 0 "Unicycle"\n',
+                                     (D.UnknownLabelError, 1, "unknown class label 'Unicycle'")),
+    "repeated lost unknown label": ('1 0 0 2 2 0 1 0 0 "Unicycle"\n' * 2,
+                                    (D.UnknownLabelError, 1, "unknown class label 'Unicycle'")),
     "bad number after a seen label": ('1 0 0 2 2 0 0 0 0 "Car"\n1 0 x 2 2 1 0 0 0 "Car"\n',
-                                      (D.AnnotationParseError, 2)),
+                                      (D.AnnotationParseError, 2,
+                                       "could not convert string to float: 'x'")),
     "unordered bbox after a seen label": ('1 0 0 2 2 0 0 0 0 "Car"\n1 3 0 2 2 1 0 0 0 "Car"\n',
-                                          (D.AnnotationParseError, 2)),
+                                          (D.AnnotationParseError, 2,
+                                           "bbox not ordered: (3.0, 0.0, 2.0, 2.0)")),
     "bad flag": ('1 0 0 2 2 0 0 0 0 "Car"\n1 0 0 2 2 1 0 y 0 "Car"\n',
-                 (D.AnnotationParseError, 2)),
+                 (D.AnnotationParseError, 2, "invalid literal for int() with base 10: 'y'")),
+    "field count before any number": ("x 0 0 2 2 0 0 0\n",
+                                      (D.AnnotationParseError, 1, "expected 10 fields, got 8")),
+    "bbox order before the label": ('1 3 0 2 2 0 0 0 0 "Unicycle"\n',
+                                    (D.AnnotationParseError, 1,
+                                     "bbox not ordered: (3.0, 0.0, 2.0, 2.0)")),
+    "flags before bbox order": ('1 3 0 2 2 0 0 y 0 "Car"\n',
+                                (D.AnnotationParseError, 1,
+                                 "invalid literal for int() with base 10: 'y'")),
 }
 
 
@@ -118,15 +137,89 @@ def test_parser_tolerance(case):
     text, want = PARSE_TOLERANCE[case]
     for source in (text, text.splitlines(keepends=True)):
         if isinstance(want, tuple):
-            error, line = want
-            with pytest.raises(error) as exc:
+            error, line, message = want
+            with pytest.raises(D.AnnotationParseError) as exc:
                 D.parse_annotations(source)
-            assert exc.value.line_number == line
+            assert (type(exc.value), exc.value.line_number, str(exc.value)) == \
+                (error, line, f"line {line}: {message}")
         else:
             got = D.parse_annotations(source)
             assert [(a.track_id, a.bbox, a.frame, a.occluded, a.generated, a.label)
                     for a in got] == want
             assert all(type(a.occluded) is bool and type(a.generated) is bool for a in got)
+
+
+def parse_outcome(parse, source):
+    """The records ``parse`` gives, or the class, line and message it raises,
+    as a repr so that NaN coordinates compare equal."""
+    try:
+        records = parse(source)
+    except D.AnnotationParseError as e:
+        return repr((type(e), e.line_number, str(e)))
+    assert all(type(a) is D.RawAnnotation for a in records)
+    return repr(records)
+
+
+# valid spellings of each of the ten fields, then spellings that break it;
+# few flag and label spellings, so that line tails repeat
+GOOD_FIELDS = (["1", "7", "-3", "+2", "1_0"],
+               ["0", "1.5", "-2"], ["0", "-0.5", "1e1"], ["2", "3.5", "inf"], ["2", "1e3"],
+               ["0", "5", "-1"],
+               ["0", "0", "1"], ["0", "1"], ["0", "1", "2"],
+               ['"Car"', '"Biker"', '"CART"', '"Golf Cart"', "Skater", '"bus"'])
+BAD_FIELDS = (["x", "1.5", "0x1"],
+              ["5", "nan", "x"], ["9", "nan", "1,0"], ["-inf", "nan", "x"], ["-5", "y"],
+              ["3.0", "y"],
+              ["y", "-0", "0.0"], ["y", "1e1"], ["z"],
+              ['"Unicycle"', '""', '"car" 1', '"golf  cart"'])
+
+
+@st.composite
+def annotation_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        shape = draw(st.sampled_from(["good"] * 5 + ["bad", "bad", "short", "long", "blank"]))
+        if shape == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        fields = [draw(st.sampled_from(options)) for options in GOOD_FIELDS]
+        if shape == "bad":
+            j = draw(st.integers(0, 9))
+            fields[j] = draw(st.sampled_from(BAD_FIELDS[j]))
+        elif shape == "short":
+            fields = fields[:draw(st.integers(1, 9))]
+        elif shape == "long":
+            fields.insert(draw(st.integers(0, 9)), "0")
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lines.append(draw(st.sampled_from(["", " "])) + sep.join(fields)
+                     + draw(st.sampled_from(["", " ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=annotation_texts())
+def test_parser_matches_two_pass_reference(text):
+    for source in (text, text.splitlines(keepends=True)):
+        assert parse_outcome(D.parse_annotations, source) == \
+            parse_outcome(parse_annotations_ref, source)
+
+
+def test_parser_matches_reference_on_benchmark_traffic(tmp_path, monkeypatch):
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+    spec.loader.exec_module(inputs)
+    for seed in (1, 2):
+        root = inputs.write_annotation_root(str(tmp_path / f"seed{seed}"), seed, 0)
+        with open(tmp_path / f"seed{seed}" / "scene0" / "video0" / "annotations.txt") as fh:
+            lines = fh.readlines()
+        assert len(lines) == root.n_lines == 22_798
+        got = D.parse_annotations(lines)
+        assert got == parse_annotations_ref(lines)
+        assert 0 < len(got) < len(lines)  # lost records are dropped
+        assert {a.label for a in got} == set(D.CLASS_NAMES)
 
 
 def test_raw_annotation_is_an_immutable_record():

@@ -279,6 +279,18 @@ def test_distance_table_axioms():
                 assert d[i, j] <= d[i, l] + d[l, j] + 1e-12
 
 
+def test_report_csv_bytes():
+    r = E.EvalReport(1.25, 2.5, 7, 20, per_class={
+        "golf cart": E.ClassMetrics(0.1 + 0.2, 4.0, 3),
+        "pedestrian": E.ClassMetrics(1.0, 2.0, 4)})
+    rows = ("class:golf cart,0.30000000000000004,4.0,3,20\r\n"
+            "class:pedestrian,1.0,2.0,4,20\r\n")
+    assert r.to_csv() == "scope,ade,fde,n,k\r\nmodel,1.25,2.5,7,20\r\n" + rows
+    r.baseline_ade, r.baseline_fde = 3.75, 6.0
+    assert r.to_csv() == ("scope,ade,fde,n,k\r\nmodel,1.25,2.5,7,20\r\n"
+                          "constant_velocity,3.75,6.0,7,1\r\n" + rows)
+
+
 def test_distance_known_three_four():
     e = np.array([[0.0, 0.0], [3.0, 4.0]])
     d = E.embedding_distances(e)
@@ -295,6 +307,21 @@ def test_analyze_embeddings_shapes():
     assert len(a.pca_csv().strip().splitlines()) == 7
     first = a.distances_csv().splitlines()[0]
     assert first == "class," + ",".join(D.CLASS_NAMES)
+
+
+def test_analysis_csv_bytes():
+    a = E.EmbeddingAnalysis(("bus", "golf cart", "pedestrian"),
+                            np.array([[-1.0, 0.25], [0.5, 1 / 3], [0.1 + 0.2, 0.0]]),
+                            np.array([[0.0, 2 / 3, 1.5], [2 / 3, 0.0, 1e-07],
+                                      [1.5, 1e-07, 0.0]]))
+    assert a.pca_csv() == ("class,pc1,pc2\r\n"
+                           "bus,-1.0,0.25\r\n"
+                           "golf cart,0.5,0.3333333333333333\r\n"
+                           "pedestrian,0.30000000000000004,0.0\r\n")
+    assert a.distances_csv() == ("class,bus,golf cart,pedestrian\r\n"
+                                 "bus,0.0,0.6666666666666666,1.5\r\n"
+                                 "golf cart,0.6666666666666666,0.0,1e-07\r\n"
+                                 "pedestrian,1.5,1e-07,0.0\r\n")
 
 
 def test_analyze_embeddings_flags_degenerate():

@@ -484,6 +484,22 @@ def test_train_log_csv_layout():
     assert elines[1] == "0,12.5,20.0"
 
 
+def test_train_log_csv_bytes():
+    log = TR.TrainLog()
+    log.steps.append(TR.StepRecord(0, 0, None, None, 1.5, 0.25, None, 0.01))  # noGAN
+    log.steps.append(TR.StepRecord(1, 0, 1.38, 0.1 + 0.2, 1e-07, 0.5, 0.75, 0.02))  # GAN
+    log.epochs.append(TR.EpochRecord(0, 12.5, 20.0))
+    log.epochs.append(TR.EpochRecord(1, 0.1 + 0.2, 3.0))
+    assert log.steps_csv() == (
+        "step,epoch,d_loss,g_adv,variety,grad_norm_g,grad_norm_d,seconds\r\n"
+        "0,0,,,1.5,0.25,,0.01\r\n"
+        "1,0,1.38,0.30000000000000004,1e-07,0.5,0.75,0.02\r\n")
+    assert log.epochs_csv() == ("epoch,val_ade,val_fde\r\n"
+                                "0,12.5,20.0\r\n"
+                                "1,0.30000000000000004,3.0\r\n")
+    assert TR.TrainLog().epochs_csv() == "epoch,val_ade,val_fde\r\n"
+
+
 # ---------------------------------------------------------------------------
 # overfit capacity and the activation harness
 
