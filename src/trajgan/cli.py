@@ -104,7 +104,7 @@ def _rebuild_from_checkpoint(path):
     cfg = C.from_dict(payload.get("config") or {}).validate()
     gen = build_generator(cfg.model, seed=cfg.seed)
     load_models(payload, gen)
-    return payload, cfg, gen
+    return cfg, gen
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    payload, cfg, gen = _rebuild_from_checkpoint(args.checkpoint)
+    cfg, gen = _rebuild_from_checkpoint(args.checkpoint)
     # the split is the checkpoint's; --seed reseeds only the sampling noise
     seed = cfg.seed if args.seed is None else args.seed
     k = cfg.train.k if args.k is None else args.k
@@ -203,12 +203,8 @@ def cmd_eval(args):
 
 
 def cmd_analyze(args):
-    payload, cfg, gen = _rebuild_from_checkpoint(args.checkpoint)
-    try:
-        analysis = E.analyze_embeddings(gen)
-    except LabelsUnavailableError:
-        raise ConfigError("model trained without class embeddings")
-
+    cfg, gen = _rebuild_from_checkpoint(args.checkpoint)
+    analysis = E.analyze_embeddings(gen)  # main maps a label-free model to exit 2
     out = args.out or os.path.join(os.path.dirname(args.checkpoint) or ".",
                                    "analysis")
     os.makedirs(out, exist_ok=True)

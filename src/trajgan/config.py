@@ -111,16 +111,8 @@ def from_dict(d):
 
 
 def to_dict(config):
-    d = asdict(config)
-    return _tuples_to_lists(d)
-
-
-def _tuples_to_lists(obj):
-    if isinstance(obj, dict):
-        return {k: _tuples_to_lists(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_tuples_to_lists(v) for v in obj]
-    return obj
+    """Nested plain dict of ``config``; tuples stay tuples, which JSON writes as lists."""
+    return asdict(config)
 
 
 def to_json(config):

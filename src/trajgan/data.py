@@ -65,12 +65,10 @@ def class_index(name):
     return CLASS_NAMES.index(key)
 
 
-def normalize_label(name, class_vocab=CLASS_NAMES):
+def normalize_label(name):
     key = name.strip().lower()
     key = LABEL_ALIASES.get(key, key)
-    if key not in class_vocab:
-        return None
-    return key
+    return key if key in CLASS_NAMES else None
 
 
 class RawAnnotation(NamedTuple):
@@ -89,42 +87,22 @@ class RawAnnotation(NamedTuple):
     label: str  # canonical class name
 
 
-def _check_line(line, ln, class_vocab):
-    """Check every field of one annotation line, in the order they come.
-
-    Returns ``(lost, occluded, generated, label)`` from the line's last four
-    fields; raises AnnotationParseError for the first field at fault.
-    """
-    parts = line.split(None, 9)
-    if len(parts) != 10:
-        raise AnnotationParseError(f"expected 10 fields, got {len(parts)}", ln)
-    try:
-        int(parts[0])
-        bbox = tuple(float(p) for p in parts[1:5])
-        int(parts[5])
-        lost, occluded, generated = (int(p) != 0 for p in parts[6:9])
-    except ValueError as e:
-        raise AnnotationParseError(str(e), ln) from None
-    if bbox[0] > bbox[2] or bbox[1] > bbox[3]:
-        raise AnnotationParseError(f"bbox not ordered: {bbox}", ln)
-    raw_label = parts[9].strip().strip('"')
-    label = normalize_label(raw_label, class_vocab)
-    if label is None:
-        raise UnknownLabelError(f"unknown class label {raw_label!r}", ln)
-    return lost, occluded, generated, label
-
-
-def parse_annotations(source, class_vocab=CLASS_NAMES):
+def parse_annotations(source):
     """Parse annotation text into RawAnnotations.
 
     ``source`` is the file content as a string or any iterable of lines.
+    Labels may be quoted, in any case, or aliased (``LABEL_ALIASES``).
     Records flagged lost are dropped (out of view); occluded boxes are kept.
-    Malformed lines and unknown labels raise with the 1-based line number.
+    A malformed line or an unknown label, lost lines included, raises
+    AnnotationParseError (UnknownLabelError for the label) with the 1-based
+    line number.  The first fault is reported, checked in this order: the
+    field count, each field in turn, the bbox order, the label.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     # A line's last four fields (lost, occluded, generated, label) take few
-    # distinct spellings.  The first line with a new spelling is checked in
-    # full; later ones look it up and convert only their first six fields.
+    # distinct spellings.  Each spelling is split and converted at its first
+    # line and cached as (lost, occluded, generated, label, raw label), with
+    # label None when unknown; later lines convert only their first six fields.
     tails = {}
     out = []
     append = out.append
@@ -135,7 +113,9 @@ def parse_annotations(source, class_vocab=CLASS_NAMES):
         if tail is None:
             if not parts:
                 continue
-            tail = tails[parts[6]] = _check_line(line, ln, class_vocab)
+            fields = line.split(None, 9)
+            if len(fields) != 10:
+                raise AnnotationParseError(f"expected 10 fields, got {len(fields)}", ln)
         try:
             track_id = int(parts[0])
             xmin = float(parts[1])
@@ -143,11 +123,18 @@ def parse_annotations(source, class_vocab=CLASS_NAMES):
             xmax = float(parts[3])
             ymax = float(parts[4])
             frame = int(parts[5])
+            if tail is None:
+                raw_label = fields[9].strip().strip('"')
+                tail = tails[parts[6]] = (int(fields[6]) != 0, int(fields[7]) != 0,
+                                          int(fields[8]) != 0, normalize_label(raw_label),
+                                          raw_label)
         except ValueError as e:
             raise AnnotationParseError(str(e), ln) from None
         if xmin > xmax or ymin > ymax:
             raise AnnotationParseError(f"bbox not ordered: {(xmin, ymin, xmax, ymax)}", ln)
-        lost, occluded, generated, label = tail
+        lost, occluded, generated, label, raw_label = tail
+        if label is None:
+            raise UnknownLabelError(f"unknown class label {raw_label!r}", ln)
         if lost:
             continue
         append(new_record(RawAnnotation, (track_id, (xmin, ymin, xmax, ymax), frame,
@@ -467,18 +454,24 @@ def write_atomic(path, text):
             os.unlink(tmp)
 
 
-def _csv_cells(fields):
-    """``fields`` as csv.writer quotes them, joined by commas, with no line end."""
+def csv_text(rows):
+    """``rows`` as csv.writer writes them: each row's cells joined by commas,
+    quoted where needed, and ended by "\r\n"."""
     buf = io.StringIO()
-    csv.writer(buf).writerow(fields)  # its "\r\n" line end decides what needs quotes
-    return buf.getvalue()[:-2]
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_cells(fields):
+    """One csv_text row of ``fields``, without its line end."""
+    return csv_text([fields])[:-2]  # the "\r\n" line end decides what needs quotes
 
 
 def write_windows_csv(windows, path):
-    """Write one row per agent per step, with the text csv.writer would give.
+    """Write one row per agent per step, with the text csv_text would give.
 
     Only ``scene_id`` and ``window_id`` can need quoting; they go through
-    csv.writer once per window, and the numeric cells are formatted directly
+    csv_text once per window, and the numeric cells are formatted directly
     (``repr`` of each coordinate, which reads back exactly).
     """
     lines = [_csv_cells(WINDOW_CSV_HEADER) + "\r\n"]
@@ -666,21 +659,18 @@ def scan_annotation_dirs(root):
     return found
 
 
-def load_annotation_dataset(root, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED,
-                            class_vocab=CLASS_NAMES):
+def load_annotation_dataset(root, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED):
     """Parse a dataset directory into scene windows plus per-class track counts."""
-    return load_annotation_files(scan_annotation_dirs(root), stride, t_obs, t_pred,
-                                 class_vocab)
+    return load_annotation_files(scan_annotation_dirs(root), stride, t_obs, t_pred)
 
 
-def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED,
-                          class_vocab=CLASS_NAMES):
+def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED):
     """load_annotation_dataset on the files scan_annotation_dirs found."""
     tracks_by_scene = {}
     track_counts = dict.fromkeys(CLASS_NAMES, 0)
     for scene_id, path in files.items():
         with open(path) as fh:
-            annotations = parse_annotations(fh, class_vocab)
+            annotations = parse_annotations(fh)
         tracks = build_tracks(annotations)
         for t in tracks:
             track_counts[t.class_name] += 1

@@ -5,8 +5,6 @@ root-mean-square over trajectories of the final-point error.  Both operate
 on absolute positions in data units.
 """
 
-import csv
-import io
 import warnings
 
 from dataclasses import dataclass, field
@@ -15,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ContractError
-from .data import CLASS_NAMES
+from .data import CLASS_NAMES, csv_text
 from .model import class_embedding_matrix, generator_forward
 
 FDE_FORMS = ("rms", "mean")
@@ -137,17 +135,14 @@ class EvalReport:
     baseline_fde: float = None
 
     def to_csv(self):
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["scope", "ade", "fde", "n", "k"])
-        w.writerow(["model", repr(self.ade), repr(self.fde),
-                    self.n_trajectories, self.k])
+        rows = [["scope", "ade", "fde", "n", "k"],
+                ["model", repr(self.ade), repr(self.fde), self.n_trajectories, self.k]]
         if self.baseline_ade is not None:
-            w.writerow(["constant_velocity", repr(self.baseline_ade),
-                        repr(self.baseline_fde), self.n_trajectories, 1])
-        for name, m in self.per_class.items():
-            w.writerow([f"class:{name}", repr(m.ade), repr(m.fde), m.n, self.k])
-        return out.getvalue()
+            rows.append(["constant_velocity", repr(self.baseline_ade),
+                         repr(self.baseline_fde), self.n_trajectories, 1])
+        rows += [[f"class:{name}", repr(m.ade), repr(m.fde), m.n, self.k]
+                 for name, m in self.per_class.items()]
+        return csv_text(rows)
 
     def to_text(self, model_name="this run"):
         lines = [f"{'model':<28}{'ADE':>9}{'FDE':>9}",
@@ -245,20 +240,14 @@ class EmbeddingAnalysis:
     degenerate: bool = False
 
     def pca_csv(self):
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["class", "pc1", "pc2"])
-        for name, (a, b) in zip(self.class_names, self.pca_coords):
-            w.writerow([name, repr(float(a)), repr(float(b))])
-        return out.getvalue()
+        return csv_text([["class", "pc1", "pc2"]]
+                        + [[name, repr(float(a)), repr(float(b))]
+                           for name, (a, b) in zip(self.class_names, self.pca_coords)])
 
     def distances_csv(self):
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["class"] + list(self.class_names))
-        for name, row in zip(self.class_names, self.distance_table):
-            w.writerow([name] + [repr(float(v)) for v in row])
-        return out.getvalue()
+        return csv_text([["class", *self.class_names]]
+                        + [[name, *(repr(float(v)) for v in row)]
+                           for name, row in zip(self.class_names, self.distance_table)])
 
 
 def analyze_embeddings(gen):

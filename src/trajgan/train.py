@@ -8,8 +8,6 @@ generator and its variety loss.
 
 from __future__ import annotations
 
-import csv
-import io
 import time
 
 from dataclasses import dataclass, field, replace
@@ -18,6 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ContractError, Tape, no_grad
+from .data import csv_text
 from .optim import Adam, clip_grad_norm, grad_norm
 from .evaluate import eval_min_of_k
 from .model import (ConfigError, build_discriminator, build_generator, fake_steps,
@@ -133,23 +132,15 @@ class TrainLog:
     epochs: list = field(default_factory=list)
 
     def steps_csv(self):
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["step", "epoch", "d_loss", "g_adv", "variety",
-                    "grad_norm_g", "grad_norm_d", "seconds"])
-        for r in self.steps:
-            w.writerow([r.step, r.epoch, _cell(r.d_loss), _cell(r.g_adv),
-                        _cell(r.variety), _cell(r.grad_norm_g),
-                        _cell(r.grad_norm_d), _cell(r.seconds)])
-        return out.getvalue()
+        return csv_text([["step", "epoch", "d_loss", "g_adv", "variety",
+                          "grad_norm_g", "grad_norm_d", "seconds"]]
+                        + [[r.step, r.epoch, _cell(r.d_loss), _cell(r.g_adv),
+                            _cell(r.variety), _cell(r.grad_norm_g),
+                            _cell(r.grad_norm_d), _cell(r.seconds)] for r in self.steps])
 
     def epochs_csv(self):
-        out = io.StringIO()
-        w = csv.writer(out)
-        w.writerow(["epoch", "val_ade", "val_fde"])
-        for r in self.epochs:
-            w.writerow([r.epoch, repr(r.val_ade), repr(r.val_fde)])
-        return out.getvalue()
+        return csv_text([["epoch", "val_ade", "val_fde"]]
+                        + [[r.epoch, repr(r.val_ade), repr(r.val_fde)] for r in self.epochs])
 
 
 def _cell(v):
