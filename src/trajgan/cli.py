@@ -115,7 +115,7 @@ def cmd_parse(args):
     if not os.path.isdir(root):
         raise D.DataError(f"not a directory: {root}; {LAYOUT_HINT}")
     files = D.scan_annotation_dirs(root)
-    windows, counts = D.load_annotation_files(files, stride=args.stride)
+    windows, counts, lines = D.load_annotation_files(files, stride=args.stride)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "windows.csv")
     D.write_windows_csv(windows, csv_path)
@@ -127,10 +127,6 @@ def cmd_parse(args):
     for name in D.CLASS_NAMES:
         print(f"  {name:<14}{hist[name]:6.2f}%  ({counts[name]} tracks)")
     print(f"wrote {csv_path}")
-    lines = 0
-    for path in files.values():
-        with open(path) as fh:
-            lines += sum(1 for _ in fh)
     _write_manifest(args.out, "", 0, files.values(),
                     outputs={"windows.csv": _sha256_file(csv_path)},
                     counts={"lines": lines, "tracks": total, "windows": len(windows)})

@@ -15,7 +15,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -90,7 +90,8 @@ class RawAnnotation(NamedTuple):
 def parse_annotations(source):
     """Parse annotation text into RawAnnotations.
 
-    ``source`` is the file content as a string or any iterable of lines.
+    ``source`` is the file content as a string, split into lines as a
+    text-mode file is (at LF, CR LF and CR only), or any iterable of lines.
     Labels may be quoted, in any case, or aliased (``LABEL_ALIASES``).
     Records flagged lost are dropped (out of view); occluded boxes are kept.
     A malformed line or an unknown label, lost lines included, raises
@@ -98,7 +99,7 @@ def parse_annotations(source):
     line number.  The first fault is reported, checked in this order: the
     field count, each field in turn, the bbox order, the label.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     # A line's last four fields (lost, occluded, generated, label) take few
     # distinct spellings.  Each spelling is split and converted at its first
     # line and cached as (lost, occluded, generated, label, raw label), with
@@ -661,22 +662,30 @@ def scan_annotation_dirs(root):
 
 def load_annotation_dataset(root, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED):
     """Parse a dataset directory into scene windows plus per-class track counts."""
-    return load_annotation_files(scan_annotation_dirs(root), stride, t_obs, t_pred)
+    windows, track_counts, _ = load_annotation_files(scan_annotation_dirs(root), stride,
+                                                     t_obs, t_pred)
+    return windows, track_counts
 
 
 def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED):
-    """load_annotation_dataset on the files scan_annotation_dirs found."""
+    """load_annotation_dataset on the files scan_annotation_dirs found; also
+    returns the number of lines the files hold."""
     tracks_by_scene = {}
     track_counts = dict.fromkeys(CLASS_NAMES, 0)
+    lines = 0
     for scene_id, path in files.items():
         with open(path) as fh:
-            annotations = parse_annotations(fh)
+            # number the lines as they are read: zip stops at the end of the
+            # file before it draws a number, so the next one is the count
+            numbers = count()
+            annotations = parse_annotations(map(itemgetter(0), zip(fh, numbers)))
+            lines += next(numbers)
         tracks = build_tracks(annotations)
         for t in tracks:
             track_counts[t.class_name] += 1
         subs = [subsample(t, stride) for t in tracks]
         tracks_by_scene[scene_id] = [t for t in subs if len(t) > 0]
-    return build_windows(tracks_by_scene, t_obs, t_pred), track_counts
+    return build_windows(tracks_by_scene, t_obs, t_pred), track_counts, lines
 
 
 def class_histogram(counts):

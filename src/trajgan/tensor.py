@@ -480,12 +480,12 @@ def _sigmoid(x, out=None, e=None):
     """Numerically stable two-sided logistic function of an array: 1/(1+e)
     for x >= 0 and e/(1+e) below, e = exp(-|x|), without a branching select.
 
-    Writes into ``out``, with ``e`` as its temporary, when both are given
-    (each the shape of ``x``; ``out`` may be ``x`` itself); else into fresh
+    Writes into ``out`` and uses ``e`` as its temporary where they are
+    given (each the shape of ``x``; ``out`` may be ``x`` itself), else fresh
     arrays.
     """
-    if out is None:
-        out, e = np.empty_like(x), np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
+    e = np.empty_like(x) if e is None else e
     np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
     np.greater_equal(x, 0.0, out=out)  # 1.0 where x >= 0, else 0.0
     np.maximum(e, out, out=out)
@@ -493,15 +493,22 @@ def _sigmoid(x, out=None, e=None):
     return np.divide(out, e, out=out)
 
 
-def _activate(x, kind, slope):
-    """The nonlinearity ``kind`` of an array."""
-    if kind == "relu":
-        return np.where(x >= 0.0, x, 0.0)
-    if kind == "leaky_relu":
-        return np.where(x >= 0.0, x, slope * x)
+def _activate(x, kind, slope, out=None):
+    """The nonlinearity ``kind`` of an array, into ``out`` where given."""
+    if kind == "leaky_relu" and slope > 0.0:
+        # x and slope*x share their sign, so the larger of the two (the
+        # smaller for slope > 1) is the one x >= 0 selects: the np.where
+        # below bit for bit, NaN and signed zeros included, at half the cost
+        return (np.maximum if slope <= 1.0 else np.minimum)(x, slope * x, out=out)
     if kind == "tanh":
-        return np.tanh(x)
-    return _sigmoid(x)
+        return np.tanh(x, out=out)
+    if kind == "sigmoid":
+        return _sigmoid(x, out)
+    y = np.where(x >= 0.0, x, slope * x if kind == "leaky_relu" else 0.0)
+    if out is None:
+        return y
+    out[...] = y
+    return out
 
 
 def _activate_grad(g, x, out, kind, slope):
@@ -652,25 +659,11 @@ def grouped_attention(q, k, v, heads, groups):
     return _make(join(attn @ vh), (q, k, v), bwd), attn
 
 
-def _acc(a, b):
-    """``a + b``, either of which may be None for a gradient that is absent;
-    the order of the sum is the order in which the tape would add them."""
-    return b if a is None else a if b is None else a + b
-
-
-def _acc_into(total, part):
-    """``_acc`` that adds into ``total``, an array the caller owns."""
-    if total is None:
-        return part
-    total += part
-    return total
-
-
-def _affine(W, x, b):
-    """``W @ x + b`` on arrays, the sum in place of the product."""
-    out = np.matmul(W, x)
-    out += b
-    return out
+def _block(v, rows):
+    """The (m,) vector ``v`` in every column of a fresh (m, rows) block: a
+    step adds a full block faster than it broadcasts a column, and without
+    numpy's broadcasting buffer."""
+    return np.repeat(v[:, None], rows, axis=1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -688,22 +681,11 @@ def _gate_order(hd):
 
 def _compute_order(W_x, W_h, b, rows):
     """An LSTM cell's (I, 4H) W_x, (H, 4H) W_h and (4H,) b as the fresh
-    (4H, I) and (4H, H) transposed weights and the (4H, rows) bias block
-    that the feature-major steps over ``rows`` rows use, gate rows in the
-    compute order.  The bias is in every column of its block: a step adds a
-    full block faster than it broadcasts a column, and without numpy's
-    broadcasting buffer."""
+    (4H, I) and (4H, H) transposed weights and the (4H, rows) bias
+    ``_block`` that the feature-major steps over ``rows`` rows use, gate
+    rows in the compute order."""
     order = _gate_order(W_h.shape[0])
-    bias = np.repeat(b.data[order][:, None], rows, axis=1)
-    return W_x.data.T[order], W_h.data.T[order], bias
-
-
-def _storage_order(grads, hd):
-    """Gradients of the ``_compute_order`` arrays (the bias one as a (4H,)
-    vector) as gradients of the stored W_x, W_h and b; None stays None."""
-    order = _gate_order(hd)
-    return tuple(None if g is None else g[order].T if g.ndim == 2 else g[order]
-                 for g in grads)
+    return W_x.data.T[order], W_h.data.T[order], _block(b.data[order], rows)
 
 
 def _lstm_step(x, h, c, cell, tmp, out):
@@ -714,8 +696,7 @@ def _lstm_step(x, h, c, cell, tmp, out):
 
     The gates, tanh(c), h and c of the step go into the four blocks of
     ``out``, a (7H, R) array whose h and c blocks may be the input h and c
-    themselves; ``tmp`` is a (4H, R) scratch array.  Returns the next h and
-    c, and what ``_lstm_step_grad`` needs of the step.
+    themselves; ``tmp`` is a (4H, R) scratch array.  Returns the next h, c.
     """
     hd = h.shape[0]
     A_x, A_h, b = cell
@@ -734,46 +715,71 @@ def _lstm_step(x, h, c, cell, tmp, out):
     c_next += np.multiply(gates[:hd], g, out=tc)
     np.tanh(c_next, out=tc)
     np.multiply(gates[2 * hd:3 * hd], tc, out=h_next)
-    return h_next, c_next, (x, h, c, gates, tc)
+    return h_next, c_next
 
 
-def _lstm_step_grad(dh, dc, saved, grads, needs, buf):
-    """Backward of one ``_lstm_step`` from the (H, R) gradients of its h and
-    c outputs (``dc`` None when none reached c, else overwritten).
+def _lstm_factors(blocks):
+    """The factors of an LSTM's gate gradients that depend on its forward
+    alone, for all steps at once, from the (T, 7H, R) blocks that its
+    ``_lstm_step`` calls wrote from a zero cell state.
 
-    Adds the step's gradients of the ``_compute_order`` arrays to ``grads``
-    where ``needs`` says so, and returns the (4H, R) gate gradients and the
-    gradient of the step's input c.  The gate gradients are rows of ``buf``,
-    an (8H, R) scratch array; the caller multiplies them into x and h.
+    Returns a fresh (T, 4H, R) array of i(1-i)g, f(1-f)c', i(1-g²) and
+    o(1-o)tanh(c), c' the cell state the step read, in the stored gate
+    order (input, forget, cell, output); and a fresh (T, H, R) array of
+    o(1-tanh²(c)).  ``blocks`` is left as it is.
     """
-    x, h, c, act, tc = saved
-    hd = h.shape[0]
-    i, f, o, g = act[:hd], act[hd:2 * hd], act[2 * hd:3 * hd], act[3 * hd:]
-    dgates, tmp = buf[:4 * hd], buf[4 * hd:]
-    u, v = tmp[:hd], tmp[hd:2 * hd]
-    # dc + dh*o*(1 - tc*tc)
-    np.subtract(1.0, np.multiply(tc, tc, out=u), out=u)
-    np.multiply(dh, o, out=v)
-    v *= u
-    dc = v.copy() if dc is None else np.add(dc, v, out=dc)
-    # the sigmoid gates: (dc*g, dc*c, dh*tc) * s * (1 - s) over one block
-    np.multiply(dc, g, out=dgates[:hd])
-    np.multiply(dc, c, out=dgates[hd:2 * hd])
-    np.multiply(dh, tc, out=dgates[2 * hd:3 * hd])
-    dsig, sig = dgates[:3 * hd], act[:3 * hd]
-    dsig *= sig
-    dsig *= np.subtract(1.0, sig, out=tmp[:3 * hd])
-    # the cell gate: dc * i * (1 - g*g)
-    np.subtract(1.0, np.multiply(g, g, out=u), out=u)
-    np.multiply(dc, i, out=dgates[3 * hd:])
-    dgates[3 * hd:] *= u
-    if needs[0]:
-        grads[0] = _acc_into(grads[0], dgates @ x.T)
-    if needs[1]:
-        grads[1] = _acc_into(grads[1], dgates @ h.T)
-    if needs[2]:
-        grads[2] = _acc_into(grads[2], dgates.sum(axis=1))
-    return dgates, np.multiply(dc, f, out=dc)
+    steps, _, rows = blocks.shape
+    hd = blocks.shape[1] // 7
+    i, f, o, g, tc, c = (blocks[:, k * hd:(k + 1) * hd] for k in (0, 1, 2, 3, 4, 6))
+    D, P = np.empty((steps, 4 * hd, rows)), np.empty((steps, hd, rows))
+    Di, Df, Dg, Do = (D[:, k * hd:(k + 1) * hd] for k in range(4))
+    Df[0] = 0.0  # no cell state before the first step
+    for s, x, out in ((i, g, Di), (f[1:], c[:-1], Df[1:]), (o, tc, Do)):
+        np.subtract(1.0, s, out=out)  # s(1-s)x of a sigmoid gate s
+        out *= s
+        out *= x
+    for s, y, out in ((g, i, Dg), (tc, o, P)):
+        np.multiply(s, s, out=out)  # (1-s²)y of a tanh s
+        np.subtract(1.0, out, out=out)
+        out *= y
+    return D, P
+
+
+def _bptt(D, P, blocks, W_h, dh, dc):
+    """Backpropagate through the steps of an LSTM, the last one first.
+
+    ``D`` and ``P`` are the ``_lstm_factors`` of its step ``blocks``, ``W_h``
+    the stored (H, 4H) recurrent weights, and ``dh`` and ``dc`` the (H, R)
+    gradients of the last step's h and c.  Yields each step's index first,
+    for the caller to add to ``dh`` what else reached the step's h.  The
+    step then multiplies its rows of ``D`` by dc (input, forget and cell
+    gates) and dh (output gate) in place, which makes them its gate
+    gradients, and sets ``dh`` and ``dc`` to those of the h and c it read.
+    """
+    hd = dh.shape[0]
+    D4 = D.reshape(len(D), 4, hd, -1)
+    for t, d, d_c, d_o, p, f in zip(range(len(D) - 1, -1, -1), D[::-1], D4[::-1, :3],
+                                    D4[::-1, 3], P[::-1], blocks[::-1, hd:2 * hd]):
+        yield t
+        p *= dh
+        dc += p
+        d_c *= dc
+        d_o *= dh
+        np.matmul(W_h, d, out=dh)
+        dc *= f
+
+
+def _weight_grad(a, G):
+    """The sum over steps of a[t] @ G[t].T, for time-major (T, n, R) inputs
+    ``a`` and (T, m, R) output gradients ``G`` of a weight that maps a
+    step's feature-major a to its G: the (n, m) gradient of that weight."""
+    return np.matmul(a, G.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _bias_grad(G):
+    """The (m,) gradient of a bias added to every column of each step's G
+    in ``G``, (T, m, R): two sums, twice as fast as one over both axes."""
+    return G.sum(axis=0).sum(axis=1)
 
 
 def lstm_sequence(x, W_x, W_h, b, rows):
@@ -790,8 +796,10 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     ``h' = o*tanh(c')``, with the operations, their order and their array
     layouts those of the same step composed of transpose, take_rows, matmul,
     add, narrow, sigmoid, tanh and mul ops, so the values are the same bit
-    for bit.  The backward is one numpy loop back over the steps; the
-    per-step activations are kept only while the op records on a tape.
+    for bit.  While recording, each step keeps its activations in a block
+    of its own.  The backward computes the gate gradients' factors for all
+    steps at once (``_lstm_factors``), loops only over the dh/dc recurrence
+    (``_bptt``), then takes dx and each weight gradient in one product.
     """
     hd = W_h.shape[0]
     if (x.data.ndim != 2 or rows < 1 or x.shape[0] < rows or x.shape[0] % rows
@@ -802,7 +810,6 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     inputs = (x, W_x, W_h, b)
     record = _recording_tape(inputs) is not None
     ordered = _compute_order(W_x, W_h, b, rows)
-    A_x, A_h, _ = ordered
     steps = x.shape[0] // rows
     # every step's input as its own contiguous (I, rows) block
     xs = x.data.reshape(steps, rows, x.shape[1]).transpose(0, 2, 1).copy()
@@ -810,25 +817,17 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     # backward to read, else one block that every step overwrites
     tmp, blocks = np.empty((4 * hd, rows)), np.empty((steps if record else 1, 7 * hd, rows))
     h = c = np.zeros((hd, rows))
-    saved = []
     for t, x_t in enumerate(xs):
-        h, c, step = _lstm_step(x_t, h, c, ordered, tmp, blocks[t if record else 0])
-        if record:
-            saved.append(step)
+        h, c = _lstm_step(x_t, h, c, ordered, tmp, blocks[t if record else 0])
 
     def bwd(grad):
-        grads = [None, None, None]
-        needs = (W_x.requires_grad, W_h.requires_grad, b.requires_grad)
-        dx = np.empty_like(x.data) if x.requires_grad else None
-        buf = np.empty((8 * hd, rows))
-        dh, dc = grad.T.copy(), None
-        for t in reversed(range(steps)):
-            dgates, dc = _lstm_step_grad(dh, dc, saved[t], grads, needs, buf)
-            if dx is not None:
-                np.matmul(dgates.T, A_x, out=dx[t * rows:(t + 1) * rows])
-            if t:
-                np.matmul(A_h.T, dgates, out=dh)
-        return (dx, *_storage_order(grads, hd))
+        D, P = _lstm_factors(blocks)
+        for _ in _bptt(D, P, blocks, W_h.data, grad.T.copy(), np.zeros((hd, rows))):
+            pass
+        dx = (np.matmul(D.transpose(0, 2, 1), W_x.data.T).reshape(x.shape)
+              if x.requires_grad else None)
+        return (dx, _weight_grad(xs, D), _weight_grad(blocks[:-1, 5 * hd:6 * hd], D[1:]),
+                _bias_grad(D))
 
     return _make(h.T.copy(), inputs, bwd)
 
@@ -852,9 +851,11 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     the cell (see ``lstm_sequence``), and writes its displacement and
     position into transposed views of the outputs.  The operations, their
     order and their array layouts are those of the composed feature-major
-    ops, so the values are the same bit for bit; the backward is one numpy
-    loop back over the steps, and the per-step activations are kept only
-    while the op records on a tape.
+    ops, so the values are the same bit for bit.  While recording, each
+    step keeps its scaled input, embedding and gamma pre-activations and
+    activations in time-major buffers.  The backward loops only over the
+    recurrence, which runs through gamma and the embedding as well as the
+    cell (see ``lstm_sequence``); each weight gradient is one product.
     """
     W_e, b_e = embed
     W_x, W_h, b = cell
@@ -881,59 +882,76 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     inputs = (h0, W_e, b_e, W_x, W_h, b) + tuple(p for layer in layers for p in layer)
     record = _recording_tape(inputs) is not None
     ordered = _compute_order(W_x, W_h, b, rows)
-    A_x, A_h, _ = ordered
-    # the embedding and every gamma layer as transposed weights and a bias column
-    W_eT, b_eT = W_e.data.T.copy(), b_e.data[:, None]
-    layers_T = [(W.data.T.copy(), b_.data[:, None]) for W, b_ in layers]
+    # the embedding and every gamma layer as transposed weights and a bias block
+    W_eT, b_eT = W_e.data.T.copy(), _block(b_e.data, rows)
+    layers_T = [(W.data.T.copy(), _block(b_.data, rows)) for W, b_ in layers]
     W_out, b_out = layers_T.pop()
+    # what the steps compute, in (n, ., rows) buffers: step t in block t
+    # while recording, for the backward to read, else all in block 0
+    n = t_pred if record else 1
+    scaled, emb = np.empty((n, 2, rows)), np.empty((n, W_e.shape[1], rows))
+    pres = [np.empty((n, len(b_), rows)) for _, b_ in layers_T]
+    acts = [np.empty_like(z) for z in pres]
+    tmp, blocks, out = np.empty((4 * hd, rows)), np.empty((n, 7 * hd, rows)), np.empty((2, rows))
     x_in = np.asarray(last_disp, dtype=np.float64).T
     pos = np.asarray(last_pos, dtype=np.float64).T
-    # the LSTM steps' outputs, as in ``lstm_sequence``
-    tmp, blocks = np.empty((4 * hd, rows)), np.empty((t_pred if record else 1, 7 * hd, rows))
     h, c = h0.data.T.copy(), np.zeros((hd, rows))
     positions, disps = np.empty((rows, 2 * t_pred)), np.empty((t_pred * rows, 2))
-    saved = []
     for t in range(t_pred):
-        scaled = np.multiply(x_in, scale, order="C")
-        h, c, step = _lstm_step(_affine(W_eT, scaled, b_eT), h, c, ordered, tmp,
-                                blocks[t if record else 0])
-        acts, pres = [h], []
-        for W, b_ in layers_T:
-            pres.append(_affine(W, acts[-1], b_))
-            acts.append(_activate(pres[-1], activation, slope))
-        x_in = np.multiply(_affine(W_out, acts[-1], b_out), inv,
-                           out=disps[t * rows:(t + 1) * rows].T)
+        k = t if record else 0
+        e = np.matmul(W_eT, np.multiply(x_in, scale, out=scaled[k]), out=emb[k])
+        e += b_eT
+        h, c = _lstm_step(e, h, c, ordered, tmp, blocks[k])
+        a = h
+        for (W, b_), Z, Y in zip(layers_T, pres, acts):
+            z = np.matmul(W, a, out=Z[k])
+            z += b_
+            a = _activate(z, activation, slope, Y[k])
+        np.matmul(W_out, a, out=out)
+        out += b_out
+        x_in = np.multiply(out, inv, out=disps[t * rows:(t + 1) * rows].T)
         pos = np.add(pos, x_in, out=positions[:, 2 * t:2 * t + 2].T)
-        if record:
-            saved.append((scaled, step, acts, pres))
 
     def bwd(grads):
         g_pos, g_disp = (np.zeros(shape) if g is None else g
                          for g, shape in zip(grads, ((rows, 2 * t_pred), (t_pred * rows, 2))))
-        d_embed, d_cell = [None, None], [None, None, None]
-        d_gamma = [[None, None] for _ in layers]
-        buf = np.empty((8 * hd, rows))
-        dh = dc = gp = gx = None
-        for t in reversed(range(t_pred)):
-            scaled, step, acts, pres = saved[t]
-            # the position feeds the next position; the displacement feeds
-            # the fake steps, the next step's input and the position
-            gp = _acc(g_pos[:, 2 * t:2 * t + 2].T, gp)
-            g = _acc(_acc(g_disp[t * rows:(t + 1) * rows].T, gx), gp) * inv
-            for j in reversed(range(len(layers))):
-                if j < len(layers) - 1:
-                    g = _activate_grad(g, pres[j], acts[j + 1], activation, slope)
-                d_gamma[j][1] = _acc_into(d_gamma[j][1], g.sum(axis=1))
-                d_gamma[j][0] = _acc_into(d_gamma[j][0], acts[j] @ g.T)
-                g = layers[j][0].data @ g
-            dgates, dc = _lstm_step_grad(_acc(dh, g), dc, step, d_cell, (True,) * 3, buf)
-            dh = A_h.T @ dgates
-            g = A_x.T @ dgates
-            d_embed[1] = _acc_into(d_embed[1], g.sum(axis=1))
-            d_embed[0] = _acc_into(d_embed[0], scaled @ g.T)
-            gx = (W_e.data @ g) * scale
-        return (dh.T, *d_embed, *_storage_order(d_cell, hd),
-                *(d for pair in d_gamma for d in pair))
+        D, P = _lstm_factors(blocks)
+        # the gradient of each step's gamma output, (T, 2, rows): its
+        # displacement's and every later position's, over scale; the loop
+        # adds what reaches it through the next step's input
+        G_out = np.empty((t_pred, 2, rows))
+        np.add(np.cumsum(g_pos.reshape(rows, t_pred, 2)[:, ::-1], axis=1)[:, ::-1]
+               .transpose(1, 2, 0), g_disp.reshape(t_pred, rows, 2).transpose(0, 2, 1),
+               out=G_out)
+        G_out *= inv
+        # the hidden gamma layers' activation slopes, which the loop turns
+        # into their pre-activation gradients in place; from the top layer
+        # down, each with the weight to its output and a scratch block
+        Gs = [_activate_grad(1.0, z, y, activation, slope) for z, y in zip(pres, acts)]
+        hidden = [(layers[j + 1][0].data, Gs[j], np.empty(Gs[j].shape[1:]))
+                  for j in reversed(range(len(pres)))]
+        Gs.append(G_out)
+        # from a step's gate gradients to the previous step's gamma output,
+        # through that step's displacement, the scaled input and embedding
+        back = (W_e.data @ W_x.data) * (scale * inv)
+        dh, dc, dh_gamma, gx = (np.zeros((hd, rows)), np.zeros((hd, rows)),
+                                np.empty((hd, rows)), np.empty((2, rows)))
+        for t in _bptt(D, P, blocks, W_h.data, dh, dc):
+            g = G_out[t]
+            if t + 1 < t_pred:
+                g += np.matmul(back, D[t + 1], out=gx)
+            for W, G, scratch in hidden:
+                g = np.multiply(G[t], np.matmul(W, g, out=scratch), out=G[t])
+            dh += np.matmul(layers[0][0].data, g, out=dh_gamma)
+        hs = blocks[:, 5 * hd:6 * hd]
+        dW_h = _weight_grad(hs[:-1], D[1:])
+        dW_h += h0.data.T @ D[0].T
+        db = _bias_grad(D)
+        # the embedding's output gradients are W_x @ D[t]
+        return (dh.T, _weight_grad(scaled, D) @ W_x.data.T, W_x.data @ db,
+                _weight_grad(emb, D), dW_h, db,
+                *(d for a, G in zip([hs, *acts], Gs)
+                  for d in (_weight_grad(a, G), _bias_grad(G))))
 
     return _make((positions, disps), inputs, bwd)
 

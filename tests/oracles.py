@@ -452,8 +452,10 @@ def parse_annotations_ref(source):
     """The two-pass annotation parser: a line whose last four fields are new
     is first checked in full, field by field, and then converted again.
     ``trajgan.data.parse_annotations`` must give the same records, or raise
-    the same error class with the same line and message."""
-    lines = source.splitlines() if isinstance(source, str) else source
+    the same error class with the same line and message.  A string is split
+    into lines at CR LF, CR and LF, as a text-mode file is."""
+    lines = (source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+             if isinstance(source, str) else source)
     tails = {}
     out = []
     for ln, line in enumerate(lines, start=1):

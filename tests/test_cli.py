@@ -199,6 +199,22 @@ def test_cmd_parse_manifest_records_output_and_counts(tmp_path, capsys):
     assert (again / "manifest.json").read_text() == (out / "manifest.json").read_text()
 
 
+def test_cmd_parse_reads_each_annotation_file_as_text_once(tmp_path, monkeypatch):
+    # the parse read also counts the manifest's lines; the manifest's
+    # digest reads the file's bytes
+    data_root = write_fixture_dataset(tmp_path / "ds")
+    opened, real_open = [], open
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        opened.append((os.path.basename(path), "b" in mode))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    assert cli.main(["parse", str(data_root), "--out", str(tmp_path / "parsed")]) == \
+        cli.EXIT_OK
+    assert opened.count(("annotations.txt", False)) == 1
+
+
 def test_cmd_parse_missing_and_empty_dirs(tmp_path, capsys):
     rc = cli.main(["parse", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_DATA

@@ -190,10 +190,12 @@ def annotation_texts(draw):
             fields = fields[:draw(st.integers(1, 9))]
         elif shape == "long":
             fields.insert(draw(st.integers(0, 9)), "0")
-        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
-        lines.append(draw(st.sampled_from(["", " "])) + sep.join(fields)
-                     + draw(st.sampled_from(["", " ", "\t"])))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+        # whitespace that str.splitlines also breaks lines at, but a text-mode
+        # file does not
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t", "\x0b", " \x1c", "\u2028"]))
+        lines.append(draw(st.sampled_from(["", " ", "\x0c"])) + sep.join(fields)
+                     + draw(st.sampled_from(["", " ", "\t", "\x85"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
@@ -203,6 +205,29 @@ def test_parser_matches_two_pass_reference(text):
     for source in (text, text.splitlines(keepends=True)):
         assert parse_outcome(D.parse_annotations, source) == \
             parse_outcome(parse_annotations_ref, source)
+
+
+def file_outcome(tmp_path, text):
+    """``parse_outcome`` of the text written to a file and read back in
+    text mode."""
+    path = tmp_path / "annotations.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        return parse_outcome(D.parse_annotations, fh)
+
+
+def test_string_source_splits_lines_as_a_text_mode_file(tmp_path):
+    golf = '1 0 0 2 2 0 0 0 0 "Golf\x0bCart"\n'
+    with pytest.raises(D.UnknownLabelError) as exc:
+        D.parse_annotations(golf)
+    assert (exc.value.line_number, str(exc.value)) == \
+        (1, "line 1: unknown class label 'Golf\\x0bCart'")
+    # \x0c, \x85 and U+2028 are whitespace inside a line, \r ends one
+    mixed = (SAMPLE + '1 0 0 2\x0c2 0 0\x850 0 "Car"\u2028\r'
+             '4 0 0 2 2 0 0 0 0 "Unicycle"\r\n')
+    for text in (golf, mixed, mixed.replace("Unicycle", "Bus")):
+        assert parse_outcome(D.parse_annotations, text) == file_outcome(tmp_path, text)
+    assert "line 3: unknown class label 'Unicycle'" in parse_outcome(D.parse_annotations, mixed)
 
 
 def test_parser_matches_reference_on_benchmark_traffic(tmp_path, monkeypatch):
@@ -654,6 +679,20 @@ def test_load_annotation_dataset(tmp_path):
     assert all(w.n_agents == 2 for w in windows)
     hist = D.class_histogram(counts)
     assert sum(hist.values()) == pytest.approx(100.0, abs=0.01)
+
+
+def test_load_annotation_files_counts_the_lines_of_its_files(tmp_path):
+    # as many lines as iterating each file in text mode gives: blank lines
+    # count, a last line without its newline too; \r and \r\n end lines
+    files = D.scan_annotation_dirs(write_fixture_dataset(tmp_path / "ds"))
+    extra = tmp_path / "ds" / "plaza" / "video1" / "annotations.txt"
+    extra.parent.mkdir()
+    extra.write_bytes(b'1 0 0 2 2 0 0 0 0 "Car"\r\n\n2 0 0 2 2 0 0 0 0 "Car"\r'
+                      b'3 0 0 2 2 0 0 0 0 "Car"')
+    files["plaza/video1"] = str(extra)
+    windows, counts, lines = D.load_annotation_files(files, stride=12)
+    assert lines == 576 + 4
+    assert len(windows) == 5 and counts["car"] == 3
 
 
 def test_window_csv_keeps_frame_step_of_parsed_windows(tmp_path):

@@ -69,6 +69,18 @@ def test_leaky_relu_slope_limits_exact():
     assert np.array_equal(T.leaky_relu(x, 0.0).data, T.relu(x).data)
 
 
+@pytest.mark.parametrize("slope", [-0.5, 0.0, 0.2, 1.0, 3.0])
+def test_leaky_relu_selects_as_np_where_bit_for_bit(slope):
+    # signed zeros and NaN of both signs among values on either side of 0,
+    # compared as bits: -0.0 differs from 0.0, and equal NaNs are equal
+    x = np.concatenate([[0.0, -0.0, np.nan, -np.nan, 1e-300, -1e-300],
+                        np.random.default_rng(2).standard_normal(200)])
+    want = np.where(x >= 0.0, x, slope * x).view(np.int64)
+    for got in (T._activate(x, "leaky_relu", slope), T.leaky_relu(Tensor(x), slope).data,
+                T._activate(x, "leaky_relu", slope, np.full_like(x, 7.0))):
+        assert np.array_equal(got.view(np.int64), want)
+
+
 def sigmoid_inputs():
     """Edge values (signed zeros, infinities, NaN, subnormals, the ends of
     exp's range) and a wide random spread, each also as a 2-D or strided
@@ -455,7 +467,8 @@ def assert_sequence_matches_oracle(rows, length, in_dim, hidden, seed,
 
 
 @pytest.mark.parametrize("rows,length,in_dim,hidden",
-                         [(3, 4, 2, 5), (1, 1, 1, 1), (6, 8, 3, 2), (2, 20, 5, 4)])
+                         [(3, 4, 2, 5), (1, 1, 1, 1), (6, 8, 3, 2), (2, 20, 5, 4),
+                          (36, 20, 8, 16)])  # gan_lstm's discriminator in training
 def test_lstm_sequence_matches_looped_oracle(rows, length, in_dim, hidden):
     assert_sequence_matches_oracle(rows, length, in_dim, hidden, seed=16)
 
@@ -533,6 +546,14 @@ def test_lstm_rollout_matches_looped_oracle(rows, hidden, gamma_hidden, t_pred, 
     rng = np.random.default_rng(18)
     leaves = rollout_leaves(rng, rows, 3, hidden, gamma_hidden)
     assert_rollout_matches_oracle(rng, leaves, t_pred, activation)
+
+
+def test_lstm_rollout_matches_looped_oracle_at_the_training_shape():
+    # the k-sample rollout of the gan_lstm preset in training: 90 rows,
+    # embedding 8, hidden 16, one gamma layer of 16, 12 steps
+    rng = np.random.default_rng(18)
+    leaves = rollout_leaves(rng, 90, 8, 16, (16,))
+    assert_rollout_matches_oracle(rng, leaves, 12, "leaky_relu")
 
 
 @settings(max_examples=30, deadline=None)
@@ -705,6 +726,21 @@ def test_recorded_lstm_steps_survive_calls_before_backward():
                 backward(weighted_sum(outs, [Tensor(np.cos(o.data)) for o in outs]))
             grads.append([x.grad.copy() for x in leaves])
         assert all(np.array_equal(a, b) for a, b in zip(*grads))
+
+
+@pytest.mark.parametrize("op", [0, 1], ids=["sequence", "rollout"])
+def test_second_backward_of_one_recording_doubles_the_gradients(op):
+    # the backward reads the step blocks and buffers of the recording and
+    # writes only arrays of its own, so a second pass sees the same inputs
+    rng = np.random.default_rng(27)
+    call, leaves = lstm_op_calls(rng, 18, 16)[op]
+    with Tape():
+        outs = call()
+        loss = weighted_sum(outs, [Tensor(np.cos(o.data)) for o in outs])
+        backward(loss)
+        once = [x.grad.copy() for x in leaves]
+        backward(loss)
+    assert all(np.array_equal(x.grad, 2.0 * g) for x, g in zip(leaves, once))
 
 
 def minor_faults_per_call(setup, call, calls=10):
