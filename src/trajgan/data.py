@@ -534,7 +534,8 @@ def read_windows_csv(path):
     0 on its first steps and 1 on the rest.  All agents of a window have the
     same ``T`` and the same number of observed steps, at least one.  A row
     that breaks this, or that has other than nine cells or a numeric cell
-    that does not parse, raises DataError naming its 1-based line.
+    that does not parse, raises DataError naming its 1-based line; a window
+    id other than ``<scene_id>:<start frame>``, the window's first line.
     """
     width = len(WINDOW_CSV_HEADER)
     with open(path, newline="") as fh:
@@ -625,15 +626,18 @@ def read_windows_csv(path):
     ids, cls = agent[starts].tolist(), cls[starts]
     starts, lengths, observed = starts.tolist(), lengths.tolist(), observed.tolist()
     windows = []
-    for (scene_id, window_id, frame_step), a0, count in zip(keys, first.tolist(),
-                                                          n_agents.tolist()):
+    for number, ((scene_id, window_id, frame_step), a0, count) in enumerate(
+            zip(keys, first.tolist(), n_agents.tolist())):
         a1 = a0 + count
         span, n_obs = lengths[a0], observed[a0]
         pts = xy[starts[a0]:starts[a0] + count * span].reshape(count, span, 2)
         try:
-            start = int(window_id.rsplit(":", 1)[1])
-        except (IndexError, ValueError):
-            start = 0
+            start = int(window_id[len(scene_id) + 1:])
+        except ValueError:
+            start = -1  # fails the check: int() reads "-1", not the id's tail
+        if window_id != f"{scene_id}:{start}":
+            raise _window_csv_error(path, int(order[window == number].min()), f"window "
+                                    f"id {window_id!r} is not <scene_id>:<start frame>")
         windows.append(SceneWindow(scene_id, start, frame_step, tuple(ids[a0:a1]),
                                    cls[a0:a1], pts[:, :n_obs].copy(), pts[:, n_obs:].copy()))
     return windows

@@ -462,7 +462,7 @@ class Generator:
 
 class Discriminator:
     """Encodes a whole (observed + future) trajectory with its own encoder
-    and classifies it real/fake through an MLP and sigmoid.
+    and classifies it real/fake through an MLP whose output is a logit.
     """
 
     def __init__(self, config, rng):
@@ -473,13 +473,13 @@ class Discriminator:
         self.classifier = MLP(dims, rng, config.activation, config.leaky_slope)
 
     def score_steps(self, steps, onehots, expected_len=None):
-        """Scores in (0, 1) of the (T*R, 2) time-major displacements of R
+        """Real-vs-fake logits of the (T*R, 2) time-major displacements of R
         trajectories with their (R, 6) one-hots, as an (R, 1) tensor."""
         if expected_len is not None and steps.shape[0] != expected_len * onehots.shape[0]:
             raise ContractError(f"discriminator expected {expected_len} steps of "
                                 f"{onehots.shape[0]} rows, got {steps.shape[0]} rows")
         hidden = self.encoder.encode(steps, onehots)
-        return T.sigmoid(self.classifier(hidden))
+        return self.classifier(hidden)
 
     def named_parameters(self):
         out = self.encoder.named_parameters("encoder")
@@ -612,15 +612,15 @@ def fake_steps(preds, sample=0):
 
 
 def score_real(disc, windows):
-    """Discriminator scores for the windows' true trajectories, (R, 1) in (0,1)."""
+    """Discriminator logits for the windows' true trajectories, (R, 1)."""
     batch = _as_batch(windows)
     return disc.score_steps(real_steps(batch), T.constant(stacked_onehots(batch)),
                             expected_len=batch[0].t_obs + batch[0].t_pred)
 
 
 def score_fake(disc, windows, preds, sample=0):
-    """Scores for one generated sample per agent, gradients flowing to the
-    generator through the predicted displacements.
+    """Discriminator logits for one generated sample per agent, gradients
+    flowing to the generator through the predicted displacements.
     """
     batch = _as_batch(windows)
     return disc.score_steps(fake_steps(preds, sample), T.constant(stacked_onehots(batch)),

@@ -476,21 +476,14 @@ def tmean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # Nonlinearities.  Kinked ops take their subgradient from the positive branch.
 
-def _sigmoid(x, out=None, e=None):
-    """Numerically stable two-sided logistic function of an array: 1/(1+e)
-    for x >= 0 and e/(1+e) below, e = exp(-|x|), without a branching select.
-
-    Writes into ``out`` and uses ``e`` as its temporary where they are
-    given (each the shape of ``x``; ``out`` may be ``x`` itself), else fresh
-    arrays.
-    """
-    out = np.empty_like(x) if out is None else out
-    e = np.empty_like(x) if e is None else e
-    np.exp(np.negative(np.abs(x, out=e), out=e), out=e)
-    np.greater_equal(x, 0.0, out=out)  # 1.0 where x >= 0, else 0.0
-    np.maximum(e, out, out=out)
-    e += 1.0
-    return np.divide(out, e, out=out)
+def _sigmoid(x, out=None):
+    """1/(1+exp(-x)) of an array, into ``out`` (which may be ``x``) where
+    given; 0 where exp(-x) overflows, below about -709.8."""
+    out = np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _activate(x, kind, slope, out=None):
@@ -554,10 +547,7 @@ def exp(a):
 
 
 def log(a):
-    def bwd(g):
-        return (g / a.data,)
-
-    return _make(np.log(a.data), (a,), bwd)
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a):
@@ -581,13 +571,17 @@ def powf(a, p):
 
 
 def clamp_min(a, lo):
-    lo = float(lo)
     mask = a.data >= lo
+    return _make(np.maximum(a.data, float(lo)), (a,), lambda g: (g * mask,))
 
-    def bwd(g):
-        return (g * mask,)
 
-    return _make(np.maximum(a.data, lo), (a,), bwd)
+def bce_logits(s, target):
+    """Mean binary cross entropy of the logits ``s`` against the constant
+    label ``target``: max(s, 0) - s*target + log(1 + exp(-|s|)), gradient
+    (σ(s) - target)/n; neither overflows nor saturates at a finite logit."""
+    x, target = s.data, float(target)
+    loss = np.maximum(x, 0.0) - x * target + np.log1p(np.exp(-np.abs(x)))
+    return _make(loss.mean(), (s,), lambda g: ((_sigmoid(x) - target) * (g / x.size),))
 
 
 ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid")
@@ -708,7 +702,7 @@ def _lstm_step(x, h, c, cell, tmp, out):
     # the activations overwrite their gates: one sigmoid over the first
     # three blocks, one tanh over the cell gate
     sig, g = gates[:3 * hd], gates[3 * hd:]
-    _sigmoid(sig, sig, tmp[:3 * hd])
+    _sigmoid(sig, sig)
     np.tanh(g, out=g)
     # f*c + i*g, in place when c_next is c
     np.multiply(gates[hd:2 * hd], c, out=c_next)

@@ -24,7 +24,6 @@ from .model import (ConfigError, build_discriminator, build_generator, fake_step
                     stacked_onehots)
 
 TRAIN_MODES = ("gan", "nogan")
-LOG_FLOOR = 1e-7  # keeps both losses finite for scores numerically at 0 or 1
 
 
 class TrainingError(RuntimeError):
@@ -64,16 +63,14 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # losses
 
-def d_loss(real_scores, fake_scores):
-    """Binary cross entropy pushing real scores to 1 and fake scores to 0."""
-    log_r = T.log(T.clamp_min(real_scores, LOG_FLOOR))
-    log_f = T.log(T.clamp_min(T.add_scalar(T.neg(fake_scores), 1.0), LOG_FLOOR))
-    return T.add(T.neg(T.tmean(log_r)), T.neg(T.tmean(log_f)))
+def d_loss(real_logits, fake_logits):
+    """Binary cross entropy on logits: real toward label 1, fake toward 0."""
+    return T.add(T.bce_logits(real_logits, 1.0), T.bce_logits(fake_logits, 0.0))
 
 
-def g_adv_loss(fake_scores):
-    """Non-saturating generator objective: push fake scores toward 1."""
-    return T.neg(T.tmean(T.log(T.clamp_min(fake_scores, LOG_FLOOR))))
+def g_adv_loss(fake_logits):
+    """Non-saturating generator objective: fake logits toward label 1."""
+    return T.bce_logits(fake_logits, 1.0)
 
 
 def variety_norms(truth, preds):
@@ -176,17 +173,17 @@ def _discriminator_loss(batch, gen, disc, rng):
     real, fake = (s.data.reshape(-1, rows, 2) for s in (real_steps(batch), fake_steps(preds)))
     steps = T.constant(np.concatenate([real, fake], axis=1).reshape(-1, 2))
     onehots = stacked_onehots(batch)
-    scores = disc.score_steps(steps, T.constant(np.concatenate([onehots, onehots])))
-    return d_loss(T.narrow(scores, 0, 0, rows), T.narrow(scores, 0, rows, rows))
+    logits = disc.score_steps(steps, T.constant(np.concatenate([onehots, onehots])))
+    return d_loss(T.narrow(logits, 0, 0, rows), T.narrow(logits, 0, rows, rows))
 
 
 def _generator_losses(batch, gen, config, rng, disc=None):
     """Mean variety loss over every agent of the batch at k samples, plus
-    the adversarial scores of sample 0 when a discriminator is given."""
+    the discriminator's logits for sample 0 when a discriminator is given."""
     preds = generator_forward(gen, batch, k=config.k, rng=rng)
-    scores = None if disc is None else score_fake(disc, batch, preds, sample=0)
+    logits = None if disc is None else score_fake(disc, batch, preds, sample=0)
     norms = variety_norms(np.concatenate([w.future for w in batch]), preds)
-    return T.tmean(norms), scores
+    return T.tmean(norms), logits
 
 
 def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0):
@@ -215,8 +212,8 @@ def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0)
     try:
         for _ in range(config.g_steps):
             with Tape():
-                var, scores = _generator_losses(batch, gen, config, rng, disc)
-                adv = g_adv_loss(scores)
+                var, logits = _generator_losses(batch, gen, config, rng, disc)
+                adv = g_adv_loss(logits)
                 loss_g = T.add(adv, var)
                 T.backward(loss_g)
             g_val, v_val = float(adv.data), float(var.data)

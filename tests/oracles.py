@@ -135,10 +135,10 @@ def looped_lstm_step(x, hc, W_x, W_h, b):
 
 
 def sigmoid_ref(x):
-    """The two-sided stable logistic function as a branching select."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    """The logistic function as the plain composition 1/(1 + exp(-x)),
+    0 where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def lstm_cell(x, hc, W_x, W_h, b):
@@ -345,6 +345,23 @@ class LoopedAdam:
             m_hat, v_hat = self.m[i] / c1, self.v[i] / c2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
             p.grad = None
+
+
+LOG_FLOOR = 1e-7
+
+
+def d_loss_clamped(real_logits, fake_logits):
+    """The discriminator loss as composed on probabilities: binary cross
+    entropy of σ(logit), each probability clamped at ``LOG_FLOOR`` before
+    its log, so the gradient of a clamped entry is exactly 0."""
+    log_r = T.log(T.clamp_min(T.sigmoid(real_logits), LOG_FLOOR))
+    log_f = T.log(T.clamp_min(T.add_scalar(T.neg(T.sigmoid(fake_logits)), 1.0), LOG_FLOOR))
+    return T.add(T.neg(T.tmean(log_r)), T.neg(T.tmean(log_f)))
+
+
+def g_adv_loss_clamped(fake_logits):
+    """The non-saturating generator loss as composed on clamped probabilities."""
+    return T.neg(T.tmean(T.log(T.clamp_min(T.sigmoid(fake_logits), LOG_FLOOR))))
 
 
 def grad_norm_ref(params):

@@ -115,7 +115,7 @@ def test_02_finite_difference_check_on_both_networks():
 # 3. closed-form anchors of the adversarial losses
 
 def test_03_loss_values_at_uniform_half_scores():
-    half = T.constant(np.full((5, 1), 0.5))
+    half = T.constant(np.zeros((5, 1)))  # logit 0: the score 1/2
     assert abs(float(d_loss(half, half).data) - 2.0 * math.log(2.0)) < 1e-9
     assert abs(float(g_adv_loss(half).data) - math.log(2.0)) < 1e-9
 

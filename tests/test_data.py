@@ -581,9 +581,11 @@ def test_window_csv_round_trip(tmp_path):
 
 def test_window_csv_text_matches_csv_writer(tmp_path):
     windows = []
-    for k, scene_id in enumerate(("plaza, north", 'say "hi"', " padded scene ", "two\nlines")):
+    for k, scene_id in enumerate(("plaza, north", 'say "hi"', " padded scene ", "two\nlines",
+                                  "cam:2")):
         windows += D.synth_scene("turn", 2, ["car", "bus"], seed=k, n_windows=2, jitter=0.3,
                                  scene_id=scene_id)
+    windows[-1] = dataclasses.replace(windows[-1], start_frame=-3)  # window id "cam:2:-3"
     w = windows[0]
     pts = w.points()
     pts[0, :4] = [(-0.0, 1e-300), (1e20, 0.1 + 0.2), (5e-324, -123456789.125), (1.0, -1e-7)]
@@ -633,6 +635,13 @@ MALFORMED_WINDOW_CSV = {
     "is_future not 0s then 1s": (lambda r: replaced(replaced(r, 1, is_future="1"), 2,
                                                     is_future="0"),
                                  4, "is_future goes from 1 back to 0"),
+    "window id without a start frame": (
+        lambda r: r[:3] + [replaced(r, i, window_id="s:y")[i] for i in (3, 4, 5)],
+        5, "window id 's:y' is not <scene_id>:<start frame>"),
+    "window id of another scene": (
+        lambda r: [replaced(r, i, window_id="t:7")[i] for i in range(6)], 2, "'t:7'"),
+    "window id with a padded frame": (
+        lambda r: [replaced(r, i, window_id="s:07")[i] for i in range(6)], 2, "'s:07'"),
 }
 
 

@@ -678,20 +678,27 @@ def test_generator_full_graph_grads():
 # discriminator
 
 def test_scores_lie_in_unit_interval():
+    # the discriminator returns logits, the classifier's output itself;
+    # as probabilities σ(logit) they lie in (0, 1)
     cfg = tiny_config()
     disc = M.build_discriminator(cfg, seed=47)
     w = make_window(seed=48)
     s = M.score_real(disc, w)
+    hidden = disc.encoder.encode(M.real_steps([w]), Tensor(w.onehots()))
     assert s.shape == (3, 1)
-    assert np.all((s.data > 0) & (s.data < 1))
+    assert np.array_equal(s.data, disc.classifier(hidden).data)
+    p = T._sigmoid(s.data)
+    assert np.all((p > 0) & (p < 1))
 
 
 def test_zero_classifier_scores_half():
+    # logit 0 exactly, which is the probability 1/2
     disc = M.build_discriminator(tiny_config(), seed=49)
     for p in disc.classifier.named_parameters("c").values():
         p.data[:] = 0.0
     w = make_window(seed=50)
-    assert np.allclose(M.score_real(disc, w).data, 0.5, atol=1e-15)
+    s = M.score_real(disc, w).data
+    assert np.all(s == 0.0) and np.all(T._sigmoid(s) == 0.5)
 
 
 def test_score_length_contract():

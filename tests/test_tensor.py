@@ -1,12 +1,15 @@
 import ast
+import decimal
 import gc
 import inspect
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -93,17 +96,49 @@ def sigmoid_inputs():
     return edges, edges.reshape(3, 6), spread, spread[:, ::3]
 
 
-def test_branch_free_sigmoid_equals_branching_select():
+def test_sigmoid_equals_oracle_composition():
     for x in sigmoid_inputs():
         assert np.array_equal(T._sigmoid(x), sigmoid_ref(x), equal_nan=True)
 
 
-def test_sigmoid_into_used_buffers_equals_fresh_sigmoid():
+def decimal_sigmoid(x):
+    """1/(1 + exp(-x)) of a float to 50 significant digits."""
+    ctx = decimal.Context(prec=50)
+    return ctx.divide(1, ctx.add(1, ctx.exp(decimal.Decimal(-x))))
+
+
+def test_sigmoid_matches_decimal_reference():
+    # exp(-x), 1 + exp(-x) and its reciprocal each round once, by about
+    # half an ulp of relative error, which can add up to 3 ulp of the
+    # result; 2.42 is the most seen, near x = -36.7, where exp(-x) passes
+    # 2**53 and adding 1 rounds by a whole unit.  Below the smallest normal
+    # number the result is a subnormal, or 0 where exp(-x) overflows.
+    rng = np.random.default_rng(5)
+    x = np.concatenate([np.linspace(-745.0, 40.0, 10000), np.linspace(-40.0, -30.0, 5000),
+                        rng.standard_normal(5000) * 10.0 ** rng.uniform(-8, 2.5, 5000)])
+    tiny = decimal.Decimal(np.finfo(float).tiny)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = T._sigmoid(x)
+        edges = T._sigmoid(np.array([-746.0, -1e308, -np.inf, np.inf, np.nan]))
+    worst_ulp = worst_abs = 0.0
+    for g, v in zip(got.tolist(), x.tolist()):
+        want = decimal_sigmoid(v)
+        err = abs(decimal.Decimal(g) - want)
+        if want >= tiny:
+            worst_ulp = max(worst_ulp, float(err) / math.ulp(float(want)))
+        else:
+            worst_abs = max(worst_abs, float(err))
+    assert worst_ulp <= 3.0 and worst_abs <= 2.3e-308
+    assert edges[:4].tolist() == [0.0, 0.0, 0.0, 1.0] and np.isnan(edges[4])
+
+
+def test_sigmoid_into_given_output_and_in_place():
     for x in sigmoid_inputs():
-        out, e = np.full(x.shape, 7.0), np.full(x.shape, -3.0)
-        got = T._sigmoid(x, out, e)
-        assert got is out
-        assert np.array_equal(out, T._sigmoid(x), equal_nan=True)
+        fresh, out, y = T._sigmoid(x), np.full(x.shape, 7.0), x.copy()
+        assert T._sigmoid(x, out) is out and T._sigmoid(y, y) is y
+        assert np.array_equal(out, fresh, equal_nan=True)
+        assert np.array_equal(y, fresh, equal_nan=True)
 
 
 def test_activation_dispatcher_rejects_unknown():
@@ -197,6 +232,22 @@ def test_unary_grads(fn):
     x = Tensor(rng.uniform(0.3, 2.0, (3, 5)) * rng.choice([-1.0, 1.0], (3, 5)),
                requires_grad=True)
     assert_grads_match(lambda: fn(x).sum(), [x])
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0, 0.3])
+def test_bce_logits_grads(target):
+    rng = np.random.default_rng(11)
+    s = Tensor(rng.uniform(-6.0, 6.0, (4, 3)), requires_grad=True)
+    assert_grads_match(lambda: T.bce_logits(s, target), [s], rtol=1e-6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.floats(-700.0, 700.0))
+def test_bce_logits_matches_independent_softplus_forms(s):
+    # -log σ(s) = log(1 + exp(-s)) and -log(1 - σ(s)) = log(1 + exp(s))
+    x = Tensor(np.array([[s]]))
+    for target, want in ((1.0, math.log1p(math.exp(-s))), (0.0, math.log1p(math.exp(s)))):
+        assert float(T.bce_logits(x, target).data) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_positive_domain_grads():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from trajgan import train as TR
 from trajgan.optim import Adam
 from trajgan.tensor import Tensor, Tape, ContractError, backward
 
-from oracles import assert_grads_match, looped_train_step_gan, looped_train_step_nogan
+from oracles import (assert_grads_match, d_loss_clamped, g_adv_loss_clamped, looped_train_step_gan,
+                     looped_train_step_nogan)
 
 LN2 = float(np.log(2.0))
 
@@ -48,35 +51,71 @@ def hand_predictions(traj_rows, n_agents, k, t_pred, requires_grad=True):
 # loss anchors
 
 def test_d_loss_at_uniform_half_scores():
-    r = Tensor(np.full((4, 1), 0.5))
-    f = Tensor(np.full((4, 1), 0.5))
+    # logit 0 is the score 1/2
+    r = Tensor(np.zeros((4, 1)))
+    f = Tensor(np.zeros((4, 1)))
     assert abs(float(TR.d_loss(r, f).data) - 2 * LN2) < 1e-9
 
 
 def test_d_loss_perfect_discriminator():
-    r = Tensor(np.ones((3, 1)))
-    f = Tensor(np.zeros((3, 1)))
+    r = Tensor(np.full((3, 1), 40.0))
+    f = Tensor(np.full((3, 1), -40.0))
     assert abs(float(TR.d_loss(r, f).data)) < 1e-12
 
 
 def test_d_loss_finite_at_worst_scores():
-    r = Tensor(np.zeros((3, 1)))
-    f = Tensor(np.ones((3, 1)))
-    v = float(TR.d_loss(r, f).data)
-    assert np.isfinite(v)
-    assert abs(v - 2 * -np.log(TR.LOG_FLOOR)) < 1e-9
+    # confidently wrong logits cost their size, with no overflow
+    r = Tensor(np.full((3, 1), -1000.0))
+    f = Tensor(np.full((3, 1), 1000.0))
+    assert float(TR.d_loss(r, f).data) == 2000.0
 
 
 def test_d_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
-    r = Tensor(rng.uniform(0.1, 0.9, (3, 1)), requires_grad=True)
-    f = Tensor(rng.uniform(0.1, 0.9, (3, 1)), requires_grad=True)
+    r = Tensor(rng.uniform(-3.0, 3.0, (3, 1)), requires_grad=True)
+    f = Tensor(rng.uniform(-3.0, 3.0, (3, 1)), requires_grad=True)
     assert_grads_match(lambda: TR.d_loss(r, f), [r, f], rtol=1e-5)
 
 
 def test_g_adv_loss_anchors():
-    assert abs(float(TR.g_adv_loss(Tensor(np.full((5, 1), 0.5))).data) - LN2) < 1e-9
-    assert abs(float(TR.g_adv_loss(Tensor(np.ones((5, 1)))).data)) < 1e-12
+    assert abs(float(TR.g_adv_loss(Tensor(np.zeros((5, 1)))).data) - LN2) < 1e-9
+    assert abs(float(TR.g_adv_loss(Tensor(np.full((5, 1), 40.0))).data)) < 1e-12
+
+
+def logit_grad(loss, *logits):
+    """d(loss)/d(logits) of each (n, 1) logit array."""
+    leaves = [Tensor(np.asarray(s, dtype=float), requires_grad=True) for s in logits]
+    with Tape():
+        backward(loss(*leaves))
+    return [leaf.grad for leaf in leaves]
+
+
+def sigmoid(s):
+    return 1.0 / (1.0 + math.exp(-s))
+
+
+def test_adversarial_gradients_do_not_saturate():
+    # a confident discriminator still gives each logit (σ(s) - label)/n,
+    # which clamping σ(s) at a floor before the log had zeroed
+    n = 4
+    (g,) = logit_grad(TR.g_adv_loss, np.full((n, 1), -20.0))
+    np.testing.assert_allclose(g, (sigmoid(-20.0) - 1.0) / n, rtol=1e-12, atol=0.0)
+    g_real, g_fake = logit_grad(TR.d_loss, np.full((n, 1), -40.0), np.full((n, 1), 40.0))
+    np.testing.assert_allclose(g_real, -1.0 / n, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(g_fake, 1.0 / n, rtol=1e-12, atol=0.0)
+
+
+def test_losses_equal_clamped_composition_away_from_the_floor():
+    # wherever σ(s) and 1 - σ(s) stay above the floor 1e-7 (|s| <= 6.9 here)
+    # the clamp is inactive, so both routes compute the same function
+    for v in np.linspace(-6.9, 6.9, 139):
+        real, fake = np.array([[v]]), np.array([[-v]])
+        for loss, ref, args in ((TR.d_loss, d_loss_clamped, (real, fake)),
+                                (TR.g_adv_loss, g_adv_loss_clamped, (fake,))):
+            want = float(ref(*map(Tensor, args)).data)
+            assert float(loss(*map(Tensor, args)).data) == pytest.approx(want, rel=1e-12)
+            for got, exp in zip(logit_grad(loss, *args), logit_grad(ref, *args)):
+                np.testing.assert_allclose(got, exp, rtol=1e-12, atol=0.0)
 
 
 def test_g_adv_loss_decreasing_in_each_score():
