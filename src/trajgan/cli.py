@@ -111,6 +111,8 @@ def _rebuild_from_checkpoint(path):
 # commands
 
 def cmd_parse(args):
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be at least 1, got {args.stride}")
     root = args.input_dir
     if not os.path.isdir(root):
         raise D.DataError(f"not a directory: {root}; {LAYOUT_HINT}")
@@ -178,6 +180,8 @@ def cmd_eval(args):
     k = cfg.train.k if args.k is None else args.k
     if k < 1:
         raise ConfigError(f"--k must be at least 1, got {k}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
     windows = C.load_windows(cfg.data)
     split = D.split_dataset(windows, seed=cfg.seed)  # no part is empty
     chosen = getattr(split, args.split)

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from . import data as D
 from .model import ConfigError, ModelConfig
@@ -60,6 +60,8 @@ class DataConfig:
                 raise ConfigError("jitter must be >= 0")
         elif self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
         return self
 
     def resolved_root(self):
@@ -76,38 +78,47 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.model.validate()
         self.train.validate()
         self.data.validate()
         return self
 
 
-_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig}
+def _fits(value, default):
+    """Whether a JSON value has the type of a field's default: an int fits a
+    float, a number or null a None default, a list of items that fit its
+    first item a tuple, and a bool only a bool."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    kinds = {float: (int, float), type(None): (int, float, type(None))}.get(type(default),
+                                                                          type(default))
+    return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
 
 
 def _build_section(cls, values, section):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(values) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r} "
-                          f"in section {section!r}")
-    return cls(**values)
+    """``cls(**values)`` once every key names a field and every value fits
+    its field's default; a field with a default factory is a section."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{section or 'config'} must be a JSON object, "
+                          f"got {type(values).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    kwargs = dict(values)
+    for key, value in sorted(values.items()):
+        name = key if section is None else f"{section}.{key}"
+        if key not in known:
+            raise ConfigError(f"unknown config key {name!r}")
+        if known[key].default_factory is not MISSING:
+            kwargs[key] = _build_section(known[key].default_factory, value, name)
+        elif not _fits(value, known[key].default):
+            raise ConfigError(f"{name} is {json.dumps(value)}, which does not fit "
+                              f"its default {json.dumps(known[key].default)}")
+    return cls(**kwargs)
 
 
 def from_dict(d):
-    if not isinstance(d, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-    top_allowed = {"name", "seed", "out_dir"} | set(_SECTIONS)
-    unknown = set(d) - top_allowed
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    kwargs = {k: d[k] for k in ("name", "seed", "out_dir") if k in d}
-    for section, cls in _SECTIONS.items():
-        if section in d:
-            if not isinstance(d[section], dict):
-                raise ConfigError(f"section {section!r} must be an object")
-            kwargs[section] = _build_section(cls, d[section], section)
-    return ExperimentConfig(**kwargs)
+    return _build_section(ExperimentConfig, d, None)
 
 
 def to_dict(config):

@@ -16,8 +16,6 @@ from .tensor import ContractError
 from .data import CLASS_NAMES, csv_text
 from .model import class_embedding_matrix, generator_forward
 
-FDE_FORMS = ("rms", "mean")
-
 # Full-scale training results reported by the original study, shipped for
 # context in reports.  Not reproduced here: they required hours of GPU
 # training on the complete drone dataset.
@@ -61,12 +59,9 @@ def _trajectory_errors(pred, truth):
     return np.sqrt(sq.mean(axis=1)), sq[:, -1]
 
 
-def _ade_fde(rmse, final_sq, form):
+def _ade_fde(rmse, final_sq):
     """ADE and FDE from ``_trajectory_errors`` output."""
-    if form not in FDE_FORMS:
-        raise ContractError(f"fde form must be one of {FDE_FORMS}, got {form!r}")
-    fde_value = np.sqrt(final_sq.mean()) if form == "rms" else np.sqrt(final_sq).mean()
-    return float(rmse.mean()), float(fde_value)
+    return float(rmse.mean()), float(np.sqrt(final_sq.mean()))
 
 
 def rmse_trajectory(pred, truth):
@@ -82,14 +77,9 @@ def ade(pairs):
     return float(_trajectory_errors(*_stack_pairs(pairs))[0].mean())
 
 
-def fde(pairs, form="rms"):
-    """Final-point error over a dataset.
-
-    ``rms`` takes the root mean square of final-point distances; ``mean``
-    averages the distances instead, for comparison with work that reports
-    the arithmetic form.
-    """
-    return _ade_fde(*_trajectory_errors(*_stack_pairs(pairs)), form)[1]
+def fde(pairs):
+    """Root mean square of the final-point distances over a dataset."""
+    return _ade_fde(*_trajectory_errors(*_stack_pairs(pairs)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +94,13 @@ def constant_velocity_baseline(window):
     return window.observed[:, -1][:, None, :] + steps[None, :, None] * v[:, None, :]
 
 
-def baseline_metrics(windows, fde_form="rms"):
+def baseline_metrics(windows):
     """(ADE, FDE) of the constant-velocity baseline over the given windows."""
     if not windows:
         raise ContractError("need at least one window")
     pred = np.concatenate([constant_velocity_baseline(w) for w in windows])
     truth = np.concatenate([w.future for w in windows])
-    return _ade_fde(*_trajectory_errors(pred, truth), fde_form)
+    return _ade_fde(*_trajectory_errors(pred, truth))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +119,6 @@ class EvalReport:
     fde: float
     n_trajectories: int
     k: int
-    fde_form: str = "rms"
     per_class: dict = field(default_factory=dict)
     baseline_ade: float = None
     baseline_fde: float = None
@@ -153,12 +142,11 @@ class EvalReport:
         lines.append(f"reference, full-scale training ({REFERENCE_MARKER}):")
         for name, a, f in REFERENCE_RESULTS:
             lines.append(f"{name:<28}{a:>9.2f}{f:>9.2f}")
-        lines.append(f"n={self.n_trajectories} trajectories, best of k={self.k}, "
-                     f"fde={self.fde_form}")
+        lines.append(f"n={self.n_trajectories} trajectories, best of k={self.k}, fde=rms")
         return "\n".join(lines) + "\n"
 
 
-def eval_min_of_k(gen, windows, k, seed=0, fde_form="rms", include_baseline=True):
+def eval_min_of_k(gen, windows, k, seed=0, include_baseline=True):
     """Sample k futures per agent, keep the one closest to truth, report metrics.
 
     Each window draws from its own seeded stream, sample-major, so the noise
@@ -185,14 +173,12 @@ def eval_min_of_k(gen, windows, k, seed=0, fde_form="rms", include_baseline=True
     per_class = {}
     for ci in np.unique(classes):
         sub = classes == ci
-        per_class[CLASS_NAMES[ci]] = ClassMetrics(
-            *_ade_fde(rmse[sub], final_sq[sub], fde_form), int(sub.sum()))
+        per_class[CLASS_NAMES[ci]] = ClassMetrics(*_ade_fde(rmse[sub], final_sq[sub]),
+                                                  int(sub.sum()))
 
-    report = EvalReport(*_ade_fde(rmse, final_sq, fde_form), len(rmse), k, fde_form,
-                        per_class)
+    report = EvalReport(*_ade_fde(rmse, final_sq), len(rmse), k, per_class)
     if include_baseline:
-        report.baseline_ade, report.baseline_fde = baseline_metrics(
-            windows, fde_form=fde_form)
+        report.baseline_ade, report.baseline_fde = baseline_metrics(windows)
     return report
 
 

@@ -178,44 +178,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # operator sugar; scalars are folded into dedicated constant ops
-    def __add__(self, other):
-        return add_scalar(self, other) if _is_number(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add_scalar(self, -other) if _is_number(other) else sub(self, other)
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), other)
-
-    def __mul__(self, other):
-        return mul_scalar(self, other) if _is_number(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not _is_number(other):
-            raise ShapeError("tensor division only supports scalar divisors")
-        return mul_scalar(self, 1.0 / other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-
-def _is_number(x):
-    return isinstance(x, (int, float, np.integer, np.floating))
-
 
 def constant(data):
     return Tensor(data, requires_grad=False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ContractError, Tape, no_grad
-from .data import csv_text
+from .data import DatasetSplit, csv_text
 from .optim import Adam, clip_grad_norm, grad_norm
 from .evaluate import eval_min_of_k
 from .model import (ConfigError, build_discriminator, build_generator, fake_steps,
@@ -57,6 +57,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -182,8 +184,7 @@ def _generator_losses(batch, gen, config, rng, disc=None):
     the discriminator's logits for sample 0 when a discriminator is given."""
     preds = generator_forward(gen, batch, k=config.k, rng=rng)
     logits = None if disc is None else score_fake(disc, batch, preds, sample=0)
-    norms = variety_norms(np.concatenate([w.future for w in batch]), preds)
-    return T.tmean(norms), logits
+    return variety_loss(np.concatenate([w.future for w in batch]), preds), logits
 
 
 def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0):
@@ -343,24 +344,18 @@ def discriminator_hidden_fraction(batch, gen, disc, rng):
 
 
 def run_activation_ablation(windows, model_config, train_config, steps=200):
-    """Twin GAN runs differing only in the MLP activation.
-
-    Both runs share seeds and data; afterwards the discriminator's live
-    hidden-gradient fraction is measured on one extra scoring pass.  Returns
-    one AblationResult per activation, relu first.
-    """
+    """Twin GAN runs differing only in the MLP activation, each trained by
+    ``run_training`` for ``steps`` epochs of one batch of all the windows.
+    Afterwards the discriminator's live hidden-gradient fraction is measured
+    on one extra scoring pass.  Returns one AblationResult per activation,
+    relu first."""
+    config = replace(train_config, mode="gan", epochs=steps, batch_size=len(windows))
     results = []
     for act in ("relu", "leaky_relu"):
         mcfg = replace(model_config, activation=act)
         gen = build_generator(mcfg, seed=train_config.seed)
         disc = build_discriminator(mcfg, seed=train_config.seed + 1)
-        g_opt = Adam(gen.parameters(), lr=train_config.lr)
-        d_opt = Adam(disc.parameters(), lr=train_config.lr)
-        rng = np.random.default_rng(train_config.seed)
-        log = TrainLog()
-        for s in range(steps):
-            log.steps.append(train_step_gan(windows, gen, disc, g_opt, d_opt,
-                                            train_config, rng, step=s))
+        _, log = run_training(gen, disc, DatasetSplit(train=list(windows)), config)
         frac = discriminator_hidden_fraction(
             windows, gen, disc, np.random.default_rng([train_config.seed, steps]))
         results.append(AblationResult(act, log, frac))

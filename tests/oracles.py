@@ -234,7 +234,7 @@ def looped_pair_indices(counts):
     return np.concatenate(i_idx), np.concatenate(j_idx)
 
 
-def looped_eval_report(gen, windows, k, seed=0, fde_form="rms"):
+def looped_eval_report(gen, windows, k, seed=0):
     """Reference for ``evaluate.eval_min_of_k``'s scoring: every agent's best
     sample picked and scored on its own, with straight loops.  Returns
     {scope: (ade, fde, n)} for "model", "constant_velocity" and each class
@@ -252,10 +252,8 @@ def looped_eval_report(gen, windows, k, seed=0, fde_form="rms"):
 
     def scores(picked):
         finals = [float(np.sum((p[-1] - t[-1]) ** 2)) for p, t in picked]
-        f = (np.sqrt(sum(finals) / len(finals)) if fde_form == "rms"
-             else sum(np.sqrt(finals)) / len(finals))
-        return (ade_ref([p for p, _ in picked], [t for _, t in picked]), float(f),
-                len(picked))
+        return (ade_ref([p for p, _ in picked], [t for _, t in picked]),
+                float(np.sqrt(sum(finals) / len(finals))), len(picked))
 
     out = {"model": scores([(p, t) for _, p, t, _ in rows]),
            "constant_velocity": scores([(b, t) for _, _, t, b in rows])}

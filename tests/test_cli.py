@@ -62,6 +62,45 @@ def test_config_rejects_unknown_keys():
         C.from_dict({"data": {"sceen_kind": "turn"}})
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "3"}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"name": 7}, "name"),
+    ({"train": {"seed": 2.0}}, "train.seed"),
+    ({"train": {"clip_norm": True}}, "train.clip_norm"),
+    ({"train": {"lr": "0.1"}}, "train.lr"),
+    ({"model": {"use_labels": 1}}, "model.use_labels"),
+    ({"model": {"hidden_dim": False}}, "model.hidden_dim"),
+    ({"model": {"gamma_mlp_hidden": [16.5]}}, "model.gamma_mlp_hidden"),
+    ({"model": {"pooling_mlp_hidden": 16}}, "model.pooling_mlp_hidden"),
+    ({"data": {"classes": "car"}}, "data.classes"),
+    ({"data": {"classes": ["car", 3]}}, "data.classes"),
+    ({"data": {"jitter": None}}, "data.jitter"),
+])
+def test_config_rejects_values_of_the_wrong_type(doc, named):
+    with pytest.raises(ConfigError, match=f"^{named} is "):
+        C.from_dict(doc)
+
+
+def test_config_accepts_an_int_for_a_float_and_null_for_clip_norm():
+    cfg = C.from_dict({"train": {"lr": 1, "clip_norm": None},
+                       "data": {"jitter": 0, "classes": ["car", "bus", "car"]}})
+    assert (cfg.train.lr, cfg.train.clip_norm, cfg.data.jitter) == (1, None, 0)
+    assert C.from_dict({"train": {"clip_norm": 2}}).train.clip_norm == 2
+    assert C.from_dict({"model": {"gamma_mlp_hidden": []}}).model.gamma_mlp_hidden == ()
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"seed": -1}, "seed"),
+    ({"train": {"seed": -1}}, "train.seed"),
+    ({"data": {"seed": -2}}, "data.seed"),
+])
+def test_config_rejects_negative_seeds(doc, named):
+    with pytest.raises(ConfigError, match=f"^{named} must be >= 0"):
+        C.from_dict(doc).validate()
+
+
 def test_config_rejects_malformed_documents():
     with pytest.raises(ConfigError):
         C.from_json("not json {")
@@ -225,6 +264,16 @@ def test_cmd_parse_missing_and_empty_dirs(tmp_path, capsys):
     assert "expected layout" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_cmd_parse_rejects_stride_below_one(tmp_path, capsys, stride):
+    data_root = write_fixture_dataset(tmp_path / "ds")
+    out = tmp_path / "parsed"
+    assert cli.main(["parse", str(data_root), "--out", str(out), "--stride", stride]) \
+        == cli.EXIT_CONFIG
+    assert f"--stride must be at least 1, got {stride}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval / analyze round trip
 
@@ -336,6 +385,24 @@ def test_cmd_train_exit_codes(tmp_path, capsys):
     assert cli.main(["train", "--config", str(missing_data)]) == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_cmd_train_rejects_a_preset_seed_of_the_wrong_kind(tmp_path, capsys, seed):
+    doc = C.to_dict(small_experiment(tmp_path))
+    doc["seed"] = seed
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert "error: seed " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cmd_train_rejects_a_negative_seed_flag(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, small_experiment(tmp_path))
+    assert cli.main(["train", "--config", str(cfg_path), "--seed", "-1"]) == cli.EXIT_CONFIG
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cmd_train_malformed_window_csv_exit(tmp_path, capsys):
     windows = C.load_windows(small_experiment(tmp_path).data)
     csv_path = tmp_path / "w.csv"
@@ -384,6 +451,18 @@ def test_cmd_eval_rejects_k_below_one(tmp_path, capsys, k):
     assert cli.main(["eval", "--checkpoint", str(path), "--out", str(out), "--k", str(k)]) \
         == cli.EXIT_CONFIG
     assert f"--k must be at least 1, got {k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_eval_rejects_a_negative_seed_before_writing(tmp_path, capsys):
+    cfg = small_experiment(tmp_path)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, build_generator(cfg.model, seed=cfg.seed),
+                    config_dict=C.to_dict(cfg))
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--checkpoint", str(path), "--out", str(out), "--seed", "-1"]) \
+        == cli.EXIT_CONFIG
+    assert "--seed must be at least 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

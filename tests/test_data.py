@@ -4,6 +4,7 @@ import os
 import pathlib
 import re
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -577,6 +578,38 @@ def test_window_csv_round_trip(tmp_path):
         assert np.array_equal(w0.class_indices, w1.class_indices)
         assert np.array_equal(w0.observed, w1.observed)
         assert np.array_equal(w0.future, w1.future)
+
+
+@st.composite
+def csv_windows(draw):
+    """Windows with distinct ids: scene ids the CSV must quote, any start
+    frame, frame step and finite coordinate, sorted agent ids, t_pred from 0."""
+    scene_ids = draw(st.lists(st.text(st.sampled_from(',":\r\n é路\u2028ab') | st.characters(
+        blacklist_categories=("Cs",)), max_size=6), min_size=1, max_size=3, unique=True))
+    windows = []
+    for scene_id in scene_ids:
+        for start in draw(st.lists(st.integers(-5, 10**12), min_size=1, max_size=2, unique=True)):
+            ids = sorted(draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=3,
+                                       unique=True)))
+            t_obs, t_pred = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+            size = len(ids) * (t_obs + t_pred) * 2
+            pts = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                         min_size=size, max_size=size)),
+                           dtype=np.float64).reshape(len(ids), t_obs + t_pred, 2)
+            classes = draw(st.lists(st.integers(0, D.N_CLASSES - 1), min_size=len(ids),
+                                    max_size=len(ids)))
+            windows.append(D.SceneWindow(scene_id, start, draw(st.integers(1, 30)), tuple(ids),
+                                         classes, pts[:, :t_obs], pts[:, t_obs:]))
+    return windows
+
+
+@settings(max_examples=400, deadline=None)
+@given(windows=csv_windows())
+def test_window_csv_round_trip_property(windows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "windows.csv")
+        D.write_windows_csv(windows, path)
+        assert_same_windows(D.read_windows_csv(path), windows)
 
 
 def test_window_csv_text_matches_csv_writer(tmp_path):

@@ -59,15 +59,6 @@ def test_fde_is_rms_over_trajectories():
     assert abs(E.fde([(p1, t), (t, t)]) - np.sqrt(12.5)) < 1e-12
 
 
-def test_fde_mean_form():
-    t = np.zeros((5, 2))
-    p1 = t.copy()
-    p1[-1] = [3.0, 4.0]
-    assert abs(E.fde([(p1, t), (t, t)], form="mean") - 2.5) < 1e-12
-    with pytest.raises(ContractError):
-        E.fde([(t, t)], form="median")
-
-
 def test_empty_dataset_rejected():
     with pytest.raises(ContractError):
         E.ade([])
@@ -155,17 +146,16 @@ def test_min_of_k_nested_improvement():
     assert ades[2] <= ades[1] + 1e-12
 
 
-@pytest.mark.parametrize("fde_form", E.FDE_FORMS)
-def test_eval_report_matches_per_agent_loop_oracle(fde_form):
+def test_eval_report_matches_per_agent_loop_oracle():
     gen = tiny_gen(use_labels=True)
     ws = [w for seed, kind in ((13, "turn"), (14, "linear"))
           for w in D.synth_scene(kind, 4, ["pedestrian", "car", "bus", "car"], seed=seed,
                                  n_windows=2, jitter=1.0)]
-    rep = E.eval_min_of_k(gen, ws, k=5, seed=15, fde_form=fde_form)
+    rep = E.eval_min_of_k(gen, ws, k=5, seed=15)
     got = {"model": (rep.ade, rep.fde, rep.n_trajectories),
            "constant_velocity": (rep.baseline_ade, rep.baseline_fde, rep.n_trajectories)}
     got.update({f"class:{name}": (m.ade, m.fde, m.n) for name, m in rep.per_class.items()})
-    want = looped_eval_report(gen, ws, k=5, seed=15, fde_form=fde_form)
+    want = looped_eval_report(gen, ws, k=5, seed=15)
     assert list(got) == list(want)
     for scope, (a, f, n) in want.items():
         assert got[scope][2] == n

@@ -83,7 +83,7 @@ def test_mlp_probe_leaves_carry_the_pre_activation_gradient(activation, monkeypa
 
     def loss():
         supply[:] = probes
-        return T.mul(mlp(x), w).sum()
+        return T.tsum(T.mul(mlp(x), w))
 
     assert_grads_match(loss, probes)
     if activation == "relu":
@@ -152,7 +152,7 @@ def test_lstm_grads_through_8_steps():
     xs = [rng.standard_normal((2, 2)) for _ in range(8)]
 
     def loss():
-        return cell.run(Tensor(np.concatenate(xs)), rows=2).sum()
+        return T.tsum(cell.run(Tensor(np.concatenate(xs)), rows=2))
 
     assert_grads_match(loss, [cell.W_x, cell.W_h, cell.b])
 
@@ -301,7 +301,7 @@ def test_transformer_grads():
 
     def loss():
         out = enc.encode(Tensor(np.concatenate(steps)), Tensor(oh))
-        return T.mul(out, out).sum()
+        return T.tsum(T.mul(out, out))
 
     assert_grads_match(loss, params, rtol=2e-4)
 
@@ -322,7 +322,7 @@ def test_packed_transformer_encode_matches_per_agent_calls(pool, rows):
             t.grad = None
         with Tape():
             out = fn()
-            backward(T.mul(out, w).sum())
+            backward(T.tsum(T.mul(out, w)))
         return out.data, [t.grad for t in params + [seq]]
 
     got, got_grads = run(lambda: enc.encode(seq, rows=rows))
@@ -396,7 +396,7 @@ def test_decoder_matches_looped_oracle(activation, gamma_hidden):
             t.grad = None
         with Tape():
             traj, disp = fn()
-            backward(T.add(T.mul(traj, weights[0]).sum(), T.mul(disp, weights[1]).sum()))
+            backward(T.add(T.tsum(T.mul(traj, weights[0])), T.tsum(T.mul(disp, weights[1]))))
         return traj.data, disp.data, [t.grad for t in params + inputs]
 
     got = run(lambda: dec.decode(*inputs, last_pos, last_disp, 6))
@@ -460,7 +460,7 @@ def test_pooling_grads():
     H = Tensor(rng.standard_normal((3, cfg.hidden_dim)), requires_grad=True)
     pos = rng.uniform(0, 10, (3, 2))
     params = [H] + list(pool.named_parameters("pool").values())
-    assert_grads_match(lambda: pool(H, pos).sum(), params)
+    assert_grads_match(lambda: T.tsum(pool(H, pos)), params)
 
 
 def test_pooling_packed_windows_stay_apart_bitwise():
@@ -661,7 +661,7 @@ def test_generator_full_graph_grads():
 
     def loss():
         preds = M.generator_forward(gen, w, k=2, z=z)
-        return T.mul(preds.traj, preds.traj).mean()
+        return T.tmean(T.mul(preds.traj, preds.traj))
 
     rng = np.random.default_rng(46)
     names = list(gen.named_parameters())
@@ -717,7 +717,7 @@ def test_score_fake_flows_gradient_to_generator():
     with Tape():
         preds = M.generator_forward(gen, w, k=2, z=z)
         s = M.score_fake(disc, w, preds, sample=1)
-        backward(s.sum())
+        backward(T.tsum(s))
     some_grads = [p.grad for p in gen.parameters() if p.grad is not None]
     assert len(some_grads) > 0
     assert any(np.any(g != 0) for g in some_grads)
@@ -728,7 +728,7 @@ def test_discriminator_grads():
     disc = M.build_discriminator(cfg, seed=56)
     w = make_window(seed=57, n_agents=2)
     params = disc.parameters()
-    assert_grads_match(lambda: M.score_real(disc, w).sum(), params, rtol=2e-4)
+    assert_grads_match(lambda: T.tsum(M.score_real(disc, w)), params, rtol=2e-4)
 
 
 def test_label_conditioning_adds_parameters():

@@ -198,7 +198,7 @@ def test_broadcast_rules():
 def test_matmul_grads():
     rng = np.random.default_rng(2)
     a, b = rand_leaf(rng, (3, 4)), rand_leaf(rng, (4, 2))
-    assert_grads_match(lambda: T.matmul(a, b).sum(), [a, b])
+    assert_grads_match(lambda: T.tsum(T.matmul(a, b)), [a, b])
 
 
 def test_elementwise_and_broadcast_grads():
@@ -209,7 +209,7 @@ def test_elementwise_and_broadcast_grads():
 
     def loss():
         out = T.mul(T.add(a, bias), T.sub(b, col))
-        return (out * 0.5 + 1.0).sum()
+        return T.tsum(T.add_scalar(T.mul_scalar(out, 0.5), 1.0))
 
     assert_grads_match(loss, [a, b, bias, col])
 
@@ -231,7 +231,7 @@ def test_unary_grads(fn):
     # keep values away from kinks so finite differences are clean
     x = Tensor(rng.uniform(0.3, 2.0, (3, 5)) * rng.choice([-1.0, 1.0], (3, 5)),
                requires_grad=True)
-    assert_grads_match(lambda: fn(x).sum(), [x])
+    assert_grads_match(lambda: T.tsum(fn(x)), [x])
 
 
 @pytest.mark.parametrize("target", [0.0, 1.0, 0.3])
@@ -253,9 +253,9 @@ def test_bce_logits_matches_independent_softplus_forms(s):
 def test_positive_domain_grads():
     rng = np.random.default_rng(5)
     x = Tensor(rng.uniform(0.5, 3.0, (4, 4)), requires_grad=True)
-    assert_grads_match(lambda: T.log(x).sum(), [x])
-    assert_grads_match(lambda: T.sqrt(x).sum(), [x])
-    assert_grads_match(lambda: T.powf(x, -0.5).sum(), [x])
+    assert_grads_match(lambda: T.tsum(T.log(x)), [x])
+    assert_grads_match(lambda: T.tsum(T.sqrt(x)), [x])
+    assert_grads_match(lambda: T.tsum(T.powf(x, -0.5)), [x])
 
 
 def test_softmax_grads_tight():
@@ -263,7 +263,7 @@ def test_softmax_grads_tight():
     x = rand_leaf(rng, (3, 5))
     w = Tensor(rng.standard_normal((3, 5)), requires_grad=False)
     worst = assert_grads_match(
-        lambda: T.mul(T.softmax_rows(x), w).sum(), [x], rtol=1e-5)
+        lambda: T.tsum(T.mul(T.softmax_rows(x), w)), [x], rtol=1e-5)
     assert worst < 1e-5
 
 
@@ -274,7 +274,7 @@ def test_slice_gather_grads():
     def loss():
         picked = T.take_rows(x, [0, 0, 4, 2])
         left = T.narrow(picked, 1, 0, 2)
-        return T.mul(left, left).sum()
+        return T.tsum(T.mul(left, left))
 
     assert_grads_match(loss, [x])
 
@@ -282,7 +282,7 @@ def test_slice_gather_grads():
 def test_blockwise_max_grads():
     rng = np.random.default_rng(8)
     x = rand_leaf(rng, (8, 3))
-    assert_grads_match(lambda: T.blockwise_max(x, 4).sum(), [x])
+    assert_grads_match(lambda: T.tsum(T.blockwise_max(x, 4)), [x])
 
 
 def test_segment_max_grads_uneven_and_one_row_segments():
@@ -290,14 +290,14 @@ def test_segment_max_grads_uneven_and_one_row_segments():
     x = rand_leaf(rng, (9, 3))
     w = Tensor(rng.standard_normal((4, 3)))
     # segments of 1, 3, 1 and 4 rows
-    assert_grads_match(lambda: T.mul(T.segment_max(x, [0, 1, 4, 5]), w).sum(), [x])
+    assert_grads_match(lambda: T.tsum(T.mul(T.segment_max(x, [0, 1, 4, 5]), w)), [x])
 
 
 def test_segment_max_ties_route_gradient_to_first_row():
     x = leaf([[2.0, 1.0], [2.0, 5.0], [7.0, 5.0], [3.0, 3.0], [3.0, 3.0]])
     with Tape():
         out = T.segment_max(x, [0, 3])
-        backward(T.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0]])).sum())
+        backward(T.tsum(T.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
     assert np.array_equal(out.data, [[7.0, 5.0], [3.0, 3.0]])
     assert np.array_equal(x.grad, [[0.0, 0.0], [0.0, 2.0], [1.0, 0.0],
                                    [3.0, 4.0], [0.0, 0.0]])
@@ -313,7 +313,7 @@ def test_blockwise_max_is_segment_max_over_equal_blocks():
         x = leaf(data.copy())
         with Tape():
             out = op(x)
-            backward(T.mul(out, Tensor(seed)).sum())
+            backward(T.tsum(T.mul(out, Tensor(seed))))
         results.append((out.data, x.grad))
     (va, ga), (vb, gb) = results
     assert va.tobytes() == vb.tobytes() and ga.tobytes() == gb.tobytes()
@@ -342,7 +342,7 @@ def attention_values_and_grads(op, groups, length, heads, head_dim, seed):
     w = Tensor(rng.standard_normal((n, d)))
     with Tape():
         out = op(*qkv, heads, groups)
-        backward(T.mul(out, w).sum())
+        backward(T.tsum(T.mul(out, w)))
     return out.data, [x.grad for x in qkv]
 
 
@@ -378,7 +378,7 @@ def test_grouped_attention_grads():
     q, k, v = (rand_leaf(rng, (6, 4)) for _ in range(3))
     w = Tensor(rng.standard_normal((6, 4)))
     worst = assert_grads_match(
-        lambda: T.mul(T.grouped_attention(q, k, v, 2, 3)[0], w).sum(), [q, k, v], rtol=1e-6)
+        lambda: T.tsum(T.mul(T.grouped_attention(q, k, v, 2, 3)[0], w)), [q, k, v], rtol=1e-6)
     assert worst < 1e-6
 
 
@@ -415,9 +415,9 @@ def test_grouped_attention_rejects_bad_shapes(shapes, heads, groups):
 def weighted_sum(outs, weights):
     """sum(output * weight) over one output or a tuple of them."""
     outs = outs if isinstance(outs, tuple) else (outs,)
-    loss = T.mul(outs[0], weights[0]).sum()
+    loss = T.tsum(T.mul(outs[0], weights[0]))
     for o, w in zip(outs[1:], weights[1:]):
-        loss = T.add(loss, T.mul(o, w).sum())
+        loss = T.add(loss, T.tsum(T.mul(o, w)))
     return loss
 
 
@@ -479,7 +479,7 @@ def test_lstm_cell_grads():
     for x in leaves:
         x.data *= 0.5  # keep the gates off saturation, where differences lose digits
     w = Tensor(rng.standard_normal((6, 3)))
-    worst = assert_grads_match(lambda: T.mul(lstm_cell(*leaves), w).sum(), leaves,
+    worst = assert_grads_match(lambda: T.tsum(T.mul(lstm_cell(*leaves), w)), leaves,
                                rtol=1e-6)
     assert worst < 1e-6
 
@@ -538,7 +538,7 @@ def test_lstm_sequence_grads():
     for x in leaves:
         x.data *= 0.4  # keep the gates off saturation, where differences lose digits
     w = Tensor(rng.standard_normal((3, 3)))
-    worst = assert_grads_match(lambda: T.mul(T.lstm_sequence(*leaves, 3), w).sum(), leaves,
+    worst = assert_grads_match(lambda: T.tsum(T.mul(T.lstm_sequence(*leaves, 3), w)), leaves,
                                rtol=1e-6)
     assert worst < 1e-6
 
@@ -890,7 +890,7 @@ def test_tape_graph_freed_without_cycle_collector():
         with Tape():
             hidden = T.tanh(x)
             ref = weakref.ref(hidden)
-            loss = T.mul(hidden, hidden).sum()
+            loss = T.tsum(T.mul(hidden, hidden))
             backward(loss)
         del hidden
         assert ref() is None, "the step's graph outlived its tape block"
@@ -905,10 +905,10 @@ def test_tape_graph_freed_without_cycle_collector():
 def test_reduction_grads():
     rng = np.random.default_rng(9)
     x = rand_leaf(rng, (4, 5))
-    assert_grads_match(lambda: x.sum(), [x])
-    assert_grads_match(lambda: x.mean(), [x])
-    assert_grads_match(lambda: x.sum(axis=0).sum(), [x])
-    assert_grads_match(lambda: x.mean(axis=1, keepdims=True).sum(), [x])
+    assert_grads_match(lambda: T.tsum(x), [x])
+    assert_grads_match(lambda: T.tmean(x), [x])
+    assert_grads_match(lambda: T.tsum(T.tsum(x, axis=0)), [x])
+    assert_grads_match(lambda: T.tsum(T.tmean(x, axis=1, keepdims=True)), [x])
 
 
 def test_concat_transpose_grads():
@@ -917,7 +917,7 @@ def test_concat_transpose_grads():
 
     def loss():
         c = T.concat([a, b], axis=1)
-        return T.matmul(c, T.transpose(c)).sum()
+        return T.tsum(T.matmul(c, T.transpose(c)))
 
     assert_grads_match(loss, [a, b])
 
@@ -931,7 +931,7 @@ def test_mlp_chain_grads():
     def loss():
         h = T.leaky_relu(T.add(T.matmul(x, w1), b1), 0.2)
         out = T.softmax_rows(T.add(T.matmul(h, w2), b2))
-        return out.mean()
+        return T.tmean(out)
 
     assert_grads_match(loss, [w1, b1, w2, b2])
 
@@ -942,7 +942,7 @@ def test_mlp_chain_grads():
 def test_reuse_sums_both_paths():
     w = leaf([1.0, 2.0, 3.0])
     with Tape():
-        loss = T.add(w.sum(), w.sum())
+        loss = T.add(T.tsum(w), T.tsum(w))
         backward(loss)
     assert np.array_equal(w.grad, [2.0, 2.0, 2.0])
 
@@ -950,7 +950,7 @@ def test_reuse_sums_both_paths():
 def test_repeated_backward_accumulates():
     w = leaf([[1.0, -2.0]])
     with Tape():
-        loss = T.mul(w, w).sum()
+        loss = T.tsum(T.mul(w, w))
         backward(loss)
         first = w.grad.copy()
         backward(loss)
@@ -985,7 +985,7 @@ def test_backward_visits_each_node_once():
     with Tape() as tape:
         a = T.tanh(w)
         b = T.add(a, a)        # diamond: a used twice
-        loss = T.mul(b, a).sum()
+        loss = T.tsum(T.mul(b, a))
     calls = [0] * len(tape.nodes)
 
     def counted(i, fn):
@@ -1005,7 +1005,7 @@ def test_tape_is_topologically_ordered():
     w = rand_leaf(rng, (2, 2))
     with Tape() as tape:
         out = T.sigmoid(T.matmul(w, T.tanh(w)))
-        out.sum()
+        T.tsum(out)
     for i, node in enumerate(tape.nodes):
         assert node.out.node_id == i
         for inp in node.inputs:
@@ -1034,7 +1034,7 @@ def test_forward_is_deterministic():
         x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         with Tape():
-            loss = T.sigmoid(T.matmul(T.tanh(x), w)).mean()
+            loss = T.tmean(T.sigmoid(T.matmul(T.tanh(x), w)))
         return loss.data.copy()
 
     assert run().tobytes() == run().tobytes()
@@ -1090,8 +1090,8 @@ def test_adam_converges_on_quadratic():
     opt = Adam([w], lr=0.1)
     for _ in range(200):
         with Tape():
-            diff = w - 3.0
-            loss = T.mul(diff, diff).sum()
+            diff = T.add_scalar(w, -3.0)
+            loss = T.tsum(T.mul(diff, diff))
             backward(loss)
         opt.step()
     assert abs(w.data[0] - 3.0) < 1e-2

@@ -1,5 +1,7 @@
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -595,3 +597,16 @@ def test_activation_ablation_runs_and_orders_fractions():
     assert len(relu.log.steps) == 15 and len(leaky.log.steps) == 15
     assert 0.0 <= relu.hidden_grad_fraction <= 1.0
     assert leaky.hidden_grad_fraction > relu.hidden_grad_fraction
+
+
+def test_activation_ablation_trains_through_run_training():
+    # the ablation's leaky run logs exactly what run_training logs for the same pair
+    cfg = tiny_train_config(k=2, seed=43)
+    ws = some_windows(n_agents=2, seed=44, n_windows=3)
+    _, leaky = TR.run_activation_ablation(ws, tiny_config(), cfg, steps=4)
+    gen, disc = built_pair(seed=cfg.seed, activation="leaky_relu")
+    _, log = TR.run_training(gen, disc, D.DatasetSplit(train=list(ws)),
+                             replace(cfg, mode="gan", epochs=4, batch_size=len(ws)))
+    assert len(log.steps) == 4
+    assert ([replace(r, seconds=None) for r in leaky.log.steps]
+            == [replace(r, seconds=None) for r in log.steps])
