@@ -43,6 +43,6 @@ W.data[1, 0] = orig
 fd = (up - down) / (2 * h)
 print(f"W[1,0]: backward {W.grad[1, 0]:.10f} vs finite diff {fd:.10f}")
 
-# gradients accumulate across backward calls until zeroed
-W.zero_grad()
-print("after zero_grad:", W.grad)
+# gradients accumulate across backward calls until cleared, as Adam.step does
+W.grad = None
+print("after clearing:", W.grad)

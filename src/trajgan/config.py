@@ -140,10 +140,12 @@ def from_json(text):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return from_json(fh.read())
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config {path} is not UTF-8 text: {err}") from err
 
 
 def save_config(path, config):

@@ -143,16 +143,6 @@ def parse_annotations(source):
     return out
 
 
-def serialize_annotations(annotations):
-    """Inverse of parse_annotations on well-formed records, written as not lost."""
-    lines = []
-    for a in annotations:
-        bbox = " ".join(repr(float(v)) for v in a.bbox)
-        lines.append(f'{a.track_id} {bbox} {a.frame} 0 '
-                     f'{int(a.occluded)} {int(a.generated)} "{a.label}"')
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 @dataclass
 class AgentTrack:
     """One agent's consecutive positions: frames strictly increasing."""
@@ -445,7 +435,7 @@ def write_atomic(path, text):
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
@@ -493,7 +483,7 @@ _WINDOW_CSV_INTS = ("agent_id", "class_index", "t", "is_future", "frame_step")
 
 def _window_csv_error(path, row, message):
     """DataError naming the 1-based line that ends data row ``row`` of a window CSV."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for _ in range(row + 2):  # the header and rows 0..row
             next(reader)
@@ -538,7 +528,7 @@ def read_windows_csv(path):
     id other than ``<scene_id>:<start frame>``, the window's first line.
     """
     width = len(WINDOW_CSV_HEADER)
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
 
         def full_row(row):
@@ -558,6 +548,8 @@ def read_windows_csv(path):
             cells = list(chain.from_iterable(map(full_row, reader)))
         except csv.Error as e:
             raise DataError(f"line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise DataError(f"window CSV {path} is not UTF-8 text: {e}") from None
     n = len(cells) // width
     if n == 0:
         return []
@@ -678,11 +670,14 @@ def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_
     track_counts = dict.fromkeys(CLASS_NAMES, 0)
     lines = 0
     for scene_id, path in files.items():
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             # number the lines as they are read: zip stops at the end of the
             # file before it draws a number, so the next one is the count
             numbers = count()
-            annotations = parse_annotations(map(itemgetter(0), zip(fh, numbers)))
+            try:
+                annotations = parse_annotations(map(itemgetter(0), zip(fh, numbers)))
+            except UnicodeDecodeError as e:
+                raise DataError(f"annotation file {path} is not UTF-8 text: {e}") from None
             lines += next(numbers)
         tracks = build_tracks(annotations)
         for t in tracks:

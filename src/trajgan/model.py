@@ -472,12 +472,9 @@ class Discriminator:
         dims = (config.hidden_dim,) + config.classifier_mlp_hidden + (1,)
         self.classifier = MLP(dims, rng, config.activation, config.leaky_slope)
 
-    def score_steps(self, steps, onehots, expected_len=None):
+    def score_steps(self, steps, onehots):
         """Real-vs-fake logits of the (T*R, 2) time-major displacements of R
         trajectories with their (R, 6) one-hots, as an (R, 1) tensor."""
-        if expected_len is not None and steps.shape[0] != expected_len * onehots.shape[0]:
-            raise ContractError(f"discriminator expected {expected_len} steps of "
-                                f"{onehots.shape[0]} rows, got {steps.shape[0]} rows")
         hidden = self.encoder.encode(steps, onehots)
         return self.classifier(hidden)
 
@@ -611,22 +608,6 @@ def fake_steps(preds, sample=0):
     return T.concat([preds.obs_steps, T.take_rows(preds.disp_steps, rows.reshape(-1))])
 
 
-def score_real(disc, windows):
-    """Discriminator logits for the windows' true trajectories, (R, 1)."""
-    batch = _as_batch(windows)
-    return disc.score_steps(real_steps(batch), T.constant(stacked_onehots(batch)),
-                            expected_len=batch[0].t_obs + batch[0].t_pred)
-
-
-def score_fake(disc, windows, preds, sample=0):
-    """Discriminator logits for one generated sample per agent, gradients
-    flowing to the generator through the predicted displacements.
-    """
-    batch = _as_batch(windows)
-    return disc.score_steps(fake_steps(preds, sample), T.constant(stacked_onehots(batch)),
-                            expected_len=batch[0].t_obs + preds.t_pred)
-
-
 def class_embedding_matrix(gen):
     """Embedding of each class one-hot, rows in canonical class order."""
     enc = gen.encoder
@@ -687,10 +668,12 @@ def save_checkpoint(path, gen, disc=None, config_dict=None, meta=None):
 
 def load_checkpoint_payload(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):

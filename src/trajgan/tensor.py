@@ -171,9 +171,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -539,9 +536,10 @@ def clamp_min(a, lo):
 
 def bce_logits(s, target):
     """Mean binary cross entropy of the logits ``s`` against the constant
-    label ``target``: max(s, 0) - s*target + log(1 + exp(-|s|)), gradient
-    (σ(s) - target)/n; neither overflows nor saturates at a finite logit."""
-    x, target = s.data, float(target)
+    label ``target``, a scalar or an array that broadcasts to ``s``:
+    max(s, 0) - s*target + log(1 + exp(-|s|)), gradient (σ(s) - target)/n;
+    neither overflows nor saturates at a finite logit."""
+    x, target = s.data, np.asarray(target, dtype=float)
     loss = np.maximum(x, 0.0) - x * target + np.log1p(np.exp(-np.abs(x)))
     return _make(loss.mean(), (s,), lambda g: ((_sigmoid(x) - target) * (g / x.size),))
 

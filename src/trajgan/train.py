@@ -20,8 +20,7 @@ from .data import DatasetSplit, csv_text
 from .optim import Adam, clip_grad_norm, grad_norm
 from .evaluate import eval_min_of_k
 from .model import (ConfigError, build_discriminator, build_generator, fake_steps,
-                    generator_forward, real_steps, score_fake, snapshot_params,
-                    stacked_onehots)
+                    generator_forward, real_steps, snapshot_params, stacked_onehots)
 
 TRAIN_MODES = ("gan", "nogan")
 
@@ -65,9 +64,12 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # losses
 
-def d_loss(real_logits, fake_logits):
-    """Binary cross entropy on logits: real toward label 1, fake toward 0."""
-    return T.add(T.bce_logits(real_logits, 1.0), T.bce_logits(fake_logits, 0.0))
+def d_loss(logits, rows):
+    """Binary cross entropy on the stacked (2*rows, 1) logit column, real
+    rows first toward label 1, fake rows toward 0; each half is a mean over
+    ``rows``, so the loss is twice the mean over the column."""
+    labels = np.repeat([[1.0], [0.0]], rows, axis=0)
+    return T.mul_scalar(T.bce_logits(logits, labels), 2.0)
 
 
 def g_adv_loss(fake_logits):
@@ -176,14 +178,15 @@ def _discriminator_loss(batch, gen, disc, rng):
     steps = T.constant(np.concatenate([real, fake], axis=1).reshape(-1, 2))
     onehots = stacked_onehots(batch)
     logits = disc.score_steps(steps, T.constant(np.concatenate([onehots, onehots])))
-    return d_loss(T.narrow(logits, 0, 0, rows), T.narrow(logits, 0, rows, rows))
+    return d_loss(logits, rows)
 
 
 def _generator_losses(batch, gen, config, rng, disc=None):
     """Mean variety loss over every agent of the batch at k samples, plus
     the discriminator's logits for sample 0 when a discriminator is given."""
     preds = generator_forward(gen, batch, k=config.k, rng=rng)
-    logits = None if disc is None else score_fake(disc, batch, preds, sample=0)
+    logits = None if disc is None else disc.score_steps(
+        fake_steps(preds), T.constant(stacked_onehots(batch)))
     return variety_loss(np.concatenate([w.future for w in batch]), preds), logits
 
 

@@ -15,7 +15,7 @@ from trajgan.data import (CLASS_NAMES, LABEL_ALIASES, WINDOW_CSV_HEADER, AgentTr
                           AnnotationParseError, DataError, RawAnnotation, SceneWindow,
                           UnknownLabelError)
 from trajgan.evaluate import constant_velocity_baseline
-from trajgan.model import generator_forward, score_fake, score_real
+from trajgan.model import fake_steps, generator_forward, real_steps, stacked_onehots
 from trajgan.optim import clip_grad_norm, grad_norm
 from trajgan.tensor import Tape, backward, no_grad
 from trajgan.train import d_loss, g_adv_loss, variety_norms
@@ -357,9 +357,32 @@ def d_loss_clamped(real_logits, fake_logits):
     return T.add(T.neg(T.tmean(log_r)), T.neg(T.tmean(log_f)))
 
 
+def d_loss_pair(real_logits, fake_logits):
+    """The discriminator loss as two means, one per half, added: real logits
+    toward label 1, fake toward 0."""
+    return T.add(T.bce_logits(real_logits, 1.0), T.bce_logits(fake_logits, 0.0))
+
+
 def g_adv_loss_clamped(fake_logits):
     """The non-saturating generator loss as composed on clamped probabilities."""
     return T.neg(T.tmean(T.log(T.clamp_min(T.sigmoid(fake_logits), LOG_FLOOR))))
+
+
+def _batch(windows):
+    return [windows] if isinstance(windows, SceneWindow) else list(windows)
+
+
+def score_real(disc, windows):
+    """Discriminator logits for the windows' true trajectories, (R, 1)."""
+    batch = _batch(windows)
+    return disc.score_steps(real_steps(batch), T.constant(stacked_onehots(batch)))
+
+
+def score_fake(disc, windows, preds, sample=0):
+    """Discriminator logits for one generated sample per agent, gradients
+    flowing to the generator through the predicted displacements."""
+    return disc.score_steps(fake_steps(preds, sample),
+                            T.constant(stacked_onehots(_batch(windows))))
 
 
 def grad_norm_ref(params):
@@ -402,7 +425,7 @@ def looped_train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng):
                     preds = generator_forward(gen, w, k=1, rng=rng)
                 real.append(score_real(disc, w))
                 fake.append(score_fake(disc, w, preds, sample=0))
-            loss_d = d_loss(T.concat(real, axis=0), T.concat(fake, axis=0))
+            loss_d = d_loss(T.concat(real + fake, axis=0), sum(w.n_agents for w in batch))
             backward(loss_d)
         rec["d_loss"] = float(loss_d.data)
         rec["grad_norm_d"] = _norm_and_step(disc.parameters(), d_opt, config)
@@ -497,6 +520,17 @@ def parse_annotations_ref(source):
         out.append(RawAnnotation(track_id, (xmin, ymin, xmax, ymax), frame,
                                  occluded, generated, label))
     return out
+
+
+def serialize_annotations(annotations):
+    """Inverse of ``trajgan.data.parse_annotations`` on well-formed records,
+    written as not lost."""
+    lines = []
+    for a in annotations:
+        bbox = " ".join(repr(float(v)) for v in a.bbox)
+        lines.append(f'{a.track_id} {bbox} {a.frame} 0 '
+                     f'{int(a.occluded)} {int(a.generated)} "{a.label}"')
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def looped_build_tracks(annotations):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import ade_ref, fde_ref, jacobi_eigh, relative_error
+from oracles import ade_ref, fde_ref, jacobi_eigh, relative_error, score_fake, score_real
 from trajgan import cli
 from trajgan import config as C
 from trajgan import tensor as T
@@ -24,7 +24,7 @@ from trajgan.model import (Discriminator, Generator, ModelConfig,
                            PoolingModule, PredictionSet, build_generator,
                            class_embedding_matrix, draw_noise,
                            generator_forward, load_checkpoint_payload,
-                           load_models, restore_params, score_fake, score_real)
+                           load_models, restore_params)
 from trajgan.optim import Adam
 from trajgan.tensor import Tape
 from trajgan.train import (TrainConfig, d_loss, g_adv_loss,
@@ -100,8 +100,9 @@ def test_02_finite_difference_check_on_both_networks():
         fixed_preds = generator_forward(gen, window, k=1, z=z[:, :1])
 
     def disc_loss():
-        return d_loss(score_real(disc, window),
-                      score_fake(disc, window, fixed_preds, sample=0))
+        return d_loss(T.concat([score_real(disc, window),
+                                score_fake(disc, window, fixed_preds, sample=0)]),
+                      window.n_agents)
 
     worst_g = _fd_sweep(gen.parameters(), gen_loss, 50, seed=10)
     worst_d = _fd_sweep(disc.parameters(), disc_loss, 50, seed=11)
@@ -116,7 +117,7 @@ def test_02_finite_difference_check_on_both_networks():
 
 def test_03_loss_values_at_uniform_half_scores():
     half = T.constant(np.zeros((5, 1)))  # logit 0: the score 1/2
-    assert abs(float(d_loss(half, half).data) - 2.0 * math.log(2.0)) < 1e-9
+    assert abs(float(d_loss(T.concat([half, half]), 5).data) - 2.0 * math.log(2.0)) < 1e-9
     assert abs(float(g_adv_loss(half).data) - math.log(2.0)) < 1e-9
 
 

@@ -512,6 +512,26 @@ def test_cmd_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, named)
     assert named in capsys.readouterr().err
 
 
+def not_utf8_input(tmp_path, command):
+    """Arguments of ``command`` whose input file holds the byte 0xff, and that file."""
+    if command == "parse":
+        root = write_fixture_dataset(tmp_path / "ds")
+        path = root / "plaza" / "video0" / "annotations.txt"
+        path.write_bytes(path.read_bytes() + b'3 0 0 2 2 0 0 0 0 "Caf\xff"\n')
+        return ["parse", str(root), "--out", str(tmp_path / "parsed")], path
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"name": "caf\xff"}\n')
+    return [command, "--checkpoint" if command == "eval" else "--config", str(path)], path
+
+
+@pytest.mark.parametrize("command,code", [("train", cli.EXIT_CONFIG), ("eval", cli.EXIT_CONFIG),
+                                          ("parse", cli.EXIT_DATA)])
+def test_input_that_is_not_utf8_exits_with_its_kind_of_error(tmp_path, capsys, command, code):
+    argv, path = not_utf8_input(tmp_path, command)
+    assert cli.main(argv) == code
+    assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_cmd_analyze_rejects_label_free_checkpoint(tmp_path, capsys):
     cfg = small_experiment(tmp_path)
     cfg.model.use_labels = False

@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import importlib.util
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import tempfile
+import textwrap
 
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (csv_writer_windows_text, looped_build_tracks, looped_build_windows,
-                     parse_annotations_ref)
+                     parse_annotations_ref, serialize_annotations)
 from trajgan import data as D
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 SAMPLE = '3 10 20 30 40 0 0 0 0 "Pedestrian"\n'
@@ -75,7 +80,7 @@ def test_parse_serialize_round_trip():
             '1 11 21 31 41 1 0 1 0 "Biker"\n'
             '2 5.5 6.5 7.5 8.5 0 0 0 1 "Bus"\n')
     once = D.parse_annotations(text)
-    again = D.parse_annotations(D.serialize_annotations(once))
+    again = D.parse_annotations(serialize_annotations(once))
     assert once == again
 
 
@@ -232,7 +237,7 @@ def test_string_source_splits_lines_as_a_text_mode_file(tmp_path):
 
 
 def test_parser_matches_reference_on_benchmark_traffic(tmp_path, monkeypatch):
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    path = ROOT / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
@@ -755,6 +760,63 @@ def test_window_csv_without_frame_step_is_rejected(tmp_path):
                     "s,s:0,0,4,0,1.0,2.0,0\n")
     with pytest.raises(D.DataError, match="frame_step"):
         D.read_windows_csv(path)
+
+
+ASCII_LOCALE_ROUND_TRIP = textwrap.dedent("""
+    import locale, sys
+    from trajgan import data as D
+    print(locale.getpreferredencoding(False))
+    windows = D.synth_scene("linear", 2, ["car", "bus"], seed=3, scene_id="plaza/\\u8def")
+    D.write_windows_csv(windows, sys.argv[1])
+    print(ascii(D.read_windows_csv(sys.argv[1])[0].scene_id))
+""")
+
+
+def test_window_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    # with the C locale, no locale coercion and UTF-8 mode off, text-mode
+    # files default to ASCII; the window CSV must still round trip
+    path = tmp_path / "windows.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONCOERCECLOCALE="0", LC_ALL="C")
+    env.pop("PYTHONUTF8", None)
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", ASCII_LOCALE_ROUND_TRIP,
+                           str(path)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    encoding, scene_id = proc.stdout.split()
+    if encoding.lower().replace("-", "") == "utf8":
+        pytest.skip("this platform gives the C locale UTF-8 text files")
+    assert scene_id == ascii("plaza/\u8def")
+    windows = D.synth_scene("linear", 2, ["car", "bus"], seed=3, scene_id="plaza/\u8def")
+    assert_same_windows(D.read_windows_csv(path), windows)
+    assert "plaza/\u8def".encode("utf-8") in path.read_bytes()
+
+
+def test_text_that_is_not_utf8_is_a_data_error(tmp_path):
+    files = D.scan_annotation_dirs(write_fixture_dataset(tmp_path / "ds"))
+    annotations = pathlib.Path(files["plaza/video0"])
+    annotations.write_bytes(annotations.read_bytes() + b'3 0 0 2 2 0 0 0 0 "Caf\xff"\n')
+    with pytest.raises(D.DataError, match=f"annotation file {re.escape(str(annotations))} "
+                                          "is not UTF-8 text"):
+        D.load_annotation_files(files)
+    path = tmp_path / "windows.csv"
+    path.write_bytes(",".join(D.WINDOW_CSV_HEADER).encode() + b"\n\xff,s:0\n")
+    with pytest.raises(D.DataError, match=f"window CSV {re.escape(str(path))} is not UTF-8"):
+        D.read_windows_csv(path)
+
+
+def test_every_text_mode_open_names_its_encoding():
+    # a text file opened without encoding= is read in the locale's encoding
+    missing = []
+    for source in sorted((ROOT / "src" / "trajgan").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+            if not binary and not any(k.arg == "encoding" for k in node.keywords):
+                missing.append(f"{source.name}:{node.lineno}")
+    assert missing == []
 
 
 def test_interrupted_csv_write_keeps_the_old_file(tmp_path):

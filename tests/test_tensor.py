@@ -234,7 +234,8 @@ def test_unary_grads(fn):
     assert_grads_match(lambda: T.tsum(fn(x)), [x])
 
 
-@pytest.mark.parametrize("target", [0.0, 1.0, 0.3])
+@pytest.mark.parametrize("target", [0.0, 1.0, 0.3, pytest.param(
+    np.array([[1.0], [0.0], [0.3], [1.0]]), id="label_column")])
 def test_bce_logits_grads(target):
     rng = np.random.default_rng(11)
     s = Tensor(rng.uniform(-6.0, 6.0, (4, 3)), requires_grad=True)
@@ -766,7 +767,7 @@ def test_recorded_lstm_steps_survive_calls_before_backward():
         grads = []
         for between in ([], others):
             for x in leaves:
-                x.zero_grad()
+                x.grad = None
             with Tape():
                 outs = call()
                 with no_grad():

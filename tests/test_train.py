@@ -7,12 +7,13 @@ import pytest
 
 from trajgan import data as D
 from trajgan import model as M
+from trajgan import tensor as T
 from trajgan import train as TR
 from trajgan.optim import Adam
 from trajgan.tensor import Tensor, Tape, ContractError, backward
 
-from oracles import (assert_grads_match, d_loss_clamped, g_adv_loss_clamped, looped_train_step_gan,
-                     looped_train_step_nogan)
+from oracles import (assert_grads_match, d_loss_clamped, d_loss_pair, g_adv_loss_clamped,
+                     looped_train_step_gan, looped_train_step_nogan, score_fake, score_real)
 
 LN2 = float(np.log(2.0))
 
@@ -49,6 +50,11 @@ def hand_predictions(traj_rows, n_agents, k, t_pred, requires_grad=True):
     return M.PredictionSet(n_agents, k, t_pred, noise, traj)
 
 
+def stacked_d_loss(real, fake):
+    """``TR.d_loss`` on the real logits stacked above the fake ones."""
+    return TR.d_loss(T.concat([real, fake]), real.shape[0])
+
+
 # ---------------------------------------------------------------------------
 # loss anchors
 
@@ -56,27 +62,27 @@ def test_d_loss_at_uniform_half_scores():
     # logit 0 is the score 1/2
     r = Tensor(np.zeros((4, 1)))
     f = Tensor(np.zeros((4, 1)))
-    assert abs(float(TR.d_loss(r, f).data) - 2 * LN2) < 1e-9
+    assert abs(float(stacked_d_loss(r, f).data) - 2 * LN2) < 1e-9
 
 
 def test_d_loss_perfect_discriminator():
     r = Tensor(np.full((3, 1), 40.0))
     f = Tensor(np.full((3, 1), -40.0))
-    assert abs(float(TR.d_loss(r, f).data)) < 1e-12
+    assert abs(float(stacked_d_loss(r, f).data)) < 1e-12
 
 
 def test_d_loss_finite_at_worst_scores():
     # confidently wrong logits cost their size, with no overflow
     r = Tensor(np.full((3, 1), -1000.0))
     f = Tensor(np.full((3, 1), 1000.0))
-    assert float(TR.d_loss(r, f).data) == 2000.0
+    assert float(stacked_d_loss(r, f).data) == 2000.0
 
 
 def test_d_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(2)
     r = Tensor(rng.uniform(-3.0, 3.0, (3, 1)), requires_grad=True)
     f = Tensor(rng.uniform(-3.0, 3.0, (3, 1)), requires_grad=True)
-    assert_grads_match(lambda: TR.d_loss(r, f), [r, f], rtol=1e-5)
+    assert_grads_match(lambda: stacked_d_loss(r, f), [r, f], rtol=1e-5)
 
 
 def test_g_adv_loss_anchors():
@@ -102,7 +108,7 @@ def test_adversarial_gradients_do_not_saturate():
     n = 4
     (g,) = logit_grad(TR.g_adv_loss, np.full((n, 1), -20.0))
     np.testing.assert_allclose(g, (sigmoid(-20.0) - 1.0) / n, rtol=1e-12, atol=0.0)
-    g_real, g_fake = logit_grad(TR.d_loss, np.full((n, 1), -40.0), np.full((n, 1), 40.0))
+    g_real, g_fake = logit_grad(stacked_d_loss, np.full((n, 1), -40.0), np.full((n, 1), 40.0))
     np.testing.assert_allclose(g_real, -1.0 / n, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(g_fake, 1.0 / n, rtol=1e-12, atol=0.0)
 
@@ -112,12 +118,30 @@ def test_losses_equal_clamped_composition_away_from_the_floor():
     # the clamp is inactive, so both routes compute the same function
     for v in np.linspace(-6.9, 6.9, 139):
         real, fake = np.array([[v]]), np.array([[-v]])
-        for loss, ref, args in ((TR.d_loss, d_loss_clamped, (real, fake)),
+        for loss, ref, args in ((stacked_d_loss, d_loss_clamped, (real, fake)),
                                 (TR.g_adv_loss, g_adv_loss_clamped, (fake,))):
             want = float(ref(*map(Tensor, args)).data)
             assert float(loss(*map(Tensor, args)).data) == pytest.approx(want, rel=1e-12)
             for got, exp in zip(logit_grad(loss, *args), logit_grad(ref, *args)):
                 np.testing.assert_allclose(got, exp, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7, 90])
+def test_d_loss_one_node_matches_two_halves(rows):
+    # one mean over the stacked column, doubled, against the mean of each
+    # half added: 2/(2R) and 1/R are the same double, so the gradients are
+    # bit-identical; the values round differently by at most 2 ulp
+    rng = np.random.default_rng(rows)
+    real, fake = rng.normal(0.0, 4.0, (2, rows, 1))
+    real[0], fake[-1] = 40.0, -40.0
+    if rows > 2:
+        real[-1], fake[0] = -40.0, 40.0
+    got = logit_grad(stacked_d_loss, real, fake)
+    want = logit_grad(d_loss_pair, real, fake)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    value = float(stacked_d_loss(Tensor(real), Tensor(fake)).data)
+    ref = float(d_loss_pair(Tensor(real), Tensor(fake)).data)
+    assert abs(value - ref) <= 2 * np.spacing(ref)
 
 
 def test_g_adv_loss_decreasing_in_each_score():
@@ -218,8 +242,7 @@ def test_discriminator_pass_leaves_generator_untouched():
     with Tape():
         with TR.no_grad():
             preds = M.generator_forward(gen, w, k=1, rng=rng)
-        loss = TR.d_loss(M.score_real(disc, w),
-                         M.score_fake(disc, w, preds, sample=0))
+        loss = stacked_d_loss(score_real(disc, w), score_fake(disc, w, preds, sample=0))
         backward(loss)
     assert all(p.grad is None for p in gen.parameters())
     assert any(p.grad is not None for p in disc.parameters())
@@ -233,7 +256,7 @@ def test_generator_pass_with_frozen_discriminator():
         p.requires_grad = False
     with Tape():
         preds = M.generator_forward(gen, w, k=2, rng=rng)
-        loss = TR.g_adv_loss(M.score_fake(disc, w, preds, sample=0))
+        loss = TR.g_adv_loss(score_fake(disc, w, preds, sample=0))
         backward(loss)
     assert all(p.grad is None for p in disc.parameters())
     assert any(p.grad is not None for p in gen.parameters())
