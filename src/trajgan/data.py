@@ -638,7 +638,8 @@ def read_windows_csv(path):
 def scan_annotation_dirs(root):
     """Find scene_name/video_id/annotations.txt files under a dataset root.
 
-    Returns a sorted dict of scene id ("scene/video") to file path.
+    Returns a sorted dict of scene id ("scene/video") to file path; a scene
+    or video directory name that is not UTF-8 raises DataError.
     """
     found = {}
     if not os.path.isdir(root):
@@ -650,7 +651,13 @@ def scan_annotation_dirs(root):
         for video in sorted(os.listdir(scene_dir)):
             path = os.path.join(scene_dir, video, "annotations.txt")
             if os.path.isfile(path):
-                found[f"{scene}/{video}"] = path
+                scene_id = f"{scene}/{video}"
+                try:
+                    scene_id.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataError(f"directory name is not UTF-8: "
+                                    f"{os.fsencode(os.path.dirname(path))!r}") from None
+                found[scene_id] = path
     if not found:
         raise DataError(f"no scene_name/video_id/annotations.txt files under {root!r}")
     return found

@@ -64,14 +64,6 @@ def _ade_fde(rmse, final_sq):
     return float(rmse.mean()), float(np.sqrt(final_sq.mean()))
 
 
-def rmse_trajectory(pred, truth):
-    """Root mean square of the pointwise Euclidean errors of one trajectory."""
-    pred, truth = np.asarray(pred, dtype=float), np.asarray(truth, dtype=float)
-    if pred.ndim != 2:
-        raise ContractError(f"expected a (T, 2) trajectory, got {pred.shape}")
-    return float(_trajectory_errors(pred[None], truth[None])[0][0])
-
-
 def ade(pairs):
     """Mean per-trajectory RMSE over a dataset of (pred, truth) pairs."""
     return float(_trajectory_errors(*_stack_pairs(pairs))[0].mean())

@@ -255,7 +255,7 @@ class TransformerEncoder:
                 "ln2": LayerNorm(cfg.hidden_dim),
             })
 
-    def encode(self, seq, rows=1):
+    def run(self, seq, rows):
         """(T*rows, in_dim) sequences of ``rows`` agents in time-major rows
         (row t*rows + r is step t of agent r) to (rows, hidden_dim)
         summaries; each agent attends only over its own steps."""
@@ -295,13 +295,8 @@ class SequenceEncoder:
         self.class_embed = Linear(N_CLASSES, config.class_embed_dim, rng) \
             if config.use_labels else None
         e_dim = config.embed_dim + (config.class_embed_dim if config.use_labels else 0)
-        self.e_dim = e_dim
-        if config.encoder == "lstm":
-            self.lstm = LSTMCell(e_dim, config.hidden_dim, rng)
-            self.transformer = None
-        else:
-            self.lstm = None
-            self.transformer = TransformerEncoder(e_dim, config, rng)
+        self.core = LSTMCell(e_dim, config.hidden_dim, rng) if config.encoder == "lstm" \
+            else TransformerEncoder(e_dim, config, rng)
 
     def embed_step(self, xy, onehots):
         """(M, 2) displacements + (M, 6) one-hots -> (M, e_dim), row by row."""
@@ -323,18 +318,13 @@ class SequenceEncoder:
         rows = onehots.shape[0]
         e = self.embed_step(xy, T.take_rows(onehots, np.tile(np.arange(rows),
                                                              xy.shape[0] // rows)))
-        if self.lstm is not None:
-            return self.lstm.run(e, rows)
-        return self.transformer.encode(e, rows)
+        return self.core.run(e, rows)
 
     def named_parameters(self, prefix):
         out = self.spatial.named_parameters(f"{prefix}.spatial")
         if self.class_embed is not None:
             out.update(self.class_embed.named_parameters(f"{prefix}.class_embed"))
-        if self.lstm is not None:
-            out.update(self.lstm.named_parameters(f"{prefix}.lstm"))
-        else:
-            out.update(self.transformer.named_parameters(f"{prefix}.transformer"))
+        out.update(self.core.named_parameters(f"{prefix}.{self.config.encoder}"))
         return out
 
 

@@ -102,9 +102,6 @@ class Tape:
         self.nodes = []
         self.ref = weakref.ref(self)
 
-    def __len__(self):
-        return len(self.nodes)
-
     def __enter__(self):
         _tape_stack.append(self)
         return self
@@ -456,7 +453,8 @@ def _activate(x, kind, slope, out=None):
         return np.tanh(x, out=out)
     if kind == "sigmoid":
         return _sigmoid(x, out)
-    y = np.where(x >= 0.0, x, slope * x if kind == "leaky_relu" else 0.0)
+    # x < 0 selects, not x >= 0, so NaN passes through as x
+    y = np.where(x < 0.0, slope * x if kind == "leaky_relu" else 0.0, x)
     if out is None:
         return y
     out[...] = y

@@ -2,14 +2,15 @@
 
 GAN mode alternates a discriminator update on real-vs-generated
 trajectories with a generator update on the adversarial score of one
-sample plus the variety loss over k samples.  nogan mode keeps only the
-generator and its variety loss.
+sample plus the variety loss over k samples.  nogan mode runs the same
+step without a discriminator: the generator and its variety loss only.
 """
 
 from __future__ import annotations
 
 import time
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -181,13 +182,26 @@ def _discriminator_loss(batch, gen, disc, rng):
     return d_loss(logits, rows)
 
 
-def _generator_losses(batch, gen, config, rng, disc=None):
+def _generator_losses(batch, gen, config, rng, disc):
     """Mean variety loss over every agent of the batch at k samples, plus
-    the discriminator's logits for sample 0 when a discriminator is given."""
+    the adversarial loss of sample 0, or None without a discriminator."""
     preds = generator_forward(gen, batch, k=config.k, rng=rng)
-    logits = None if disc is None else disc.score_steps(
-        fake_steps(preds), T.constant(stacked_onehots(batch)))
-    return variety_loss(np.concatenate([w.future for w in batch]), preds), logits
+    adv = None if disc is None else g_adv_loss(disc.score_steps(
+        fake_steps(preds), T.constant(stacked_onehots(batch))))
+    return variety_loss(np.concatenate([w.future for w in batch]), preds), adv
+
+
+@contextmanager
+def _frozen(params):
+    """Stop ``params`` from requiring gradients inside the block, so a pass
+    through them leaves their gradients exactly as they were."""
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in params:
+            p.requires_grad = True
 
 
 def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0):
@@ -195,14 +209,15 @@ def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0)
 
     The discriminator pass samples fakes without gradient so nothing leaks
     into the generator; the generator pass freezes discriminator parameters
-    so their gradients stay exactly zero.
+    so their gradients stay exactly zero.  With ``disc=None`` and
+    ``d_opt=None`` it is the noGAN step, with None in every adversarial field.
     """
     if not batch:
         raise ContractError("empty batch")
     t0 = time.perf_counter()
 
     d_val = d_norm = None
-    for _ in range(config.d_steps):
+    for _ in range(0 if disc is None else config.d_steps):
         with Tape():
             loss_d = _discriminator_loss(batch, gen, disc, rng)
             T.backward(loss_d)
@@ -210,40 +225,23 @@ def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0)
         d_norm = _update("discriminator", d_opt, d_val, config)
 
     g_val = v_val = g_norm = None
-    d_params = disc.parameters()
-    for p in d_params:
-        p.requires_grad = False
-    try:
+    with _frozen([] if disc is None else disc.parameters()):
         for _ in range(config.g_steps):
             with Tape():
-                var, logits = _generator_losses(batch, gen, config, rng, disc)
-                adv = g_adv_loss(logits)
-                loss_g = T.add(adv, var)
+                var, adv = _generator_losses(batch, gen, config, rng, disc)
+                loss_g = var if adv is None else T.add(adv, var)
                 T.backward(loss_g)
-            g_val, v_val = float(adv.data), float(var.data)
+            g_val = None if adv is None else float(adv.data)
+            v_val = float(var.data)
             g_norm = _update("generator", g_opt, float(loss_g.data), config)
-    finally:
-        for p in d_params:
-            p.requires_grad = True
 
     return StepRecord(step, epoch, d_val, g_val, v_val, g_norm, d_norm,
                       time.perf_counter() - t0)
 
 
 def train_step_nogan(batch, gen, g_opt, config, rng, step=0, epoch=0):
-    """One variety-loss-only update; the adversarial terms are absent."""
-    if not batch:
-        raise ContractError("empty batch")
-    t0 = time.perf_counter()
-    v_val = g_norm = None
-    for _ in range(config.g_steps):
-        with Tape():
-            loss, _ = _generator_losses(batch, gen, config, rng)
-            T.backward(loss)
-        v_val = float(loss.data)
-        g_norm = _update("generator", g_opt, v_val, config)
-    return StepRecord(step, epoch, None, None, v_val, g_norm, None,
-                      time.perf_counter() - t0)
+    """One variety-loss-only update: the GAN step without a discriminator."""
+    return train_step_gan(batch, gen, None, g_opt, None, config, rng, step, epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +269,9 @@ def run_training(gen, disc, split, config, start_epoch=0):
     if config.mode == "gan" and disc is None:
         raise ConfigError("gan mode needs a discriminator")
 
+    step_disc = disc if config.mode == "gan" else None
     g_opt = Adam(gen.parameters(), lr=config.lr)
-    d_opt = Adam(disc.parameters(), lr=config.lr) \
-        if config.mode == "gan" else None
+    d_opt = None if step_disc is None else Adam(step_disc.parameters(), lr=config.lr)
     log = TrainLog()
     best = _best(gen, disc)
     step = 0
@@ -283,13 +281,8 @@ def run_training(gen, disc, split, config, start_epoch=0):
         noise_rng = np.random.default_rng([config.seed, epoch, 0])
         for lo in range(0, len(order), config.batch_size):
             batch = [split.train[i] for i in order[lo:lo + config.batch_size]]
-            if config.mode == "gan":
-                rec = train_step_gan(batch, gen, disc, g_opt, d_opt,
-                                     config, noise_rng, step, epoch)
-            else:
-                rec = train_step_nogan(batch, gen, g_opt, config,
-                                       noise_rng, step, epoch)
-            log.steps.append(rec)
+            log.steps.append(train_step_gan(batch, gen, step_disc, g_opt, d_opt,
+                                            config, noise_rng, step, epoch))
             step += 1
         if split.val:
             r = eval_min_of_k(gen, split.val, k=config.k, seed=config.seed,
@@ -331,18 +324,13 @@ def discriminator_hidden_fraction(batch, gen, disc, rng):
 
     The discriminator's parameters are frozen for the pass, so it leaves no
     gradient on them for a later update to pick up."""
-    d_params = disc.parameters()
-    for p in d_params:
-        p.requires_grad = False
     disc.classifier.last_hidden = []
     disc.classifier.collect_hidden = True
     try:
-        with Tape():
+        with _frozen(disc.parameters()), Tape():
             T.backward(_discriminator_loss(batch, gen, disc, rng))
     finally:
         disc.classifier.collect_hidden = False
-        for p in d_params:
-            p.requires_grad = True
     return hidden_grad_fraction(disc.classifier.last_hidden)
 
 

@@ -532,6 +532,24 @@ def test_input_that_is_not_utf8_exits_with_its_kind_of_error(tmp_path, capsys, c
     assert f"{path} is not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["parse", "train"])
+def test_directory_name_that_is_not_utf8_exits_3_before_writing(tmp_path, capsys, command):
+    # the name is made through a bytes path: as str it would hold a surrogate
+    video = os.path.join(os.fsencode(tmp_path / "ds"), b"pl\xffza", b"video0")
+    os.makedirs(video)
+    with open(os.path.join(video, b"annotations.txt"), "wb") as fh:
+        fh.write(b'1 0 0 2 2 0 0 0 0 "Car"\n')
+    if command == "parse":
+        argv = ["parse", str(tmp_path / "ds"), "--out", str(tmp_path / "run")]
+    else:
+        cfg = small_experiment(tmp_path)
+        cfg.data = C.DataConfig(source="annotations", root=str(tmp_path / "ds"))
+        argv = ["train", "--config", str(write_config(tmp_path, cfg))]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "pl\\xffza" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cmd_analyze_rejects_label_free_checkpoint(tmp_path, capsys):
     cfg = small_experiment(tmp_path)
     cfg.model.use_labels = False

@@ -84,6 +84,28 @@ def test_parse_serialize_round_trip():
     assert once == again
 
 
+@st.composite
+def raw_annotations(draw):
+    # finite float64 coordinates, signed zeros included, ordered per axis
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    (xmin, xmax), (ymin, ymax) = (sorted(draw(st.tuples(coord, coord))) for _ in range(2))
+    ints = st.integers(-2 ** 70, 2 ** 70)
+    return D.RawAnnotation(draw(ints), (xmin, ymin, xmax, ymax), draw(ints),
+                           draw(st.booleans()), draw(st.booleans()),
+                           draw(st.sampled_from(D.CLASS_NAMES)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=st.lists(raw_annotations(), max_size=12))
+def test_serialized_annotations_parse_back_field_for_field(records):
+    def fields(a):
+        return (a.track_id, tuple(map(repr, a.bbox)), a.frame, a.occluded, a.generated,
+                a.label)
+
+    back = D.parse_annotations(serialize_annotations(records))
+    assert [fields(a) for a in back] == [fields(a) for a in records]
+
+
 def record(tid, bbox, frame, occluded=False, generated=False, label="car"):
     return (tid, tuple(float(v) for v in bbox), frame, occluded, generated, label)
 

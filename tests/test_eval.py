@@ -19,24 +19,24 @@ def rand_pairs(rng, n, t):
 
 def test_rmse_perfect_is_zero():
     p = np.arange(24.0).reshape(12, 2)
-    assert E.rmse_trajectory(p, p) == 0.0
+    assert E.ade([(p, p)]) == 0.0
 
 
 def test_rmse_three_four_offset_is_exactly_five():
     t = np.zeros((7, 2))
     p = t + np.array([3.0, 4.0])
-    assert abs(E.rmse_trajectory(p, t) - 5.0) < 1e-12
+    assert abs(E.ade([(p, t)]) - 5.0) < 1e-12
 
 
 def test_rmse_mixed_offsets_hand_value():
     t = np.zeros((2, 2))
     p = np.array([[3.0, 4.0], [0.0, 0.0]])
-    assert abs(E.rmse_trajectory(p, t) - np.sqrt(12.5)) < 1e-12
+    assert abs(E.ade([(p, t)]) - np.sqrt(12.5)) < 1e-12
 
 
 def test_rmse_length_mismatch_rejected():
     with pytest.raises(ContractError):
-        E.rmse_trajectory(np.zeros((3, 2)), np.zeros((4, 2)))
+        E.ade([(np.zeros((3, 2)), np.zeros((4, 2)))])
 
 
 def test_ade_is_mean_of_rmse():
@@ -76,8 +76,7 @@ def test_metrics_match_straight_loop_oracle():
         truths = [t_ for _, t_ in pairs]
         assert abs(E.ade(pairs) - ade_ref(preds, truths)) < 1e-12
         assert abs(E.fde(pairs) - fde_ref(preds, truths)) < 1e-12
-        assert abs(E.rmse_trajectory(*pairs[0])
-                   - rmse_trajectory_ref(*pairs[0])) < 1e-12
+        assert abs(E.ade(pairs[:1]) - rmse_trajectory_ref(*pairs[0])) < 1e-12
 
 
 def test_metrics_translation_invariant():

@@ -325,9 +325,9 @@ def test_packed_transformer_encode_matches_per_agent_calls(pool, rows):
             backward(T.tsum(T.mul(out, w)))
         return out.data, [t.grad for t in params + [seq]]
 
-    got, got_grads = run(lambda: enc.encode(seq, rows=rows))
+    got, got_grads = run(lambda: enc.run(seq, rows=rows))
     want, want_grads = run(lambda: T.concat(
-        [enc.encode(T.take_rows(seq, np.arange(r, length * rows, rows)), rows=1)
+        [enc.run(T.take_rows(seq, np.arange(r, length * rows, rows)), rows=1)
          for r in range(rows)], axis=0))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     for g, w_ in zip(got_grads, want_grads):
@@ -520,10 +520,10 @@ def test_encode_embeds_every_step_like_embed_step(encoder, frozen):
 
     def reference():
         if encoder == "lstm":
-            return enc.lstm.run(T.concat([enc.embed_step(s, oh) for s in steps]), 3)
-        return T.concat([enc.transformer.encode(enc.embed_step(
+            return enc.core.run(T.concat([enc.embed_step(s, oh) for s in steps]), 3)
+        return T.concat([enc.core.run(enc.embed_step(
             T.concat([T.narrow(s, 0, r, 1) for s in steps], axis=0),
-            T.take_rows(oh, [r] * 5))) for r in range(3)], axis=0)
+            T.take_rows(oh, [r] * 5)), 1) for r in range(3)], axis=0)
 
     def run(fn):
         for t in params + steps:

@@ -84,6 +84,18 @@ def test_leaky_relu_selects_as_np_where_bit_for_bit(slope):
         assert np.array_equal(got.view(np.int64), want)
 
 
+def test_relu_passes_nan_and_selects_as_np_where_bit_for_bit():
+    # a NaN pre-activation stays NaN, so the loss guard of a training step
+    # sees it; every other value, signed zeros included, is selected as before
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300],
+                        np.random.default_rng(3).standard_normal(200)])
+    want = np.where(x >= 0.0, x, 0.0).view(np.int64)
+    for got in (T._activate(x, "relu", 0.0), T.relu(Tensor(x)).data,
+                T._activate(x, "relu", 0.0, np.full_like(x, 7.0))):
+        assert np.array_equal(got.view(np.int64), want)
+    assert np.isnan(T.relu(Tensor(np.array([np.nan, -np.nan]))).data).all()
+
+
 def sigmoid_inputs():
     """Edge values (signed zeros, infinities, NaN, subnormals, the ends of
     exp's range) and a wide random spread, each also as a 2-D or strided

@@ -375,6 +375,39 @@ def test_nogan_step_is_variety_only():
     assert abs(rec.variety - float(np.mean(np.concatenate(vals)))) < 1e-12
 
 
+@pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+def test_gan_step_without_discriminator_is_the_nogan_step(encoder):
+    def run(step):
+        gen, _ = built_pair(seed=18, encoder=encoder)
+        cfg = tiny_train_config(mode="nogan", g_steps=2)
+        g_opt = Adam(gen.parameters(), lr=cfg.lr)
+        rng = np.random.default_rng(20)
+        rec = step(some_windows(seed=19), gen, g_opt, cfg, rng)
+        return rec, [p.data for p in gen.parameters()], rng.bit_generator.state
+
+    got, got_params, got_state = run(
+        lambda ws, gen, g_opt, cfg, rng: TR.train_step_gan(ws, gen, None, g_opt, None, cfg, rng))
+    want, want_params, want_state = run(TR.train_step_nogan)
+    assert replace(got, seconds=0.0) == replace(want, seconds=0.0)
+    assert got.d_loss is None and got.g_adv is None and got.grad_norm_d is None
+    assert all(np.array_equal(g, w) for g, w in zip(got_params, want_params))
+    assert got_state == want_state
+
+
+def test_nan_parameter_behind_relu_aborts_the_step():
+    # a NaN bias ahead of a relu gets a zero gradient; relu passes the NaN
+    # on, so the loss guard trips instead of the NaN surviving every update
+    gen, _ = built_pair(seed=24, activation="relu")
+    cfg = tiny_train_config(mode="nogan")
+    gen.decoder.gamma.layers[0].b.data[0] = np.nan
+    before = [p.data.copy() for p in gen.parameters()]
+    with pytest.raises(TR.TrainingDiverged):
+        TR.train_step_nogan(some_windows(seed=25), gen, Adam(gen.parameters(), lr=cfg.lr),
+                            cfg, np.random.default_rng(26))
+    assert all(np.array_equal(p.data, b, equal_nan=True)
+               for p, b in zip(gen.parameters(), before))
+
+
 def test_d_loss_decreases_on_separable_data():
     gen, disc = built_pair(seed=21)
     cfg = tiny_train_config(k=1)
