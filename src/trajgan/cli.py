@@ -26,7 +26,6 @@ from . import train as TR
 from .model import (CheckpointError, ConfigError, LabelsUnavailableError,
                     build_discriminator, build_generator, load_checkpoint_payload,
                     load_models, restore_params, save_checkpoint)
-from .tensor import NumericError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -280,7 +279,7 @@ def main(argv=None):
     except D.DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (TR.TrainingDiverged, NumericError) as err:
+    except TR.TrainingDiverged as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -174,7 +174,13 @@ def load_windows(data_config):
     if data_config.source == "windows_csv":
         if not os.path.isfile(root):
             raise D.DataError(f"window CSV not found: {root}")
-        return D.read_windows_csv(root)
+        windows = D.read_windows_csv(root)
+        want = (data_config.t_obs, data_config.t_pred)
+        for w in windows:
+            if (w.t_obs, w.t_pred) != want:
+                raise D.DataError(f"window {w.window_id!r} in {root} has t_obs {w.t_obs}, "
+                                  f"t_pred {w.t_pred}; data config says {want[0]}, {want[1]}")
+        return windows
     if not os.path.isdir(root):
         raise D.DataError(f"annotation root not found: {root}")
     windows, _ = D.load_annotation_dataset(root, stride=data_config.stride,

@@ -346,7 +346,7 @@ def _pair_indices(counts):
 class PoolingModule:
     """Permutation-invariant social context: embed relative positions of the
     other agents in the same window, join with their hidden states, and take
-    an elementwise max.  Single-agent windows pool to a zero vector.
+    an elementwise max.  A lone agent pools to a zero vector.
     """
 
     def __init__(self, config, rng):
@@ -365,24 +365,16 @@ class PoolingModule:
         """
         if isinstance(positions, np.ndarray) and positions.ndim == 2:
             positions = [positions]
-        counts = [len(p) for p in positions]
-        if sum(counts) != hidden.shape[0]:
-            raise ContractError(f"{sum(counts)} positions for {hidden.shape[0]} hidden rows")
+        counts = np.array([len(p) for p in positions], dtype=np.intp)
+        if counts.sum() != hidden.shape[0]:
+            raise ContractError(f"{counts.sum()} positions for {hidden.shape[0]} hidden rows")
         i_idx, j_idx = _pair_indices(counts)
-        if not i_idx.size:
-            return T.zeros((hidden.shape[0], self.config.pool_dim))
         pos = np.concatenate([np.asarray(p, dtype=float) for p in positions])
         rel_emb = self.pos_embed(T.constant((pos[j_idx] - pos[i_idx]) * self.config.input_scale))
         feats = self.mlp(T.concat([rel_emb, T.take_rows(hidden, j_idx)], axis=1))
-        # each pooled row i is the max over its own run of n - 1 pair rows
-        pooled_rows, starts = np.unique(i_idx, return_index=True)
-        pooled = T.segment_max(feats, starts)
-        if len(pooled_rows) == hidden.shape[0]:
-            return pooled
-        # single-agent windows read a zero row appended after the pooled rows
-        where = np.full(hidden.shape[0], len(pooled_rows))
-        where[pooled_rows] = np.arange(len(pooled_rows))
-        return T.take_rows(T.concat([pooled, T.zeros((1, self.config.pool_dim))]), where)
+        # row i is the max over its own run of n - 1 pair rows; a lone agent's
+        # run is empty and pools to a zero row
+        return T.segment_max(feats, np.repeat(counts - 1, counts))
 
     def named_parameters(self, prefix):
         out = self.pos_embed.named_parameters(f"{prefix}.pos_embed")

@@ -30,10 +30,6 @@ class ContractError(RuntimeError):
     """An operation was called outside its contract (missing grad, non-scalar loss, ...)."""
 
 
-class NumericError(ArithmeticError):
-    """NaN or Inf produced while debug validation is enabled."""
-
-
 # glibc's mallopt parameters, and the thresholds its own dynamic mmap
 # threshold grows to on a 64-bit build
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -65,15 +61,6 @@ def _keep_freed_heap():
 
 
 _keep_freed_heap()
-
-
-_debug_checks = False
-
-
-def set_debug_checks(enabled):
-    """Validate every op output for NaN/Inf. Slow; meant for tests and debugging."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +164,10 @@ def constant(data):
     return Tensor(data, requires_grad=False)
 
 
-def zeros(shape):
-    return Tensor(np.zeros(shape), requires_grad=False)
-
-
 def _recording_tape(inputs):
     """The tape an op on ``inputs`` records itself on, or None."""
     tape = _active_tape()
     return tape if tape is not None and any(t.requires_grad for t in inputs) else None
-
-
-def _output(data):
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise NumericError("non-finite value produced by an operation")
-    return Tensor(data, requires_grad=False)
 
 
 def _make(data, inputs, bwd):
@@ -201,7 +178,7 @@ def _make(data, inputs, bwd):
     gradient per output, None for an output no gradient reached.
     """
     many = type(data) is tuple
-    outs = tuple(map(_output, data)) if many else (_output(data),)
+    outs = tuple(map(Tensor, data)) if many else (Tensor(data),)
     tape = _recording_tape(inputs)
     if tape is not None:
         for out in outs:
@@ -368,31 +345,32 @@ def take_rows(a, indices):
     return _make(a.data[idx].copy(), (a,), bwd)
 
 
-def segment_max(a, starts):
-    """Elementwise max over consecutive row segments: (rows, n) -> (len(starts), n).
+def segment_max(a, lengths):
+    """Elementwise max over consecutive row segments: (rows, n) -> (len(lengths), n).
 
-    Segment s covers rows [starts[s], starts[s+1]), the last one runs to the
-    end; ``starts`` must begin at 0 and increase strictly, so no segment is
-    empty.  Backward routes each gradient entry to the first row attaining
-    the max within its segment.
+    Segment s covers the next ``lengths[s]`` rows; the lengths are
+    non-negative and sum to ``rows``.  An empty segment gives a zero row.
+    Backward routes each gradient entry to the first row attaining the max
+    within its segment; an empty segment routes nothing.
     """
     if a.data.ndim != 2:
         raise ShapeError(f"segment_max requires a 2-D tensor, got {a.shape}")
     rows, cols = a.shape
-    starts = np.asarray(starts, dtype=np.intp)
-    if (starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or starts[-1] >= rows
-            or np.any(np.diff(starts) < 1)):
-        raise ShapeError(f"segment starts {starts.tolist()} invalid for {rows} rows")
-    data = np.maximum.reduceat(a.data, starts, axis=0)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or np.any(lengths < 0) or lengths.sum() != rows:
+        raise ShapeError(f"segment lengths {lengths.tolist()} invalid for {rows} rows")
+    full_segs = lengths > 0
+    starts = (np.cumsum(lengths) - lengths)[full_segs]
+    data = np.zeros((lengths.size, cols))
+    data[full_segs] = np.maximum.reduceat(a.data, starts, axis=0)
 
     def bwd(g):
         # first row of each segment holding the max (or a NaN, as argmax does)
-        seg = np.repeat(np.arange(starts.size), np.diff(starts, append=rows))
-        hit = (a.data == data[seg]) | np.isnan(a.data)
+        hit = (a.data == np.repeat(data, lengths, axis=0)) | np.isnan(a.data)
         first = np.minimum.reduceat(np.where(hit, np.arange(rows)[:, None], rows),
                                     starts, axis=0)
         full = np.zeros((rows, cols))
-        full[first, np.arange(cols)] = g
+        full[first, np.arange(cols)] = g[full_segs]
         return (full,)
 
     return _make(data, (a,), bwd)
@@ -402,7 +380,7 @@ def blockwise_max(a, block):
     """``segment_max`` over consecutive blocks of ``block`` rows each."""
     if block < 1 or a.shape[0] % block != 0:
         raise ShapeError(f"block size {block} does not divide row count {a.shape[0]}")
-    return segment_max(a, np.arange(0, a.shape[0], block))
+    return segment_max(a, np.full(a.shape[0] // block, block))
 
 
 def tsum(a, axis=None, keepdims=False):

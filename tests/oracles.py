@@ -188,7 +188,7 @@ def looped_lstm_sequence(x, W_x, W_h, b, rows):
     a narrowed and transposed slice of ``x``, from a zero ``[h; c]``, and a
     final narrow and transpose."""
     hd = W_h.shape[0]
-    hc = T.zeros((2 * hd, rows))
+    hc = T.constant(np.zeros((2 * hd, rows)))
     for start in range(0, x.shape[0], rows):
         hc = lstm_cell(T.transpose(T.narrow(x, 0, start, rows)), hc, W_x, W_h, b)
     return T.transpose(T.narrow(hc, 0, 0, hd))
@@ -201,7 +201,7 @@ def looped_decode(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     nodes, a dozen per step, all feature-major.  Returns the positions and
     the time-major displacements."""
     rows, hd = h0.shape
-    hc = T.concat([T.transpose(h0), T.zeros((hd, rows))], axis=0)
+    hc = T.concat([T.transpose(h0), T.constant(np.zeros((hd, rows)))], axis=0)
     x_in = T.transpose(T.constant(np.asarray(last_disp, dtype=float)))
     pos = T.transpose(T.constant(np.asarray(last_pos, dtype=float)))
     disp_steps, pos_steps = [], []
@@ -232,6 +232,28 @@ def looped_pair_indices(counts):
         j_idx.append(offset + j)
         offset += n
     return np.concatenate(i_idx), np.concatenate(j_idx)
+
+
+def segment_max_ref(a, lengths, g):
+    """Reference for ``T.segment_max``: each segment's column max found by a
+    scan that keeps the first maximal row (the first NaN, if any), and the
+    gradient ``g`` routed to that row.  An empty segment gives a zero row and
+    routes nothing.  Returns (values, gradient with respect to ``a``)."""
+    out = np.zeros((len(lengths), a.shape[1]))
+    grad = np.zeros(a.shape)
+    start = 0
+    for s, n in enumerate(lengths):
+        for c in range(a.shape[1]):
+            best = None
+            for r in range(start, start + n):
+                if (best is None or a[r, c] > a[best, c]
+                        or (np.isnan(a[r, c]) and not np.isnan(a[best, c]))):
+                    best = r
+            if best is not None:
+                out[s, c] = a[best, c]
+                grad[best, c] = g[s, c]
+        start += n
+    return out, grad
 
 
 def looped_eval_report(gen, windows, k, seed=0):

@@ -417,6 +417,41 @@ def test_cmd_train_malformed_window_csv_exit(tmp_path, capsys):
     assert f"line {len(rows)}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["gan", "nogan"])
+def test_cmd_train_on_lone_agent_windows_exits_0(tmp_path, mode):
+    # no window has a pooling pair, so no batch does either
+    cfg = small_experiment(tmp_path, mode=mode)
+    cfg.data.n_agents, cfg.data.classes = 1, ("pedestrian",)
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == cli.EXIT_OK
+
+
+def window_csv_experiment(tmp_path, windows):
+    csv_path = tmp_path / "w.csv"
+    D.write_windows_csv(windows, csv_path)
+    cfg = small_experiment(tmp_path)
+    cfg.data.source, cfg.data.root = "windows_csv", str(csv_path)
+    return cfg
+
+
+def test_cmd_train_window_csv_off_the_data_config_lengths_exits_3(tmp_path, capsys):
+    kw = dict(seed=0, n_windows=12, jitter=0.1)
+    windows = (D.synth_scene("linear", 2, ["pedestrian", "car"], **kw)
+               + D.synth_scene("linear", 2, ["pedestrian", "car"], t_obs=6, scene_id="other", **kw))
+    cfg = window_csv_experiment(tmp_path, windows)
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "window 'other:0'" in err and "has t_obs 6, t_pred 12; data config says 8, 12" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cmd_train_window_csv_with_its_lengths_in_the_data_config(tmp_path):
+    windows = D.synth_scene("linear", 2, ["pedestrian", "car"], seed=0, n_windows=6,
+                            jitter=0.1, t_obs=6)
+    cfg = window_csv_experiment(tmp_path, windows)
+    cfg.data.t_obs = 6
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == cli.EXIT_OK
+
+
 def test_cmd_train_numeric_failure_exit(tmp_path, monkeypatch):
     cfg = small_experiment(tmp_path)
     cfg_path = write_config(tmp_path, cfg)

@@ -463,6 +463,18 @@ def test_pooling_grads():
     assert_grads_match(lambda: T.tsum(pool(H, pos)), params)
 
 
+def test_pooling_grads_over_windows_with_a_lone_agent():
+    cfg = tiny_config()
+    pool = M.PoolingModule(cfg, np.random.default_rng(25))
+    rng = np.random.default_rng(26)
+    counts = [3, 1, 5, 2]
+    H = Tensor(rng.standard_normal((sum(counts), cfg.hidden_dim)), requires_grad=True)
+    pos = [rng.uniform(0, 10, (n, 2)) for n in counts]
+    w = Tensor(rng.standard_normal((sum(counts), cfg.pool_dim)))
+    params = [H] + list(pool.named_parameters("pool").values())
+    assert_grads_match(lambda: T.tsum(T.mul(pool(H, pos), w)), params)
+
+
 def test_pooling_packed_windows_stay_apart_bitwise():
     cfg = tiny_config()
     pool = M.PoolingModule(cfg, np.random.default_rng(67))

@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (assert_grads_match, finite_diff, looped_attention, looped_decode,
-                     looped_lstm_sequence, looped_lstm_step, lstm_cell, sigmoid_ref)
+                     looped_lstm_sequence, looped_lstm_step, lstm_cell, segment_max_ref,
+                     sigmoid_ref)
 from trajgan import tensor as T
 from trajgan.optim import Adam, clip_grad_norm, grad_norm
-from trajgan.tensor import (ContractError, NumericError, ShapeError, Tape, Tensor,
-                            backward, no_grad)
+from trajgan.tensor import ContractError, ShapeError, Tape, Tensor, backward, no_grad
 
 
 def leaf(arr):
@@ -302,14 +302,13 @@ def test_segment_max_grads_uneven_and_one_row_segments():
     rng = np.random.default_rng(9)
     x = rand_leaf(rng, (9, 3))
     w = Tensor(rng.standard_normal((4, 3)))
-    # segments of 1, 3, 1 and 4 rows
-    assert_grads_match(lambda: T.tsum(T.mul(T.segment_max(x, [0, 1, 4, 5]), w)), [x])
+    assert_grads_match(lambda: T.tsum(T.mul(T.segment_max(x, [1, 3, 1, 4]), w)), [x])
 
 
 def test_segment_max_ties_route_gradient_to_first_row():
     x = leaf([[2.0, 1.0], [2.0, 5.0], [7.0, 5.0], [3.0, 3.0], [3.0, 3.0]])
     with Tape():
-        out = T.segment_max(x, [0, 3])
+        out = T.segment_max(x, [3, 2])
         backward(T.tsum(T.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0]]))))
     assert np.array_equal(out.data, [[7.0, 5.0], [3.0, 3.0]])
     assert np.array_equal(x.grad, [[0.0, 0.0], [0.0, 2.0], [1.0, 0.0],
@@ -322,7 +321,7 @@ def test_blockwise_max_is_segment_max_over_equal_blocks():
     seed = rng.standard_normal((4, 4))
     results = []
     for op in (lambda a: T.blockwise_max(a, 3),
-               lambda a: T.segment_max(a, np.arange(0, 12, 3))):
+               lambda a: T.segment_max(a, [3, 3, 3, 3])):
         x = leaf(data.copy())
         with Tape():
             out = op(x)
@@ -341,10 +340,60 @@ def test_blockwise_max_is_segment_max_over_equal_blocks():
     assert np.array_equal(ga, want.reshape(12, 4))
 
 
-@pytest.mark.parametrize("starts", [[], [1, 2], [0, 2, 2], [0, 3, 1], [0, 6], [[0]]])
-def test_segment_max_rejects_bad_starts(starts):
+@pytest.mark.parametrize("lengths", [[], [5], [7], [3, -1, 4], [2, 2, 1], [[6]]])
+def test_segment_max_rejects_bad_lengths(lengths):
     with pytest.raises(ShapeError):
-        T.segment_max(leaf(np.zeros((6, 2))), starts)
+        T.segment_max(leaf(np.zeros((6, 2))), lengths)
+
+
+def segment_max_values_and_grad(data, lengths, seed):
+    """Output and input gradient of ``T.segment_max`` under the loss
+    sum(out * seed)."""
+    x = leaf(data)
+    with Tape():
+        out = T.segment_max(x, lengths)
+        backward(T.tsum(T.mul(out, Tensor(seed))))
+    return out.data, x.grad
+
+
+@pytest.mark.parametrize("lengths", [[0, 2, 3], [2, 0, 3], [2, 3, 0], [0, 0, 2, 0, 3, 0]])
+def test_segment_max_empty_segments_give_zero_rows_and_route_nothing(lengths):
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((5, 3))
+    full = [n > 0 for n in lengths]
+    seed = rng.standard_normal((len(lengths), 3))
+    out, grad = segment_max_values_and_grad(data, lengths, seed)
+    assert np.array_equal(out[np.logical_not(full)], np.zeros((len(lengths) - 2, 3)))
+    # the non-empty segments give what they give without the empty ones
+    want_out, want_grad = segment_max_values_and_grad(data, [2, 3], seed[full])
+    assert out[full].tobytes() == want_out.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_segment_max_all_empty_over_no_rows():
+    out, grad = segment_max_values_and_grad(np.zeros((0, 3)), [0, 0, 0], np.ones((3, 3)))
+    assert np.array_equal(out, np.zeros((3, 3)))
+    assert grad.shape == (0, 3)
+
+
+def test_segment_max_grads_with_empty_segments():
+    rng = np.random.default_rng(12)
+    x = rand_leaf(rng, (6, 3))
+    w = Tensor(rng.standard_normal((5, 3)))
+    assert_grads_match(lambda: T.tsum(T.mul(T.segment_max(x, [2, 0, 3, 1, 0]), w)), [x])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+       cols=st.integers(1, 3), seed=st.integers(0, 10_000))
+def test_segment_max_matches_looped_oracle_bit_for_bit(lengths, cols, seed):
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-2, 3, (sum(lengths), cols)).astype(float)  # many ties
+    g = rng.standard_normal((len(lengths), cols))
+    out, grad = segment_max_values_and_grad(data, lengths, g)
+    want_out, want_grad = segment_max_ref(data, lengths, g)
+    assert out.tobytes() == want_out.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def attention_values_and_grads(op, groups, length, heads, head_dim, seed):
@@ -1051,15 +1100,6 @@ def test_forward_is_deterministic():
         return loss.data.copy()
 
     assert run().tobytes() == run().tobytes()
-
-
-def test_debug_checks_catch_non_finite():
-    T.set_debug_checks(True)
-    try:
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
-            T.exp(leaf([1000.0]))
-    finally:
-        T.set_debug_checks(False)
 
 
 def test_float64_everywhere():

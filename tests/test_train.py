@@ -394,6 +394,28 @@ def test_gan_step_without_discriminator_is_the_nogan_step(encoder):
     assert got_state == want_state
 
 
+@pytest.mark.parametrize("mode", ["gan", "nogan"])
+@pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+def test_step_on_lone_agent_windows_leaves_pooling_as_a_zero_gradient_does(mode, encoder):
+    # every window holds one agent, so the batch has no pooling pair: the
+    # pooling parameters are in the graph with a zero gradient, which a
+    # fresh Adam turns into no move at all
+    gen, disc = built_pair(seed=26, encoder=encoder)
+    cfg = tiny_train_config(mode=mode)
+    g_opt = Adam(gen.parameters(), lr=cfg.lr)
+    before = {n: p.data.copy() for n, p in gen.named_parameters().items()}
+    batch, rng = some_windows(n_agents=1, seed=27), np.random.default_rng(28)
+    if mode == "gan":
+        d_opt = Adam(disc.parameters(), lr=cfg.lr)
+        rec = TR.train_step_gan(batch, gen, disc, g_opt, d_opt, cfg, rng)
+    else:
+        rec = TR.train_step_nogan(batch, gen, g_opt, cfg, rng)
+    assert np.isfinite(rec.variety) and np.isfinite(rec.grad_norm_g)
+    moved = {n for n, p in gen.named_parameters().items()
+             if not np.array_equal(before[n], p.data)}
+    assert moved and not any(n.startswith("pooling.") for n in moved)
+
+
 def test_nan_parameter_behind_relu_aborts_the_step():
     # a NaN bias ahead of a relu gets a zero gradient; relu passes the NaN
     # on, so the loss guard trips instead of the NaN surviving every update
