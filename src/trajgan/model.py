@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -528,19 +529,45 @@ class PredictionSet:
 
 
 def draw_noise(rng, n_agents, k, noise_dim):
-    """Sample-major draws so the first samples coincide across different k."""
-    samples = [rng.standard_normal((n_agents, noise_dim)) for _ in range(k)]
-    return np.stack(samples, axis=1)
+    """(n_agents, k, noise_dim) normal draws, sample-major so the first
+    samples coincide across different k: one draw of k (n_agents,
+    noise_dim) blocks, the values of k draws of one block each."""
+    return rng.standard_normal((k, n_agents, noise_dim)).transpose(1, 0, 2)
 
 
-def generator_forward(gen, windows, k=None, rng=None, z=None):
+class Encoding(NamedTuple):
+    """A batch's agents as the generator's encoder and pooling see them,
+    stacked as rows in batch order."""
+
+    observed: np.ndarray  # (R, t_obs, 2) observed points
+    obs_steps: Tensor     # (t_obs*R, 2) time-major observed displacements, a constant
+    hidden: Tensor        # (R, hidden_dim) encoder summaries
+    pooled: Tensor        # (R, pool_dim) social context
+
+
+def encode_windows(gen, windows):
+    """Encode and pool the agents of one SceneWindow or a sequence of them
+    sharing t_obs and t_pred, pooling inside each window.  The result
+    depends on the generator's parameters and the windows only, so every
+    ``generator_forward`` on the same parameters and batch can share it."""
+    batch = _as_batch(windows)
+    observed = np.concatenate([w.observed for w in batch])
+    obs_steps = _time_major_steps(observed)
+    hidden = gen.encoder.encode(obs_steps, T.constant(stacked_onehots(batch)))
+    pooled = gen.pooling(hidden, [w.observed[:, -1] for w in batch])
+    return Encoding(observed, obs_steps, hidden, pooled)
+
+
+def generator_forward(gen, windows, k=None, rng=None, z=None, encoded=None):
     """Encode, pool and decode k noise samples per agent for a batch of
     windows in one pass over all their agents.
 
     ``windows`` is one SceneWindow or a sequence of them sharing t_obs and
-    t_pred; pooling stays inside each window.  ``z`` overrides the noise
-    with a given (n_agents, k, noise_dim) array over the stacked agents;
-    otherwise ``rng`` supplies it, drawn window by window in batch order.
+    t_pred; pooling stays inside each window.  ``encoded`` is their
+    ``encode_windows`` on the generator's current parameters, which is
+    computed here when not given.  ``z`` overrides the noise with a given
+    (n_agents, k, noise_dim) array over the stacked agents; otherwise
+    ``rng`` supplies it, drawn window by window in batch order.
     """
     cfg = gen.config
     batch = _as_batch(windows)
@@ -558,10 +585,10 @@ def generator_forward(gen, windows, k=None, rng=None, z=None):
     if z.shape != (n, k, cfg.noise_dim):
         raise ContractError(f"noise shape {z.shape} != {(n, k, cfg.noise_dim)}")
 
-    observed = np.concatenate([w.observed for w in batch])
-    obs_steps = _time_major_steps(observed)
-    hidden = gen.encoder.encode(obs_steps, T.constant(stacked_onehots(batch)))
-    pooled = gen.pooling(hidden, [w.observed[:, -1] for w in batch])
+    observed, obs_steps, hidden, pooled = \
+        encode_windows(gen, batch) if encoded is None else encoded
+    if hidden.shape[0] != n:
+        raise ContractError(f"encoding of {hidden.shape[0]} agents for a batch of {n}")
 
     idx = np.repeat(np.arange(n), k)
     traj, disp_steps = gen.decoder.decode(

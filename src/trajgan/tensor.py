@@ -613,9 +613,20 @@ def _compute_order(W_x, W_h, b, rows):
     """An LSTM cell's (I, 4H) W_x, (H, 4H) W_h and (4H,) b as the fresh
     (4H, I) and (4H, H) transposed weights and the (4H, rows) bias
     ``_block`` that the feature-major steps over ``rows`` rows use, gate
-    rows in the compute order."""
-    order = _gate_order(W_h.shape[0])
-    return W_x.data.T[order], W_h.data.T[order], _block(b.data[order], rows)
+    rows in the compute order.
+
+    The rows of the three sigmoid gates are stored negated, so a step's
+    products and bias sum give -z for those gates and its sigmoid needs no
+    negation pass.  The values are those of negating the sum, bit for bit:
+    IEEE negation is exact and round-to-nearest is symmetric in sign.  The
+    parameters themselves are left as they are.
+    """
+    hd = W_h.shape[0]
+    order = _gate_order(hd)
+    A_x, A_h, bias = W_x.data.T[order], W_h.data.T[order], b.data[order]
+    for a in (A_x, A_h, bias):
+        np.negative(a[:3 * hd], out=a[:3 * hd])
+    return A_x, A_h, _block(bias, rows)
 
 
 def _lstm_step(x, h, c, cell, tmp, out):
@@ -626,19 +637,25 @@ def _lstm_step(x, h, c, cell, tmp, out):
 
     The gates, tanh(c), h and c of the step go into the four blocks of
     ``out``, a (7H, R) array whose h and c blocks may be the input h and c
-    themselves; ``tmp`` is a (4H, R) scratch array.  Returns the next h, c.
+    themselves; ``tmp`` is a (4H, R) scratch array.  With ``x`` None the
+    gate rows of ``out`` already hold the input product ``A_x x``.  Returns
+    the next h, c.  The caller holds ``np.errstate(over="ignore")``: a
+    sigmoid gate whose exp(-z) overflows is 0, as in ``_sigmoid``.
     """
     hd = h.shape[0]
     A_x, A_h, b = cell
     gates, tc, h_next, c_next = (out[:4 * hd], out[4 * hd:5 * hd],
                                  out[5 * hd:6 * hd], out[6 * hd:])
-    np.matmul(A_x, x, out=gates)
+    if x is not None:
+        np.matmul(A_x, x, out=gates)
     gates += np.matmul(A_h, h, out=tmp)
     gates += b
     # the activations overwrite their gates: one sigmoid over the first
-    # three blocks, one tanh over the cell gate
+    # three blocks, which hold -z already, and one tanh over the cell gate
     sig, g = gates[:3 * hd], gates[3 * hd:]
-    _sigmoid(sig, sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
     np.tanh(g, out=g)
     # f*c + i*g, in place when c_next is c
     np.multiply(gates[hd:2 * hd], c, out=c_next)
@@ -727,9 +744,13 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     layouts those of the same step composed of transpose, take_rows, matmul,
     add, narrow, sigmoid, tanh and mul ops, so the values are the same bit
     for bit.  While recording, each step keeps its activations in a block
-    of its own.  The backward computes the gate gradients' factors for all
-    steps at once (``_lstm_factors``), loops only over the dh/dc recurrence
-    (``_bptt``), then takes dx and each weight gradient in one product.
+    of its own, and one batched product writes every step's input product
+    into its block before the loop, with the values of the per-step
+    products; otherwise each step makes its own into the one block that
+    every step overwrites.  The backward computes the gate gradients'
+    factors for all steps at once (``_lstm_factors``), loops only over the
+    dh/dc recurrence (``_bptt``), then takes dx and each weight gradient in
+    one product.
     """
     hd = W_h.shape[0]
     if (x.data.ndim != 2 or rows < 1 or x.shape[0] < rows or x.shape[0] % rows
@@ -747,8 +768,12 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     # backward to read, else one block that every step overwrites
     tmp, blocks = np.empty((4 * hd, rows)), np.empty((steps if record else 1, 7 * hd, rows))
     h = c = np.zeros((hd, rows))
-    for t, x_t in enumerate(xs):
-        h, c = _lstm_step(x_t, h, c, ordered, tmp, blocks[t if record else 0])
+    if record:
+        np.matmul(ordered[0], xs, out=blocks[:, :4 * hd])
+    with np.errstate(over="ignore"):
+        for t, x_t in enumerate(xs):
+            h, c = _lstm_step(None if record else x_t, h, c, ordered, tmp,
+                              blocks[t if record else 0])
 
     def bwd(grad):
         D, P = _lstm_factors(blocks)
@@ -827,20 +852,21 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     pos = np.asarray(last_pos, dtype=np.float64).T
     h, c = h0.data.T.copy(), np.zeros((hd, rows))
     positions, disps = np.empty((rows, 2 * t_pred)), np.empty((t_pred * rows, 2))
-    for t in range(t_pred):
-        k = t if record else 0
-        e = np.matmul(W_eT, np.multiply(x_in, scale, out=scaled[k]), out=emb[k])
-        e += b_eT
-        h, c = _lstm_step(e, h, c, ordered, tmp, blocks[k])
-        a = h
-        for (W, b_), Z, Y in zip(layers_T, pres, acts):
-            z = np.matmul(W, a, out=Z[k])
-            z += b_
-            a = _activate(z, activation, slope, Y[k])
-        np.matmul(W_out, a, out=out)
-        out += b_out
-        x_in = np.multiply(out, inv, out=disps[t * rows:(t + 1) * rows].T)
-        pos = np.add(pos, x_in, out=positions[:, 2 * t:2 * t + 2].T)
+    with np.errstate(over="ignore"):
+        for t in range(t_pred):
+            k = t if record else 0
+            e = np.matmul(W_eT, np.multiply(x_in, scale, out=scaled[k]), out=emb[k])
+            e += b_eT
+            h, c = _lstm_step(e, h, c, ordered, tmp, blocks[k])
+            a = h
+            for (W, b_), Z, Y in zip(layers_T, pres, acts):
+                z = np.matmul(W, a, out=Z[k])
+                z += b_
+                a = _activate(z, activation, slope, Y[k])
+            np.matmul(W_out, a, out=out)
+            out += b_out
+            x_in = np.multiply(out, inv, out=disps[t * rows:(t + 1) * rows].T)
+            pos = np.add(pos, x_in, out=positions[:, 2 * t:2 * t + 2].T)
 
     def bwd(grads):
         g_pos, g_disp = (np.zeros(shape) if g is None else g

@@ -20,8 +20,9 @@ from .tensor import ContractError, Tape, no_grad
 from .data import DatasetSplit, csv_text
 from .optim import Adam, clip_grad_norm, grad_norm
 from .evaluate import eval_min_of_k
-from .model import (ConfigError, build_discriminator, build_generator, fake_steps,
-                    generator_forward, real_steps, snapshot_params, stacked_onehots)
+from .model import (ConfigError, build_discriminator, build_generator, encode_windows,
+                    fake_steps, generator_forward, real_steps, snapshot_params,
+                    stacked_onehots)
 
 TRAIN_MODES = ("gan", "nogan")
 
@@ -167,12 +168,13 @@ def _update(network, opt, loss, config):
     return norm
 
 
-def _discriminator_loss(batch, gen, disc, rng):
+def _discriminator_loss(batch, gen, disc, rng, encoded=None):
     """Discriminator loss on every window's truth against one generated
-    sample, drawn without gradient so nothing leaks into the generator.
+    sample, drawn without gradient so nothing leaks into the generator;
+    ``encoded`` is the batch's ``encode_windows``, computed when not given.
     Real and fake rows share one discriminator pass: real rows first."""
     with no_grad():
-        preds = generator_forward(gen, batch, k=1, rng=rng)
+        preds = generator_forward(gen, batch, k=1, rng=rng, encoded=encoded)
     # both sides are constants: interleave them step by step in numpy
     rows = preds.n_agents
     real, fake = (s.data.reshape(-1, rows, 2) for s in (real_steps(batch), fake_steps(preds)))
@@ -182,13 +184,22 @@ def _discriminator_loss(batch, gen, disc, rng):
     return d_loss(logits, rows)
 
 
-def _generator_losses(batch, gen, config, rng, disc):
-    """Mean variety loss over every agent of the batch at k samples, plus
-    the adversarial loss of sample 0, or None without a discriminator."""
-    preds = generator_forward(gen, batch, k=config.k, rng=rng)
+def _generator_update(batch, gen, g_opt, config, rng, disc, encoded):
+    """One generator update on the mean variety loss over every agent of
+    the batch at k samples, plus the adversarial loss of sample 0 when there
+    is a discriminator, decoded from ``encoded``, the batch's
+    ``encode_windows`` on the generator's current parameters.  Runs inside
+    the caller's tape, with the discriminator frozen.  Returns the
+    adversarial loss (None without a discriminator), the variety loss and
+    the gradient norm."""
+    preds = generator_forward(gen, batch, k=config.k, rng=rng, encoded=encoded)
     adv = None if disc is None else g_adv_loss(disc.score_steps(
         fake_steps(preds), T.constant(stacked_onehots(batch))))
-    return variety_loss(np.concatenate([w.future for w in batch]), preds), adv
+    var = variety_loss(np.concatenate([w.future for w in batch]), preds)
+    loss_g = var if adv is None else T.add(adv, var)
+    T.backward(loss_g)
+    return (None if adv is None else float(adv.data), float(var.data),
+            _update("generator", g_opt, float(loss_g.data), config))
 
 
 @contextmanager
@@ -207,33 +218,38 @@ def _frozen(params):
 def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0):
     """One alternating GAN iteration over a batch of windows.
 
-    The discriminator pass samples fakes without gradient so nothing leaks
-    into the generator; the generator pass freezes discriminator parameters
-    so their gradients stay exactly zero.  With ``disc=None`` and
-    ``d_opt=None`` it is the noGAN step, with None in every adversarial field.
+    The batch is encoded once per state of the generator's parameters.  One
+    tape records that encoding, then each discriminator update and the
+    first generator update, all reading it: the discriminator updates leave
+    the generator as it is.  The discriminator pass samples fakes without
+    gradient so nothing leaks into the generator; the generator pass
+    freezes discriminator parameters so their gradients stay exactly zero.
+    Each later generator update (``g_steps`` > 1) encodes the batch again
+    on a tape of its own, since the previous update moved the generator.
+    Tapes are never nested.  With ``disc=None`` and ``d_opt=None`` it is the
+    noGAN step, with None in every adversarial field.
     """
     if not batch:
         raise ContractError("empty batch")
     t0 = time.perf_counter()
+    frozen = [] if disc is None else disc.parameters()
 
     d_val = d_norm = None
-    for _ in range(0 if disc is None else config.d_steps):
-        with Tape():
-            loss_d = _discriminator_loss(batch, gen, disc, rng)
+    with Tape():
+        encoded = encode_windows(gen, batch)
+        for _ in range(0 if disc is None else config.d_steps):
+            loss_d = _discriminator_loss(batch, gen, disc, rng, encoded)
             T.backward(loss_d)
-        d_val = float(loss_d.data)
-        d_norm = _update("discriminator", d_opt, d_val, config)
-
-    g_val = v_val = g_norm = None
-    with _frozen([] if disc is None else disc.parameters()):
-        for _ in range(config.g_steps):
+            d_val = float(loss_d.data)
+            d_norm = _update("discriminator", d_opt, d_val, config)
+        with _frozen(frozen):
+            g_val, v_val, g_norm = _generator_update(batch, gen, g_opt, config, rng,
+                                                     disc, encoded)
+    with _frozen(frozen):
+        for _ in range(config.g_steps - 1):
             with Tape():
-                var, adv = _generator_losses(batch, gen, config, rng, disc)
-                loss_g = var if adv is None else T.add(adv, var)
-                T.backward(loss_g)
-            g_val = None if adv is None else float(adv.data)
-            v_val = float(var.data)
-            g_norm = _update("generator", g_opt, float(loss_g.data), config)
+                g_val, v_val, g_norm = _generator_update(batch, gen, g_opt, config, rng,
+                                                         disc, encode_windows(gen, batch))
 
     return StepRecord(step, epoch, d_val, g_val, v_val, g_norm, d_norm,
                       time.perf_counter() - t0)

@@ -18,7 +18,7 @@ from trajgan.evaluate import constant_velocity_baseline
 from trajgan.model import fake_steps, generator_forward, real_steps, stacked_onehots
 from trajgan.optim import clip_grad_norm, grad_norm
 from trajgan.tensor import Tape, backward, no_grad
-from trajgan.train import d_loss, g_adv_loss, variety_norms
+from trajgan.train import StepRecord, d_loss, g_adv_loss, variety_loss, variety_norms
 
 
 def finite_diff(f, leaves, h=1e-5, coords=None):
@@ -256,6 +256,12 @@ def segment_max_ref(a, lengths, g):
     return out, grad
 
 
+def looped_draw_noise(rng, n_agents, k, noise_dim):
+    """Sample-major noise drawn one (n_agents, noise_dim) sample at a time."""
+    samples = [rng.standard_normal((n_agents, noise_dim)) for _ in range(k)]
+    return np.stack(samples, axis=1)
+
+
 def looped_eval_report(gen, windows, k, seed=0):
     """Reference for ``evaluate.eval_min_of_k``'s scoring: every agent's best
     sample picked and scored on its own, with straight loops.  Returns
@@ -464,6 +470,46 @@ def looped_train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng):
     for p in disc.parameters():
         p.requires_grad = True
     return rec
+
+
+def two_encoding_train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng):
+    """Reference packed step that encodes the batch anew for every pass: the
+    discriminator step samples its fakes from an encoding made under
+    ``no_grad``, on a tape of its own, and every generator step encodes on
+    its tape.  ``disc=None`` and ``d_opt=None`` give the noGAN step.
+    Returns a StepRecord with ``seconds`` 0."""
+    d_val = d_norm = None
+    for _ in range(0 if disc is None else config.d_steps):
+        with Tape():
+            with no_grad():
+                preds = generator_forward(gen, batch, k=1, rng=rng)
+            rows = preds.n_agents
+            real, fake = (s.data.reshape(-1, rows, 2)
+                          for s in (real_steps(batch), fake_steps(preds)))
+            steps = T.constant(np.concatenate([real, fake], axis=1).reshape(-1, 2))
+            onehots = stacked_onehots(batch)
+            loss_d = d_loss(disc.score_steps(
+                steps, T.constant(np.concatenate([onehots, onehots]))), rows)
+            backward(loss_d)
+        d_val = float(loss_d.data)
+        d_norm = _norm_and_step(disc.parameters(), d_opt, config)
+    frozen = [] if disc is None else disc.parameters()
+    for p in frozen:
+        p.requires_grad = False
+    g_val = v_val = g_norm = None
+    for _ in range(config.g_steps):
+        with Tape():
+            preds = generator_forward(gen, batch, k=config.k, rng=rng)
+            var = variety_loss(np.concatenate([w.future for w in batch]), preds)
+            adv = None if disc is None else g_adv_loss(score_fake(disc, batch, preds))
+            loss_g = var if adv is None else T.add(adv, var)
+            backward(loss_g)
+        g_val = None if adv is None else float(adv.data)
+        v_val = float(var.data)
+        g_norm = _norm_and_step(gen.parameters(), g_opt, config)
+    for p in frozen:
+        p.requires_grad = True
+    return StepRecord(0, 0, d_val, g_val, v_val, g_norm, d_norm, 0.0)
 
 
 def looped_train_step_nogan(batch, gen, g_opt, config, rng):

@@ -9,6 +9,7 @@ import importlib.util
 import pathlib
 
 import numpy as np
+import pytest
 
 from test_tensor import recording_ops
 from trajgan import config, data, evaluate, model, optim, train
@@ -79,3 +80,34 @@ def test_workload_entry_points_exist():
         p.grad = np.zeros(p.shape)
     opt.step()
     assert calls == [None] and all(p.grad is None for p in params)
+
+
+@pytest.mark.parametrize("mode", ["gan", "nogan"])
+def test_train_step_never_nests_tapes(monkeypatch, mode):
+    # the benchmark's counting tape tracks one open tape at a time, so a
+    # step that opened a tape inside another would misattribute its nodes
+    entered, depth = [], [0]
+
+    class WatchedTape(T.Tape):
+        def __enter__(self):
+            assert depth[0] == 0, "a tape was opened inside another"
+            assert self not in entered, "a tape was entered twice"
+            entered.append(self)
+            depth[0] += 1
+            return super().__enter__()
+
+        def __exit__(self, *exc):
+            depth[0] -= 1
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr(train, "Tape", WatchedTape)
+    cfg = model.ModelConfig(embed_dim=2, class_embed_dim=2, hidden_dim=4, noise_dim=2,
+                            pool_dim=2, transformer_heads=2)
+    gen = model.build_generator(cfg, seed=0)
+    disc = model.build_discriminator(cfg, seed=1) if mode == "gan" else None
+    config = train.TrainConfig(batch_size=2, k=2, mode=mode, d_steps=2, g_steps=2)
+    windows = data.synth_scene("turn", 2, ["pedestrian", "car"], seed=3, n_windows=2)
+    train.train_step_gan(windows, gen, disc, optim.Adam(gen.parameters()),
+                         None if disc is None else optim.Adam(disc.parameters()),
+                         config, np.random.default_rng(4))
+    assert depth[0] == 0 and len(entered) == config.g_steps

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (assert_grads_match, looped_attention, looped_decode, looped_pair_indices,
-                     score_fake, score_real, sigmoid_ref)
+from oracles import (assert_grads_match, looped_attention, looped_decode, looped_draw_noise,
+                     looped_pair_indices, score_fake, score_real, sigmoid_ref)
 from trajgan import data as D
 from trajgan import model as M
 from trajgan import tensor as T
@@ -617,6 +617,51 @@ def test_noise_prefix_is_nested_across_k():
     z1 = M.draw_noise(np.random.default_rng(40), 3, 1, 2)
     z5 = M.draw_noise(np.random.default_rng(40), 3, 5, 2)
     assert np.array_equal(z1[:, 0], z5[:, 0])
+
+
+def test_draw_noise_is_the_per_sample_loop():
+    # one draw of k blocks, transposed, holds the values of k draws of one
+    # block each and leaves the stream where they leave it
+    for seed in range(6):
+        for n_agents, k, noise_dim in ((1, 1, 1), (3, 5, 2), (16, 20, 4), (2, 7, 8)):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = (draw(r, n_agents, k, noise_dim)
+                         for draw, r in ((M.draw_noise, rng), (looped_draw_noise, ref)))
+            assert got.shape == (n_agents, k, noise_dim)
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+def test_recorded_encoding_has_the_values_of_a_no_grad_one(encoder):
+    # a GAN step samples the discriminator's fakes from the encoding its
+    # tape records, where it used to encode again under no_grad
+    gen = M.build_generator(tiny_config(encoder=encoder), seed=56)
+    ws = [make_window(seed=57 + n, n_agents=n, jitter=0.3) for n in (1, 3, 2)]
+    for batch in (ws, ws[:1], [ws[0], ws[0]]):
+        with Tape() as tape:
+            recorded = M.encode_windows(gen, batch)
+        assert len(tape.nodes) > 0
+        with T.no_grad():
+            quiet = M.encode_windows(gen, batch)
+        assert recorded.hidden.requires_grad and not quiet.hidden.requires_grad
+        for name in ("hidden", "pooled"):
+            assert np.array_equal(getattr(recorded, name).data, getattr(quiet, name).data)
+        assert np.array_equal(recorded.observed, quiet.observed)
+        z = np.random.default_rng(60).standard_normal((len(recorded.observed), 2, 2))
+        with T.no_grad():
+            shared = M.generator_forward(gen, batch, k=2, z=z, encoded=recorded)
+            fresh = M.generator_forward(gen, batch, k=2, z=z)
+        assert np.array_equal(shared.traj.data, fresh.traj.data)
+        assert np.array_equal(shared.disp_steps.data, fresh.disp_steps.data)
+
+
+def test_generator_forward_rejects_an_encoding_of_other_agents():
+    gen = M.build_generator(tiny_config(), seed=61)
+    w, other = make_window(seed=62, n_agents=3), make_window(seed=63, n_agents=2)
+    with pytest.raises(ContractError):
+        M.generator_forward(gen, w, k=1, rng=np.random.default_rng(64),
+                            encoded=M.encode_windows(gen, other))
 
 
 def test_generator_noise_shape_contract():

@@ -817,6 +817,25 @@ def test_recording_and_no_grad_lstm_calls_compute_the_same_values(rows, hidden):
         assert all(np.array_equal(g.data, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("op", [0, 1], ids=["sequence", "rollout"])
+def test_lstm_ops_leave_the_cell_parameters_unchanged(op):
+    # the steps read the sigmoid gates' rows negated: the negation goes into
+    # the op's own copies, never into W_x, W_h or b, forward or backward
+    rng = np.random.default_rng(28)
+    call, leaves = lstm_op_calls(rng, 18, 16)[op]
+    cell = leaves[1:4] if op == 0 else leaves[3:6]
+    before = [p.data.copy() for p in cell]
+    for recording in (False, True):
+        with Tape():
+            if recording:
+                outs = call()
+                backward(weighted_sum(outs, [Tensor(np.cos(o.data)) for o in outs]))
+            else:
+                with no_grad():
+                    call()
+        assert all(np.array_equal(p.data, b) for p, b in zip(cell, before))
+
+
 def test_recorded_lstm_steps_survive_calls_before_backward():
     # the step blocks a recording call keeps for its backward are its own:
     # a call of the same hidden size between forward and backward, recording

@@ -13,7 +13,8 @@ from trajgan.optim import Adam
 from trajgan.tensor import Tensor, Tape, ContractError, backward
 
 from oracles import (assert_grads_match, d_loss_clamped, d_loss_pair, g_adv_loss_clamped,
-                     looped_train_step_gan, looped_train_step_nogan, score_fake, score_real)
+                     looped_train_step_gan, looped_train_step_nogan, score_fake, score_real,
+                     two_encoding_train_step_gan)
 
 LN2 = float(np.log(2.0))
 
@@ -318,6 +319,7 @@ def mixed_batch():
     ("gan", "transformer", dict(d_steps=2, clip_norm=0.05)),
     ("nogan", "lstm", dict(g_steps=2)),
     ("nogan", "transformer", {}),
+    ("gan", "lstm", dict(d_steps=2, g_steps=2)),
 ])
 def test_packed_step_matches_per_window_oracle(mode, encoder, tc_kw):
     batch = mixed_batch()
@@ -353,6 +355,61 @@ def test_packed_step_matches_per_window_oracle(mode, encoder, tc_kw):
                 np.testing.assert_allclose(getattr(rec, name), value, rtol=1e-12, atol=0)
     for name, w in want_params.items():
         np.testing.assert_allclose(got_params[name], w, rtol=1e-12, atol=0, err_msg=name)
+
+
+STEP_SCHEDULES = [("gan", {}), ("gan", dict(d_steps=2, g_steps=2)),
+                  ("gan", dict(d_steps=3, clip_norm=0.05)), ("nogan", dict(g_steps=2))]
+
+
+@pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+@pytest.mark.parametrize("mode,tc_kw", STEP_SCHEDULES)
+def test_one_encoding_step_matches_the_two_encoding_step(encoder, mode, tc_kw):
+    # sharing one encoding between the discriminator's fakes and the first
+    # generator pass changes no bit of any record, parameter or stream
+    batch = mixed_batch()
+    cfg = tiny_train_config(mode=mode, k=3, **tc_kw)
+
+    def run(step_fn):
+        gen, disc = built_pair(seed=82, encoder=encoder)
+        disc = disc if mode == "gan" else None
+        g_opt = Adam(gen.parameters(), lr=cfg.lr)
+        d_opt = None if disc is None else Adam(disc.parameters(), lr=cfg.lr)
+        rng = np.random.default_rng(83)
+        recs = [step_fn(batch, gen, disc, g_opt, d_opt, cfg, rng) for _ in range(3)]
+        params = [p.data.copy() for p in gen.parameters()
+                  + ([] if disc is None else disc.parameters())]
+        return recs, params, rng.bit_generator.state
+
+    got, got_params, got_state = run(TR.train_step_gan)
+    want, want_params, want_state = run(two_encoding_train_step_gan)
+    assert got_state == want_state
+    fields = ("d_loss", "g_adv", "variety", "grad_norm_g", "grad_norm_d")
+    for rec, ref in zip(got, want):
+        for name in fields:
+            a, b = getattr(rec, name), getattr(ref, name)
+            assert (a is None and b is None) or np.array_equal(a, b), name
+    assert len(got_params) == len(want_params)
+    assert all(np.array_equal(a, b) for a, b in zip(got_params, want_params))
+
+
+@pytest.mark.parametrize("mode,tc_kw", STEP_SCHEDULES)
+def test_step_encodes_once_per_generator_update(mode, tc_kw):
+    # the discriminator updates and the first generator update share one
+    # encoding; each later generator update encodes the moved generator
+    cfg = tiny_train_config(mode=mode, **tc_kw)
+    gen, disc = built_pair(seed=84)
+    disc = disc if mode == "gan" else None
+    calls, encode = [], gen.encoder.encode
+
+    def counted(*args):
+        calls.append(None)
+        return encode(*args)
+
+    gen.encoder.encode = counted
+    g_opt = Adam(gen.parameters(), lr=cfg.lr)
+    d_opt = None if disc is None else Adam(disc.parameters(), lr=cfg.lr)
+    TR.train_step_gan(mixed_batch(), gen, disc, g_opt, d_opt, cfg, np.random.default_rng(85))
+    assert len(calls) == cfg.g_steps
 
 
 def test_nogan_step_is_variety_only():
