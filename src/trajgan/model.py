@@ -20,7 +20,6 @@ from .data import N_CLASSES, SceneWindow, displacements, write_atomic
 from .tensor import ContractError, Tensor
 
 ENCODER_KINDS = ("lstm", "transformer")
-MLP_ACTIVATIONS = ("relu", "leaky_relu")
 TRANSFORMER_POOLS = ("last", "mean")
 
 
@@ -70,8 +69,8 @@ class ModelConfig:
     def validate(self):
         if self.encoder not in ENCODER_KINDS:
             raise ConfigError(f"encoder must be one of {ENCODER_KINDS}, got {self.encoder!r}")
-        if self.activation not in MLP_ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {MLP_ACTIVATIONS}, "
+        if self.activation not in T.ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {T.ACTIVATIONS}, "
                               f"got {self.activation!r}")
         if self.transformer_pool not in TRANSFORMER_POOLS:
             raise ConfigError(f"transformer_pool must be one of {TRANSFORMER_POOLS}")
@@ -86,6 +85,11 @@ class ModelConfig:
                 self.transformer_layers, self.transformer_ff_dim]
         if any(d < 1 for d in dims):
             raise ConfigError("all model dimensions must be positive")
+        for name in ("gamma_mlp_hidden", "pooling_mlp_hidden", "decoder_init_mlp_hidden",
+                     "classifier_mlp_hidden"):
+            if any(w < 1 for w in getattr(self, name)):
+                raise ConfigError(f"{name} widths must be positive, "
+                                  f"got {list(getattr(self, name))}")
         if self.encoder == "transformer" and self.hidden_dim % self.transformer_heads:
             raise ConfigError(f"hidden_dim {self.hidden_dim} not divisible by "
                               f"{self.transformer_heads} attention heads")
@@ -696,6 +700,11 @@ def load_checkpoint_payload(path):
             if isinstance(payload.get(key), dict):
                 payload[key] = {name: rec for name, rec in payload[key].items()
                                 if not name.endswith(".mha.k.b")}
+    # retired training keys, which neither eval nor analyze reads
+    config = payload.get("config")
+    if isinstance(config, dict) and isinstance(config.get("train"), dict):
+        for key in ("d_steps", "g_steps"):
+            config["train"].pop(key, None)
     return payload
 
 

@@ -421,16 +421,13 @@ def _sigmoid(x, out=None):
 
 
 def _activate(x, kind, slope, out=None):
-    """The nonlinearity ``kind`` of an array, into ``out`` where given."""
+    """The nonlinearity ``kind``, one of ACTIVATIONS, of an array, into
+    ``out`` where given."""
     if kind == "leaky_relu" and slope > 0.0:
         # x and slope*x share their sign, so the larger of the two (the
         # smaller for slope > 1) is the one x >= 0 selects: the np.where
         # below bit for bit, NaN and signed zeros included, at half the cost
         return (np.maximum if slope <= 1.0 else np.minimum)(x, slope * x, out=out)
-    if kind == "tanh":
-        return np.tanh(x, out=out)
-    if kind == "sigmoid":
-        return _sigmoid(x, out)
     # x < 0 selects, not x >= 0, so NaN passes through as x
     y = np.where(x < 0.0, slope * x if kind == "leaky_relu" else 0.0, x)
     if out is None:
@@ -439,37 +436,32 @@ def _activate(x, kind, slope, out=None):
     return out
 
 
-def _activate_grad(g, x, out, kind, slope):
-    """Backward of ``_activate`` given its input ``x`` and output ``out``."""
+def _activate_grad(g, x, kind, slope):
+    """Backward of ``_activate`` given its input ``x``."""
     if kind == "relu":
         return g * (x >= 0.0)
-    if kind == "leaky_relu":
-        return g * np.where(x >= 0.0, 1.0, slope)
-    if kind == "tanh":
-        return g * (1.0 - out * out)
-    return g * out * (1.0 - out)
+    return g * np.where(x >= 0.0, 1.0, slope)
 
 
 def relu(a):
     out = _activate(a.data, "relu", 0.0)
-    return _make(out, (a,), lambda g: (_activate_grad(g, a.data, out, "relu", 0.0),))
+    return _make(out, (a,), lambda g: (_activate_grad(g, a.data, "relu", 0.0),))
 
 
 def leaky_relu(a, slope=0.2):
     slope = float(slope)
     out = _activate(a.data, "leaky_relu", slope)
-    return _make(out, (a,),
-                 lambda g: (_activate_grad(g, a.data, out, "leaky_relu", slope),))
+    return _make(out, (a,), lambda g: (_activate_grad(g, a.data, "leaky_relu", slope),))
 
 
 def tanh(a):
-    out = _activate(a.data, "tanh", 0.0)
-    return _make(out, (a,), lambda g: (_activate_grad(g, a.data, out, "tanh", 0.0),))
+    out = np.tanh(a.data)
+    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(a):
-    out = _activate(a.data, "sigmoid", 0.0)
-    return _make(out, (a,), lambda g: (_activate_grad(g, a.data, out, "sigmoid", 0.0),))
+    out = _sigmoid(a.data)
+    return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def exp(a):
@@ -520,19 +512,15 @@ def bce_logits(s, target):
     return _make(loss.mean(), (s,), lambda g: ((_sigmoid(x) - target) * (g / x.size),))
 
 
-ACTIVATIONS = ("relu", "leaky_relu", "tanh", "sigmoid")
+ACTIVATIONS = ("relu", "leaky_relu")
 
 
 def activation(a, kind, slope=0.2):
-    """Apply one of the supported nonlinearities by name."""
+    """Apply one of the MLP nonlinearities, ACTIVATIONS, by name."""
     if kind == "relu":
         return relu(a)
     if kind == "leaky_relu":
         return leaky_relu(a, slope)
-    if kind == "tanh":
-        return tanh(a)
-    if kind == "sigmoid":
-        return sigmoid(a)
     raise ValueError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
 
 
@@ -883,7 +871,7 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
         # the hidden gamma layers' activation slopes, which the loop turns
         # into their pre-activation gradients in place; from the top layer
         # down, each with the weight to its output and a scratch block
-        Gs = [_activate_grad(1.0, z, y, activation, slope) for z, y in zip(pres, acts)]
+        Gs = [_activate_grad(1.0, z, activation, slope) for z in pres]
         hidden = [(layers[j + 1][0].data, Gs[j], np.empty(Gs[j].shape[1:]))
                   for j in reversed(range(len(pres)))]
         Gs.append(G_out)

@@ -1,9 +1,10 @@
 """Adversarial and variety-loss training loops.
 
-GAN mode alternates a discriminator update on real-vs-generated
-trajectories with a generator update on the adversarial score of one
-sample plus the variety loss over k samples.  nogan mode runs the same
-step without a discriminator: the generator and its variety loss only.
+GAN mode alternates one discriminator update on real-vs-generated
+trajectories with one generator update on the adversarial score of one
+sample plus the variety loss over k samples, both on one tape per batch.
+nogan mode runs the same step without a discriminator: the generator and
+its variety loss only.
 """
 
 from __future__ import annotations
@@ -42,16 +43,14 @@ class TrainConfig:
     epochs: int = 200
     k: int = 20
     mode: str = "gan"
-    d_steps: int = 1
-    g_steps: int = 1
     seed: int = 0
     clip_norm: float = None
 
     def validate(self):
         if self.mode not in TRAIN_MODES:
             raise ConfigError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
-        if self.batch_size < 1 or self.k < 1 or self.d_steps < 1 or self.g_steps < 1:
-            raise ConfigError("batch_size, k, d_steps and g_steps must be >= 1")
+        if self.batch_size < 1 or self.k < 1:
+            raise ConfigError("batch_size and k must be >= 1")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if not self.lr > 0.0:
@@ -184,24 +183,6 @@ def _discriminator_loss(batch, gen, disc, rng, encoded=None):
     return d_loss(logits, rows)
 
 
-def _generator_update(batch, gen, g_opt, config, rng, disc, encoded):
-    """One generator update on the mean variety loss over every agent of
-    the batch at k samples, plus the adversarial loss of sample 0 when there
-    is a discriminator, decoded from ``encoded``, the batch's
-    ``encode_windows`` on the generator's current parameters.  Runs inside
-    the caller's tape, with the discriminator frozen.  Returns the
-    adversarial loss (None without a discriminator), the variety loss and
-    the gradient norm."""
-    preds = generator_forward(gen, batch, k=config.k, rng=rng, encoded=encoded)
-    adv = None if disc is None else g_adv_loss(disc.score_steps(
-        fake_steps(preds), T.constant(stacked_onehots(batch))))
-    var = variety_loss(np.concatenate([w.future for w in batch]), preds)
-    loss_g = var if adv is None else T.add(adv, var)
-    T.backward(loss_g)
-    return (None if adv is None else float(adv.data), float(var.data),
-            _update("generator", g_opt, float(loss_g.data), config))
-
-
 @contextmanager
 def _frozen(params):
     """Stop ``params`` from requiring gradients inside the block, so a pass
@@ -216,18 +197,17 @@ def _frozen(params):
 
 
 def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0):
-    """One alternating GAN iteration over a batch of windows.
+    """One alternating GAN iteration over a batch of windows, on one tape.
 
-    The batch is encoded once per state of the generator's parameters.  One
-    tape records that encoding, then each discriminator update and the
-    first generator update, all reading it: the discriminator updates leave
-    the generator as it is.  The discriminator pass samples fakes without
-    gradient so nothing leaks into the generator; the generator pass
-    freezes discriminator parameters so their gradients stay exactly zero.
-    Each later generator update (``g_steps`` > 1) encodes the batch again
-    on a tape of its own, since the previous update moved the generator.
-    Tapes are never nested.  With ``disc=None`` and ``d_opt=None`` it is the
-    noGAN step, with None in every adversarial field.
+    The tape records the batch's encoding once; one discriminator update
+    and then one generator update both read it, since the discriminator
+    update leaves the generator as it is.  The discriminator pass samples
+    fakes without gradient so nothing leaks into the generator; the
+    generator pass freezes discriminator parameters so their gradients stay
+    exactly zero.  The generator loss is the mean variety loss over every
+    agent of the batch at k samples, plus the adversarial loss of sample 0.
+    With ``disc=None`` and ``d_opt=None`` it is the noGAN step, with None in
+    every adversarial field.
     """
     if not batch:
         raise ContractError("empty batch")
@@ -237,22 +217,22 @@ def train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng, step=0, epoch=0)
     d_val = d_norm = None
     with Tape():
         encoded = encode_windows(gen, batch)
-        for _ in range(0 if disc is None else config.d_steps):
+        if disc is not None:
             loss_d = _discriminator_loss(batch, gen, disc, rng, encoded)
             T.backward(loss_d)
             d_val = float(loss_d.data)
             d_norm = _update("discriminator", d_opt, d_val, config)
         with _frozen(frozen):
-            g_val, v_val, g_norm = _generator_update(batch, gen, g_opt, config, rng,
-                                                     disc, encoded)
-    with _frozen(frozen):
-        for _ in range(config.g_steps - 1):
-            with Tape():
-                g_val, v_val, g_norm = _generator_update(batch, gen, g_opt, config, rng,
-                                                         disc, encode_windows(gen, batch))
+            preds = generator_forward(gen, batch, k=config.k, rng=rng, encoded=encoded)
+            adv = None if disc is None else g_adv_loss(disc.score_steps(
+                fake_steps(preds), T.constant(stacked_onehots(batch))))
+            var = variety_loss(np.concatenate([w.future for w in batch]), preds)
+            loss_g = var if adv is None else T.add(adv, var)
+            T.backward(loss_g)
+            g_norm = _update("generator", g_opt, float(loss_g.data), config)
 
-    return StepRecord(step, epoch, d_val, g_val, v_val, g_norm, d_norm,
-                      time.perf_counter() - t0)
+    return StepRecord(step, epoch, d_val, None if adv is None else float(adv.data),
+                      float(var.data), g_norm, d_norm, time.perf_counter() - t0)
 
 
 def train_step_nogan(batch, gen, g_opt, config, rng, step=0, epoch=0):

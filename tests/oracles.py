@@ -441,45 +441,41 @@ def _looped_generator_losses(batch, gen, config, rng, disc=None):
 
 def looped_train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng):
     """Reference GAN step that gives every window its own encoder, pooling,
-    decoder and discriminator passes.  Returns the record's loss and norm
-    fields as a dict."""
-    rec = dict(d_loss=None, g_adv=None, variety=None, grad_norm_g=None,
-               grad_norm_d=None)
-    for _ in range(config.d_steps):
-        with Tape():
-            real, fake = [], []
-            for w in batch:
-                with no_grad():
-                    preds = generator_forward(gen, w, k=1, rng=rng)
-                real.append(score_real(disc, w))
-                fake.append(score_fake(disc, w, preds, sample=0))
-            loss_d = d_loss(T.concat(real + fake, axis=0), sum(w.n_agents for w in batch))
-            backward(loss_d)
-        rec["d_loss"] = float(loss_d.data)
-        rec["grad_norm_d"] = _norm_and_step(disc.parameters(), d_opt, config)
+    decoder and discriminator passes: one discriminator update, then one
+    generator update, each on a tape of its own.  Returns the record's loss
+    and norm fields as a dict."""
+    with Tape():
+        real, fake = [], []
+        for w in batch:
+            with no_grad():
+                preds = generator_forward(gen, w, k=1, rng=rng)
+            real.append(score_real(disc, w))
+            fake.append(score_fake(disc, w, preds, sample=0))
+        loss_d = d_loss(T.concat(real + fake, axis=0), sum(w.n_agents for w in batch))
+        backward(loss_d)
+    grad_norm_d = _norm_and_step(disc.parameters(), d_opt, config)
     for p in disc.parameters():
         p.requires_grad = False
-    for _ in range(config.g_steps):
-        with Tape():
-            var, scores = _looped_generator_losses(batch, gen, config, rng, disc)
-            adv = g_adv_loss(T.concat(scores, axis=0))
-            loss_g = T.add(adv, var)
-            backward(loss_g)
-        rec["g_adv"], rec["variety"] = float(adv.data), float(var.data)
-        rec["grad_norm_g"] = _norm_and_step(gen.parameters(), g_opt, config)
+    with Tape():
+        var, scores = _looped_generator_losses(batch, gen, config, rng, disc)
+        adv = g_adv_loss(T.concat(scores, axis=0))
+        loss_g = T.add(adv, var)
+        backward(loss_g)
+    grad_norm_g = _norm_and_step(gen.parameters(), g_opt, config)
     for p in disc.parameters():
         p.requires_grad = True
-    return rec
+    return dict(d_loss=float(loss_d.data), g_adv=float(adv.data), variety=float(var.data),
+                grad_norm_g=grad_norm_g, grad_norm_d=grad_norm_d)
 
 
 def two_encoding_train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng):
-    """Reference packed step that encodes the batch anew for every pass: the
-    discriminator step samples its fakes from an encoding made under
-    ``no_grad``, on a tape of its own, and every generator step encodes on
+    """Reference packed step that encodes the batch anew for each pass: the
+    discriminator update samples its fakes from an encoding made under
+    ``no_grad``, on a tape of its own, and the generator update encodes on
     its tape.  ``disc=None`` and ``d_opt=None`` give the noGAN step.
     Returns a StepRecord with ``seconds`` 0."""
     d_val = d_norm = None
-    for _ in range(0 if disc is None else config.d_steps):
+    if disc is not None:
         with Tape():
             with no_grad():
                 preds = generator_forward(gen, batch, k=1, rng=rng)
@@ -496,33 +492,27 @@ def two_encoding_train_step_gan(batch, gen, disc, g_opt, d_opt, config, rng):
     frozen = [] if disc is None else disc.parameters()
     for p in frozen:
         p.requires_grad = False
-    g_val = v_val = g_norm = None
-    for _ in range(config.g_steps):
-        with Tape():
-            preds = generator_forward(gen, batch, k=config.k, rng=rng)
-            var = variety_loss(np.concatenate([w.future for w in batch]), preds)
-            adv = None if disc is None else g_adv_loss(score_fake(disc, batch, preds))
-            loss_g = var if adv is None else T.add(adv, var)
-            backward(loss_g)
-        g_val = None if adv is None else float(adv.data)
-        v_val = float(var.data)
-        g_norm = _norm_and_step(gen.parameters(), g_opt, config)
+    with Tape():
+        preds = generator_forward(gen, batch, k=config.k, rng=rng)
+        var = variety_loss(np.concatenate([w.future for w in batch]), preds)
+        adv = None if disc is None else g_adv_loss(score_fake(disc, batch, preds))
+        loss_g = var if adv is None else T.add(adv, var)
+        backward(loss_g)
+    g_norm = _norm_and_step(gen.parameters(), g_opt, config)
     for p in frozen:
         p.requires_grad = True
-    return StepRecord(0, 0, d_val, g_val, v_val, g_norm, d_norm, 0.0)
+    return StepRecord(0, 0, d_val, None if adv is None else float(adv.data),
+                      float(var.data), g_norm, d_norm, 0.0)
 
 
 def looped_train_step_nogan(batch, gen, g_opt, config, rng):
     """Reference variety-only step, one generator pass per window."""
-    rec = dict(d_loss=None, g_adv=None, variety=None, grad_norm_g=None,
-               grad_norm_d=None)
-    for _ in range(config.g_steps):
-        with Tape():
-            loss, _ = _looped_generator_losses(batch, gen, config, rng)
-            backward(loss)
-        rec["variety"] = float(loss.data)
-        rec["grad_norm_g"] = _norm_and_step(gen.parameters(), g_opt, config)
-    return rec
+    with Tape():
+        loss, _ = _looped_generator_losses(batch, gen, config, rng)
+        backward(loss)
+    return dict(d_loss=None, g_adv=None, variety=float(loss.data),
+                grad_norm_g=_norm_and_step(gen.parameters(), g_opt, config),
+                grad_norm_d=None)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ def test_workload_entry_points_exist():
 @pytest.mark.parametrize("mode", ["gan", "nogan"])
 def test_train_step_never_nests_tapes(monkeypatch, mode):
     # the benchmark's counting tape tracks one open tape at a time, so a
-    # step that opened a tape inside another would misattribute its nodes
+    # step that opened a tape inside another would misattribute its nodes;
+    # a step records on exactly one tape
     entered, depth = [], [0]
 
     class WatchedTape(T.Tape):
@@ -105,9 +106,9 @@ def test_train_step_never_nests_tapes(monkeypatch, mode):
                             pool_dim=2, transformer_heads=2)
     gen = model.build_generator(cfg, seed=0)
     disc = model.build_discriminator(cfg, seed=1) if mode == "gan" else None
-    config = train.TrainConfig(batch_size=2, k=2, mode=mode, d_steps=2, g_steps=2)
+    config = train.TrainConfig(batch_size=2, k=2, mode=mode)
     windows = data.synth_scene("turn", 2, ["pedestrian", "car"], seed=3, n_windows=2)
     train.train_step_gan(windows, gen, disc, optim.Adam(gen.parameters()),
                          None if disc is None else optim.Adam(disc.parameters()),
                          config, np.random.default_rng(4))
-    assert depth[0] == 0 and len(entered) == config.g_steps
+    assert depth[0] == 0 and len(entered) == 1

@@ -118,12 +118,19 @@ def test_config_hash_stable_and_sensitive(tmp_path):
     assert C.config_hash(a) != C.config_hash(b)
 
 
+PRESET_DIR = pathlib.Path(__file__).resolve().parents[1] / "presets"
+
+
 def test_preset_config_json_and_hash_bytes():
-    preset = pathlib.Path(__file__).resolve().parents[1] / "presets" / "gan_lstm_label.json"
-    cfg = C.load_config(preset)
-    assert C.to_json(cfg) == preset.read_text()
+    # every preset is its own resolved config byte for byte, so a preset
+    # that keeps a retired key or misses a field fails here
+    presets = sorted(PRESET_DIR.glob("*.json"))
+    assert len(presets) == 8
+    for preset in presets:
+        assert C.to_json(C.load_config(preset)) == preset.read_text(), preset.name
+    cfg = C.load_config(PRESET_DIR / "gan_lstm_label.json")
     assert C.config_hash(cfg) == \
-        "b067da0a1f05e9716bb7b5e85393cdb8fd8426f8a2f36b471a84e0c6b7af8872"
+        "ffa619e84f3ebe04016ca7c1dc5e07f9d68ffcf68e47b221a74b2f53450aceda"
 
 
 def test_data_validation_errors(tmp_path):
@@ -396,6 +403,31 @@ def test_cmd_train_rejects_a_preset_seed_of_the_wrong_kind(tmp_path, capsys, see
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key", ["d_steps", "g_steps"])
+def test_cmd_train_rejects_a_retired_step_count_key(tmp_path, capsys, key):
+    doc = C.to_dict(small_experiment(tmp_path))
+    doc["train"][key] = 1
+    path = tmp_path / "retired.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"unknown config key 'train.{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field", ["gamma_mlp_hidden", "pooling_mlp_hidden",
+                                   "decoder_init_mlp_hidden", "classifier_mlp_hidden"])
+@pytest.mark.parametrize("width", [0, -3])
+def test_cmd_train_rejects_a_non_positive_mlp_width(tmp_path, capsys, field, width):
+    doc = json.loads((PRESET_DIR / "gan_lstm.json").read_text())
+    doc["out_dir"] = str(tmp_path / "run")
+    doc["model"][field] = [16, width]
+    path = tmp_path / "width.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"error: {field} widths must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cmd_train_rejects_a_negative_seed_flag(tmp_path, capsys):
     cfg_path = write_config(tmp_path, small_experiment(tmp_path))
     assert cli.main(["train", "--config", str(cfg_path), "--seed", "-1"]) == cli.EXIT_CONFIG
@@ -515,6 +547,30 @@ def test_cmd_eval_seed_reseeds_sampling_not_the_split(tmp_path):
                       if line.startswith("constant_velocity,")]
         assert json.loads((out / "manifest.json").read_text())["seed"] == (1 if flags else 0)
     assert len(rows["own"]) == 1 and rows["own"] == rows["reseeded"]
+
+
+def test_checkpoint_with_retired_step_counts_evaluates_to_the_same_bytes(tmp_path):
+    # checkpoints written while the config had d_steps and g_steps still
+    # load, whatever those keys held, and report exactly what they did
+    cfg = small_experiment(tmp_path)
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == cli.EXIT_OK
+    ckpt = tmp_path / "run" / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    reports = {}
+    for steps in (None, 1, 3):
+        if steps is not None:
+            payload["config"]["train"].update(d_steps=steps, g_steps=steps)
+        path = tmp_path / f"ckpt_{steps}.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / f"eval_{steps}"
+        assert cli.main(["eval", "--checkpoint", str(path), "--out", str(out)]) == cli.EXIT_OK
+        an = tmp_path / f"analysis_{steps}"
+        assert cli.main(["analyze", "--checkpoint", str(path), "--out", str(an)]) == cli.EXIT_OK
+        reports[steps] = {p.name: p.read_bytes() for d in (out, an) for p in sorted(d.iterdir())
+                          if p.name != "manifest.json"}
+    assert sorted(reports[None]) == ["distances.csv", "distances.svg", "pca.csv", "pca.svg",
+                                     "report.txt", "report_k1.csv", "report_k2.csv"]
+    assert reports[1] == reports[None] and reports[3] == reports[None]
 
 
 def _drop_values(payload):

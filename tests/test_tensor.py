@@ -154,8 +154,10 @@ def test_sigmoid_into_given_output_and_in_place():
 
 
 def test_activation_dispatcher_rejects_unknown():
-    with pytest.raises(ValueError):
-        T.activation(leaf([1.0]), "gelu")
+    # tanh and sigmoid are ops of their own, not kinds an MLP can select
+    for kind in ("gelu", "tanh", "sigmoid"):
+        with pytest.raises(ValueError, match="unknown activation kind"):
+            T.activation(leaf([1.0]), kind)
 
 
 def test_softmax_rows_sum_to_one():
@@ -653,8 +655,8 @@ def assert_rollout_matches_oracle(rng, leaves, t_pred, activation, scale=0.02):
 
 
 @pytest.mark.parametrize("rows,hidden,gamma_hidden,t_pred,activation", [
-    (3, 4, (5,), 6, "leaky_relu"), (1, 1, (), 1, "relu"), (4, 3, (2, 3), 4, "tanh"),
-    (2, 2, (1,), 12, "sigmoid")])
+    (3, 4, (5,), 6, "leaky_relu"), (1, 1, (), 1, "relu"), (4, 3, (2, 3), 4, "leaky_relu"),
+    (2, 2, (1,), 12, "relu")])
 def test_lstm_rollout_matches_looped_oracle(rows, hidden, gamma_hidden, t_pred, activation):
     rng = np.random.default_rng(18)
     leaves = rollout_leaves(rng, rows, 3, hidden, gamma_hidden)
@@ -686,7 +688,7 @@ def test_lstm_rollout_oracle_property(rows, hidden, gamma_hidden, activation, t_
 
 
 @pytest.mark.parametrize("gamma_hidden,activation", [
-    ((3,), "leaky_relu"), ((), "leaky_relu"), ((2, 3), "relu"), ((3,), "tanh")])
+    ((3,), "leaky_relu"), ((), "leaky_relu"), ((2, 3), "relu"), ((3,), "relu")])
 def test_lstm_rollout_grads(gamma_hidden, activation):
     rng = np.random.default_rng(19)
     leaves = rollout_leaves(rng, 2, 2, 3, gamma_hidden, scale=0.5)
@@ -721,6 +723,15 @@ def test_lstm_rollout_grads_at_the_kink(activation):
                                h=1e-4, coords=coords)
     assert worst < 1e-6
     assert_rollout_matches_oracle(rng, leaves, 4, activation, scale=0.3)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid", "gelu"])
+def test_lstm_rollout_rejects_a_kind_no_mlp_can_select(activation):
+    rng = np.random.default_rng(21)
+    leaves = rollout_leaves(rng, 2, 2, 3, (3,))
+    with pytest.raises(ValueError, match="unknown activation kind"):
+        rollout_call(T.lstm_rollout, leaves, rng.standard_normal((2, 2, 2)), 3, 0.3,
+                     activation)()
 
 
 @pytest.mark.parametrize("change", ["h0", "embed", "cell", "gamma_width", "gamma_out",

@@ -316,10 +316,10 @@ def mixed_batch():
 
 @pytest.mark.parametrize("mode,encoder,tc_kw", [
     ("gan", "lstm", {}),
-    ("gan", "transformer", dict(d_steps=2, clip_norm=0.05)),
-    ("nogan", "lstm", dict(g_steps=2)),
+    ("gan", "transformer", dict(clip_norm=0.05)),
+    ("nogan", "lstm", {}),
     ("nogan", "transformer", {}),
-    ("gan", "lstm", dict(d_steps=2, g_steps=2)),
+    ("gan", "lstm", dict(clip_norm=0.05)),
 ])
 def test_packed_step_matches_per_window_oracle(mode, encoder, tc_kw):
     batch = mixed_batch()
@@ -357,17 +357,17 @@ def test_packed_step_matches_per_window_oracle(mode, encoder, tc_kw):
         np.testing.assert_allclose(got_params[name], w, rtol=1e-12, atol=0, err_msg=name)
 
 
-STEP_SCHEDULES = [("gan", {}), ("gan", dict(d_steps=2, g_steps=2)),
-                  ("gan", dict(d_steps=3, clip_norm=0.05)), ("nogan", dict(g_steps=2))]
+STEP_SCHEDULES = [("gan", dict(k=3)), ("gan", dict(k=1)), ("gan", dict(k=3, clip_norm=0.05)),
+                  ("nogan", dict(k=3))]
 
 
 @pytest.mark.parametrize("encoder", ["lstm", "transformer"])
 @pytest.mark.parametrize("mode,tc_kw", STEP_SCHEDULES)
 def test_one_encoding_step_matches_the_two_encoding_step(encoder, mode, tc_kw):
-    # sharing one encoding between the discriminator's fakes and the first
+    # sharing one encoding between the discriminator's fakes and the
     # generator pass changes no bit of any record, parameter or stream
     batch = mixed_batch()
-    cfg = tiny_train_config(mode=mode, k=3, **tc_kw)
+    cfg = tiny_train_config(mode=mode, **tc_kw)
 
     def run(step_fn):
         gen, disc = built_pair(seed=82, encoder=encoder)
@@ -394,8 +394,7 @@ def test_one_encoding_step_matches_the_two_encoding_step(encoder, mode, tc_kw):
 
 @pytest.mark.parametrize("mode,tc_kw", STEP_SCHEDULES)
 def test_step_encodes_once_per_generator_update(mode, tc_kw):
-    # the discriminator updates and the first generator update share one
-    # encoding; each later generator update encodes the moved generator
+    # the discriminator update and the generator update share one encoding
     cfg = tiny_train_config(mode=mode, **tc_kw)
     gen, disc = built_pair(seed=84)
     disc = disc if mode == "gan" else None
@@ -409,7 +408,7 @@ def test_step_encodes_once_per_generator_update(mode, tc_kw):
     g_opt = Adam(gen.parameters(), lr=cfg.lr)
     d_opt = None if disc is None else Adam(disc.parameters(), lr=cfg.lr)
     TR.train_step_gan(mixed_batch(), gen, disc, g_opt, d_opt, cfg, np.random.default_rng(85))
-    assert len(calls) == cfg.g_steps
+    assert len(calls) == 1
 
 
 def test_nogan_step_is_variety_only():
@@ -436,7 +435,7 @@ def test_nogan_step_is_variety_only():
 def test_gan_step_without_discriminator_is_the_nogan_step(encoder):
     def run(step):
         gen, _ = built_pair(seed=18, encoder=encoder)
-        cfg = tiny_train_config(mode="nogan", g_steps=2)
+        cfg = tiny_train_config(mode="nogan")
         g_opt = Adam(gen.parameters(), lr=cfg.lr)
         rng = np.random.default_rng(20)
         rec = step(some_windows(seed=19), gen, g_opt, cfg, rng)
