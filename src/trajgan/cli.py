@@ -67,6 +67,16 @@ def _write_manifest(out_dir, cfg_hash, seed, input_paths, **extra):
     return path
 
 
+def _make_out_dir(path):
+    """Create the output directory ``path`` and its parents; a file in the
+    way, or any other reason it cannot be made, is a ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {path}: {err.strerror}") from err
+    return path
+
+
 def _acquire_lock(out_dir):
     path = os.path.join(out_dir, LOCK_NAME)
     try:
@@ -117,7 +127,7 @@ def cmd_parse(args):
         raise D.DataError(f"not a directory: {root}; {LAYOUT_HINT}")
     files = D.scan_annotation_dirs(root)
     windows, counts, lines = D.load_annotation_files(files, stride=args.stride)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     csv_path = os.path.join(args.out, "windows.csv")
     D.write_windows_csv(windows, csv_path)
 
@@ -139,7 +149,7 @@ def cmd_train(args):
     windows = C.load_windows(cfg.data)
     split = D.split_dataset(windows, seed=cfg.seed)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     lock = _acquire_lock(cfg.out_dir)
     try:
         gen = build_generator(cfg.model, seed=cfg.seed)
@@ -185,8 +195,8 @@ def cmd_eval(args):
     split = D.split_dataset(windows, seed=cfg.seed)  # no part is empty
     chosen = getattr(split, args.split)
 
-    out = args.out or os.path.join(os.path.dirname(args.checkpoint) or ".", "eval")
-    os.makedirs(out, exist_ok=True)
+    out = _make_out_dir(args.out or os.path.join(os.path.dirname(args.checkpoint) or ".",
+                                                 "eval"))
     report_k = E.eval_min_of_k(gen, chosen, k=k, seed=seed)
     report_1 = E.eval_min_of_k(gen, chosen, k=1, seed=seed)
     D.write_atomic(os.path.join(out, f"report_k{k}.csv"), report_k.to_csv())
@@ -204,9 +214,8 @@ def cmd_eval(args):
 def cmd_analyze(args):
     cfg, gen = _rebuild_from_checkpoint(args.checkpoint)
     analysis = E.analyze_embeddings(gen)  # main maps a label-free model to exit 2
-    out = args.out or os.path.join(os.path.dirname(args.checkpoint) or ".",
-                                   "analysis")
-    os.makedirs(out, exist_ok=True)
+    out = _make_out_dir(args.out or os.path.join(os.path.dirname(args.checkpoint) or ".",
+                                                 "analysis"))
     D.write_atomic(os.path.join(out, "pca.csv"), analysis.pca_csv())
     D.write_atomic(os.path.join(out, "distances.csv"), analysis.distances_csv())
     D.write_atomic(os.path.join(out, "pca.svg"),

@@ -34,21 +34,8 @@ REFERENCE_MARKER = "paper, not reproduced"
 # ---------------------------------------------------------------------------
 # metrics
 
-def _stack_pairs(pairs):
-    """A dataset of (pred, truth) pairs of (T, 2) trajectories as a list of
-    predictions and a list of truths; every trajectory must have the same
-    length."""
-    if not pairs:
-        raise ContractError("need at least one trajectory")
-    shapes = {np.shape(x) for pair in pairs for x in pair}
-    if len(shapes) > 1:
-        raise ContractError(f"trajectories differ in shape: {sorted(shapes)}")
-    return [p for p, _ in pairs], [t for _, t in pairs]
-
-
-def _trajectory_errors(pred, truth):
-    """Per-trajectory RMSE and squared final-point error of (n, T, 2)
-    predicted and true trajectories, each an (n,) array; n, T >= 1."""
+def ade_fde(pred, truth):
+    """(ADE, FDE) of (n, T, 2) predicted and true trajectories; n, T >= 1."""
     pred = np.asarray(pred, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if pred.shape != truth.shape:
@@ -56,22 +43,7 @@ def _trajectory_errors(pred, truth):
     if pred.ndim != 3 or pred.shape[2] != 2 or min(pred.shape) < 1:
         raise ContractError(f"expected (n, T, 2) trajectories, got {pred.shape}")
     sq = ((pred - truth) ** 2).sum(axis=2)
-    return np.sqrt(sq.mean(axis=1)), sq[:, -1]
-
-
-def _ade_fde(rmse, final_sq):
-    """ADE and FDE from ``_trajectory_errors`` output."""
-    return float(rmse.mean()), float(np.sqrt(final_sq.mean()))
-
-
-def ade(pairs):
-    """Mean per-trajectory RMSE over a dataset of (pred, truth) pairs."""
-    return float(_trajectory_errors(*_stack_pairs(pairs))[0].mean())
-
-
-def fde(pairs):
-    """Root mean square of the final-point distances over a dataset."""
-    return _ade_fde(*_trajectory_errors(*_stack_pairs(pairs)))[1]
+    return float(np.sqrt(sq.mean(axis=1)).mean()), float(np.sqrt(sq[:, -1].mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +64,7 @@ def baseline_metrics(windows):
         raise ContractError("need at least one window")
     pred = np.concatenate([constant_velocity_baseline(w) for w in windows])
     truth = np.concatenate([w.future for w in windows])
-    return _ade_fde(*_trajectory_errors(pred, truth))
+    return ade_fde(pred, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +132,14 @@ def eval_min_of_k(gen, windows, k, seed=0, include_baseline=True):
         truth.append(w.future)
         classes.append(w.class_indices)
 
-    rmse, final_sq = _trajectory_errors(np.concatenate(picked), np.concatenate(truth))
-    classes = np.concatenate(classes)
+    picked, truth, classes = (np.concatenate(a) for a in (picked, truth, classes))
     per_class = {}
     for ci in np.unique(classes):
         sub = classes == ci
-        per_class[CLASS_NAMES[ci]] = ClassMetrics(*_ade_fde(rmse[sub], final_sq[sub]),
+        per_class[CLASS_NAMES[ci]] = ClassMetrics(*ade_fde(picked[sub], truth[sub]),
                                                   int(sub.sum()))
 
-    report = EvalReport(*_ade_fde(rmse, final_sq), len(rmse), k, per_class)
+    report = EvalReport(*ade_fde(picked, truth), len(picked), k, per_class)
     if include_baseline:
         report.baseline_ade, report.baseline_fde = baseline_metrics(windows)
     return report

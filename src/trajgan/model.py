@@ -229,8 +229,8 @@ class MultiHeadAttention:
     def __call__(self, x, groups=1):
         """``x`` holds ``groups`` sequences in time-major rows (row
         t*groups + g)."""
-        out, _ = T.grouped_attention(self.Wq(x), T.matmul(x, self.Wk), self.Wv(x),
-                                     self.heads, groups)
+        out = T.grouped_attention(self.Wq(x), T.matmul(x, self.Wk), self.Wv(x),
+                                  self.heads, groups)
         return self.Wo(out)
 
     def named_parameters(self, prefix):
@@ -562,7 +562,7 @@ def encode_windows(gen, windows):
     return Encoding(observed, obs_steps, hidden, pooled)
 
 
-def generator_forward(gen, windows, k=None, rng=None, z=None, encoded=None):
+def generator_forward(gen, windows, k, rng=None, z=None, encoded=None):
     """Encode, pool and decode k noise samples per agent for a batch of
     windows in one pass over all their agents.
 
@@ -575,7 +575,6 @@ def generator_forward(gen, windows, k=None, rng=None, z=None, encoded=None):
     """
     cfg = gen.config
     batch = _as_batch(windows)
-    k = cfg.k_samples if k is None else k
     if k < 1:
         raise ContractError(f"need k >= 1 samples, got {k}")
     counts = [w.n_agents for w in batch]
@@ -610,14 +609,11 @@ def real_steps(windows):
     return _time_major_steps(np.concatenate([w.points() for w in _as_batch(windows)]))
 
 
-def fake_steps(preds, sample=0):
-    """Observed steps followed by the steps of one generated sample per
-    agent, as one time-major (T*n_agents, 2) tensor."""
-    if not 0 <= sample < preds.k:
-        raise ContractError(f"sample {sample} out of range for k={preds.k}")
-    width = preds.n_agents * preds.k
-    rows = np.arange(preds.t_pred)[:, None] * width \
-        + np.arange(preds.n_agents) * preds.k + sample
+def fake_steps(preds):
+    """Observed steps followed by the steps of each agent's first generated
+    sample, as one time-major (T*n_agents, 2) tensor."""
+    rows = np.arange(preds.t_pred)[:, None] * (preds.n_agents * preds.k) \
+        + np.arange(preds.n_agents) * preds.k
     return T.concat([preds.obs_steps, T.take_rows(preds.disp_steps, rows.reshape(-1))])
 
 
@@ -692,7 +688,7 @@ def load_checkpoint_payload(path):
     if not isinstance(payload, dict):
         raise CheckpointError(f"checkpoint {path} does not hold a JSON object")
     version = payload.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):  # not bool, not 1.0
         raise CheckpointError(f"unsupported checkpoint format_version {version!r}; "
                               f"this build reads versions 1 to {CHECKPOINT_VERSION}")
     if version == 1:

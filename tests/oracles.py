@@ -408,9 +408,13 @@ def score_real(disc, windows):
 
 def score_fake(disc, windows, preds, sample=0):
     """Discriminator logits for one generated sample per agent, gradients
-    flowing to the generator through the predicted displacements."""
-    return disc.score_steps(fake_steps(preds, sample),
-                            T.constant(stacked_onehots(_batch(windows))))
+    flowing to the generator through the predicted displacements.  Picks
+    the sample's rows of the time-major displacements itself, row by row."""
+    assert 0 <= sample < preds.k, sample
+    rows = [t * preds.n_agents * preds.k + i * preds.k + sample
+            for t in range(preds.t_pred) for i in range(preds.n_agents)]
+    steps = T.concat([preds.obs_steps, T.take_rows(preds.disp_steps, np.array(rows))])
+    return disc.score_steps(steps, T.constant(stacked_onehots(_batch(windows))))
 
 
 def grad_norm_ref(params):

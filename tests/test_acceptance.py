@@ -18,8 +18,8 @@ from trajgan import cli
 from trajgan import config as C
 from trajgan import tensor as T
 from trajgan.data import SceneWindow, split_dataset, synth_scene
-from trajgan.evaluate import (REFERENCE_MARKER, REFERENCE_RESULTS, EvalReport,
-                              ade, eval_min_of_k, fde)
+from trajgan.evaluate import (REFERENCE_MARKER, REFERENCE_RESULTS, EvalReport, ade_fde,
+                              eval_min_of_k)
 from trajgan.model import (Discriminator, Generator, ModelConfig,
                            PoolingModule, PredictionSet, build_generator,
                            class_embedding_matrix, draw_noise,
@@ -131,14 +131,13 @@ def test_04_metrics_match_independent_oracle():
         t = int(rng.integers(1, 16))
         preds = rng.normal(size=(n, t, 2)) * 30.0
         truths = rng.normal(size=(n, t, 2)) * 30.0
-        pairs = list(zip(preds, truths))
-        assert abs(ade(pairs) - ade_ref(preds, truths)) < 1e-12
-        assert abs(fde(pairs) - fde_ref(preds, truths)) < 1e-12
+        ade, fde = ade_fde(preds, truths)
+        assert abs(ade - ade_ref(preds, truths)) < 1e-12
+        assert abs(fde - fde_ref(preds, truths)) < 1e-12
     truth = rng.normal(size=(3, 12, 2))
-    pred = truth + np.array([3.0, 4.0])
-    pairs = list(zip(pred, truth))
-    assert abs(ade(pairs) - 5.0) < 1e-12
-    assert abs(fde(pairs) - 5.0) < 1e-12
+    ade, fde = ade_fde(truth + np.array([3.0, 4.0]), truth)
+    assert abs(ade - 5.0) < 1e-12
+    assert abs(fde - 5.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -639,6 +640,55 @@ def test_directory_name_that_is_not_utf8_exits_3_before_writing(tmp_path, capsys
     assert cli.main(argv) == cli.EXIT_DATA
     assert "pl\\xffza" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["parse", "train", "eval", "analyze"])
+def test_out_that_names_an_existing_file_exits_2_before_writing(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"keep me\n")
+    if command == "parse":
+        argv = ["parse", str(write_fixture_dataset(tmp_path / "ds"))]
+    elif command == "train":
+        argv = ["train", "--config", str(write_config(tmp_path, small_experiment(tmp_path)))]
+    else:
+        cfg = small_experiment(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, build_generator(cfg.model, seed=cfg.seed),
+                        config_dict=C.to_dict(cfg))
+        argv = [command, "--checkpoint", str(path)]
+    assert cli.main(argv + ["--out", str(afile)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"cannot create output directory {afile}" in err and "Traceback" not in err
+    assert afile.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") \
+        == ["afile"] + (["ds"] if command == "parse" else [])
+
+
+def test_cli_creates_directories_only_through_its_helper():
+    # every output directory goes through _make_out_dir, which maps an
+    # OSError to exit 2; a direct os.makedirs would end in a traceback
+    def is_makedirs(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "makedirs")
+
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    owners = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn) if is_makedirs(node)]
+    assert owners == ["_make_out_dir"] and sum(map(is_makedirs, ast.walk(tree))) == 1
+
+
+@pytest.mark.parametrize("version", [True, 1.0, 2.0, "2", None])
+def test_cmd_eval_rejects_a_format_version_that_is_not_an_integer(tmp_path, capsys, version):
+    # JSON true equals 1 and 2.0 equals 2 in Python; neither is a version
+    cfg = small_experiment(tmp_path)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, build_generator(cfg.model, seed=cfg.seed),
+                    config_dict=C.to_dict(cfg))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "format_version": version}))
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--checkpoint", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"unsupported checkpoint format_version {version!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_analyze_rejects_label_free_checkpoint(tmp_path, capsys):

