@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -97,9 +98,18 @@ def _fits(value, default):
     return isinstance(value, kinds) and isinstance(value, bool) == isinstance(default, bool)
 
 
+def _finite(value):
+    """Whether a JSON value holds no NaN or infinity, which ``json`` reads
+    from the bare words NaN, Infinity and -Infinity."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _build_section(cls, values, section):
-    """``cls(**values)`` once every key names a field and every value fits
-    its field's default; a field with a default factory is a section."""
+    """``cls(**values)`` once every key names a field and every value is
+    finite and fits its field's default; a field with a default factory is
+    a section."""
     if not isinstance(values, dict):
         raise ConfigError(f"{section or 'config'} must be a JSON object, "
                           f"got {type(values).__name__}")
@@ -111,6 +121,8 @@ def _build_section(cls, values, section):
             raise ConfigError(f"unknown config key {name!r}")
         if known[key].default_factory is not MISSING:
             kwargs[key] = _build_section(known[key].default_factory, value, name)
+        elif not _finite(value):
+            raise ConfigError(f"{name} is {json.dumps(value)}; config numbers must be finite")
         elif not _fits(value, known[key].default):
             raise ConfigError(f"{name} is {json.dumps(value)}, which does not fit "
                               f"its default {json.dumps(known[key].default)}")

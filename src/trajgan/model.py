@@ -110,14 +110,15 @@ class Linear:
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x):
-        return T.add(T.matmul(x, self.W), self.b)
+        return T.mlp(x, [(self.W, self.b)])
 
     def named_parameters(self, prefix):
         return {f"{prefix}.W": self.W, f"{prefix}.b": self.b}
 
 
 class MLP:
-    """Stack of Linears with the configured nonlinearity between them.
+    """Stack of Linears with the configured nonlinearity between them, run
+    as one ``T.mlp`` node.
 
     While ``collect_hidden`` is set, every call adds a zero-valued leaf to
     each pre-activation and appends those probe leaves to ``last_hidden``;
@@ -137,14 +138,13 @@ class MLP:
         self.last_hidden = []
 
     def __call__(self, x):
-        for layer in self.layers[:-1]:
-            pre = layer(x)
-            if self.collect_hidden:
-                probe = Tensor(np.zeros(pre.shape), requires_grad=True)
-                self.last_hidden.append(probe)
-                pre = T.add(pre, probe)
-            x = T.activation(pre, self.activation, self.slope)
-        return self.layers[-1](x)
+        probes = ()
+        if self.collect_hidden:
+            probes = [Tensor(np.zeros((x.shape[0], layer.b.shape[0])), requires_grad=True)
+                      for layer in self.layers[:-1]]
+            self.last_hidden.extend(probes)
+        return T.mlp(x, [(layer.W, layer.b) for layer in self.layers], self.activation,
+                     self.slope, probes)
 
     def named_parameters(self, prefix):
         out = {}
@@ -190,11 +190,7 @@ class LayerNorm:
         self.eps = eps
 
     def __call__(self, x):
-        mu = T.tmean(x, axis=1, keepdims=True)
-        centered = T.sub(x, mu)
-        var = T.tmean(T.mul(centered, centered), axis=1, keepdims=True)
-        normed = T.mul(centered, T.powf(T.add_scalar(var, self.eps), -0.5))
-        return T.add(T.mul(normed, self.gamma), self.beta)
+        return T.layer_norm(x, self.gamma, self.beta, self.eps)
 
     def named_parameters(self, prefix):
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
@@ -269,8 +265,8 @@ class TransformerEncoder:
         x = T.add(self.in_proj(seq), T.constant(pe))
         for layer in self.layers:
             x = layer["ln1"](T.add(x, layer["mha"](x, rows)))
-            ff = layer["ff2"](T.activation(layer["ff1"](x), self.config.activation,
-                                           self.config.leaky_slope))
+            ff = T.mlp(x, [(layer[k].W, layer[k].b) for k in ("ff1", "ff2")],
+                       self.config.activation, self.config.leaky_slope)
             x = layer["ln2"](T.add(x, ff))
         if self.config.transformer_pool == "mean":
             return T.matmul(T.constant(np.tile(np.eye(rows), length) / length), x)

@@ -6,7 +6,10 @@ deliberately small: 2-D matmul, elementwise arithmetic with row/column
 vector broadcasting, concat/slice/gather, row softmax, segment max,
 reductions, multi-head attention over grouped sequences, an LSTM run over
 whole sequences, the decoder's autoregressive LSTM rollout, and the handful
-of nonlinearities the models need.  There is no general
+of nonlinearities the models need.  Each remaining model part is one node
+too: an MLP or a single affine layer (``mlp``), a layer norm
+(``layer_norm``) and the min-of-k trajectory norms of the variety loss
+(``min_of_k_norms``).  There is no general
 broadcasting and no dtype other than float64.  Importing this module tells
 glibc to keep freed heap memory in the process (``_keep_freed_heap``).
 """
@@ -522,6 +525,129 @@ def activation(a, kind, slope=0.2):
     if kind == "leaky_relu":
         return leaky_relu(a, slope)
     raise ValueError(f"unknown activation kind {kind!r}; expected one of {ACTIVATIONS}")
+
+
+# ---------------------------------------------------------------------------
+# Model parts as one node each.  Every part makes the numpy calls of the ops
+# it replaces, in their order, so its values are theirs bit for bit.
+
+def mlp(x, layers, activation="leaky_relu", slope=0.2, probes=()):
+    """The (N, n) ``x`` through the affine ``layers`` = [(W, b), ...] with the
+    nonlinearity ``activation``, one of ACTIVATIONS, between them, as one
+    tape node.
+
+    ``probes`` is empty or holds one (N, width) tensor per hidden layer,
+    added to its pre-activation: a zero-valued leaf there leaves the values
+    as they are and receives the loss gradient at the pre-activation.  The
+    forward and backward make the numpy products and sums of the composed
+    matmul, add and activation ops, so values and gradients are theirs bit
+    for bit.  No dx is computed when ``x`` needs no gradient, and no weight
+    gradient for a parameter that needs none.
+    """
+    layers = [tuple(layer) for layer in layers]
+    probes = tuple(probes)
+    rows, n_in = x.shape if x.data.ndim == 2 else (-1, -1)
+    widths = [n_in] + [W.shape[-1] for W, _ in layers]
+    if (rows < 0 or not layers or len(probes) not in (0, len(layers) - 1)
+            or any(W.data.ndim != 2 or W.shape[0] != n or b.shape != (m,)
+                   for (W, b), n, m in zip(layers, widths, widths[1:]))
+            or any(p.shape != (rows, m) for p, m in zip(probes, widths[1:]))):
+        raise ShapeError(f"mlp shapes do not fit: x {x.shape}, layers "
+                         f"{[(W.shape, b.shape) for W, b in layers]}, probes "
+                         f"{[p.shape for p in probes]}")
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation kind {activation!r}; "
+                         f"expected one of {ACTIVATIONS}")
+    slope = float(slope)
+    ins, pres = [x.data], []
+    for j, (W, b) in enumerate(layers):
+        z = ins[-1] @ W.data
+        z += b.data
+        if j == len(layers) - 1:
+            break
+        if probes:
+            z += probes[j].data
+        pres.append(z)
+        ins.append(_activate(z, activation, slope))
+
+    def bwd(g):
+        grads, probe_grads = [], []
+        for j in reversed(range(len(layers))):
+            W, b = layers[j]
+            grads += [g.sum(axis=0) if b.requires_grad else None,
+                      ins[j].T @ g if W.requires_grad else None]
+            if j == 0:
+                grads.append(g @ W.data.T if x.requires_grad else None)
+            else:
+                g = _activate_grad(g @ W.data.T, pres[j - 1], activation, slope)
+                if probes:
+                    probe_grads.append(g)
+        return (*grads[::-1], *probe_grads[::-1])
+
+    inputs = (x,) + tuple(p for layer in layers for p in layer) + probes
+    return _make(z, inputs, bwd)
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """Each row of the (N, D) ``x`` shifted to mean 0 and scaled to variance
+    1, then times ``gamma`` plus ``beta``, both (D,), as one tape node.
+
+    The forward makes the numpy calls of the composed tmean, sub, mul,
+    add_scalar, powf and add ops in their order, so its values are theirs
+    bit for bit.  The backward is analytic (Ba et al. 2016): with x̂ the
+    normalized rows, σ⁻¹ = (var + eps)^-½ and gγ the output gradient times
+    gamma, dx = σ⁻¹·(gγ − mean(gγ) − x̂·mean(gγ·x̂)), each mean over a row.
+    """
+    if x.data.ndim != 2 or x.shape[1] == 0 or gamma.shape != x.shape[1:] \
+            or beta.shape != x.shape[1:]:
+        raise ShapeError(f"layer_norm shapes do not fit: x {x.shape}, gamma "
+                         f"{gamma.shape}, beta {beta.shape}")
+    inv_n = 1.0 / x.shape[1]
+    centered = x.data - x.data.sum(axis=1, keepdims=True) * inv_n
+    inv_std = ((centered * centered).sum(axis=1, keepdims=True) * inv_n + float(eps)) ** -0.5
+    normed = centered * inv_std
+
+    def bwd(g):
+        dx = None
+        if x.requires_grad:
+            gg = g * gamma.data
+            dx = gg - gg.mean(axis=1, keepdims=True)
+            dx -= normed * (gg * normed).mean(axis=1, keepdims=True)
+            dx *= inv_std
+        return dx, (g * normed).sum(axis=0), g.sum(axis=0)
+
+    return _make(normed * gamma.data + beta.data, (x, gamma, beta), bwd)
+
+
+def min_of_k_norms(a, target, k):
+    """The L2 distance from each row of the (N, n) constant ``target`` to
+    the nearest of its ``k`` rows in the (N*k, n) ``a``, rows k*i to
+    k*i + k - 1 for target row i, as an (N, 1) tensor and one tape node.
+
+    The nearest row is picked outside the graph, first of equals, so the
+    gradient reaches that row only and the others receive exactly zero;
+    a distance of 0 has zero subgradient.  The values and the gradient of
+    the picked rows are those of the composed sub, mul, tsum, take_rows
+    and sqrt ops bit for bit.
+    """
+    target = np.asarray(target, dtype=np.float64)
+    if (a.data.ndim != 2 or k < 1 or target.ndim != 2
+            or a.shape != (target.shape[0] * k, target.shape[1])):
+        raise ShapeError(f"min_of_k_norms shapes do not fit: a {a.shape}, "
+                         f"target {target.shape}, k {k}")
+    diff = a.data - np.repeat(target, k, axis=0)
+    sq = (diff * diff).sum(axis=1, keepdims=True)
+    rows = np.arange(target.shape[0]) * k + sq.reshape(-1, k).argmin(axis=1)
+    out = np.sqrt(sq[rows])
+
+    def bwd(g):
+        g_sq = np.divide(g * 0.5, out, out=np.zeros_like(out), where=out > 0)
+        picked = g_sq * diff[rows]
+        full = np.zeros_like(diff)
+        full[rows] = picked + picked
+        return (full,)
+
+    return _make(out, (a,), bwd)
 
 
 def softmax_rows(a):

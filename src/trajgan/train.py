@@ -79,7 +79,8 @@ def g_adv_loss(fake_logits):
 
 
 def variety_norms(truth, preds):
-    """Per-agent L2 error of the best of the k samples, as an (N, 1) tensor.
+    """Per-agent L2 error of the best of the k samples, as an (N, 1) tensor
+    and one ``T.min_of_k_norms`` node.
 
     The argmin is taken outside the graph, so gradient reaches only each
     agent's best sample; the other samples receive exactly zero.
@@ -88,11 +89,7 @@ def variety_norms(truth, preds):
     if want.shape[1] != 2 * preds.t_pred:
         raise ContractError(f"truth shape {want.shape} does not match "
                             f"t_pred={preds.t_pred}")
-    diff = T.sub(preds.traj, T.constant(np.repeat(want, preds.k, axis=0)))
-    sq = T.tsum(T.mul(diff, diff), axis=1, keepdims=True)
-    best = sq.data.reshape(preds.n_agents, preds.k).argmin(axis=1)
-    rows = np.arange(preds.n_agents) * preds.k + best
-    return T.sqrt(T.take_rows(sq, rows))
+    return T.min_of_k_norms(preds.traj, want, preds.k)
 
 
 def variety_loss(truth, preds):

@@ -101,6 +101,39 @@ def looped_attention(q, k, v, heads, groups):
                        (np.arange(n) % groups) * length + np.arange(n) // groups)
 
 
+def composed_mlp(x, layers, activation, slope, probes=()):
+    """Reference for ``T.mlp``: a matmul and an add node per layer, the
+    probe added to each hidden pre-activation, an activation node between
+    layers."""
+    probes = list(probes)
+    for j, (W, b) in enumerate(layers):
+        x = T.add(T.matmul(x, W), b)
+        if j < len(layers) - 1:
+            if probes:
+                x = T.add(x, probes[j])
+            x = T.activation(x, activation, slope)
+    return x
+
+
+def composed_layer_norm(x, gamma, beta, eps):
+    """Reference for ``T.layer_norm``: row mean and variance, normalization,
+    scale and shift as eleven nodes."""
+    mu = T.tmean(x, axis=1, keepdims=True)
+    centered = T.sub(x, mu)
+    var = T.tmean(T.mul(centered, centered), axis=1, keepdims=True)
+    normed = T.mul(centered, T.powf(T.add_scalar(var, eps), -0.5))
+    return T.add(T.mul(normed, gamma), beta)
+
+
+def composed_min_of_k_norms(a, target, k):
+    """Reference for ``T.min_of_k_norms``: squared row distances as sub, mul
+    and tsum nodes, the nearest of each k rows gathered and square-rooted."""
+    diff = T.sub(a, T.constant(np.repeat(target, k, axis=0)))
+    sq = T.tsum(T.mul(diff, diff), axis=1, keepdims=True)
+    rows = np.arange(len(target)) * k + sq.data.reshape(len(target), k).argmin(axis=1)
+    return T.sqrt(T.take_rows(sq, rows))
+
+
 def gate_order(hd):
     """Rows that take the stored gate blocks (input, forget, cell, output)
     to the compute order (input, forget, output, cell), and back."""

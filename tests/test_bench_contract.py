@@ -20,7 +20,7 @@ TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.p
 # tape-recording ops the benchmark's op pass does not wrap yet: their time
 # counts as the calling layer's self time and their nodes as tensor.nodes.other
 KNOWN_UNTRACED = {"segment_max", "grouped_attention", "lstm_sequence", "lstm_rollout",
-                  "bce_logits"}
+                  "bce_logits", "mlp", "layer_norm", "min_of_k_norms"}
 
 
 def load_tracing():

@@ -84,6 +84,21 @@ def test_config_rejects_values_of_the_wrong_type(doc, named):
         C.from_dict(doc)
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"data": {"jitter": NaN}}', "data.jitter"),
+    ('{"train": {"lr": Infinity}}', "train.lr"),
+    ('{"model": {"input_scale": Infinity}}', "model.input_scale"),
+    ('{"model": {"leaky_slope": -Infinity}}', "model.leaky_slope"),
+    ('{"train": {"clip_norm": NaN}}', "train.clip_norm"),
+    ('{"train": {"epochs": NaN}}', "train.epochs"),
+    ('{"model": {"gamma_mlp_hidden": [16, Infinity]}}', "model.gamma_mlp_hidden"),
+])
+def test_config_rejects_non_finite_numbers(text, named):
+    # json reads the bare words NaN and Infinity as floats
+    with pytest.raises(ConfigError, match=f"^{named} is "):
+        C.from_json(text)
+
+
 def test_config_accepts_an_int_for_a_float_and_null_for_clip_norm():
     cfg = C.from_dict({"train": {"lr": 1, "clip_norm": None},
                        "data": {"jitter": 0, "classes": ["car", "bus", "car"]}})
@@ -391,6 +406,20 @@ def test_cmd_train_exit_codes(tmp_path, capsys):
     cfg.data.root = str(tmp_path / "absent.csv")
     missing_data = write_config(tmp_path, cfg)
     assert cli.main(["train", "--config", str(missing_data)]) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("section, key, word", [("data", "jitter", "NaN"),
+                                               ("train", "lr", "Infinity"),
+                                               ("model", "input_scale", "Infinity")])
+def test_cmd_train_rejects_a_non_finite_number_before_writing(tmp_path, capsys, section,
+                                                              key, word):
+    doc = C.to_dict(small_experiment(tmp_path))
+    doc[section][key] = "@"
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(doc).replace('"@"', word))
+    assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert f"error: {section}.{key} is {word}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])

@@ -90,6 +90,33 @@ def test_mlp_probe_leaves_carry_the_pre_activation_gradient(activation, monkeypa
         assert not all(p.grad.all() for p in probes)  # relu gates some nodes off
 
 
+@pytest.mark.parametrize("collect_hidden", [False, True])
+def test_linear_mlp_and_layer_norm_record_one_node_each(collect_hidden):
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    mlp = M.MLP((3, 4, 5, 2), rng)
+    mlp.collect_hidden = collect_hidden
+    for part, kind in ((M.Linear(3, 2, rng), "mlp"), (mlp, "mlp"),
+                       (M.LayerNorm(3), "layer_norm")):
+        with Tape() as tape:
+            part(x)
+        assert node_kinds(tape) == [kind]
+    assert len(mlp.last_hidden) == (2 if collect_hidden else 0)
+
+
+def test_transformer_layer_records_one_node_per_part():
+    cfg = tiny_config(encoder="transformer")
+    enc = M.TransformerEncoder(3, cfg, np.random.default_rng(10))
+    seq = Tensor(np.random.default_rng(11).standard_normal((8 * 2, 3)), requires_grad=True)
+    with Tape() as tape:
+        enc.run(seq, rows=2)
+    # input projection, positions; q, k, v, attention, output projection,
+    # residual, norm; the feed-forward block, residual, norm; the last step
+    assert node_kinds(tape) == ["mlp", "add", "mlp", "matmul", "mlp", "grouped_attention",
+                                "mlp", "add", "layer_norm", "mlp", "add", "layer_norm",
+                                "narrow"]
+
+
 # ---------------------------------------------------------------------------
 # LSTM cell
 

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (assert_grads_match, finite_diff, looped_attention, looped_decode,
+from oracles import (assert_grads_match, composed_layer_norm, composed_min_of_k_norms,
+                     composed_mlp, finite_diff, looped_attention, looped_decode,
                      looped_lstm_sequence, looped_lstm_step, lstm_cell, segment_max_ref,
                      sigmoid_ref)
 from trajgan import tensor as T
@@ -1019,6 +1020,177 @@ def test_mlp_chain_grads():
         return T.tmean(out)
 
     assert_grads_match(loss, [w1, b1, w2, b2])
+
+
+# ---------------------------------------------------------------------------
+# model parts as one node: T.mlp, T.layer_norm and T.min_of_k_norms
+
+def mlp_leaves(rng, widths, rows=5, probes=True):
+    """x, the (W, b) layers of an MLP through ``widths``, and a zero probe
+    per hidden layer when ``probes``."""
+    x = rand_leaf(rng, (rows, widths[0]))
+    layers = [(rand_leaf(rng, (n, m)), rand_leaf(rng, (m,)))
+              for n, m in zip(widths, widths[1:])]
+    hidden = [leaf(np.zeros((rows, m))) for m in widths[1:-1]] if probes else []
+    return x, layers, hidden
+
+
+@pytest.mark.parametrize("widths", [(3, 2), (3, 4, 2), (2, 5, 4, 3)])
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_mlp_grads(widths, activation):
+    rng = np.random.default_rng(31)
+    x, layers, probes = mlp_leaves(rng, widths)
+    w = Tensor(rng.standard_normal((5, widths[-1])))
+    params = [p for layer in layers for p in layer]
+    worst = assert_grads_match(
+        lambda: T.tsum(T.mul(T.mlp(x, layers, activation, 0.3, probes), w)),
+        [x, *params, *probes], rtol=1e-6)
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("widths", [(3, 2), (3, 4, 1), (2, 5, 4, 3)])
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+@pytest.mark.parametrize("with_probes", [False, True])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_mlp_matches_composed_ops_bit_for_bit(widths, activation, with_probes, x_grad):
+    rng = np.random.default_rng(32)
+    x, layers, probes = mlp_leaves(rng, widths, rows=7, probes=with_probes)
+    x.requires_grad = x_grad
+    leaves = [x, *(p for layer in layers for p in layer), *probes]
+    w = [Tensor(rng.standard_normal((7, widths[-1])))]
+    got, got_grads = values_and_grads(lambda: T.mlp(x, layers, activation, 0.2, probes),
+                                      leaves, w)
+    want, want_grads = values_and_grads(
+        lambda: composed_mlp(x, layers, activation, 0.2, probes), leaves, w)
+    assert got[0].tobytes() == want[0].tobytes()
+    for g, v in zip(got_grads, want_grads):
+        assert (g is None and v is None) or g.tobytes() == v.tobytes()
+    assert (x.grad is None) == (not x_grad)
+
+
+def test_mlp_computes_no_gradient_nothing_needs():
+    rng = np.random.default_rng(33)
+    x, layers, _ = mlp_leaves(rng, (3, 4, 2))
+    x.requires_grad = False
+    layers[1][0].requires_grad = False
+    with Tape() as tape:
+        T.mlp(x, layers)
+    dx, dW1, db1, dW2, db2 = tape.nodes[0].bwd(np.ones((5, 2)))
+    assert dx is None and dW2 is None
+    assert all(d is not None for d in (dW1, db1, db2))
+
+
+@pytest.mark.parametrize("change", ["x_1d", "inner", "bias", "no_layers", "probes",
+                                    "probe_shape"])
+def test_mlp_rejects_bad_shapes(change):
+    x, layers, probes = mlp_leaves(np.random.default_rng(34), (3, 4, 2))
+    if change == "x_1d":
+        x = leaf(np.zeros(3))
+    elif change == "inner":
+        layers[1] = (leaf(np.zeros((3, 2))), layers[1][1])
+    elif change == "bias":
+        layers[0] = (layers[0][0], leaf(np.zeros((1, 4))))
+    elif change == "no_layers":
+        layers, probes = [], []
+    elif change == "probes":
+        probes = probes * 2
+    else:
+        probes = [leaf(np.zeros((5, 2)))]
+    with pytest.raises(ShapeError):
+        T.mlp(x, layers, "relu", 0.0, probes)
+
+
+def test_mlp_rejects_an_unknown_activation():
+    x, layers, _ = mlp_leaves(np.random.default_rng(35), (3, 4, 2))
+    with pytest.raises(ValueError, match="tanh"):
+        T.mlp(x, layers, "tanh")
+
+
+def layer_norm_leaves(rng, rows=4, dim=5):
+    """x with a constant last row (variance 0), gamma and beta."""
+    x = rand_leaf(rng, (rows, dim))
+    x.data[-1] = 0.75
+    return x, rand_leaf(rng, (dim,)), rand_leaf(rng, (dim,))
+
+
+def test_layer_norm_grads_with_a_constant_row():
+    rng = np.random.default_rng(36)
+    x, gamma, beta = layer_norm_leaves(rng)
+    w = Tensor(rng.standard_normal(x.shape))
+    worst = assert_grads_match(
+        lambda: T.tsum(T.mul(T.layer_norm(x, gamma, beta, 1e-5), w)), [x, gamma, beta],
+        rtol=1e-6)
+    assert worst < 1e-6
+
+
+@pytest.mark.parametrize("rows,dim,eps", [(4, 5, 1e-5), (1, 1, 1e-5), (9, 16, 1e-3)])
+def test_layer_norm_matches_composed_ops(rows, dim, eps):
+    """Values bit for bit; gamma and beta gradients too, since they take
+    the same sums; dx, analytic, to rtol 1e-10."""
+    rng = np.random.default_rng(37)
+    x, gamma, beta = layer_norm_leaves(rng, rows, dim)
+    w = [Tensor(rng.standard_normal((rows, dim)))]
+    got, got_grads = values_and_grads(lambda: T.layer_norm(x, gamma, beta, eps),
+                                      [x, gamma, beta], w)
+    want, want_grads = values_and_grads(lambda: composed_layer_norm(x, gamma, beta, eps),
+                                        [x, gamma, beta], w)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got_grads[1].tobytes() == want_grads[1].tobytes()
+    assert got_grads[2].tobytes() == want_grads[2].tobytes()
+    np.testing.assert_allclose(got_grads[0], want_grads[0], rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("shapes", [((5,), (5,), (5,)), ((4, 5), (4,), (5,)),
+                                    ((4, 5), (5,), (1, 5)), ((4, 0), (0,), (0,))])
+def test_layer_norm_rejects_bad_shapes(shapes):
+    x, gamma, beta = (leaf(np.zeros(s)) for s in shapes)
+    with pytest.raises(ShapeError):
+        T.layer_norm(x, gamma, beta)
+
+
+def min_of_k_inputs(rng, n, k, cols):
+    """k candidate rows for each of n target rows; target row 0 equals its
+    last candidate exactly (norm 0)."""
+    a = rand_leaf(rng, (n * k, cols))
+    target = rng.standard_normal((n, cols))
+    target[0] = a.data[k - 1]
+    return a, target
+
+
+def test_min_of_k_norms_grads_with_an_exact_match():
+    rng = np.random.default_rng(38)
+    a, target = min_of_k_inputs(rng, 3, 4, 6)
+    w = Tensor(rng.standard_normal((3, 1)))
+    assert T.min_of_k_norms(a, target, 4).data[0, 0] == 0.0
+    assert_grads_match(lambda: T.tsum(T.mul(T.min_of_k_norms(a, target, 4), w)), [a])
+    assert not a.grad[:4].any()  # the exact match has zero subgradient
+    assert np.count_nonzero(a.grad.any(axis=1)) == 2  # one row each of the others
+
+
+@pytest.mark.parametrize("n,k,cols", [(3, 4, 6), (2, 1, 2), (5, 2, 24)])
+def test_min_of_k_norms_matches_composed_ops(n, k, cols):
+    """Values and gradients equal, the picked rows' gradients bit for bit;
+    of two equally near rows the first is picked."""
+    rng = np.random.default_rng(39)
+    a, target = min_of_k_inputs(rng, n, k, cols)
+    a.data[2 * k - 1] = a.data[k]
+    target[1] = a.data[k] + 0.01 * rng.standard_normal(cols)
+    w = [Tensor(rng.standard_normal((n, 1)))]
+    got, (got_grad,) = values_and_grads(lambda: T.min_of_k_norms(a, target, k), [a], w)
+    want, (want_grad,) = values_and_grads(lambda: composed_min_of_k_norms(a, target, k),
+                                          [a], w)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got_grad, want_grad)
+    picked = want_grad.any(axis=1)
+    assert got_grad[picked].tobytes() == want_grad[picked].tobytes()
+    assert picked[k] and (k == 1 or not picked[2 * k - 1])
+
+
+@pytest.mark.parametrize("a_shape,target_shape,k", [
+    ((12, 6), (3, 6), 3), ((12, 6), (3, 5), 4), ((12,), (3,), 4), ((12, 6), (3, 6), 0)])
+def test_min_of_k_norms_rejects_bad_shapes(a_shape, target_shape, k):
+    with pytest.raises(ShapeError):
+        T.min_of_k_norms(leaf(np.zeros(a_shape)), np.zeros(target_shape), k)
 
 
 # ---------------------------------------------------------------------------

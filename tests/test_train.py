@@ -1,10 +1,12 @@
 import math
+import pathlib
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from trajgan import config as C
 from trajgan import data as D
 from trajgan import model as M
 from trajgan import tensor as T
@@ -409,6 +411,31 @@ def test_step_encodes_once_per_generator_update(mode, tc_kw):
     d_opt = None if disc is None else Adam(disc.parameters(), lr=cfg.lr)
     TR.train_step_gan(mixed_batch(), gen, disc, g_opt, d_opt, cfg, np.random.default_rng(85))
     assert len(calls) == 1
+
+
+PRESETS = pathlib.Path(__file__).resolve().parents[1] / "presets"
+
+
+@pytest.mark.parametrize("preset,most", [("gan_lstm", 28), ("nogan_transformer", 37)])
+def test_step_records_one_node_per_model_part(monkeypatch, preset, most):
+    # each Linear, MLP, LayerNorm, feed-forward block and the variety norms
+    # is one node; a part that went back to composed ops adds several
+    cfg = C.load_config(PRESETS / f"{preset}.json")
+    tapes = []
+
+    class CountingTape(Tape):
+        def __enter__(self):
+            tapes.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(TR, "Tape", CountingTape)
+    gen = M.build_generator(cfg.model, seed=0)
+    disc = M.build_discriminator(cfg.model, seed=1) if cfg.train.mode == "gan" else None
+    TR.train_step_gan(C.load_windows(cfg.data)[:cfg.train.batch_size], gen, disc,
+                      Adam(gen.parameters()), None if disc is None else Adam(disc.parameters()),
+                      cfg.train, np.random.default_rng(2))
+    (tape,) = tapes
+    assert len(tape.nodes) <= most
 
 
 def test_nogan_step_is_variety_only():
