@@ -57,8 +57,8 @@ class DataConfig:
                                   f"classes, got {len(self.classes)}")
             for c in self.classes:
                 D.class_index(c)
-            if self.jitter < 0:
-                raise ConfigError("jitter must be >= 0")
+            if not (math.isfinite(self.jitter) and self.jitter >= 0):
+                raise ConfigError(f"jitter must be finite and >= 0, got {self.jitter}")
         elif self.stride < 1:
             raise ConfigError(f"stride must be >= 1, got {self.stride}")
         if self.seed < 0:

@@ -10,6 +10,7 @@ through the embeddings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,8 +77,9 @@ class ModelConfig:
             raise ConfigError(f"transformer_pool must be one of {TRANSFORMER_POOLS}")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
-        if not self.input_scale > 0.0:
-            raise ConfigError(f"input_scale must be positive, got {self.input_scale}")
+        if not (math.isfinite(self.input_scale) and self.input_scale > 0.0):
+            raise ConfigError(f"input_scale must be positive and finite, "
+                              f"got {self.input_scale}")
         if self.k_samples < 1:
             raise ConfigError(f"k_samples must be >= 1, got {self.k_samples}")
         dims = [self.embed_dim, self.class_embed_dim, self.hidden_dim,

@@ -860,7 +860,7 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     per-step products.  The backward computes the gate gradients' factors
     for all steps at once (``_lstm_factors``), loops only over the dh/dc
     recurrence (``_bptt``), then takes dx and each weight gradient in one
-    product.
+    product, each only for an input that requires grad.
     """
     hd = W_h.shape[0]
     if (x.data.ndim != 2 or rows < 1 or x.shape[0] < rows or x.shape[0] % rows
@@ -886,8 +886,9 @@ def lstm_sequence(x, W_x, W_h, b, rows):
             pass
         dx = (np.matmul(D.transpose(0, 2, 1), W_x.data.T).reshape(x.shape)
               if x.requires_grad else None)
-        return (dx, _weight_grad(xs, D), _weight_grad(blocks[:-1, 5 * hd:6 * hd], D[1:]),
-                _bias_grad(D))
+        return (dx, _weight_grad(xs, D) if W_x.requires_grad else None,
+                _weight_grad(blocks[:-1, 5 * hd:6 * hd], D[1:]) if W_h.requires_grad else None,
+                _bias_grad(D) if b.requires_grad else None)
 
     return _make(h.T.copy(), (x, W_x, W_h, b), bwd)
 

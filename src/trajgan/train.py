@@ -9,6 +9,7 @@ its variety loss only.
 
 from __future__ import annotations
 
+import math
 import time
 
 from contextlib import contextmanager
@@ -53,10 +54,11 @@ class TrainConfig:
             raise ConfigError("batch_size and k must be >= 1")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.lr > 0.0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.clip_norm is not None and not self.clip_norm > 0.0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm)
+                                               and self.clip_norm > 0.0):
+            raise ConfigError(f"clip_norm must be positive and finite, got {self.clip_norm}")
         if self.seed < 0:
             raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
         return self

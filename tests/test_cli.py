@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import pathlib
 import platform
@@ -97,6 +98,18 @@ def test_config_rejects_non_finite_numbers(text, named):
     # json reads the bare words NaN and Infinity as floats
     with pytest.raises(ConfigError, match=f"^{named} is "):
         C.from_json(text)
+
+
+@pytest.mark.parametrize("section, named", [
+    (TrainConfig(lr=math.inf), "lr"),
+    (TrainConfig(clip_norm=math.inf), "clip_norm"),
+    (ModelConfig(input_scale=math.inf), "input_scale"),
+    (C.DataConfig(jitter=math.nan), "jitter"),
+])
+def test_validate_rejects_non_finite_values(section, named):
+    # a config built in code skips the JSON loader's finiteness check
+    with pytest.raises(ConfigError, match=f"^{named} must be "):
+        section.validate()
 
 
 def test_config_accepts_an_int_for_a_float_and_null_for_clip_norm():

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 import warnings
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from trajgan import data as D
 from trajgan import evaluate as E
 from trajgan import model as M
@@ -122,6 +125,21 @@ def tiny_gen(seed=5, **kw):
     return M.build_generator(cfg, seed=seed)
 
 
+def report_scopes(rep):
+    got = {"model": (rep.ade, rep.fde, rep.n_trajectories),
+           "constant_velocity": (rep.baseline_ade, rep.baseline_fde, rep.n_trajectories)}
+    got.update({f"class:{name}": (m.ade, m.fde, m.n) for name, m in rep.per_class.items()})
+    return got
+
+
+def assert_report_matches_oracle(rep, want):
+    got = report_scopes(rep)
+    assert list(got) == list(want)
+    for scope, (a, f, n) in want.items():
+        assert got[scope][2] == n
+        np.testing.assert_allclose(got[scope][:2], (a, f), rtol=1e-12, atol=0)
+
+
 def test_eval_report_shape_and_determinism():
     gen = tiny_gen()
     ws = D.synth_scene("linear", 3, ["pedestrian", "car", "bicyclist"],
@@ -149,15 +167,76 @@ def test_eval_report_matches_per_agent_loop_oracle():
     ws = [w for seed, kind in ((13, "turn"), (14, "linear"))
           for w in D.synth_scene(kind, 4, ["pedestrian", "car", "bus", "car"], seed=seed,
                                  n_windows=2, jitter=1.0)]
-    rep = E.eval_min_of_k(gen, ws, k=5, seed=15)
-    got = {"model": (rep.ade, rep.fde, rep.n_trajectories),
-           "constant_velocity": (rep.baseline_ade, rep.baseline_fde, rep.n_trajectories)}
-    got.update({f"class:{name}": (m.ade, m.fde, m.n) for name, m in rep.per_class.items()})
-    want = looped_eval_report(gen, ws, k=5, seed=15)
-    assert list(got) == list(want)
-    for scope, (a, f, n) in want.items():
-        assert got[scope][2] == n
-        np.testing.assert_allclose(got[scope][:2], (a, f), rtol=1e-12, atol=0)
+    assert_report_matches_oracle(E.eval_min_of_k(gen, ws, k=5, seed=15),
+                                 looped_eval_report(gen, ws, k=5, seed=15))
+
+
+def scene_windows(agent_counts, classes, seed):
+    """One synthetic window per entry of ``agent_counts``, classes drawn in turn."""
+    out, used = [], 0
+    for i, n in enumerate(agent_counts):
+        names = [classes[(used + a) % len(classes)] for a in range(n)]
+        out += D.synth_scene(("linear", "turn")[i % 2], n, names, seed=seed + i, jitter=0.5)
+        used += n
+    return out
+
+
+def over_budget_agents(k, t_obs=D.T_OBS):
+    """The fewest agents whose window alone exceeds one pass's rows."""
+    return E.EVAL_PASS_ROWS // (t_obs + k) + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       classes=st.lists(st.sampled_from(D.CLASS_NAMES), min_size=1, max_size=6),
+       k=st.sampled_from([1, 2, 5, 20]), big_at=st.none() | st.integers(0, 8),
+       seed=st.integers(0, 1000))
+def test_packed_eval_matches_per_window_oracle(counts, classes, k, big_at, seed):
+    if big_at is not None:
+        counts.insert(big_at, over_budget_agents(k))
+    gen = tiny_gen(use_labels=True)
+    ws = scene_windows(counts, classes, seed)
+    assert_report_matches_oracle(E.eval_min_of_k(gen, ws, k=k, seed=seed),
+                                 looped_eval_report(gen, ws, k=k, seed=seed))
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_eval_passes_fill_the_row_budget_and_keep_each_windows_noise(monkeypatch, k):
+    gen = tiny_gen()
+    # at k=1 the first seven windows fill one pass exactly: 100 agents * 9 rows
+    ws = scene_windows([16] * 6 + [4] + [5, 1, 3, over_budget_agents(k), 2, 6, 4, 1] * 2,
+                       ["car", "pedestrian", "bus"], seed=40)
+    passes = []
+
+    def spy(gen, block, k, z):
+        passes.append((block, z))
+        return M.generator_forward(gen, block, k=k, z=z)
+
+    monkeypatch.setattr(E, "generator_forward", spy)
+    E.eval_min_of_k(gen, ws, k=k, seed=41)
+    rows = [w.n_agents * (w.t_obs + k) for w in ws]
+    assert [w for block, _ in passes for w in block] == ws
+    start = 0
+    for block, z in passes:
+        stop = start + len(block)
+        assert len(block) == 1 or sum(rows[start:stop]) <= E.EVAL_PASS_ROWS
+        if stop < len(ws):  # the next window would not have fit
+            assert sum(rows[start:stop + 1]) > E.EVAL_PASS_ROWS
+        want = [M.draw_noise(np.random.default_rng([41, i]), ws[i].n_agents, k,
+                             gen.config.noise_dim) for i in range(start, stop)]
+        assert z.tobytes() == np.concatenate(want).tobytes()
+        start = stop
+    assert len(passes) < len(ws)
+
+
+def test_eval_rejects_mixed_window_lengths_before_any_forward(monkeypatch):
+    gen = tiny_gen()
+    (w,) = D.synth_scene("linear", 2, ["car", "bus"], seed=42)
+    short = D.SceneWindow(w.scene_id, w.start_frame, w.frame_step, w.agent_ids,
+                          w.class_indices, w.observed, w.future[:, :6])
+    monkeypatch.setattr(E, "generator_forward", lambda *a, **kw: pytest.fail("forward ran"))
+    with pytest.raises(ContractError, match=r"\(8, 6\), \(8, 12\)"):
+        E.eval_min_of_k(gen, [w, short], k=2)
 
 
 def test_eval_rejects_bad_inputs():

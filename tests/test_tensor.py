@@ -605,6 +605,21 @@ def test_lstm_sequence_grads():
     assert worst < 1e-6
 
 
+def test_lstm_sequence_computes_no_gradient_for_frozen_weights():
+    rng = np.random.default_rng(18)
+    leaves = sequence_leaves(rng, 3, 5, 2, 4)
+    w = Tensor(rng.standard_normal((3, 4)))
+    _, (want_dx, *_) = values_and_grads(lambda: T.lstm_sequence(*leaves, 3), leaves, [w])
+    for p in leaves[1:]:
+        p.requires_grad = False
+    _, (dx, *weight_grads) = values_and_grads(lambda: T.lstm_sequence(*leaves, 3), leaves, [w])
+    assert all(g is None for g in weight_grads)
+    assert dx.tobytes() == want_dx.tobytes()
+    with Tape() as tape:
+        T.lstm_sequence(*leaves, 3)
+    assert all(g is None for g in tape.nodes[0].bwd(w.data)[1:])
+
+
 @pytest.mark.parametrize("shapes,rows", [
     (((6, 2), (2, 12), (3, 12), (12,)), 4),  # rows do not divide x
     (((6, 2), (2, 12), (3, 12), (12,)), 0),
