@@ -15,8 +15,8 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from itertools import chain, count
-from operator import itemgetter
+from itertools import chain, count, repeat
+from operator import itemgetter, ne
 from typing import NamedTuple
 
 import numpy as np
@@ -153,6 +153,9 @@ class AgentTrack:
     xy: np.ndarray      # (T, 2) float64
 
     def __post_init__(self):
+        if self.class_name not in CLASS_NAMES:
+            raise DataError(f"track {self.track_id}: unknown class name {self.class_name!r}; "
+                            f"expected one of {CLASS_NAMES}")
         self.frames = np.asarray(self.frames, dtype=np.int64)
         self.xy = np.asarray(self.xy, dtype=np.float64)
         if self.xy.shape != (self.frames.size, 2):
@@ -284,12 +287,34 @@ class SceneWindow:
         return np.concatenate([self.observed, self.future], axis=1)
 
 
+def _checked_window(scene_id, start_frame, frame_step, agent_ids, class_indices,
+                    observed, future):
+    """A SceneWindow made without ``__post_init__``: only for the loaders,
+    which check the arrays of all their windows at once."""
+    win = object.__new__(SceneWindow)
+    win.scene_id, win.start_frame, win.frame_step = scene_id, start_frame, frame_step
+    win.agent_ids, win.class_indices = agent_ids, class_indices
+    win.observed, win.future = observed, future
+    return win
+
+
+def _split(a, bounds):
+    """The slices of ``a`` between consecutive ``bounds``."""
+    return [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def build_windows(tracks_by_scene, t_obs=T_OBS, t_pred=T_PRED):
     """Slide a (t_obs + t_pred)-frame window over each scene, stride one frame.
 
     ``tracks_by_scene`` maps scene id to subsampled tracks.  A window is
     emitted for every start frame at which at least one agent covers the full
     span; all covering agents are included, ordered by track id.
+
+    Each scene is cut in bulk: every track's valid starts become (start,
+    track) pairs sorted by start, then by track order, so each window is a
+    run of pairs.  One gather from the scene's stacked points gives every
+    pair's observed and future steps, checked finite once, and each window's
+    arrays are its own slices of these blocks.
     """
     span = t_obs + t_pred
     windows = []
@@ -300,23 +325,33 @@ def build_windows(tracks_by_scene, t_obs=T_OBS, t_pred=T_PRED):
         if len(steps) > 1:
             raise DataError(f"scene {scene_id}: inconsistent frame steps {steps}")
         step = steps[0] if steps else 1
+        # CLASS_NAMES.index gives each class index, so all are in range
+        classes = np.array([t.class_idx for t in tracks], dtype=np.int64)
         # Every track is gap-free at ``step``, so it covers the span that
-        # begins at ``start`` exactly when ``start`` is one of its frames and
-        # no later than its last frame less the span.
-        firsts = [int(t.frames[0]) for t in tracks]
-        last_starts = [int(t.frames[-1]) - (span - 1) * step for t in tracks]
-        classes = [t.class_idx for t in tracks]
-        starts = sorted({start for first, last in zip(firsts, last_starts)
-                         for start in range(first, last + 1, step)})
-        for start in starts:
-            members = [j for j, (first, last) in enumerate(zip(firsts, last_starts))
-                       if first <= start <= last and (start - first) % step == 0]
-            rows = [(start - firsts[j]) // step for j in members]
-            pts = np.array([tracks[j].xy[row:row + span] for j, row in zip(members, rows)])
-            windows.append(SceneWindow(scene_id, start, step,
-                                       tuple(tracks[j].track_id for j in members),
-                                       np.array([classes[j] for j in members]),
-                                       pts[:, :t_obs].copy(), pts[:, t_obs:].copy()))
+        # begins at its row k for k = 0 .. len - span, and at no other frame.
+        firsts = np.array([t.frames[0] for t in tracks], dtype=np.int64)
+        lengths = np.array([len(t) for t in tracks], dtype=np.int64)
+        n_starts = np.maximum(lengths - span + 1, 0)
+        if not n_starts.any():
+            continue
+        track = np.repeat(np.arange(len(tracks)), n_starts)
+        row = np.arange(track.size) - np.repeat(np.cumsum(n_starts) - n_starts, n_starts)
+        start = firsts[track] + row * step
+        order = np.argsort(start, kind="stable")  # pairs of one start stay in track order
+        track, start = track[order], start[order]
+        first_row = (np.cumsum(lengths) - lengths)[track] + row[order]
+        xy = np.concatenate([t.xy for t in tracks])
+        observed = xy[first_row[:, None] + np.arange(t_obs)]
+        future = xy[first_row[:, None] + np.arange(t_obs, span)]
+        if not (np.isfinite(observed).all() and np.isfinite(future).all()):
+            raise DataError("non-finite coordinates in window")
+        track_ids = [t.track_id for t in tracks]
+        ids = list(map(track_ids.__getitem__, track.tolist()))
+        bounds = np.flatnonzero(np.r_[True, start[1:] != start[:-1], True]).tolist()
+        windows += map(_checked_window, repeat(scene_id), start[bounds[:-1]].tolist(),
+                       repeat(step), map(tuple, _split(ids, bounds)),
+                       _split(classes[track], bounds), _split(observed, bounds),
+                       _split(future, bounds))
     return windows
 
 
@@ -490,6 +525,12 @@ def _window_csv_error(path, row, message):
         return DataError(f"line {reader.line_num}: {message}")
 
 
+def _changes(cells):
+    """Whether each cell differs from the one before it (the first does);
+    comparing neighbours is cheaper than hashing every cell."""
+    return np.r_[True, np.fromiter(map(ne, cells[1:], cells[:-1]), bool, len(cells) - 1)]
+
+
 def _int_column(cells):
     """int64 array of integer cells, converting each distinct cell once (ids,
     steps and flags take few values)."""
@@ -523,9 +564,15 @@ def read_windows_csv(path):
     is rejected), the same ``class_index`` on all of them, and ``is_future``
     0 on its first steps and 1 on the rest.  All agents of a window have the
     same ``T`` and the same number of observed steps, at least one.  A row
-    that breaks this, or that has other than nine cells or a numeric cell
-    that does not parse, raises DataError naming its 1-based line; a window
-    id other than ``<scene_id>:<start frame>``, the window's first line.
+    that breaks this, or that has other than nine cells, a numeric cell that
+    does not parse, a non-finite ``x`` or ``y`` or a ``class_index`` outside
+    0..5, raises DataError naming its 1-based line; a window id other than
+    ``<scene_id>:<start frame>``, the window's first line.  The last three
+    faults are looked for window by window: a window's id first, then its
+    first bad row in file order.
+
+    Coordinates and classes are checked as stacked columns, once per file,
+    so the windows are made without checking each one again.
     """
     width = len(WINDOW_CSV_HEADER)
     with open(path, encoding="utf-8", newline="") as fh:
@@ -563,12 +610,18 @@ def read_windows_csv(path):
     except (ValueError, OverflowError):
         raise _window_csv_error(path, *_first_bad_cell(cells)) from None
     del cells
-    # (scene_id, window_id, frame_step) -> window number, in order of first row
-    keys = dict.fromkeys(zip(scene_ids, window_ids, steps.tolist()))
+    # (scene_id, window_id, frame_step) -> window number, in order of first
+    # row, looked up for the first row of each run of rows with one key
+    runs = np.flatnonzero(_changes(scene_ids) | _changes(window_ids)
+                          | np.r_[True, steps[1:] != steps[:-1]])
+    heads = runs.tolist()
+    run_keys = list(zip(map(scene_ids.__getitem__, heads), map(window_ids.__getitem__, heads),
+                        steps[runs].tolist()))
+    keys = dict.fromkeys(run_keys)
     for number, key in enumerate(keys):
         keys[key] = number
-    window = np.fromiter(map(keys.__getitem__, zip(scene_ids, window_ids, steps.tolist())),
-                         np.int64, n)
+    window = np.repeat(np.fromiter(map(keys.__getitem__, run_keys), np.int64, runs.size),
+                       np.diff(np.append(runs, n)))
 
     order = np.lexsort((t, agent, window))  # stable: duplicates keep file order
     window, agent, t, is_future, cls = (a[order] for a in (window, agent, t, is_future, cls))
@@ -615,7 +668,10 @@ def read_windows_csv(path):
                 L=lengths[k], L0=longest[k], obs=observed[k], obs0=observed0[k]))
 
     xy = xy[order]
-    ids, cls = agent[starts].tolist(), cls[starts]
+    bad_xy = ~np.isfinite(xy).all(axis=1)
+    bad_row = bad_xy | (cls < 0) | (cls >= N_CLASSES)
+    first_bad = int(window[bad_row].min()) if bad_row.any() else -1
+    ids, agent_cls = agent[starts].tolist(), cls[starts]
     starts, lengths, observed = starts.tolist(), lengths.tolist(), observed.tolist()
     windows = []
     for number, ((scene_id, window_id, frame_step), a0, count) in enumerate(
@@ -630,8 +686,14 @@ def read_windows_csv(path):
         if window_id != f"{scene_id}:{start}":
             raise _window_csv_error(path, int(order[window == number].min()), f"window "
                                     f"id {window_id!r} is not <scene_id>:<start frame>")
-        windows.append(SceneWindow(scene_id, start, frame_step, tuple(ids[a0:a1]),
-                                   cls[a0:a1], pts[:, :n_obs].copy(), pts[:, n_obs:].copy()))
+        if number == first_bad:  # checked after the window's id
+            j = np.flatnonzero(bad_row & (window == number))
+            j = j[np.argmin(order[j])]
+            raise error(j, f"non-finite coordinates ({xy[j, 0]}, {xy[j, 1]})" if bad_xy[j]
+                        else f"class index {cls[j]} out of range 0..{N_CLASSES - 1}")
+        windows.append(_checked_window(scene_id, start, frame_step, tuple(ids[a0:a1]),
+                                       agent_cls[a0:a1], pts[:, :n_obs].copy(),
+                                       pts[:, n_obs:].copy()))
     return windows
 
 

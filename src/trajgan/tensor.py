@@ -345,7 +345,7 @@ def take_rows(a, indices):
         np.add.at(full, idx, g)
         return (full,)
 
-    return _make(a.data[idx].copy(), (a,), bwd)
+    return _make(a.data[idx], (a,), bwd)  # fancy indexing returns a copy
 
 
 def segment_max(a, lengths):

@@ -258,14 +258,20 @@ def test_string_source_splits_lines_as_a_text_mode_file(tmp_path):
     assert "line 3: unknown class label 'Unicycle'" in parse_outcome(D.parse_annotations, mixed)
 
 
-def test_parser_matches_reference_on_benchmark_traffic(tmp_path, monkeypatch):
+@pytest.fixture
+def bench_inputs(monkeypatch):
+    """perfbench's input generator, loaded from its file."""
     path = ROOT / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_parser_matches_reference_on_benchmark_traffic(tmp_path, bench_inputs):
     for seed in (1, 2):
-        root = inputs.write_annotation_root(str(tmp_path / f"seed{seed}"), seed, 0)
+        root = bench_inputs.write_annotation_root(str(tmp_path / f"seed{seed}"), seed, 0)
         with open(tmp_path / f"seed{seed}" / "scene0" / "video0" / "annotations.txt") as fh:
             lines = fh.readlines()
         assert len(lines) == root.n_lines == 22_798
@@ -382,6 +388,13 @@ def test_track_requires_increasing_frames():
         D.AgentTrack(1, "car", np.array([3, 2, 1]), np.zeros((3, 2)))
 
 
+@pytest.mark.parametrize("name", ["unicycle", "Car", "biker"])
+def test_track_rejects_a_class_name_outside_the_vocabulary(name):
+    # aliases and other spellings are normalized by the parser, not by tracks
+    with pytest.raises(D.DataError, match=rf"^track 7: unknown class name {name!r}"):
+        D.AgentTrack(7, name, [0, 1], np.zeros((2, 2)))
+
+
 # ---------------------------------------------------------------------------
 # windows
 
@@ -468,6 +481,57 @@ def test_build_windows_matches_looped_reference(tracks_by_scene, t_obs, t_pred):
             D.build_windows(tracks_by_scene, t_obs, t_pred)
         return
     assert_same_windows(D.build_windows(tracks_by_scene, t_obs, t_pred), want)
+
+
+def test_build_windows_checks_the_points_of_its_windows():
+    # a track's points are checked when it is made; ones changed later are
+    # checked when they fall in a window
+    track = make_track(1, range(25))
+    track.xy[22, 1] = np.inf
+    with pytest.raises(D.DataError, match="^non-finite coordinates in window$"):
+        D.build_windows({"s": [track]})
+    short = make_track(2, range(19))
+    short.xy[3, 0] = np.nan
+    assert D.build_windows({"s": [short]}) == []
+
+
+def assert_windows_own_their_arrays(windows):
+    arrays = [a for w in windows for a in (w.class_indices, w.observed, w.future)]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    for w in windows:
+        for a in (w.observed, w.future):
+            assert a.flags.c_contiguous and a.flags.writeable
+
+
+def test_loaded_windows_own_their_arrays(tmp_path):
+    tracks = [make_track(1, range(0, 26)), make_track(2, range(3, 30), "car"),
+              make_track(3, range(5, 27), "bus")]
+    windows = D.build_windows({"s": tracks, "t": [make_track(4, range(21))]})
+    assert len(windows) == 11 + 2 and {w.n_agents for w in windows} == {1, 2, 3}
+    assert_windows_own_their_arrays(windows)
+    path = tmp_path / "windows.csv"
+    D.write_windows_csv(windows, path)
+    assert_windows_own_their_arrays(D.read_windows_csv(path))
+
+
+def test_benchmark_roots_window_and_round_trip_exactly(tmp_path, bench_inputs):
+    for seed in (1, 2):
+        root = bench_inputs.write_annotation_root(str(tmp_path / f"seed{seed}"), seed, 0)
+        tracks_by_scene = {}
+        for scene_id, path in D.scan_annotation_dirs(root.path).items():
+            with open(path, encoding="utf-8") as fh:
+                tracks = D.build_tracks(D.parse_annotations(fh.readlines()))
+            tracks_by_scene[scene_id] = [t for t in (D.subsample(t, D.SUBSAMPLE_STRIDE)
+                                                     for t in tracks) if len(t) > 0]
+        windows = D.build_windows(tracks_by_scene)
+        assert len(windows) == root.n_windows
+        assert_same_windows(windows, looped_build_windows(tracks_by_scene, D.T_OBS, D.T_PRED))
+        path = tmp_path / f"windows{seed}.csv"
+        D.write_windows_csv(windows, path)
+        with open(path, newline="") as fh:
+            assert fh.read() == csv_writer_windows_text(windows)
+        assert_same_windows(D.read_windows_csv(path), windows)
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +766,20 @@ MALFORMED_WINDOW_CSV = {
         lambda r: [replaced(r, i, window_id="t:7")[i] for i in range(6)], 2, "'t:7'"),
     "window id with a padded frame": (
         lambda r: [replaced(r, i, window_id="s:07")[i] for i in range(6)], 2, "'s:07'"),
+    "nan x": (lambda r: replaced(r, 1, x="nan"), 3,
+              "window 's:0' agent 1: non-finite coordinates (nan, 1.0)"),
+    "-inf y": (lambda r: replaced(r, 4, y="-inf"), 6,
+               "window 's:0' agent 2: non-finite coordinates (1.5, -inf)"),
+    "class 6": (lambda r: r[:3] + [replaced(r, i, class_index="6")[i] for i in (3, 4, 5)],
+                5, "window 's:0' agent 2: class index 6 out of range 0..5"),
+    "class -1": (lambda r: [replaced(r, i, class_index="-1")[i] for i in range(3)] + r[3:],
+                 2, "window 's:0' agent 1: class index -1 out of range"),
+    "the first bad row in file order": (
+        lambda r: replaced(replaced(r, 1, x="nan"), 4, y="inf")[::-1], 3,
+        "agent 2: non-finite coordinates (1.5, inf)"),
+    "the window id before its bad rows": (
+        lambda r: replaced([replaced(r, i, window_id="s:07")[i] for i in range(6)], 3,
+                           x="nan"), 2, "'s:07'"),
 }
 
 
