@@ -308,7 +308,8 @@ def build_windows(tracks_by_scene, t_obs=T_OBS, t_pred=T_PRED):
 
     ``tracks_by_scene`` maps scene id to subsampled tracks.  A window is
     emitted for every start frame at which at least one agent covers the full
-    span; all covering agents are included, ordered by track id.
+    span; all covering agents are included, ordered by track id.  A track
+    with no frames covers no span and is skipped.
 
     Each scene is cut in bulk: every track's valid starts become (start,
     track) pairs sorted by start, then by track order, so each window is a
@@ -319,7 +320,8 @@ def build_windows(tracks_by_scene, t_obs=T_OBS, t_pred=T_PRED):
     span = t_obs + t_pred
     windows = []
     for scene_id in sorted(tracks_by_scene):
-        tracks = sorted(tracks_by_scene[scene_id], key=lambda t: t.track_id)  # stable
+        tracks = sorted((t for t in tracks_by_scene[scene_id] if len(t)),
+                        key=lambda t: t.track_id)  # stable
         diffs = [np.diff(t.frames) for t in tracks]
         steps = np.unique(np.concatenate(diffs)).tolist() if diffs else []
         if len(steps) > 1:

@@ -9,6 +9,7 @@ through the embeddings.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -198,12 +199,15 @@ class LayerNorm:
         return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
 
 
+@functools.lru_cache(maxsize=None)
 def sinusoidal_positions(length, dim):
-    """Fixed sin/cos positional code, shape (length, dim)."""
+    """Fixed sin/cos positional code, shape (length, dim).  Cached per
+    (length, dim); read-only."""
     pos = np.arange(length)[:, None]
     idx = np.arange(dim)[None, :]
     angles = pos / np.power(10000.0, 2.0 * (idx // 2) / dim)
     pe = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
+    pe.flags.writeable = False
     return pe
 
 

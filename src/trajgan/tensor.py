@@ -46,8 +46,8 @@ def _keep_freed_heap():
     call frees its step blocks.  glibc hands the top of its heap back to the
     kernel whenever more than M_TRIM_THRESHOLD (128 KiB at start) is free
     there, and the next step or call faults those pages in again: about 500
-    minor faults per transformer train step, and over 100 per no-grad
-    ``lstm_sequence`` plus ``lstm_rollout`` at eval's 320 rows.  So this
+    minor faults per transformer train step, and 18 per no-grad
+    ``lstm_sequence`` plus ``lstm_rollout`` at eval's 640 rows.  So this
     sets the mmap and trim thresholds to the most glibc's dynamic adjustment
     would raise them to.  Called once, when this module is imported;
     process-wide; a no-op off Linux or where the C library has no mallopt.
@@ -722,47 +722,40 @@ def _gate_order(hd):
     return order
 
 
-def _compute_order(W_x, W_h, b, rows):
-    """An LSTM cell's (I, 4H) W_x, (H, 4H) W_h and (4H,) b as the fresh
-    (4H, I) and (4H, H) transposed weights and the (4H, rows) bias
-    ``_block`` that the feature-major steps over ``rows`` rows use, gate
-    rows in the compute order.
+def _compute_order(W):
+    """An LSTM's stored (n, 4H) gate weights, or its (4H,) bias, as the
+    fresh (4H, n) transposed array, or (4H,) vector, that the feature-major
+    steps use, gate rows in the compute order.
 
     The rows of the three sigmoid gates are stored negated, so a step's
-    products and bias sum give -z for those gates and its sigmoid needs no
+    gate product gives -z for those gates and its sigmoid needs no
     negation pass.  The values are those of negating the sum, bit for bit:
     IEEE negation is exact and round-to-nearest is symmetric in sign.  The
     parameters themselves are left as they are.
     """
-    hd = W_h.shape[0]
-    order = _gate_order(hd)
-    A_x, A_h, bias = W_x.data.T[order], W_h.data.T[order], b.data[order]
-    for a in (A_x, A_h, bias):
-        np.negative(a[:3 * hd], out=a[:3 * hd])
-    return A_x, A_h, _block(bias, rows)
+    hd = W.shape[-1] // 4
+    A = W.T[_gate_order(hd)]
+    np.negative(A[:3 * hd], out=A[:3 * hd])
+    return A
 
 
-def _lstm_step(h, c, cell, tmp, out):
-    """One LSTM step on feature-major arrays: ``h`` and ``c`` are the (H, R)
-    state, and ``cell`` the ``_compute_order`` arrays.  So the gates are rows
-    in the order (input, forget, output, cell), and each gate is one
-    contiguous block.
+def _lstm_step(c, out, h_next):
+    """The elementwise half of one LSTM step on feature-major arrays: ``c``
+    is the (H, R) cell state and ``out`` a (6H, R) or longer array whose
+    gate rows hold the step's pre-activations, gate rows in the compute
+    order (input, forget, output, cell) of ``_compute_order``, so each gate
+    is one contiguous block.
 
-    The gates, tanh(c), h and c of the step go into the four blocks of
-    ``out``, a (7H, R) array whose gate rows already hold the step's input
-    product ``A_x x`` and whose h and c blocks may be the input h and c
-    themselves; ``tmp`` is a (4H, R) scratch array.  Returns the next h, c.
-    The caller holds ``np.errstate(over="ignore")``: a sigmoid gate whose
-    exp(-z) overflows is 0, as in ``_sigmoid``.
+    The activations overwrite their gates, tanh(c') goes into the fifth
+    block of ``out`` and c' into the sixth, which may be ``c`` itself, and
+    h' into ``h_next``.  Returns c'.  The caller holds
+    ``np.errstate(over="ignore")``: a sigmoid gate whose exp(-z) overflows
+    is 0, as in ``_sigmoid``.
     """
-    hd = h.shape[0]
-    _, A_h, b = cell
-    gates, tc, h_next, c_next = (out[:4 * hd], out[4 * hd:5 * hd],
-                                 out[5 * hd:6 * hd], out[6 * hd:])
-    gates += np.matmul(A_h, h, out=tmp)
-    gates += b
-    # the activations overwrite their gates: one sigmoid over the first
-    # three blocks, which hold -z already, and one tanh over the cell gate
+    hd = c.shape[0]
+    gates, tc, c_next = out[:4 * hd], out[4 * hd:5 * hd], out[5 * hd:6 * hd]
+    # one sigmoid over the first three blocks, which hold -z already, and
+    # one tanh over the cell gate
     sig, g = gates[:3 * hd], gates[3 * hd:]
     np.exp(sig, out=sig)
     sig += 1.0
@@ -773,13 +766,14 @@ def _lstm_step(h, c, cell, tmp, out):
     c_next += np.multiply(gates[:hd], g, out=tc)
     np.tanh(c_next, out=tc)
     np.multiply(gates[2 * hd:3 * hd], tc, out=h_next)
-    return h_next, c_next
+    return c_next
 
 
-def _lstm_factors(blocks):
+def _lstm_factors(blocks, hd):
     """The factors of an LSTM's gate gradients that depend on its forward
-    alone, for all steps at once, from the (T, 7H, R) blocks that its
-    ``_lstm_step`` calls wrote from a zero cell state.
+    alone, for all steps at once, from the (T, 6H or more, R) blocks that
+    its ``_lstm_step`` calls of hidden size ``hd`` wrote from a zero cell
+    state.
 
     Returns a fresh (T, 4H, R) array of i(1-i)g, f(1-f)c', i(1-g²) and
     o(1-o)tanh(c), c' the cell state the step read, in the stored gate
@@ -787,8 +781,7 @@ def _lstm_factors(blocks):
     o(1-tanh²(c)).  ``blocks`` is left as it is.
     """
     steps, _, rows = blocks.shape
-    hd = blocks.shape[1] // 7
-    i, f, o, g, tc, c = (blocks[:, k * hd:(k + 1) * hd] for k in (0, 1, 2, 3, 4, 6))
+    i, f, o, g, tc, c = (blocks[:, k * hd:(k + 1) * hd] for k in range(6))
     D, P = np.empty((steps, 4 * hd, rows)), np.empty((steps, hd, rows))
     Di, Df, Dg, Do = (D[:, k * hd:(k + 1) * hd] for k in range(4))
     Df[0] = 0.0  # no cell state before the first step
@@ -868,26 +861,31 @@ def lstm_sequence(x, W_x, W_h, b, rows):
             or b.shape != (4 * hd,)):
         raise ShapeError(f"lstm_sequence shapes do not fit: x {x.shape} in {rows} rows, "
                          f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
-    ordered = _compute_order(W_x, W_h, b, rows)
+    A_x, A_h, bias = (_compute_order(p.data) for p in (W_x, W_h, b))
+    bias = _block(bias, rows)
     steps = x.shape[0] // rows
     # every step's input as its own contiguous (I, rows) block
     xs = x.data.reshape(steps, rows, x.shape[1]).transpose(0, 2, 1).copy()
     # each step's outputs in a block of its own, for the backward to read
-    tmp, blocks = np.empty((4 * hd, rows)), np.empty((steps, 7 * hd, rows))
+    tmp, blocks = np.empty((4 * hd, rows)), np.empty((steps, 7 * hd, rows))  # h last
     h = c = np.zeros((hd, rows))
-    np.matmul(ordered[0], xs, out=blocks[:, :4 * hd])
+    np.matmul(A_x, xs, out=blocks[:, :4 * hd])
     with np.errstate(over="ignore"):
         for block in blocks:
-            h, c = _lstm_step(h, c, ordered, tmp, block)
+            gates = block[:4 * hd]
+            gates += np.matmul(A_h, h, out=tmp)
+            gates += bias
+            h = block[6 * hd:]
+            c = _lstm_step(c, block, h)
 
     def bwd(grad):
-        D, P = _lstm_factors(blocks)
+        D, P = _lstm_factors(blocks, hd)
         for _ in _bptt(D, P, blocks, W_h.data, grad.T.copy(), np.zeros((hd, rows))):
             pass
         dx = (np.matmul(D.transpose(0, 2, 1), W_x.data.T).reshape(x.shape)
               if x.requires_grad else None)
         return (dx, _weight_grad(xs, D) if W_x.requires_grad else None,
-                _weight_grad(blocks[:-1, 5 * hd:6 * hd], D[1:]) if W_h.requires_grad else None,
+                _weight_grad(blocks[:-1, 6 * hd:], D[1:]) if W_h.requires_grad else None,
                 _bias_grad(D) if b.requires_grad else None)
 
     return _make(h.T.copy(), (x, W_x, W_h, b), bwd)
@@ -908,18 +906,27 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
 
     Returns the (R, 2*t_pred) positions, step t in columns 2t and 2t+1, and
     the (t_pred*R, 2) displacements in time-major order (row t*R + r).
-    Every step runs feature-major, the embedding and ``gamma`` as well as
-    the cell (see ``lstm_sequence``), and writes its displacement and
-    position into transposed views of the outputs.  The operations, their
-    order and their array layouts are those of the composed feature-major
-    ops, so the values are the same bit for bit.  While recording, each
-    step keeps its scaled input, embedding and gamma pre-activations and
-    activations in time-major buffers.  Without a tape every step
-    overwrites one block instead: a 320-row min-of-20 evaluation with a
-    block a step measured 16-17% more peak memory and 1-7% less throughput.
-    The backward loops only over the recurrence, which runs through gamma
-    and the embedding as well as the cell (see ``lstm_sequence``); each
-    weight gradient is one product.
+
+    Every step runs feature-major (see ``lstm_sequence``) and makes its
+    four gate pre-activations with one product: the (4H, 3+H) stacked
+    weight ``[A_x W_eᵀ scale | A_h | A_x b_e + b]``, built once per call in
+    the order of ``_compute_order``, times the stacked input ``[x; h; 1]``.
+    So the scaling and the embedding are folded into the cell's product:
+    the values are those of the same stacked product composed of ops, bit
+    for bit, and agree with the unfolded chain to rounding.  The cell's
+    elementwise half (``_lstm_step``) and ``gamma`` follow, and each step
+    writes its displacement into the next step's ``x`` rows; after the loop
+    the positions are one running sum from ``last_pos``, the values of
+    adding the steps one by one.  While
+    recording, each step keeps its stacked input, gates and gamma
+    activations in blocks of its own.  Without a tape every step overwrites
+    one block and a stacked input overlaps the next: a 640-row min-of-20
+    evaluation with a block a step measured 20% more peak memory and 17%
+    less throughput.  The backward loops only over the recurrence, which
+    runs through gamma and the stacked weight's x block as well as the cell
+    (see ``lstm_sequence``).  The stacked weight's gradient, each step's
+    gate gradients times its stacked input summed over steps, is one
+    batched product, and each parameter's comes from its blocks.
     """
     W_e, b_e = embed
     W_x, W_h, b = cell
@@ -945,43 +952,54 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     inv = 1.0 / scale
     inputs = (h0, W_e, b_e, W_x, W_h, b) + tuple(p for layer in layers for p in layer)
     record = _recording_tape(inputs) is not None
-    ordered = _compute_order(W_x, W_h, b, rows)
-    # the embedding and every gamma layer as transposed weights and a bias block
-    W_eT, b_eT = W_e.data.T.copy(), _block(b_e.data, rows)
+    # the gate weights of the stacked input's rows x, h and 1, stored order:
+    # the scaled embedding and its bias folded into W_x and b
+    W_es, stacked = W_e.data * scale, np.empty((3 + hd, 4 * hd))
+    np.matmul(W_es, W_x.data, out=stacked[:2])
+    stacked[2:-1] = W_h.data
+    np.matmul(b_e.data, W_x.data, out=stacked[-1])
+    stacked[-1] += b.data
+    A = _compute_order(stacked)
+    # every gamma layer as transposed weights and a bias block
     layers_T = [(W.data.T.copy(), _block(b_.data, rows)) for W, b_ in layers]
     W_out, b_out = layers_T.pop()
-    # what the steps compute, in (n, ., rows) buffers: step t in block t
-    # while recording, for the backward to read, else all in block 0
+    # step t's stacked input in block t, written by step t-1, as views of
+    # one buffer: while recording each block has rows of its own, for the
+    # backward; else each starts two rows after the one before, so that the
+    # next step overwrites a step's h and ones row but no displacement
+    stride = 3 + hd if record else 2
+    buf = np.empty((stride * t_pred + 3 + hd, rows))
+    buf[2 + hd::stride] = 1.0
+    S = np.lib.stride_tricks.as_strided(buf, (t_pred + 1, 3 + hd, rows),
+                                        (stride * buf.strides[0], *buf.strides))
+    S[0, :2], S[0, 2:-1] = np.transpose(last_disp), h0.data.T
+    # what else the steps compute, in (n, ., rows) buffers: step t in block
+    # t while recording, for the backward to read, else all in block 0
     n = t_pred if record else 1
-    scaled, emb = np.empty((n, 2, rows)), np.empty((n, W_e.shape[1], rows))
     pres = [np.empty((n, len(b_), rows)) for _, b_ in layers_T]
     acts = [np.empty_like(z) for z in pres]
-    tmp, blocks, out = np.empty((4 * hd, rows)), np.empty((n, 7 * hd, rows)), np.empty((2, rows))
-    x_in = np.asarray(last_disp, dtype=np.float64).T
-    pos = np.asarray(last_pos, dtype=np.float64).T
-    h, c = h0.data.T.copy(), np.zeros((hd, rows))
-    positions, disps = np.empty((rows, 2 * t_pred)), np.empty((t_pred * rows, 2))
+    blocks, c = np.empty((n, 6 * hd, rows)), np.zeros((hd, rows))
     with np.errstate(over="ignore"):
         for t in range(t_pred):
             k = t if record else 0
-            e = np.matmul(W_eT, np.multiply(x_in, scale, out=scaled[k]), out=emb[k])
-            e += b_eT
-            np.matmul(ordered[0], e, out=blocks[k, :4 * hd])
-            h, c = _lstm_step(h, c, ordered, tmp, blocks[k])
-            a = h
+            np.matmul(A, S[t], out=blocks[k, :4 * hd])
+            a = S[t + 1, 2:-1]
+            c = _lstm_step(c, blocks[k], a)
             for (W, b_), Z, Y in zip(layers_T, pres, acts):
                 z = np.matmul(W, a, out=Z[k])
                 z += b_
                 a = _activate(z, activation, slope, Y[k])
-            np.matmul(W_out, a, out=out)
-            out += b_out
-            x_in = np.multiply(out, inv, out=disps[t * rows:(t + 1) * rows].T)
-            pos = np.add(pos, x_in, out=positions[:, 2 * t:2 * t + 2].T)
+            x = np.matmul(W_out, a, out=S[t + 1, :2])
+            x += b_out
+            x *= inv
+    disps = S[1:, :2].transpose(0, 2, 1).reshape(t_pred * rows, 2)
+    walk = np.concatenate([np.reshape(last_pos, (1, rows, 2)), disps.reshape(t_pred, rows, 2)])
+    positions = np.cumsum(walk, axis=0, out=walk)[1:].transpose(1, 0, 2).reshape(rows, 2 * t_pred)
 
     def bwd(grads):
         g_pos, g_disp = (np.zeros(shape) if g is None else g
                          for g, shape in zip(grads, ((rows, 2 * t_pred), (t_pred * rows, 2))))
-        D, P = _lstm_factors(blocks)
+        D, P = _lstm_factors(blocks, hd)
         # the gradient of each step's gamma output, (T, 2, rows): its
         # displacement's and every later position's, over scale; the loop
         # adds what reaches it through the next step's input
@@ -998,8 +1016,8 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
                   for j in reversed(range(len(pres)))]
         Gs.append(G_out)
         # from a step's gate gradients to the previous step's gamma output,
-        # through that step's displacement, the scaled input and embedding
-        back = (W_e.data @ W_x.data) * (scale * inv)
+        # through the x block of the stacked weight and the division by scale
+        back = stacked[:2] * inv
         dh, dc, dh_gamma, gx = (np.zeros((hd, rows)), np.zeros((hd, rows)),
                                 np.empty((hd, rows)), np.empty((2, rows)))
         for t in _bptt(D, P, blocks, W_h.data, dh, dc):
@@ -1009,14 +1027,13 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
             for W, G, scratch in hidden:
                 g = np.multiply(G[t], np.matmul(W, g, out=scratch), out=G[t])
             dh += np.matmul(layers[0][0].data, g, out=dh_gamma)
-        hs = blocks[:, 5 * hd:6 * hd]
-        dW_h = _weight_grad(hs[:-1], D[1:])
-        dW_h += h0.data.T @ D[0].T
-        db = _bias_grad(D)
-        # the embedding's output gradients are W_x @ D[t]
-        return (dh.T, _weight_grad(scaled, D) @ W_x.data.T, W_x.data @ db,
-                _weight_grad(emb, D), dW_h, db,
-                *(d for a, G in zip([hs, *acts], Gs)
+        # the stacked weight's gradient; its x block is W_e scale W_x, and its
+        # last row b_e W_x + b
+        G_A = _weight_grad(S[:-1], D)
+        G_x, db = G_A[:2], G_A[-1]
+        return (dh.T, (G_x @ W_x.data.T) * scale, W_x.data @ db,
+                W_es.T @ G_x + np.outer(b_e.data, db), G_A[2:-1], db,
+                *(d for a, G in zip([S[1:, 2:-1], *acts], Gs)
                   for d in (_weight_grad(a, G), _bias_grad(G))))
 
     return _make((positions, disps), inputs, bwd)

@@ -227,12 +227,67 @@ def looped_lstm_sequence(x, W_x, W_h, b, rows):
     return T.transpose(T.narrow(hc, 0, 0, hd))
 
 
+def row(b):
+    """A (n,) tensor as a (1, n) row."""
+    return T._make(b.data[None].copy(), (b,), lambda g: (g[0],))
+
+
+def lstm_activations(gates, c):
+    """The elementwise half of an LSTM step composed of narrow, sigmoid,
+    tanh, mul and add nodes: the (4H, R) pre-activations ``gates`` in the
+    compute order (input, forget, output, cell) and the (H, R) cell state
+    ``c`` to the next h and c."""
+    hd = c.shape[0]
+    i, f, o = (T.sigmoid(T.narrow(gates, 0, k * hd, hd)) for k in range(3))
+    g = T.tanh(T.narrow(gates, 0, 3 * hd, hd))
+    c_next = T.add(T.mul(f, c), T.mul(i, g))
+    return T.mul(o, T.tanh(c_next)), c_next
+
+
 def looped_decode(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
                   activation="leaky_relu", slope=0.2):
-    """Reference for ``T.lstm_rollout``: the decoder loop composed of
+    """Reference for ``T.lstm_rollout``: its stacked gate product composed of
+    ops.  The (3+H, 4H) gate weights of the input rows x, h and 1 are
+    ``[W_e scale W_x; W_h; b_e W_x + b]`` (matmul, mul_scalar, add and
+    concat nodes), transposed with the gate rows put in the compute order;
+    each step multiplies them by the concatenated ``[x; h; 1]``, then runs
+    ``lstm_activations``, gamma's matmul, add and activation nodes and a
+    mul_scalar by 1/scale, and adds the displacement to the position.
+    Returns the positions and the time-major displacements."""
+    (W_e, b_e), (W_x, W_h, b) = embed, cell
+    rows, hd = h0.shape
+    stacked = T.concat([T.matmul(T.mul_scalar(W_e, scale), W_x), W_h,
+                        T.add(T.matmul(row(b_e), W_x), row(b))], axis=0)
+    A = T.take_rows(T.transpose(stacked), gate_order(hd))
+    ones = T.constant(np.ones((1, rows)))
+    h, c = T.transpose(h0), T.constant(np.zeros((hd, rows)))
+    x_in = T.transpose(T.constant(np.asarray(last_disp, dtype=float)))
+    pos = T.transpose(T.constant(np.asarray(last_pos, dtype=float)))
+    disp_steps, pos_steps = [], []
+    for _ in range(t_pred):
+        h, c = lstm_activations(T.matmul(A, T.concat([x_in, h, ones], axis=0)), c)
+        out = h
+        for j, (W, b_) in enumerate(gamma):
+            if j:
+                out = T.activation(out, activation, slope)
+            out = T.add(T.matmul(T.transpose(W), out), column(b_))
+        disp = T.mul_scalar(out, 1.0 / scale)
+        pos = T.add(pos, disp)
+        disp_steps.append(T.transpose(disp))
+        pos_steps.append(T.transpose(pos))
+        x_in = disp
+    return T.concat(pos_steps, axis=1), T.concat(disp_steps, axis=0)
+
+
+def unfused_decode(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
+                   activation="leaky_relu", slope=0.2):
+    """The decoder loop as the model defines it, before any folding: each
+    step scales its input, embeds it and runs ``lstm_cell``, composed of
     mul_scalar, transpose, matmul, add, ``lstm_cell``, narrow and activation
-    nodes, a dozen per step, all feature-major.  Returns the positions and
-    the time-major displacements."""
+    nodes, a dozen per step, all feature-major.  ``T.lstm_rollout`` folds
+    the scaling and the embedding into the cell's products, so it agrees
+    with this to rounding.  Returns the positions and the time-major
+    displacements."""
     rows, hd = h0.shape
     hc = T.concat([T.transpose(h0), T.constant(np.zeros((hd, rows)))], axis=0)
     x_in = T.transpose(T.constant(np.asarray(last_disp, dtype=float)))

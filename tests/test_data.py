@@ -439,6 +439,14 @@ def test_short_tracks_give_no_windows():
     assert D.build_windows({"s": [make_track(1, range(19))]}) == []
 
 
+def test_tracks_with_no_frames_give_no_windows():
+    empty = D.AgentTrack(1, "car", [], np.zeros((0, 2)))
+    full = make_track(2, range(25), "pedestrian")
+    assert D.build_windows({"s": [empty]}) == []
+    assert_same_windows(D.build_windows({"s": [empty, full], "t": [empty]}),
+                        D.build_windows({"s": [full]}))
+
+
 def assert_same_windows(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):

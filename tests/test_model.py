@@ -454,6 +454,9 @@ def test_sinusoidal_positions_shape_and_range():
     assert pe.shape == (20, 32)
     assert np.all(np.abs(pe) <= 1.0)
     assert not np.allclose(pe[0], pe[19])
+    # cached per (length, dim), so no caller may write into it
+    assert M.sinusoidal_positions(20, 32) is pe and not pe.flags.writeable
+    assert M.sinusoidal_positions(20, 16).shape == (20, 16)
 
 
 # ---------------------------------------------------------------------------

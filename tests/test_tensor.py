@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from oracles import (assert_grads_match, composed_layer_norm, composed_min_of_k_norms,
                      composed_mlp, finite_diff, looped_attention, looped_decode,
                      looped_lstm_sequence, looped_lstm_step, lstm_cell, segment_max_ref,
-                     sigmoid_ref)
+                     sigmoid_ref, unfused_decode)
 from trajgan import tensor as T
 from trajgan.optim import Adam, clip_grad_norm, grad_norm
 from trajgan.tensor import ContractError, ShapeError, Tape, Tensor, backward, no_grad
@@ -684,6 +684,31 @@ def test_lstm_rollout_matches_looped_oracle_at_the_training_shape():
     assert_rollout_matches_oracle(rng, leaves, 12, "leaky_relu")
 
 
+@pytest.mark.parametrize("rows", [90, 640])
+def test_lstm_rollout_matches_the_unfolded_chain(rows):
+    # the model's decoder as it is defined, scaling, embedding and cell
+    # apart: folding the first two into the cell's product changes only the
+    # rounding.  At the training shape of the gan_lstm preset and at an
+    # evaluation pass of 2 windows of 16 agents at k = 20.  Each array is
+    # compared at the scale of its largest entry: a position is a running
+    # sum that may cancel to far below its steps, and an entry's own
+    # relative difference then grows to 1e-11 forward and 1e-9 in the
+    # gradients on these inputs, while every entry stays within 2e-12 of
+    # its array's largest
+    rng = np.random.default_rng(29)
+    leaves = rollout_leaves(rng, rows, 8, 16, (16,))
+    last = rng.standard_normal((2, rows, 2)) * 5.0
+    weights = rollout_weights(rng, rows, 12)
+    got, got_grads = values_and_grads(
+        rollout_call(T.lstm_rollout, leaves, last, 12, 0.02, "leaky_relu"), leaves, weights)
+    want, want_grads = values_and_grads(
+        rollout_call(unfused_decode, leaves, last, 12, 0.02, "leaky_relu"), leaves, weights)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-10 * np.abs(w).max())
+
+
 @settings(max_examples=30, deadline=None)
 @given(rows=st.integers(1, 4), hidden=st.integers(1, 4),
        gamma_hidden=st.lists(st.integers(1, 3), max_size=2),
@@ -821,12 +846,12 @@ def test_no_grad_lstm_ops_share_no_memory_between_calls():
 
 
 @pytest.mark.parametrize("hidden", [1, 16])
-@pytest.mark.parametrize("rows", [1, 2, 18, 320])
+@pytest.mark.parametrize("rows", [1, 2, 18, 320, 640])
 def test_recording_and_no_grad_lstm_calls_compute_the_same_values(rows, hidden):
-    # a recording rollout keeps each step's activations in a block of its
-    # own and one that does not record overwrites one block every step;
-    # both run the same arithmetic, matrix-vector products at one row
-    # included
+    # a recording rollout keeps each step's activations and stacked input
+    # in blocks of its own, and one that does not record overwrites one
+    # block every step and overlaps its stacked inputs; both run the same
+    # arithmetic, matrix-vector products at one row included
     rng = np.random.default_rng(26)
     for call, _ in lstm_op_calls(rng, rows, hidden):
         with Tape() as tape:
@@ -931,25 +956,27 @@ def test_importing_tensor_keeps_freed_heap_memory_in_the_process():
 @GLIBC
 @pytest.mark.parametrize("op", ["sequence", "rollout"])
 def test_warm_no_grad_lstm_ops_allocate_no_gate_array(op):
-    # eval's shapes: 320 rows, hidden size 16, 8 observed and 12 predicted
+    # eval's shapes: a pass of 640 rows (2 windows of 16 agents at k = 20)
+    # and one window's 320, hidden size 16, 8 observed and 12 predicted
     # steps.  Every call allocates and frees its step blocks, which stay in
     # the process: a warm call takes the freed blocks of the call before, so
     # no gate array comes to it as fresh pages from the OS
-    setup = """
-        import numpy as np
-        from trajgan import tensor as T
-        rng = np.random.default_rng(24)
-        rows, hd = 320, 16
-        def leaf(*shape):
-            return T.Tensor(rng.standard_normal(shape) * 0.5)
-        cell = (leaf(16, 4 * hd), leaf(hd, 4 * hd), leaf(4 * hd))
-        x, h0, embed = leaf(8 * rows, 16), leaf(rows, hd), (leaf(2, 16), leaf(16))
-        gamma = [(leaf(hd, 32), leaf(32)), (leaf(32, 2), leaf(2))]
-        last = rng.standard_normal((rows, 2))
-    """
     call = {"sequence": "T.lstm_sequence(x, *cell, rows)",
             "rollout": "T.lstm_rollout(h0, embed, cell, gamma, last, last, 12, 0.5)"}[op]
-    assert minor_faults_per_call(setup, f"with T.no_grad():\n    {call}") < 10
+    for rows in (320, 640):
+        setup = f"""
+            import numpy as np
+            from trajgan import tensor as T
+            rng = np.random.default_rng(24)
+            rows, hd = {rows}, 16
+            def leaf(*shape):
+                return T.Tensor(rng.standard_normal(shape) * 0.5)
+            cell = (leaf(16, 4 * hd), leaf(hd, 4 * hd), leaf(4 * hd))
+            x, h0, embed = leaf(8 * rows, 16), leaf(rows, hd), (leaf(2, 16), leaf(16))
+            gamma = [(leaf(hd, 32), leaf(32)), (leaf(32, 2), leaf(2))]
+            last = rng.standard_normal((rows, 2))
+        """
+        assert minor_faults_per_call(setup, f"with T.no_grad():\n    {call}") < 10, rows
 
 
 # ---------------------------------------------------------------------------
