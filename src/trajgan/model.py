@@ -228,10 +228,13 @@ class MultiHeadAttention:
         self.Wv = Linear(hidden_dim, hidden_dim, rng)
         self.Wo = Linear(hidden_dim, hidden_dim, rng)
 
-    def __call__(self, x, groups=1):
+    def __call__(self, x, groups=1, queries=None):
         """``x`` holds ``groups`` sequences in time-major rows (row
-        t*groups + g)."""
-        out = T.grouped_attention(self.Wq(x), T.matmul(x, self.Wk), self.Wv(x),
+        t*groups + g).  ``queries``, by default ``x``, holds the rows, in
+        the same order, that attend: every step's or fewer.  Returns one
+        output row per query row."""
+        queries = x if queries is None else queries
+        out = T.grouped_attention(self.Wq(queries), T.matmul(x, self.Wk), self.Wv(x),
                                   self.heads, groups)
         return self.Wo(out)
 
@@ -265,18 +268,29 @@ class TransformerEncoder:
     def run(self, seq, rows):
         """(T*rows, in_dim) sequences of ``rows`` agents in time-major rows
         (row t*rows + r is step t of agent r) to (rows, hidden_dim)
-        summaries; each agent attends only over its own steps."""
+        summaries; each agent attends only over its own steps.
+
+        With ``"last"`` pooling only the last step's rows leave the last
+        layer, so that layer runs its queries, attention read-out, output
+        projection, residuals, norms and feed-forward on those rows alone;
+        its keys and values still read every step.  Every operation there
+        is row by row, so those rows have the values of running every
+        step's rows through.
+        """
         length = seq.shape[0] // rows
         pe = np.repeat(sinusoidal_positions(length, self.config.hidden_dim), rows, axis=0)
         x = T.add(self.in_proj(seq), T.constant(pe))
-        for layer in self.layers:
-            x = layer["ln1"](T.add(x, layer["mha"](x, rows)))
+        last = self.config.transformer_pool == "last"
+        for j, layer in enumerate(self.layers):
+            q = (T.narrow(x, 0, (length - 1) * rows, rows)
+                 if last and j == len(self.layers) - 1 else x)
+            x = layer["ln1"](T.add(q, layer["mha"](x, rows, q)))
             ff = T.mlp(x, [(layer[k].W, layer[k].b) for k in ("ff1", "ff2")],
                        self.config.activation, self.config.leaky_slope)
             x = layer["ln2"](T.add(x, ff))
-        if self.config.transformer_pool == "mean":
-            return T.matmul(T.constant(np.tile(np.eye(rows), length) / length), x)
-        return T.narrow(x, 0, (length - 1) * rows, rows)
+        if last:
+            return x
+        return T.matmul(T.constant(np.tile(np.eye(rows), length) / length), x)
 
     def named_parameters(self, prefix):
         out = self.in_proj.named_parameters(f"{prefix}.in_proj")

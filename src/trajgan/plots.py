@@ -4,9 +4,16 @@ Keeps plotting dependency-free and the output diffable: same inputs give
 byte-identical SVG.
 """
 
-from xml.sax.saxutils import escape
+import html
 
 _FONT = "font-family=\"sans-serif\" font-size=\"11\""
+
+
+def escape(text):
+    """``text`` with &, < and > escaped for SVG text content.  ``html``
+    imports far faster than ``xml.sax.saxutils``, which pulls in
+    ``urllib.request`` and ``http.client``."""
+    return html.escape(text, quote=False)
 
 
 def _header(width, height, title):

@@ -443,7 +443,7 @@ def _activate_grad(g, x, kind, slope):
     """Backward of ``_activate`` given its input ``x``."""
     if kind == "relu":
         return g * (x >= 0.0)
-    return g * np.where(x >= 0.0, 1.0, slope)
+    return np.where(x >= 0.0, g, g * slope)
 
 
 def relu(a):
@@ -668,45 +668,48 @@ def softmax_rows(a):
 def grouped_attention(q, k, v, heads, groups):
     """Scaled dot-product attention of ``groups`` sequences at once.
 
-    ``q``, ``k``, ``v`` are (N, D) with N = length * groups rows in time-major
+    ``k`` and ``v`` are (N, D) with N = length * groups rows in time-major
     order (row t*groups + g is step t of sequence g); columns split into
-    ``heads`` heads of D // heads.  Each sequence attends only over its own
-    steps.  Returns the (N, D) output, heads side by side.
+    ``heads`` heads of D // heads.  ``q`` is (M, D), the queries of M //
+    groups steps in the same order: every step's, or fewer, such as the
+    last step's alone.  Each query attends over all steps of its own
+    sequence.  Returns the (M, D) output, heads side by side.
     """
-    if q.data.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
-        raise ShapeError(f"grouped_attention needs equal 2-D q, k, v, "
-                         f"got {q.shape}, {k.shape}, {v.shape}")
-    n, d = q.shape
-    if heads < 1 or groups < 1 or d % heads or n % groups or n == 0:
-        raise ShapeError(f"{heads} heads and {groups} groups do not divide shape {q.shape}")
-    length, hd = n // groups, d // heads
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"grouped_attention needs 2-D q, k, v of equal width and equal "
+                         f"k, v, got {q.shape}, {k.shape}, {v.shape}")
+    (m, d), n = q.shape, k.shape[0]
+    if heads < 1 or groups < 1 or d % heads or n % groups or m % groups or n == 0 or m == 0:
+        raise ShapeError(f"{heads} heads and {groups} groups do not divide shapes "
+                         f"{q.shape} and {k.shape}")
+    hd = d // heads
 
-    def split(a):  # (N, D) -> (groups, heads, length, head_dim)
-        return a.reshape(length, groups, heads, hd).transpose(1, 2, 0, 3)
+    def split(a):  # (L * groups, D) -> (groups, heads, L, head_dim)
+        return a.reshape(-1, groups, heads, hd).transpose(1, 2, 0, 3)
 
     def join(a):  # inverse of split
-        return a.transpose(2, 0, 1, 3).reshape(n, d)
+        return a.transpose(2, 0, 1, 3).reshape(-1, d)
 
+    # numpy hands a product with a one-row operand to gemv, which rounds
+    # differently from the gemm that queries of several steps get; so a
+    # lone query step against several key steps runs as two copies, whose
+    # first gives the rows of every step's queries bit for bit
+    lone = m == groups < n
     scale = 1.0 / np.sqrt(hd)
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(np.concatenate([q.data, q.data]) if lone else q.data), \
+        split(k.data), split(v.data)
     scores = (qh @ kh.swapaxes(2, 3)) * scale
     e = np.exp(scores - scores.max(axis=3, keepdims=True))
     attn = e / e.sum(axis=3, keepdims=True)
 
     def bwd(g):
-        gh = split(g)
+        gh = split(np.concatenate([g, np.zeros_like(g)]) if lone else g)
         ga = gh @ vh.swapaxes(2, 3)
         gs = attn * (ga - (ga * attn).sum(axis=3, keepdims=True)) * scale
-        return join(gs @ kh), join(gs.swapaxes(2, 3) @ qh), join(attn.swapaxes(2, 3) @ gh)
+        return (join(gs @ kh)[:m], join(gs.swapaxes(2, 3) @ qh),
+                join(attn.swapaxes(2, 3) @ gh))
 
-    return _make(join(attn @ vh), (q, k, v), bwd)
-
-
-def _block(v, rows):
-    """The (m,) vector ``v`` in every column of a fresh (m, rows) block: a
-    step adds a full block faster than it broadcasts a column, and without
-    numpy's broadcasting buffer."""
-    return np.repeat(v[:, None], rows, axis=1)
+    return _make(join(attn @ vh)[:m], (q, k, v), bwd)
 
 
 @functools.lru_cache(maxsize=None)
@@ -720,6 +723,19 @@ def _gate_order(hd):
     order = np.concatenate([r, r + hd, r + 3 * hd, r + 2 * hd])
     order.flags.writeable = False
     return order
+
+
+@functools.lru_cache(maxsize=None)
+def _grad_order(hd):
+    """Columns that take the stored gate blocks (input, forget, cell,
+    output) of hidden size ``hd`` to the order (cell, input, forget,
+    output) of ``_lstm_factors``, and the columns that take them back.
+    Cached per ``hd``; read-only."""
+    r = np.arange(hd)
+    order = np.concatenate([r + 2 * hd, r, r + hd, r + 3 * hd])
+    back = np.argsort(order)
+    order.flags.writeable = back.flags.writeable = False
+    return order, back
 
 
 def _compute_order(W):
@@ -739,57 +755,53 @@ def _compute_order(W):
     return A
 
 
-def _lstm_step(c, out, h_next):
-    """The elementwise half of one LSTM step on feature-major arrays: ``c``
-    is the (H, R) cell state and ``out`` a (6H, R) or longer array whose
-    gate rows hold the step's pre-activations, gate rows in the compute
-    order (input, forget, output, cell) of ``_compute_order``, so each gate
-    is one contiguous block.
+def _lstm_step(out, c_next, h_next):
+    """The elementwise half of one LSTM step on feature-major arrays:
+    ``out`` is a (6H, R) block laid out (i, f, o, g, c, tanh c'), whose gate
+    rows hold the step's pre-activations in the compute order of
+    ``_compute_order``, so each gate is one contiguous block, and whose
+    fifth block holds the (H, R) cell state c the step reads.
 
-    The activations overwrite their gates, tanh(c') goes into the fifth
-    block of ``out`` and c' into the sixth, which may be ``c`` itself, and
-    h' into ``h_next``.  Returns c'.  The caller holds
-    ``np.errstate(over="ignore")``: a sigmoid gate whose exp(-z) overflows
-    is 0, as in ``_sigmoid``.
+    The activations overwrite their gates, tanh(c') goes into the last
+    block, c' into ``c_next``, which may be the fifth block itself, and h'
+    into ``h_next``.  The caller holds ``np.errstate(over="ignore")``: a
+    sigmoid gate whose exp(-z) overflows is 0, as in ``_sigmoid``.
     """
-    hd = c.shape[0]
-    gates, tc, c_next = out[:4 * hd], out[4 * hd:5 * hd], out[5 * hd:6 * hd]
+    hd = c_next.shape[0]
+    sig, g, c, tc = out[:3 * hd], out[3 * hd:4 * hd], out[4 * hd:5 * hd], out[5 * hd:]
     # one sigmoid over the first three blocks, which hold -z already, and
     # one tanh over the cell gate
-    sig, g = gates[:3 * hd], gates[3 * hd:]
     np.exp(sig, out=sig)
     sig += 1.0
     np.reciprocal(sig, out=sig)
     np.tanh(g, out=g)
     # f*c + i*g, in place when c_next is c
-    np.multiply(gates[hd:2 * hd], c, out=c_next)
-    c_next += np.multiply(gates[:hd], g, out=tc)
+    np.multiply(out[hd:2 * hd], c, out=c_next)
+    c_next += np.multiply(out[:hd], g, out=tc)
     np.tanh(c_next, out=tc)
-    np.multiply(gates[2 * hd:3 * hd], tc, out=h_next)
-    return c_next
+    np.multiply(out[2 * hd:3 * hd], tc, out=h_next)
 
 
 def _lstm_factors(blocks, hd):
     """The factors of an LSTM's gate gradients that depend on its forward
-    alone, for all steps at once, from the (T, 6H or more, R) blocks that
-    its ``_lstm_step`` calls of hidden size ``hd`` wrote from a zero cell
-    state.
+    alone, for all steps at once, from the (T, 6H, R) blocks that its
+    ``_lstm_step`` calls of hidden size ``hd`` wrote.
 
-    Returns a fresh (T, 4H, R) array of i(1-i)g, f(1-f)c', i(1-g²) and
-    o(1-o)tanh(c), c' the cell state the step read, in the stored gate
-    order (input, forget, cell, output); and a fresh (T, H, R) array of
-    o(1-tanh²(c)).  ``blocks`` is left as it is.
+    Returns a fresh (T, 4H, R) array of i(1-g²), i(1-i)g, f(1-f)c and
+    o(1-o)tanh(c'), c the cell state the step read, in the gradient order
+    (cell, input, forget, output) of ``_grad_order``; and a fresh (T, H, R)
+    array of o(1-tanh²(c')).  A block's three sigmoid gates and the three
+    blocks after them are contiguous, so the sigmoid factors are one pass.
+    ``blocks`` is left as it is.
     """
     steps, _, rows = blocks.shape
-    i, f, o, g, tc, c = (blocks[:, k * hd:(k + 1) * hd] for k in range(6))
     D, P = np.empty((steps, 4 * hd, rows)), np.empty((steps, hd, rows))
-    Di, Df, Dg, Do = (D[:, k * hd:(k + 1) * hd] for k in range(4))
-    Df[0] = 0.0  # no cell state before the first step
-    for s, x, out in ((i, g, Di), (f[1:], c[:-1], Df[1:]), (o, tc, Do)):
-        np.subtract(1.0, s, out=out)  # s(1-s)x of a sigmoid gate s
-        out *= s
-        out *= x
-    for s, y, out in ((g, i, Dg), (tc, o, P)):
+    sig, Ds = blocks[:, :3 * hd], D[:, hd:]
+    np.subtract(1.0, sig, out=Ds)  # s(1-s)y of each sigmoid gate s
+    Ds *= sig
+    Ds *= blocks[:, 3 * hd:]
+    for k, j, out in ((3, 0, D[:, :hd]), (5, 2, P)):
+        s, y = blocks[:, k * hd:(k + 1) * hd], blocks[:, j * hd:(j + 1) * hd]
         np.multiply(s, s, out=out)  # (1-s²)y of a tanh s
         np.subtract(1.0, out, out=out)
         out *= y
@@ -800,12 +812,13 @@ def _bptt(D, P, blocks, W_h, dh, dc):
     """Backpropagate through the steps of an LSTM, the last one first.
 
     ``D`` and ``P`` are the ``_lstm_factors`` of its step ``blocks``, ``W_h``
-    the stored (H, 4H) recurrent weights, and ``dh`` and ``dc`` the (H, R)
-    gradients of the last step's h and c.  Yields each step's index first,
-    for the caller to add to ``dh`` what else reached the step's h.  The
-    step then multiplies its rows of ``D`` by dc (input, forget and cell
-    gates) and dh (output gate) in place, which makes them its gate
-    gradients, and sets ``dh`` and ``dc`` to those of the h and c it read.
+    the (H, 4H) recurrent weights with their columns in the gradient order,
+    and ``dh`` and ``dc`` the (H, R) gradients of the last step's h and c.
+    Yields each step's index first, for the caller to add to ``dh`` what
+    else reached the step's h.  The step then multiplies its rows of ``D``
+    by dc (cell, input and forget gates) and dh (output gate) in place,
+    which makes them its gate gradients, and sets ``dh`` and ``dc`` to those
+    of the h and c it read.
     """
     hd = dh.shape[0]
     D4 = D.reshape(len(D), 4, hd, -1)
@@ -841,19 +854,20 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     order (input, forget, cell, output).  Returns the (rows, H) hidden state
     after the last step as one tape node.
 
-    The steps run feature-major (``_lstm_step``): each computes
-    ``(W_xᵀ x_tᵀ + W_hᵀ hᵀ) + b`` with the gate rows in the order (input,
-    forget, output, cell), sigmoid/tanh gates, ``c' = f*c + i*g`` and
-    ``h' = o*tanh(c')``, with the operations, their order and their array
-    layouts those of the same step composed of transpose, take_rows, matmul,
-    add, narrow, sigmoid, tanh and mul ops, so the values are the same bit
-    for bit.  Each step keeps its activations in a block of its own, with
-    or without a tape, and one batched product writes every step's input
-    product into its block before the loop, with the values of the
-    per-step products.  The backward computes the gate gradients' factors
-    for all steps at once (``_lstm_factors``), loops only over the dh/dc
-    recurrence (``_bptt``), then takes dx and each weight gradient in one
-    product, each only for an input that requires grad.
+    The steps run feature-major (``_lstm_step``): each makes its four gate
+    pre-activations with one product, the (4H, I+H+1) stacked weight
+    ``[W_x; W_h; b]ᵀ`` with the gate rows in the order (input, forget,
+    output, cell) times the stacked input ``[x_t; h; 1]``, then sigmoid/tanh
+    gates, ``c' = f*c + i*g`` and ``h' = o*tanh(c')``, with the operations,
+    their order and their array layouts those of the same step composed of
+    concat, transpose, take_rows, matmul, narrow, sigmoid, tanh, mul and add
+    ops, so the values are the same bit for bit.  Each step writes its h
+    into the next step's stacked input and its c' into the next step's
+    block, and keeps its own, with or without a tape.  The backward computes
+    the gate gradients' factors for all steps at once (``_lstm_factors``),
+    loops only over the dh/dc recurrence (``_bptt``), then takes dx and the
+    stacked weight's gradient, whose blocks are W_x's, W_h's and b's, in one
+    product each, only for inputs that require grad.
     """
     hd = W_h.shape[0]
     if (x.data.ndim != 2 or rows < 1 or x.shape[0] < rows or x.shape[0] % rows
@@ -861,34 +875,35 @@ def lstm_sequence(x, W_x, W_h, b, rows):
             or b.shape != (4 * hd,)):
         raise ShapeError(f"lstm_sequence shapes do not fit: x {x.shape} in {rows} rows, "
                          f"W_x {W_x.shape}, W_h {W_h.shape}, b {b.shape}")
-    A_x, A_h, bias = (_compute_order(p.data) for p in (W_x, W_h, b))
-    bias = _block(bias, rows)
-    steps = x.shape[0] // rows
-    # every step's input as its own contiguous (I, rows) block
-    xs = x.data.reshape(steps, rows, x.shape[1]).transpose(0, 2, 1).copy()
-    # each step's outputs in a block of its own, for the backward to read
-    tmp, blocks = np.empty((4 * hd, rows)), np.empty((steps, 7 * hd, rows))  # h last
-    h = c = np.zeros((hd, rows))
-    np.matmul(A_x, xs, out=blocks[:, :4 * hd])
+    steps, n_in = x.shape[0] // rows, x.shape[1]
+    A = _compute_order(np.concatenate([W_x.data, W_h.data, b.data[None]]))
+    # step t's stacked input [x_t; h; 1] in block t: h written by step t-1
+    S = np.empty((steps + 1, n_in + hd + 1, rows))
+    S[:-1, :n_in] = x.data.reshape(steps, rows, n_in).transpose(0, 2, 1)
+    S[0, n_in:] = 0.0
+    S[:, -1] = 1.0
+    # step t's gates, cell state and tanh(c') in block t, c' in block t+1
+    blocks = np.empty((steps + 1, 6 * hd, rows))
+    blocks[0, 4 * hd:5 * hd] = 0.0
     with np.errstate(over="ignore"):
-        for block in blocks:
-            gates = block[:4 * hd]
-            gates += np.matmul(A_h, h, out=tmp)
-            gates += bias
-            h = block[6 * hd:]
-            c = _lstm_step(c, block, h)
+        for t in range(steps):
+            np.matmul(A, S[t], out=blocks[t, :4 * hd])
+            _lstm_step(blocks[t], blocks[t + 1, 4 * hd:5 * hd], S[t + 1, n_in:-1])
 
     def bwd(grad):
-        D, P = _lstm_factors(blocks, hd)
-        for _ in _bptt(D, P, blocks, W_h.data, grad.T.copy(), np.zeros((hd, rows))):
+        D, P = _lstm_factors(blocks[:-1], hd)
+        order, back = _grad_order(hd)
+        for _ in _bptt(D, P, blocks[:-1], W_h.data[:, order], grad.T.copy(),
+                       np.zeros((hd, rows))):
             pass
-        dx = (np.matmul(D.transpose(0, 2, 1), W_x.data.T).reshape(x.shape)
+        dx = (np.matmul(D.transpose(0, 2, 1), W_x.data[:, order].T).reshape(x.shape)
               if x.requires_grad else None)
-        return (dx, _weight_grad(xs, D) if W_x.requires_grad else None,
-                _weight_grad(blocks[:-1, 6 * hd:], D[1:]) if W_h.requires_grad else None,
-                _bias_grad(D) if b.requires_grad else None)
+        G = (_weight_grad(S[:-1], D)[:, back]
+             if W_x.requires_grad or W_h.requires_grad or b.requires_grad else None)
+        return (dx, G[:n_in] if W_x.requires_grad else None,
+                G[n_in:-1] if W_h.requires_grad else None, G[-1] if b.requires_grad else None)
 
-    return _make(h.T.copy(), (x, W_x, W_h, b), bwd)
+    return _make(S[-1, n_in:-1].T.copy(), (x, W_x, W_h, b), bwd)
 
 
 def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
@@ -911,22 +926,25 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     four gate pre-activations with one product: the (4H, 3+H) stacked
     weight ``[A_x W_eᵀ scale | A_h | A_x b_e + b]``, built once per call in
     the order of ``_compute_order``, times the stacked input ``[x; h; 1]``.
-    So the scaling and the embedding are folded into the cell's product:
-    the values are those of the same stacked product composed of ops, bit
-    for bit, and agree with the unfolded chain to rounding.  The cell's
-    elementwise half (``_lstm_step``) and ``gamma`` follow, and each step
+    So the scaling and the embedding are folded into the cell's product.
+    The cell's elementwise half (``_lstm_step``) and ``gamma`` follow, each
+    gamma layer one product too: its transposed weights with the bias as a
+    last column, the output layer's over ``scale``, times its input with a
+    ones row.  A step makes 14 numpy calls with one hidden gamma layer.
+    The values are those of the same stacked products composed of ops, bit
+    for bit, and agree with the unfolded chain to rounding.  Each step
     writes its displacement into the next step's ``x`` rows; after the loop
     the positions are one running sum from ``last_pos``, the values of
-    adding the steps one by one.  While
-    recording, each step keeps its stacked input, gates and gamma
-    activations in blocks of its own.  Without a tape every step overwrites
-    one block and a stacked input overlaps the next: a 640-row min-of-20
-    evaluation with a block a step measured 20% more peak memory and 17%
-    less throughput.  The backward loops only over the recurrence, which
-    runs through gamma and the stacked weight's x block as well as the cell
-    (see ``lstm_sequence``).  The stacked weight's gradient, each step's
-    gate gradients times its stacked input summed over steps, is one
-    batched product, and each parameter's comes from its blocks.
+    adding the steps one by one.  While recording, each step keeps its
+    stacked input, gates and gamma activations in blocks of its own.
+    Without a tape every step overwrites one block and a stacked input
+    overlaps the next: a 640-row min-of-20 evaluation with a block a step
+    measured 20% more peak memory and 17% less throughput.  The backward
+    loops only over the recurrence, which runs through gamma and the
+    stacked weight's x block as well as the cell (see ``lstm_sequence``).
+    The stacked weight's gradient, each step's gate gradients times its
+    stacked input summed over steps, is one batched product, and each
+    parameter's comes from its blocks.
     """
     W_e, b_e = embed
     W_x, W_h, b = cell
@@ -960,9 +978,11 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     np.matmul(b_e.data, W_x.data, out=stacked[-1])
     stacked[-1] += b.data
     A = _compute_order(stacked)
-    # every gamma layer as transposed weights and a bias block
-    layers_T = [(W.data.T.copy(), _block(b_.data, rows)) for W, b_ in layers]
-    W_out, b_out = layers_T.pop()
+    # every gamma layer as its transposed weights with the bias as a last
+    # column, for an input block with a ones row; the output layer over scale
+    layers_T = [np.concatenate([W.data, b_.data[None]]).T.copy() for W, b_ in layers]
+    W_out = layers_T.pop()
+    W_out *= inv
     # step t's stacked input in block t, written by step t-1, as views of
     # one buffer: while recording each block has rows of its own, for the
     # backward; else each starts two rows after the one before, so that the
@@ -974,24 +994,26 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
                                         (stride * buf.strides[0], *buf.strides))
     S[0, :2], S[0, 2:-1] = np.transpose(last_disp), h0.data.T
     # what else the steps compute, in (n, ., rows) buffers: step t in block
-    # t while recording, for the backward to read, else all in block 0
+    # t while recording, for the backward to read, else all in block 0.  A
+    # step reads its cell state from its block and writes c' into the next
+    # one's (its own without a tape); gamma's activations carry a ones row
     n = t_pred if record else 1
-    pres = [np.empty((n, len(b_), rows)) for _, b_ in layers_T]
-    acts = [np.empty_like(z) for z in pres]
-    blocks, c = np.empty((n, 6 * hd, rows)), np.zeros((hd, rows))
+    pres = [np.empty((n, len(W), rows)) for W in layers_T]
+    acts = [np.empty((n, len(W) + 1, rows)) for W in layers_T]
+    blocks = np.empty((n + record, 6 * hd, rows))
+    blocks[0, 4 * hd:5 * hd] = 0.0
+    for Y in acts:
+        Y[:, -1] = 1.0
     with np.errstate(over="ignore"):
         for t in range(t_pred):
             k = t if record else 0
             np.matmul(A, S[t], out=blocks[k, :4 * hd])
-            a = S[t + 1, 2:-1]
-            c = _lstm_step(c, blocks[k], a)
-            for (W, b_), Z, Y in zip(layers_T, pres, acts):
-                z = np.matmul(W, a, out=Z[k])
-                z += b_
-                a = _activate(z, activation, slope, Y[k])
-            x = np.matmul(W_out, a, out=S[t + 1, :2])
-            x += b_out
-            x *= inv
+            _lstm_step(blocks[k], blocks[k + record, 4 * hd:5 * hd], S[t + 1, 2:-1])
+            a = S[t + 1, 2:]  # [h; 1]
+            for W, Z, Y in zip(layers_T, pres, acts):
+                _activate(np.matmul(W, a, out=Z[k]), activation, slope, Y[k, :-1])
+                a = Y[k]
+            np.matmul(W_out, a, out=S[t + 1, :2])
     disps = S[1:, :2].transpose(0, 2, 1).reshape(t_pred * rows, 2)
     walk = np.concatenate([np.reshape(last_pos, (1, rows, 2)), disps.reshape(t_pred, rows, 2)])
     positions = np.cumsum(walk, axis=0, out=walk)[1:].transpose(1, 0, 2).reshape(rows, 2 * t_pred)
@@ -999,7 +1021,8 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     def bwd(grads):
         g_pos, g_disp = (np.zeros(shape) if g is None else g
                          for g, shape in zip(grads, ((rows, 2 * t_pred), (t_pred * rows, 2))))
-        D, P = _lstm_factors(blocks, hd)
+        D, P = _lstm_factors(blocks[:-1], hd)
+        order, back_order = _grad_order(hd)
         # the gradient of each step's gamma output, (T, 2, rows): its
         # displacement's and every later position's, over scale; the loop
         # adds what reaches it through the next step's input
@@ -1017,10 +1040,10 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
         Gs.append(G_out)
         # from a step's gate gradients to the previous step's gamma output,
         # through the x block of the stacked weight and the division by scale
-        back = stacked[:2] * inv
+        back = stacked[:2, order] * inv
         dh, dc, dh_gamma, gx = (np.zeros((hd, rows)), np.zeros((hd, rows)),
                                 np.empty((hd, rows)), np.empty((2, rows)))
-        for t in _bptt(D, P, blocks, W_h.data, dh, dc):
+        for t in _bptt(D, P, blocks[:-1], W_h.data[:, order], dh, dc):
             g = G_out[t]
             if t + 1 < t_pred:
                 g += np.matmul(back, D[t + 1], out=gx)
@@ -1029,11 +1052,11 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
             dh += np.matmul(layers[0][0].data, g, out=dh_gamma)
         # the stacked weight's gradient; its x block is W_e scale W_x, and its
         # last row b_e W_x + b
-        G_A = _weight_grad(S[:-1], D)
+        G_A = _weight_grad(S[:-1], D)[:, back_order]
         G_x, db = G_A[:2], G_A[-1]
         return (dh.T, (G_x @ W_x.data.T) * scale, W_x.data @ db,
                 W_es.T @ G_x + np.outer(b_e.data, db), G_A[2:-1], db,
-                *(d for a, G in zip([S[1:, 2:-1], *acts], Gs)
+                *(d for a, G in zip([S[1:, 2:-1], *(Y[:, :-1] for Y in acts)], Gs)
                   for d in (_weight_grad(a, G), _bias_grad(G))))
 
     return _make((positions, disps), inputs, bwd)

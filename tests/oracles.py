@@ -15,7 +15,8 @@ from trajgan.data import (CLASS_NAMES, LABEL_ALIASES, WINDOW_CSV_HEADER, AgentTr
                           AnnotationParseError, DataError, RawAnnotation, SceneWindow,
                           UnknownLabelError)
 from trajgan.evaluate import constant_velocity_baseline
-from trajgan.model import fake_steps, generator_forward, real_steps, stacked_onehots
+from trajgan.model import (fake_steps, generator_forward, real_steps, sinusoidal_positions,
+                           stacked_onehots)
 from trajgan.optim import clip_grad_norm, grad_norm
 from trajgan.tensor import Tape, backward, no_grad
 from trajgan.train import StepRecord, d_loss, g_adv_loss, variety_loss, variety_norms
@@ -81,14 +82,15 @@ def assert_grads_match(build_loss, leaves, rtol=1e-4, h=1e-5, coords=None):
 
 def looped_attention(q, k, v, heads, groups):
     """Reference for ``T.grouped_attention``: every sequence and head on its
-    own through matmul/transpose/mul_scalar/softmax_rows.  Returns the (N, D)
-    output tensor in the same time-major row order as the inputs."""
-    n, d = q.shape
+    own through matmul/transpose/mul_scalar/softmax_rows.  ``q`` may hold
+    fewer steps than ``k`` and ``v``.  Returns the output tensor, one row
+    per query row, in the same time-major row order as the queries."""
+    (n, d), n_k = q.shape, k.shape[0]
     hd = d // heads
     seqs = []
     for g in range(groups):
-        rows = np.arange(g, n, groups)
-        qg, kg, vg = (T.take_rows(a, rows) for a in (q, k, v))
+        qg = T.take_rows(q, np.arange(g, n, groups))
+        kg, vg = (T.take_rows(a, np.arange(g, n_k, groups)) for a in (k, v))
         outs = []
         for h in range(heads):
             qh, kh, vh = (T.narrow(a, 1, h * hd, hd) for a in (qg, kg, vg))
@@ -99,6 +101,23 @@ def looped_attention(q, k, v, heads, groups):
     length = n // groups
     return T.take_rows(T.concat(seqs, axis=0),
                        (np.arange(n) % groups) * length + np.arange(n) // groups)
+
+
+def full_rows_transformer_run(enc, seq, rows):
+    """Reference for ``TransformerEncoder.run``: every layer runs every
+    step's rows, the last layer's included, and the ``"last"`` pooling
+    narrows to the last step's rows after it."""
+    length = seq.shape[0] // rows
+    pe = np.repeat(sinusoidal_positions(length, enc.config.hidden_dim), rows, axis=0)
+    x = T.add(enc.in_proj(seq), T.constant(pe))
+    for layer in enc.layers:
+        x = layer["ln1"](T.add(x, layer["mha"](x, rows)))
+        ff = T.mlp(x, [(layer[k].W, layer[k].b) for k in ("ff1", "ff2")],
+                   enc.config.activation, enc.config.leaky_slope)
+        x = layer["ln2"](T.add(x, ff))
+    if enc.config.transformer_pool == "mean":
+        return T.matmul(T.constant(np.tile(np.eye(rows), length) / length), x)
+    return T.narrow(x, 0, (length - 1) * rows, rows)
 
 
 def composed_mlp(x, layers, activation, slope, probes=()):
@@ -217,9 +236,28 @@ def lstm_cell(x, hc, W_x, W_h, b):
 
 
 def looped_lstm_sequence(x, W_x, W_h, b, rows):
-    """Reference for ``T.lstm_sequence``: one ``lstm_cell`` node per step on
-    a narrowed and transposed slice of ``x``, from a zero ``[h; c]``, and a
-    final narrow and transpose."""
+    """Reference for ``T.lstm_sequence``: its stacked gate product composed
+    of ops.  The (I+H+1, 4H) gate weights ``[W_x; W_h; b]`` of the input rows
+    x, h and 1 (a concat node), transposed with the gate rows put in the
+    compute order; each step multiplies them by the concatenated ``[x_t; h;
+    1]``, x_t a narrowed and transposed slice of ``x``, and runs
+    ``lstm_activations``, from a zero h and c; a final transpose."""
+    hd = W_h.shape[0]
+    A = T.take_rows(T.transpose(T.concat([W_x, W_h, row(b)], axis=0)), gate_order(hd))
+    ones = T.constant(np.ones((1, rows)))
+    h = c = T.constant(np.zeros((hd, rows)))
+    for start in range(0, x.shape[0], rows):
+        x_t = T.transpose(T.narrow(x, 0, start, rows))
+        h, c = lstm_activations(T.matmul(A, T.concat([x_t, h, ones], axis=0)), c)
+    return T.transpose(h)
+
+
+def unstacked_lstm_sequence(x, W_x, W_h, b, rows):
+    """The LSTM as separate products: one ``lstm_cell`` node per step, whose
+    gates are ``(A_x x_t + A_h h) + b``, on a narrowed and transposed slice
+    of ``x``, from a zero ``[h; c]``, and a final narrow and transpose.
+    ``T.lstm_sequence`` sums the three in one product, so it agrees with
+    this to rounding."""
     hd = W_h.shape[0]
     hc = T.constant(np.zeros((2 * hd, rows)))
     for start in range(0, x.shape[0], rows):
@@ -251,15 +289,20 @@ def looped_decode(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     ``[W_e scale W_x; W_h; b_e W_x + b]`` (matmul, mul_scalar, add and
     concat nodes), transposed with the gate rows put in the compute order;
     each step multiplies them by the concatenated ``[x; h; 1]``, then runs
-    ``lstm_activations``, gamma's matmul, add and activation nodes and a
-    mul_scalar by 1/scale, and adds the displacement to the position.
-    Returns the positions and the time-major displacements."""
+    ``lstm_activations``.  Each gamma layer is one product too: its
+    transposed weights with the bias as a last column, the output layer's
+    times 1/scale (concat and mul_scalar nodes), times its input with a
+    ones row, an activation node between layers; the output is the step's
+    displacement, added to the position.  Returns the positions and the
+    time-major displacements."""
     (W_e, b_e), (W_x, W_h, b) = embed, cell
     rows, hd = h0.shape
     stacked = T.concat([T.matmul(T.mul_scalar(W_e, scale), W_x), W_h,
                         T.add(T.matmul(row(b_e), W_x), row(b))], axis=0)
     A = T.take_rows(T.transpose(stacked), gate_order(hd))
     ones = T.constant(np.ones((1, rows)))
+    layers = [T.concat([T.transpose(W), column(b_)], axis=1) for W, b_ in gamma]
+    layers[-1] = T.mul_scalar(layers[-1], 1.0 / scale)
     h, c = T.transpose(h0), T.constant(np.zeros((hd, rows)))
     x_in = T.transpose(T.constant(np.asarray(last_disp, dtype=float)))
     pos = T.transpose(T.constant(np.asarray(last_pos, dtype=float)))
@@ -267,15 +310,14 @@ def looped_decode(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     for _ in range(t_pred):
         h, c = lstm_activations(T.matmul(A, T.concat([x_in, h, ones], axis=0)), c)
         out = h
-        for j, (W, b_) in enumerate(gamma):
+        for j, W in enumerate(layers):
             if j:
                 out = T.activation(out, activation, slope)
-            out = T.add(T.matmul(T.transpose(W), out), column(b_))
-        disp = T.mul_scalar(out, 1.0 / scale)
-        pos = T.add(pos, disp)
-        disp_steps.append(T.transpose(disp))
+            out = T.matmul(W, T.concat([out, ones], axis=0))
+        pos = T.add(pos, out)
+        disp_steps.append(T.transpose(out))
         pos_steps.append(T.transpose(pos))
-        x_in = disp
+        x_in = out
     return T.concat(pos_steps, axis=1), T.concat(disp_steps, axis=0)
 
 

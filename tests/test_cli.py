@@ -5,6 +5,8 @@ import math
 import os
 import pathlib
 import platform
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -217,6 +219,24 @@ def test_bar_svg_well_formed():
         plots.bar_svg([-1.0], ["neg"])
     with pytest.raises(ValueError):
         plots.bar_svg([1.0], ["a", "b"])
+
+
+def test_svg_text_escapes_what_xml_text_needs():
+    assert plots.escape('a & b < c > d "e" \'f\'') == 'a &amp; b &lt; c &gt; d "e" \'f\''
+    svg = plots.bar_svg([1.0], ["<&>"], title="x < y & z")
+    assert ET.fromstring(svg).findall(".//{http://www.w3.org/2000/svg}text")[0].text \
+        == "x < y & z"
+
+
+def test_importing_the_cli_leaves_the_http_client_out():
+    # xml.sax.saxutils would pull in urllib.request and http.client, about
+    # 30 ms of every start of the command line
+    script = ("import sys, trajgan.cli; print(sorted({'http.client', 'urllib.request', "
+              "'xml.sax.saxutils'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (assert_grads_match, looped_attention, looped_decode, looped_draw_noise,
-                     looped_pair_indices, score_fake, score_real, sigmoid_ref)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (assert_grads_match, full_rows_transformer_run, looped_attention,
+                     looped_decode, looped_draw_noise, looped_pair_indices, score_fake,
+                     score_real, sigmoid_ref)
 from trajgan import data as D
 from trajgan import model as M
 from trajgan import tensor as T
@@ -110,40 +114,47 @@ def test_transformer_layer_records_one_node_per_part():
     seq = Tensor(np.random.default_rng(11).standard_normal((8 * 2, 3)), requires_grad=True)
     with Tape() as tape:
         enc.run(seq, rows=2)
-    # input projection, positions; q, k, v, attention, output projection,
-    # residual, norm; the feed-forward block, residual, norm; the last step
-    assert node_kinds(tape) == ["mlp", "add", "mlp", "matmul", "mlp", "grouped_attention",
-                                "mlp", "add", "layer_norm", "mlp", "add", "layer_norm",
-                                "narrow"]
+    # input projection, positions; the last step's rows, which alone run
+    # through the last layer after its keys and values; q, k, v, attention,
+    # output projection, residual, norm; the feed-forward block, residual, norm
+    assert node_kinds(tape) == ["mlp", "add", "narrow", "mlp", "matmul", "mlp",
+                                "grouped_attention", "mlp", "add", "layer_norm", "mlp", "add",
+                                "layer_norm"]
 
 
 # ---------------------------------------------------------------------------
 # LSTM cell
 
 def test_lstm_cell_matches_hand_evaluation():
-    # feature-major, with the products the op makes; at H=16, R=18, I=8 a
-    # row-major evaluation rounds differently
+    # feature-major, with the one stacked product a step makes; at H=16,
+    # R=18, I=8 a row-major evaluation rounds differently.  The gates as
+    # separate input, recurrent and bias terms agree to rounding
     for n_in, hd, rows, steps in ((3, 2, 4, 3), (8, 16, 18, 4)):
         rng = np.random.default_rng(0)
         cell = M.LSTMCell(n_in, hd, rng)
         xs = rng.standard_normal((steps, rows, n_in))
         # stored gate blocks (i, f, g, o) as rows in the compute order (i, f, o, g)
         order = np.r_[0:2 * hd, 3 * hd:4 * hd, 2 * hd:3 * hd]
+        A = np.concatenate([cell.W_x.data, cell.W_h.data, cell.b.data[None]]).T[order]
         A_x, A_h = cell.W_x.data.T[order], cell.W_h.data.T[order]
         bias = np.repeat(cell.b.data[order][:, None], rows, axis=1)
 
-        h = c = np.zeros((hd, rows))
-        for x in xs:
-            gates = A_x @ np.ascontiguousarray(x.T) + A_h @ h + bias
-            i = sigmoid_ref(gates[:hd])
-            f = sigmoid_ref(gates[hd:2 * hd])
-            o = sigmoid_ref(gates[2 * hd:3 * hd])
-            g = np.tanh(gates[3 * hd:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
+        def run(gates_of):
+            h = c = np.zeros((hd, rows))
+            for x in xs:
+                gates = gates_of(np.ascontiguousarray(x.T), h)
+                i = sigmoid_ref(gates[:hd])
+                f = sigmoid_ref(gates[hd:2 * hd])
+                o = sigmoid_ref(gates[2 * hd:3 * hd])
+                g = np.tanh(gates[3 * hd:])
+                c = f * c + i * g
+                h = o * np.tanh(c)
+            return h.T
 
         out = cell.run(Tensor(xs.reshape(steps * rows, n_in)), rows=rows).data
-        assert np.array_equal(out, h.T)
+        assert np.array_equal(out, run(lambda x, h: A @ np.vstack([x, h, np.ones((1, rows))])))
+        np.testing.assert_allclose(out, run(lambda x, h: A_x @ x + A_h @ h + bias),
+                                   rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("rows", [1, 4, 9])
@@ -331,6 +342,40 @@ def test_transformer_grads():
         return T.tsum(T.mul(out, out))
 
     assert_grads_match(loss, params, rtol=2e-4)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 24])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("pool", ["last", "mean"])
+def test_transformer_matches_the_full_rows_path(pool, layers, rows):
+    # with "last" pooling the last layer runs the last step's rows alone.
+    # Every part there is row by row, so at the presets' sizes (hidden 16 in
+    # 4 heads) the summaries are those of every step's rows, bit for bit, at
+    # an observation's length (8) and at a discriminator's (20).  A lone
+    # agent's products have one row, which numpy hands to gemv instead of
+    # gemm: those round differently
+    cfg = tiny_config(encoder="transformer", transformer_pool=pool, transformer_layers=layers,
+                      hidden_dim=16, transformer_heads=4, transformer_ff_dim=32)
+    enc = M.TransformerEncoder(16, cfg, np.random.default_rng(80))
+    params = list(enc.named_parameters("enc").values())
+    rng = np.random.default_rng(81)
+    for length in (8, 20):
+        seq = Tensor(rng.standard_normal((length * rows, 16)), requires_grad=True)
+        w = Tensor(rng.standard_normal((rows, 16)))
+        runs = []
+        for fn in (enc.run, lambda s, r: full_rows_transformer_run(enc, s, r)):
+            for t in params + [seq]:
+                t.grad = None
+            with Tape():
+                out = fn(seq, rows)
+                backward(T.tsum(T.mul(out, w)))
+            runs.append((out.data, [t.grad for t in params + [seq]]))
+        (got, got_grads), (want, want_grads) = runs
+        if rows > 1:
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        for g, w_ in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w_, rtol=1e-10, atol=1e-13)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 5])
@@ -724,6 +769,35 @@ def test_generator_forward_packs_windows_like_separate_calls():
     np.testing.assert_allclose(score_real(disc, ws).data,
                                np.concatenate([score_real(disc, w).data for w in ws]),
                                rtol=1e-12, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(before=st.lists(st.integers(1, 3), max_size=2),
+       after=st.lists(st.integers(1, 3), max_size=2), n_agents=st.integers(1, 3),
+       encoder=st.sampled_from(["lstm", "transformer last", "transformer mean"]),
+       use_labels=st.booleans(), seed=st.integers(0, 10_000))
+def test_window_packed_with_neighbours_matches_it_alone(before, after, n_agents, encoder,
+                                                       use_labels, seed):
+    # the encoders and the decoder work row by row and pooling stays inside
+    # each window, so the windows packed around one, lone agents among
+    # them, change its outputs by rounding at most
+    kind, _, pool = encoder.partition(" ")
+    cfg = tiny_config(encoder=kind, transformer_pool=pool or "last", transformer_layers=2,
+                      use_labels=use_labels)
+    gen = M.build_generator(cfg, seed=60)
+    counts = before + [n_agents] + after
+    ws = [make_window(seed=seed + i, n_agents=c) for i, c in enumerate(counts)]
+    mine, lo = ws[len(before)], sum(before)
+    rng = np.random.default_rng(seed)
+    z = [rng.standard_normal((c, 2, cfg.noise_dim)) for c in counts]
+    packed = M.generator_forward(gen, ws, k=2, z=np.concatenate(z))
+    alone = M.generator_forward(gen, mine, k=2, z=z[len(before)])
+    np.testing.assert_allclose(packed.trajectories()[lo:lo + n_agents], alone.trajectories(),
+                               rtol=1e-12, atol=1e-12)
+    packed_enc, alone_enc = M.encode_windows(gen, ws), M.encode_windows(gen, mine)
+    for got, want in zip(packed_enc[2:], alone_enc[2:]):
+        np.testing.assert_allclose(got.data[lo:lo + n_agents], want.data, rtol=1e-12,
+                                   atol=1e-14)
 
 
 def test_generator_forward_rejects_mixed_window_lengths():

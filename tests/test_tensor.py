@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from oracles import (assert_grads_match, composed_layer_norm, composed_min_of_k_norms,
                      composed_mlp, finite_diff, looped_attention, looped_decode,
                      looped_lstm_sequence, looped_lstm_step, lstm_cell, segment_max_ref,
-                     sigmoid_ref, unfused_decode)
+                     sigmoid_ref, unfused_decode, unstacked_lstm_sequence)
 from trajgan import tensor as T
 from trajgan.optim import Adam, clip_grad_norm, grad_norm
 from trajgan.tensor import ContractError, ShapeError, Tape, Tensor, backward, no_grad
@@ -257,6 +257,24 @@ def test_bce_logits_grads(target):
     assert_grads_match(lambda: T.bce_logits(s, target), [s], rtol=1e-6)
 
 
+@pytest.mark.parametrize("logit", [40.0, -40.0, 800.0, -800.0])
+@pytest.mark.parametrize("label", [0.0, 1.0])
+def test_bce_logits_at_extreme_logits(logit, label):
+    # far in the tails, where exp(-|s|) underflows at ±800 and σ(s) is 0 or
+    # 1 exactly: the loss stays finite and the gradient is (σ(s) - label)/n
+    s = Tensor(np.full((2, 3), logit), requires_grad=True)
+    with Tape():
+        loss = T.bce_logits(s, label)
+        backward(loss)
+    want = max(logit, 0.0) - logit * label + math.log1p(math.exp(-abs(logit)))
+    assert math.isfinite(float(loss.data))
+    assert float(loss.data) == pytest.approx(want, rel=1e-15, abs=0.0)
+    e = math.exp(-abs(logit))
+    sig = 1.0 / (1.0 + e) if logit >= 0 else e / (1.0 + e)
+    np.testing.assert_allclose(s.grad, np.full((2, 3), (sig - label) / 6), rtol=1e-15, atol=0)
+    assert_grads_match(lambda: T.bce_logits(s, label), [s], rtol=1e-6)
+
+
 @settings(max_examples=300, deadline=None)
 @given(s=st.floats(-700.0, 700.0))
 def test_bce_logits_matches_independent_softplus_forms(s):
@@ -399,20 +417,22 @@ def test_segment_max_matches_looped_oracle_bit_for_bit(lengths, cols, seed):
     assert grad.tobytes() == want_grad.tobytes()
 
 
-def attention_values_and_grads(op, groups, length, heads, head_dim, seed):
-    """Output and q/k/v gradients of ``op`` under a random linear loss."""
+def attention_values_and_grads(op, groups, length, heads, head_dim, seed, q_steps=None):
+    """Output and q/k/v gradients of ``op`` under a random linear loss, with
+    queries of ``q_steps`` steps, by default ``length``."""
     rng = np.random.default_rng(seed)
     n, d = groups * length, heads * head_dim
-    qkv = [rand_leaf(rng, (n, d)) for _ in range(3)]
-    w = Tensor(rng.standard_normal((n, d)))
+    m = groups * (length if q_steps is None else q_steps)
+    qkv = [rand_leaf(rng, (rows, d)) for rows in (m, n, n)]
+    w = Tensor(rng.standard_normal((m, d)))
     with Tape():
         out = op(*qkv, heads, groups)
         backward(T.tsum(T.mul(out, w)))
     return out.data, [x.grad for x in qkv]
 
 
-def assert_attention_matches_oracle(groups, length, heads, head_dim, seed):
-    shape = (groups, length, heads, head_dim, seed)
+def assert_attention_matches_oracle(groups, length, heads, head_dim, seed, q_steps=None):
+    shape = (groups, length, heads, head_dim, seed, q_steps)
     got, got_grads = attention_values_and_grads(T.grouped_attention, *shape)
     want, want_grads = attention_values_and_grads(looped_attention, *shape)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -429,9 +449,39 @@ def test_grouped_attention_matches_per_sequence_per_head_oracle(groups, length, 
 
 @settings(max_examples=30, deadline=None)
 @given(groups=st.integers(1, 4), length=st.integers(1, 5), heads=st.integers(1, 3),
-       head_dim=st.integers(1, 3), seed=st.integers(0, 10_000))
-def test_grouped_attention_oracle_property(groups, length, heads, head_dim, seed):
-    assert_attention_matches_oracle(groups, length, heads, head_dim, seed)
+       head_dim=st.integers(1, 3), seed=st.integers(0, 10_000),
+       q_steps=st.none() | st.integers(1, 5))
+def test_grouped_attention_oracle_property(groups, length, heads, head_dim, seed, q_steps):
+    assert_attention_matches_oracle(groups, length, heads, head_dim, seed, q_steps)
+
+
+@pytest.mark.parametrize("groups,length,q_steps,heads,head_dim", [
+    (3, 4, 1, 2, 3), (1, 5, 2, 2, 2), (24, 8, 1, 4, 4), (4, 1, 1, 2, 2), (2, 3, 5, 1, 2)])
+def test_grouped_attention_with_other_query_steps_matches_oracle(groups, length, q_steps,
+                                                                 heads, head_dim):
+    assert_attention_matches_oracle(groups, length, heads, head_dim, 31, q_steps)
+
+
+@pytest.mark.parametrize("groups,length", [(24, 8), (2, 20), (5, 3)])
+def test_grouped_attention_of_the_last_step_is_every_steps_last_rows(groups, length):
+    # the encoders' head size, 4: the last step's queries alone give the
+    # output rows, and the key and value gradients, of every step's queries
+    # under a loss on the last step's rows, bit for bit
+    rng = np.random.default_rng(32)
+    n, m = groups * length, groups
+    q, k, v = (rand_leaf(rng, (n, 16)) for _ in range(3))
+    w = rng.standard_normal((m, 16))
+    runs = []
+    for query in (q, leaf(q.data[n - m:])):
+        k.grad = v.grad = None
+        with Tape():
+            out = T.grouped_attention(query, k, v, 4, groups)
+            if out.shape[0] > m:
+                out = T.narrow(out, 0, n - m, m)
+            backward(T.tsum(T.mul(out, Tensor(w))))
+        runs.append((out.data, k.grad, v.grad))
+    for got, want in zip(runs[1], runs[0]):
+        assert np.array_equal(got, want)
 
 
 def test_grouped_attention_grads():
@@ -464,6 +514,8 @@ def test_grouped_attention_weights_and_layout():
     (((6, 4),) * 3, 2, 4),  # groups do not divide 6 rows
     (((6, 4),) * 3, 0, 3),
     (((6, 4),) * 3, 2, 0),
+    (((6, 2), (6, 4), (6, 4)), 2, 3),  # q narrower than k
+    (((5, 4), (6, 4), (6, 4)), 2, 3),  # groups do not divide the query rows
 ])
 def test_grouped_attention_rejects_bad_shapes(shapes, heads, groups):
     q, k, v = (leaf(np.zeros(s)) for s in shapes)
@@ -592,6 +644,23 @@ def test_lstm_sequence_matches_looped_oracle(rows, length, in_dim, hidden):
        seed=st.integers(0, 10_000))
 def test_lstm_sequence_oracle_property(rows, length, in_dim, hidden, trainable, seed):
     assert_sequence_matches_oracle(rows, length, in_dim, hidden, seed, trainable)
+
+
+@pytest.mark.parametrize("rows,length,in_dim,hidden",
+                         [(3, 4, 2, 5), (6, 8, 3, 2), (36, 20, 8, 16), (320, 8, 16, 16)])
+def test_lstm_sequence_matches_separate_products(rows, length, in_dim, hidden):
+    # the gates as (A_x x + A_h h) + b, one lstm_cell node a step: one
+    # stacked product a step changes only the rounding.  At small shapes,
+    # at gan_lstm's discriminator in training and at an evaluation pass
+    rng = np.random.default_rng(30)
+    leaves = sequence_leaves(rng, rows, length, in_dim, hidden)
+    w = [Tensor(rng.standard_normal((rows, hidden)))]
+    (got,), got_grads = values_and_grads(lambda: T.lstm_sequence(*leaves, rows), leaves, w)
+    (want,), want_grads = values_and_grads(lambda: unstacked_lstm_sequence(*leaves, rows),
+                                           leaves, w)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    for g, w_ in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w_, rtol=1e-10, atol=1e-13)
 
 
 def test_lstm_sequence_grads():
@@ -1088,6 +1157,54 @@ def test_mlp_grads(widths, activation):
         lambda: T.tsum(T.mul(T.mlp(x, layers, activation, 0.3, probes), w)),
         [x, *params, *probes], rtol=1e-6)
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_mlp_grads_at_the_kink(activation):
+    # the first hidden unit has zero weights and bias, so its pre-activation
+    # is exactly 0 on every row under every perturbation of another input:
+    # central differences agree there.  On the unit's own weights and bias
+    # they would average the two one-sided slopes; the op takes the positive
+    # branch's, which a forward difference gives, since on positive inputs
+    # it moves every row's pre-activation above 0
+    rng = np.random.default_rng(33)
+    x, layers, _ = mlp_leaves(rng, (3, 4, 2), probes=False)
+    x.data[...] = np.abs(x.data) + 0.5
+    (W1, b1), (W2, b2) = layers
+    W1.data[:, 0] = 0.0
+    b1.data[0] = 0.0
+    w = Tensor(rng.standard_normal((5, 2)))
+    leaves = [x, W1, b1, W2, b2]
+
+    def loss():
+        return T.tsum(T.mul(T.mlp(x, layers, activation, 0.3), w))
+
+    kinked = [(1, i) for i in range(0, W1.size, 4)] + [(2, 0)]
+    coords = [(li, i) for li, t in enumerate(leaves) for i in range(t.size)
+              if (li, i) not in kinked]
+    assert assert_grads_match(loss, leaves, rtol=1e-6, coords=coords) < 1e-6
+    base, h = float(loss().data), 1e-5
+    for li, i in kinked:
+        flat = leaves[li].data.reshape(-1)
+        flat[i] = h
+        slope = (float(loss().data) - base) / h
+        flat[i] = 0.0
+        assert leaves[li].grad.reshape(-1)[i] == pytest.approx(slope, rel=1e-6)
+        assert abs(slope) > 1e-3
+
+
+def test_leaky_relu_gradient_keeps_the_bits_of_the_product_form():
+    # np.where(x >= 0, g, g * slope) against g * np.where(x >= 0, 1, slope),
+    # on signed zeros, infinities and NaN in x and g, and with the scalar
+    # g = 1.0 that the rollout's backward passes
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5, 5e-324, -5e-324])
+    x = np.repeat(special, special.size)
+    g = np.tile(special, special.size)
+    for slope in (0.2, 0.3, 1.0):
+        for grad in (g, 1.0):
+            got = T._activate_grad(grad, x, "leaky_relu", slope)
+            want = grad * np.where(x >= 0.0, 1.0, slope)
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("widths", [(3, 2), (3, 4, 1), (2, 5, 4, 3)])
