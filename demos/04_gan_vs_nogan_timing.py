@@ -19,7 +19,7 @@ windows = synth_scene("linear", 3, ("pedestrian", "car", "bicyclist"),
 config = ModelConfig(embed_dim=8, class_embed_dim=8, hidden_dim=16,
                      noise_dim=4, pool_dim=8, gamma_mlp_hidden=(16,),
                      pooling_mlp_hidden=(16,), decoder_init_mlp_hidden=(16,),
-                     classifier_mlp_hidden=(16,), k_samples=5)
+                     classifier_mlp_hidden=(16,))
 
 # adversarial steps
 gan_cfg = TrainConfig(mode="gan", batch_size=6, lr=1e-3, epochs=1, k=5, seed=0)

@@ -21,7 +21,7 @@ split = split_dataset(windows, seed=0)
 config = ModelConfig(embed_dim=8, class_embed_dim=8, hidden_dim=16,
                      noise_dim=4, pool_dim=8, gamma_mlp_hidden=(16,),
                      pooling_mlp_hidden=(16,), decoder_init_mlp_hidden=(16,),
-                     classifier_mlp_hidden=(16,), k_samples=5,
+                     classifier_mlp_hidden=(16,),
                      use_labels=True)
 train = TrainConfig(mode="nogan", batch_size=4, lr=3e-3, epochs=5, k=5, seed=0)
 

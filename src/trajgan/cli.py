@@ -213,6 +213,8 @@ def cmd_eval(args):
 
 def cmd_analyze(args):
     cfg, gen = _rebuild_from_checkpoint(args.checkpoint)
+    if cfg.model.use_labels and cfg.model.class_embed_dim < 2:
+        raise ConfigError("model.class_embed_dim is 1; the top-2 PCA needs at least 2")
     analysis = E.analyze_embeddings(gen)  # main maps a label-free model to exit 2
     out = _make_out_dir(args.out or os.path.join(os.path.dirname(args.checkpoint) or ".",
                                                  "analysis"))

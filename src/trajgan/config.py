@@ -1,8 +1,9 @@
 """One JSON document describing a full experiment: model, training, data.
 
 Loading is strict: unknown keys are rejected with the offending name, so a
-typo cannot silently fall back to a default.  load(save(config)) round-trips
-to an equal config.
+typo cannot silently fall back to a default, and a retired model key loads
+only at its one remaining value (``RETIRED_MODEL_KEYS``), which is dropped.
+load(save(config)) round-trips to an equal config.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .train import TrainConfig
 
 DATA_SOURCES = ("synth", "windows_csv", "annotations")
 DATA_ROOT_ENV = "TRAJGAN_DATA_ROOT"
+# model options no config varied: the values a file may still hold, described and tested
+RETIRED_MODEL_KEYS = {"class_in_spatial": ("true", lambda v: v is True),
+                      "k_samples": ("an integer", lambda v: type(v) is int),
+                      "transformer_pool": ('"last"', lambda v: v == "last")}
 
 
 @dataclass
@@ -130,6 +135,11 @@ def _build_section(cls, values, section):
 
 
 def from_dict(d):
+    if isinstance(d, dict) and isinstance(d.get("model"), dict):
+        d = {**d, "model": dict(d["model"])}  # the caller's document stays as it is
+        for key, (only, fits) in RETIRED_MODEL_KEYS.items():
+            if key in d["model"] and not fits(d["model"].pop(key)):
+                raise ConfigError(f"model.{key} is retired; only {only} is supported")
     return _build_section(ExperimentConfig, d, None)
 
 

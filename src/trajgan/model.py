@@ -22,7 +22,6 @@ from .data import N_CLASSES, SceneWindow, displacements, write_atomic
 from .tensor import ContractError, Tensor
 
 ENCODER_KINDS = ("lstm", "transformer")
-TRANSFORMER_POOLS = ("last", "mean")
 
 
 class ConfigError(ValueError):
@@ -49,14 +48,11 @@ class ModelConfig:
     input_scale: float = 0.02
     encoder: str = "lstm"
     use_labels: bool = True
-    class_in_spatial: bool = True
     activation: str = "leaky_relu"
     leaky_slope: float = 0.2
-    k_samples: int = 20
     transformer_heads: int = 4
     transformer_layers: int = 4
     transformer_ff_dim: int = 64
-    transformer_pool: str = "last"
     gamma_mlp_hidden: tuple = (32,)
     pooling_mlp_hidden: tuple = (32,)
     decoder_init_mlp_hidden: tuple = (32,)
@@ -74,15 +70,11 @@ class ModelConfig:
         if self.activation not in T.ACTIVATIONS:
             raise ConfigError(f"activation must be one of {T.ACTIVATIONS}, "
                               f"got {self.activation!r}")
-        if self.transformer_pool not in TRANSFORMER_POOLS:
-            raise ConfigError(f"transformer_pool must be one of {TRANSFORMER_POOLS}")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
         if not (math.isfinite(self.input_scale) and self.input_scale > 0.0):
             raise ConfigError(f"input_scale must be positive and finite, "
                               f"got {self.input_scale}")
-        if self.k_samples < 1:
-            raise ConfigError(f"k_samples must be >= 1, got {self.k_samples}")
         dims = [self.embed_dim, self.class_embed_dim, self.hidden_dim,
                 self.noise_dim, self.pool_dim, self.transformer_heads,
                 self.transformer_layers, self.transformer_ff_dim]
@@ -268,29 +260,25 @@ class TransformerEncoder:
     def run(self, seq, rows):
         """(T*rows, in_dim) sequences of ``rows`` agents in time-major rows
         (row t*rows + r is step t of agent r) to (rows, hidden_dim)
-        summaries; each agent attends only over its own steps.
+        summaries, the last step's outputs; each agent attends only over
+        its own steps.
 
-        With ``"last"`` pooling only the last step's rows leave the last
-        layer, so that layer runs its queries, attention read-out, output
-        projection, residuals, norms and feed-forward on those rows alone;
-        its keys and values still read every step.  Every operation there
-        is row by row, so those rows have the values of running every
-        step's rows through.
+        Only the last step's rows leave the last layer, so that layer runs
+        its queries, attention read-out, output projection, residuals, norms
+        and feed-forward on those rows alone; its keys and values still read
+        every step.  Every operation there is row by row, so those rows have
+        the values of running every step's rows through.
         """
         length = seq.shape[0] // rows
         pe = np.repeat(sinusoidal_positions(length, self.config.hidden_dim), rows, axis=0)
         x = T.add(self.in_proj(seq), T.constant(pe))
-        last = self.config.transformer_pool == "last"
         for j, layer in enumerate(self.layers):
-            q = (T.narrow(x, 0, (length - 1) * rows, rows)
-                 if last and j == len(self.layers) - 1 else x)
+            q = T.narrow(x, 0, (length - 1) * rows, rows) if j == len(self.layers) - 1 else x
             x = layer["ln1"](T.add(q, layer["mha"](x, rows, q)))
             ff = T.mlp(x, [(layer[k].W, layer[k].b) for k in ("ff1", "ff2")],
                        self.config.activation, self.config.leaky_slope)
             x = layer["ln2"](T.add(x, ff))
-        if last:
-            return x
-        return T.matmul(T.constant(np.tile(np.eye(rows), length) / length), x)
+        return x
 
     def named_parameters(self, prefix):
         out = self.in_proj.named_parameters(f"{prefix}.in_proj")
@@ -311,7 +299,7 @@ class SequenceEncoder:
 
     def __init__(self, config, rng):
         self.config = config
-        spatial_in = 2 + (N_CLASSES if config.use_labels and config.class_in_spatial else 0)
+        spatial_in = 2 + (N_CLASSES if config.use_labels else 0)
         self.spatial = Linear(spatial_in, config.embed_dim, rng)
         self.class_embed = Linear(N_CLASSES, config.class_embed_dim, rng) \
             if config.use_labels else None
@@ -321,15 +309,10 @@ class SequenceEncoder:
 
     def embed_step(self, xy, onehots):
         """(M, 2) displacements + (M, 6) one-hots -> (M, e_dim), row by row."""
-        cfg = self.config
-        xy = T.mul_scalar(xy, cfg.input_scale)
-        if cfg.use_labels and cfg.class_in_spatial:
-            spatial_in = T.concat([xy, onehots], axis=1)
-        else:
-            spatial_in = xy
-        s = self.spatial(spatial_in)
-        if not cfg.use_labels:
-            return s
+        xy = T.mul_scalar(xy, self.config.input_scale)
+        if not self.config.use_labels:
+            return self.spatial(xy)
+        s = self.spatial(T.concat([xy, onehots], axis=1))
         return T.concat([s, self.class_embed(onehots)], axis=1)
 
     def encode(self, xy, onehots):
@@ -737,4 +720,6 @@ def load_models(payload, gen, disc=None):
             except (KeyError, TypeError, ValueError) as exc:
                 raise CheckpointError(f"{source} {key} parameter {name!r} is malformed: "
                                       f"{type(exc).__name__} {exc}") from exc
+            if not np.isfinite(values[name]).all():  # json reads NaN and Infinity
+                raise CheckpointError(f"{source} {key} parameter {name!r} is not finite")
         restore_params(model, values, source)

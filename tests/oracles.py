@@ -105,8 +105,8 @@ def looped_attention(q, k, v, heads, groups):
 
 def full_rows_transformer_run(enc, seq, rows):
     """Reference for ``TransformerEncoder.run``: every layer runs every
-    step's rows, the last layer's included, and the ``"last"`` pooling
-    narrows to the last step's rows after it."""
+    step's rows, the last layer's included, and the summary narrows to the
+    last step's rows after it."""
     length = seq.shape[0] // rows
     pe = np.repeat(sinusoidal_positions(length, enc.config.hidden_dim), rows, axis=0)
     x = T.add(enc.in_proj(seq), T.constant(pe))
@@ -115,8 +115,6 @@ def full_rows_transformer_run(enc, seq, rows):
         ff = T.mlp(x, [(layer[k].W, layer[k].b) for k in ("ff1", "ff2")],
                    enc.config.activation, enc.config.leaky_slope)
         x = layer["ln2"](T.add(x, ff))
-    if enc.config.transformer_pool == "mean":
-        return T.matmul(T.constant(np.tile(np.eye(rows), length) / length), x)
     return T.narrow(x, 0, (length - 1) * rows, rows)
 
 

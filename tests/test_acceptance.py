@@ -35,7 +35,7 @@ from trajgan.train import (TrainConfig, d_loss, g_adv_loss,
 SMALL = dict(embed_dim=8, class_embed_dim=8, hidden_dim=16, noise_dim=4,
              pool_dim=8, gamma_mlp_hidden=(16,), pooling_mlp_hidden=(16,),
              decoder_init_mlp_hidden=(16,), classifier_mlp_hidden=(16,),
-             k_samples=5, use_labels=True)
+             use_labels=True)
 THREE_CLASSES = ("pedestrian", "car", "bicyclist")
 
 
@@ -242,7 +242,7 @@ def test_07_nogan_step_is_faster_than_gan_step():
 def test_08_leaky_relu_keeps_more_hidden_gradient_flow(tmp_path):
     windows = synth_scene("turn", 3, THREE_CLASSES, seed=0, n_windows=4,
                           jitter=0.1)
-    mc = ModelConfig(**dict(SMALL, k_samples=2))
+    mc = ModelConfig(**SMALL)
     tc = TrainConfig(mode="gan", batch_size=4, lr=1e-3, epochs=1, k=2, seed=0)
     relu, leaky = run_activation_ablation(windows, mc, tc, steps=200)
     assert relu.activation == "relu" and leaky.activation == "leaky_relu"

@@ -1,4 +1,5 @@
-"""Every name the benchmark under perfbench/ wraps or calls still exists.
+"""Every name the benchmark under perfbench/ wraps or calls still exists,
+and its model workloads still set up and run.
 
 The traced benchmark substitutes wrappers for module attributes by name, so
 deleting or renaming one of them would only surface there; this test makes
@@ -7,6 +8,8 @@ it fail in the unit suite instead.
 
 import importlib.util
 import pathlib
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -27,6 +30,17 @@ def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, which imports its siblings by their bare
+    names; the monkeypatch takes all three out of sys.modules again."""
+    for name in ("inputs", "tracing", "workloads"):
+        spec = importlib.util.spec_from_file_location(name, TRACING.with_name(f"{name}.py"))
+        mod = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, mod)  # dataclasses look their module up
+        spec.loader.exec_module(mod)
     return mod
 
 
@@ -112,3 +126,18 @@ def test_train_step_never_nests_tapes(monkeypatch, mode):
                          None if disc is None else optim.Adam(disc.parameters()),
                          config, np.random.default_rng(4))
     assert depth[0] == 0 and len(entered) == 1
+
+
+@pytest.mark.parametrize("name", ["train_gan_lstm", "train_nogan_transformer_crowded",
+                                  "eval_crowded_k20"])
+def test_model_workloads_set_up_and_run_an_op(monkeypatch, tmp_path, name):
+    # the workloads build their configs from their own dicts and save and
+    # load a checkpoint, so a config-schema or checkpoint change that the
+    # benchmark cannot load fails here
+    workloads = load_workloads(monkeypatch)
+    tg = types.SimpleNamespace(config=config, data=data, evaluate=evaluate, model=model,
+                               optim=optim, tensor=T, train=train)
+    wl = workloads.build(tg)[name]
+    st = wl.setup(seed=1, workdir=str(tmp_path))
+    assert st.get("round_trip", True)
+    assert wl.check_op(st, 0, wl.run_op(st, 0)) > 0

@@ -33,8 +33,7 @@ def small_experiment(tmp_path, **train_kw):
                           noise_dim=2, pool_dim=3, transformer_heads=2,
                           transformer_layers=1, transformer_ff_dim=6,
                           gamma_mlp_hidden=(3,), pooling_mlp_hidden=(3,),
-                          decoder_init_mlp_hidden=(3,), classifier_mlp_hidden=(3,),
-                          k_samples=2),
+                          decoder_init_mlp_hidden=(3,), classifier_mlp_hidden=(3,)),
         train=TrainConfig(**train),
         data=C.DataConfig(source="synth", scene_kind="linear", n_agents=2,
                           classes=("pedestrian", "car"), n_windows=6,
@@ -114,6 +113,26 @@ def test_validate_rejects_non_finite_values(section, named):
         section.validate()
 
 
+RETIRED_AT_SHIPPED_VALUES = {"class_in_spatial": True, "k_samples": 5,
+                             "transformer_pool": "last"}
+
+
+def test_retired_model_keys_at_their_fixed_values_load_as_absent():
+    for k_samples in (5, 20):
+        doc = {"model": dict(RETIRED_AT_SHIPPED_VALUES, k_samples=k_samples, hidden_dim=8)}
+        assert C.from_dict(doc).model == ModelConfig(hidden_dim=8)
+        # the caller's document is left as it was
+        assert doc["model"]["k_samples"] == k_samples and len(doc["model"]) == 4
+
+
+@pytest.mark.parametrize("key, value", [("transformer_pool", "mean"),
+                                        ("class_in_spatial", False),
+                                        ("k_samples", 2.5), ("k_samples", True)])
+def test_retired_model_keys_at_any_other_value_are_rejected_by_name(key, value):
+    with pytest.raises(ConfigError, match=f"^model.{key} is retired; only "):
+        C.from_dict({"model": {key: value}})
+
+
 def test_config_accepts_an_int_for_a_float_and_null_for_clip_norm():
     cfg = C.from_dict({"train": {"lr": 1, "clip_norm": None},
                        "data": {"jitter": 0, "classes": ["car", "bus", "car"]}})
@@ -161,7 +180,7 @@ def test_preset_config_json_and_hash_bytes():
         assert C.to_json(C.load_config(preset)) == preset.read_text(), preset.name
     cfg = C.load_config(PRESET_DIR / "gan_lstm_label.json")
     assert C.config_hash(cfg) == \
-        "ffa619e84f3ebe04016ca7c1dc5e07f9d68ffcf68e47b221a74b2f53450aceda"
+        "e1a947d3698aac3f7ac882a74dd3fa1652a4d53e757ed17f32ab5a7c2e644f5a"
 
 
 def test_data_validation_errors(tmp_path):
@@ -636,6 +655,71 @@ def test_checkpoint_with_retired_step_counts_evaluates_to_the_same_bytes(tmp_pat
     assert reports[1] == reports[None] and reports[3] == reports[None]
 
 
+@pytest.mark.parametrize("encoder", ["lstm", "transformer"])
+def test_checkpoint_with_retired_model_keys_evaluates_to_the_same_bytes(tmp_path, encoder):
+    # checkpoints written while the model config had class_in_spatial,
+    # k_samples and transformer_pool load at the values every preset held,
+    # and report exactly what they did without them
+    cfg = small_experiment(tmp_path)
+    cfg.model.encoder = encoder
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == cli.EXIT_OK
+    payload = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+    reports = {}
+    for k_samples in (None, 5, 20):
+        if k_samples is not None:
+            payload["config"]["model"].update(RETIRED_AT_SHIPPED_VALUES, k_samples=k_samples)
+        path = tmp_path / f"ckpt_{k_samples}.json"
+        path.write_text(json.dumps(payload))
+        out, an = tmp_path / f"eval_{k_samples}", tmp_path / f"analysis_{k_samples}"
+        assert cli.main(["eval", "--checkpoint", str(path), "--out", str(out)]) == cli.EXIT_OK
+        assert cli.main(["analyze", "--checkpoint", str(path), "--out", str(an)]) == cli.EXIT_OK
+        reports[k_samples] = {p.name: p.read_bytes() for d in (out, an)
+                              for p in sorted(d.iterdir()) if p.name != "manifest.json"}
+    assert sorted(reports[None]) == ["distances.csv", "distances.svg", "pca.csv", "pca.svg",
+                                     "report.txt", "report_k1.csv", "report_k2.csv"]
+    assert reports[5] == reports[None] and reports[20] == reports[None]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("key, value", [("transformer_pool", "mean"),
+                                        ("class_in_spatial", False)])
+def test_retired_model_key_at_another_value_exits_2_before_writing(tmp_path, capsys, key,
+                                                                   value, command):
+    cfg = small_experiment(tmp_path)
+    doc = C.to_dict(cfg)
+    doc["model"][key] = value
+    if command == "train":
+        path = tmp_path / "config.json"
+        argv = ["train", "--config", str(path)]
+        path.write_text(json.dumps(doc))
+    else:
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, build_generator(cfg.model, seed=cfg.seed), config_dict=doc)
+        argv = ["eval", "--checkpoint", str(path), "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"model.{key} is retired" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+@pytest.mark.parametrize("word", ["NaN", "Infinity", "-Infinity"])
+def test_checkpoint_with_a_non_finite_parameter_exits_2_before_writing(tmp_path, capsys,
+                                                                       word, command):
+    # json reads the bare words, which training never writes
+    cfg = small_experiment(tmp_path)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(path, build_generator(cfg.model, seed=cfg.seed),
+                    config_dict=C.to_dict(cfg))
+    payload = json.loads(path.read_text())
+    name = sorted(payload["generator"])[3]
+    payload["generator"][name]["values"][-1] = float(word)
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert cli.main([command, "--checkpoint", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"generator parameter {name!r} is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _drop_values(payload):
     rec = next(iter(payload["generator"].values()))
     del rec["values"]
@@ -762,6 +846,19 @@ def test_cmd_analyze_rejects_label_free_checkpoint(tmp_path, capsys):
                    "--checkpoint", str(tmp_path / "run" / "checkpoint.json")])
     assert rc == cli.EXIT_CONFIG
     assert "model trained without class embeddings" in capsys.readouterr().err
+
+
+def test_cmd_analyze_rejects_a_one_dim_class_embedding(tmp_path, capsys):
+    # such a model trains and evaluates, but has no top-2 PCA
+    cfg = small_experiment(tmp_path)
+    cfg.model.class_embed_dim = 1
+    ckpt = str(tmp_path / "run" / "checkpoint.json")
+    assert cli.main(["train", "--config", str(write_config(tmp_path, cfg))]) == cli.EXIT_OK
+    assert cli.main(["eval", "--checkpoint", ckpt]) == cli.EXIT_OK
+    out = tmp_path / "analysis"
+    assert cli.main(["analyze", "--checkpoint", ckpt, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "model.class_embed_dim is 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gan_mode_checkpoint_carries_discriminator(tmp_path):

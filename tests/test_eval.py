@@ -121,7 +121,7 @@ def tiny_gen(seed=5, **kw):
                         transformer_layers=1, transformer_ff_dim=6,
                         gamma_mlp_hidden=(3,), pooling_mlp_hidden=(3,),
                         decoder_init_mlp_hidden=(3,), classifier_mlp_hidden=(3,),
-                        k_samples=3, **kw)
+                        **kw)
     return M.build_generator(cfg, seed=seed)
 
 

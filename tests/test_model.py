@@ -20,7 +20,7 @@ def tiny_config(**overrides):
                 pool_dim=3, transformer_heads=2, transformer_layers=1,
                 transformer_ff_dim=6, gamma_mlp_hidden=(3,),
                 pooling_mlp_hidden=(3,), decoder_init_mlp_hidden=(3,),
-                classifier_mlp_hidden=(3,), k_samples=3)
+                classifier_mlp_hidden=(3,))
     base.update(overrides)
     return M.ModelConfig(**base)
 
@@ -48,8 +48,6 @@ def test_config_validation():
     with pytest.raises(M.ConfigError):
         tiny_config(leaky_slope=1.5).validate()
     with pytest.raises(M.ConfigError):
-        tiny_config(k_samples=0).validate()
-    with pytest.raises(M.ConfigError):
         tiny_config(encoder="transformer", hidden_dim=5).validate()
 
 
@@ -57,7 +55,6 @@ def test_default_config_matches_training_setup():
     cfg = M.ModelConfig()
     assert (cfg.embed_dim, cfg.class_embed_dim, cfg.hidden_dim, cfg.noise_dim) \
         == (16, 16, 32, 8)
-    assert cfg.k_samples == 20
     assert (cfg.transformer_heads, cfg.transformer_layers) == (4, 4)
     assert cfg.activation == "leaky_relu"
     cfg.validate()
@@ -277,13 +274,10 @@ def test_embed_step_distinguishes_classes_at_same_position():
     oh = Tensor(np.eye(6)[[4, 2]])
     out = enc.embed_step(xy, oh).data
     assert not np.allclose(out[0], out[1])
-
-
-def test_class_in_spatial_switch_changes_param_shape():
-    with_c = M.SequenceEncoder(tiny_config(class_in_spatial=True), np.random.default_rng(8))
-    without = M.SequenceEncoder(tiny_config(class_in_spatial=False), np.random.default_rng(8))
-    assert with_c.spatial.W.shape == (8, 3)
-    assert without.spatial.W.shape == (2, 3)
+    # the one-hots join the displacements in the spatial embedding too
+    assert enc.spatial.W.shape == (2 + 6, 3)
+    label_free = M.SequenceEncoder(tiny_config(use_labels=False), np.random.default_rng(7))
+    assert label_free.spatial.W.shape == (2, 3)
 
 
 def test_class_embedding_matrix():
@@ -321,14 +315,6 @@ def test_transformer_positions_matter():
     assert not np.allclose(base, out)
 
 
-def test_transformer_mean_pool():
-    cfg = tiny_config(encoder="transformer", transformer_pool="mean")
-    enc = M.SequenceEncoder(cfg, np.random.default_rng(15))
-    steps = Tensor(np.random.default_rng(16).standard_normal((4 * 3, 2)))
-    out = enc.encode(steps, Tensor(np.eye(6)[[0, 1, 2]]))
-    assert out.shape == (3, 4)
-
-
 def test_transformer_grads():
     cfg = tiny_config(encoder="transformer")
     enc = M.SequenceEncoder(cfg, np.random.default_rng(17))
@@ -346,15 +332,14 @@ def test_transformer_grads():
 
 @pytest.mark.parametrize("rows", [1, 2, 24])
 @pytest.mark.parametrize("layers", [1, 2, 3])
-@pytest.mark.parametrize("pool", ["last", "mean"])
-def test_transformer_matches_the_full_rows_path(pool, layers, rows):
-    # with "last" pooling the last layer runs the last step's rows alone.
-    # Every part there is row by row, so at the presets' sizes (hidden 16 in
-    # 4 heads) the summaries are those of every step's rows, bit for bit, at
-    # an observation's length (8) and at a discriminator's (20).  A lone
+def test_transformer_matches_the_full_rows_path(layers, rows):
+    # the last layer runs the last step's rows alone.  Every part there is
+    # row by row, so at the presets' sizes (hidden 16 in 4 heads) the
+    # summaries are those of every step's rows, bit for bit, at an
+    # observation's length (8) and at a discriminator's (20).  A lone
     # agent's products have one row, which numpy hands to gemv instead of
     # gemm: those round differently
-    cfg = tiny_config(encoder="transformer", transformer_pool=pool, transformer_layers=layers,
+    cfg = tiny_config(encoder="transformer", transformer_layers=layers,
                       hidden_dim=16, transformer_heads=4, transformer_ff_dim=32)
     enc = M.TransformerEncoder(16, cfg, np.random.default_rng(80))
     params = list(enc.named_parameters("enc").values())
@@ -379,9 +364,8 @@ def test_transformer_matches_the_full_rows_path(pool, layers, rows):
 
 
 @pytest.mark.parametrize("rows", [1, 3, 5])
-@pytest.mark.parametrize("pool", ["last", "mean"])
-def test_packed_transformer_encode_matches_per_agent_calls(pool, rows):
-    cfg = tiny_config(encoder="transformer", transformer_pool=pool, transformer_layers=2)
+def test_packed_transformer_encode_matches_per_agent_calls(rows):
+    cfg = tiny_config(encoder="transformer", transformer_layers=2)
     enc = M.TransformerEncoder(5, cfg, np.random.default_rng(70))
     params = list(enc.named_parameters("enc").values())
     rng = np.random.default_rng(71)
@@ -774,16 +758,14 @@ def test_generator_forward_packs_windows_like_separate_calls():
 @settings(max_examples=30, deadline=None)
 @given(before=st.lists(st.integers(1, 3), max_size=2),
        after=st.lists(st.integers(1, 3), max_size=2), n_agents=st.integers(1, 3),
-       encoder=st.sampled_from(["lstm", "transformer last", "transformer mean"]),
+       encoder=st.sampled_from(["lstm", "transformer"]),
        use_labels=st.booleans(), seed=st.integers(0, 10_000))
 def test_window_packed_with_neighbours_matches_it_alone(before, after, n_agents, encoder,
                                                        use_labels, seed):
     # the encoders and the decoder work row by row and pooling stays inside
     # each window, so the windows packed around one, lone agents among
     # them, change its outputs by rounding at most
-    kind, _, pool = encoder.partition(" ")
-    cfg = tiny_config(encoder=kind, transformer_pool=pool or "last", transformer_layers=2,
-                      use_labels=use_labels)
+    cfg = tiny_config(encoder=encoder, transformer_layers=2, use_labels=use_labels)
     gen = M.build_generator(cfg, seed=60)
     counts = before + [n_agents] + after
     ws = [make_window(seed=seed + i, n_agents=c) for i, c in enumerate(counts)]

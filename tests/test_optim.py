@@ -20,7 +20,7 @@ def tiny_generator(seed=0):
                         pool_dim=3, transformer_heads=2, transformer_layers=1,
                         transformer_ff_dim=6, gamma_mlp_hidden=(3,),
                         pooling_mlp_hidden=(3,), decoder_init_mlp_hidden=(3,),
-                        classifier_mlp_hidden=(3,), k_samples=2)
+                        classifier_mlp_hidden=(3,))
     return M.build_generator(cfg, seed)
 
 

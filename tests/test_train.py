@@ -27,7 +27,7 @@ def tiny_config(**kw):
                          transformer_layers=1, transformer_ff_dim=6,
                          gamma_mlp_hidden=(3,), pooling_mlp_hidden=(3,),
                          decoder_init_mlp_hidden=(3,), classifier_mlp_hidden=(3,),
-                         k_samples=2, **kw)
+                         **kw)
 
 
 def tiny_train_config(**kw):
