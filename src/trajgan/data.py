@@ -16,6 +16,7 @@ import io
 import os
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
+from math import inf, isfinite
 from operator import itemgetter, ne
 from typing import NamedTuple
 
@@ -97,7 +98,8 @@ def parse_annotations(source):
     A malformed line or an unknown label, lost lines included, raises
     AnnotationParseError (UnknownLabelError for the label) with the 1-based
     line number.  The first fault is reported, checked in this order: the
-    field count, each field in turn, the bbox order, the label.
+    field count, each field in turn, a non-finite bbox coordinate (``nan``,
+    ``inf``), the bbox order, the label.
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     # A line's last four fields (lost, occluded, generated, label) take few
@@ -131,8 +133,10 @@ def parse_annotations(source):
                                           raw_label)
         except ValueError as e:
             raise AnnotationParseError(str(e), ln) from None
-        if xmin > xmax or ymin > ymax:
-            raise AnnotationParseError(f"bbox not ordered: {(xmin, ymin, xmax, ymax)}", ln)
+        if not (-inf < xmin <= xmax < inf and -inf < ymin <= ymax < inf):
+            bbox = (xmin, ymin, xmax, ymax)
+            fault = "ordered" if all(map(isfinite, bbox)) else "finite"
+            raise AnnotationParseError(f"bbox not {fault}: {bbox}", ln)
         lost, occluded, generated, label, raw_label = tail
         if label is None:
             raise UnknownLabelError(f"unknown class label {raw_label!r}", ln)
@@ -736,24 +740,28 @@ def load_annotation_dataset(root, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T
 
 def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED):
     """load_annotation_dataset on the files scan_annotation_dirs found; also
-    returns the number of lines the files hold."""
+    returns the number of lines the files hold.  A DataError raised while a
+    file loads starts ``annotation file <path>: `` and keeps its class."""
     tracks_by_scene = {}
     track_counts = dict.fromkeys(CLASS_NAMES, 0)
     lines = 0
     for scene_id, path in files.items():
-        with open(path, encoding="utf-8") as fh:
-            # number the lines as they are read: zip stops at the end of the
-            # file before it draws a number, so the next one is the count
-            numbers = count()
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                # number the lines as they are read: zip stops at the end of
+                # the file before it draws a number, so the next one is the count
+                numbers = count()
                 annotations = parse_annotations(map(itemgetter(0), zip(fh, numbers)))
-            except UnicodeDecodeError as e:
-                raise DataError(f"annotation file {path} is not UTF-8 text: {e}") from None
-            lines += next(numbers)
-        tracks = build_tracks(annotations)
+                lines += next(numbers)
+            tracks = build_tracks(annotations)
+            subs = [subsample(t, stride) for t in tracks]
+        except UnicodeDecodeError as e:
+            raise DataError(f"annotation file {path} is not UTF-8 text: {e}") from None
+        except DataError as e:
+            e.args = (f"annotation file {path}: {e}",)
+            raise
         for t in tracks:
             track_counts[t.class_name] += 1
-        subs = [subsample(t, stride) for t in tracks]
         tracks_by_scene[scene_id] = [t for t in subs if len(t) > 0]
     return build_windows(tracks_by_scene, t_obs, t_pred), track_counts, lines
 

@@ -113,15 +113,8 @@ class Linear:
 
 class MLP:
     """Stack of Linears with the configured nonlinearity between them, run
-    as one ``T.mlp`` node.
-
-    While ``collect_hidden`` is set, every call adds a zero-valued leaf to
-    each pre-activation and appends those probe leaves to ``last_hidden``;
-    callers clear the list first.  The sum has the pre-activation's value,
-    and after a backward pass each probe's gradient is the loss gradient at
-    its pre-activation.  It shows which hidden nodes the nonlinearity let
-    through: a node whose activation gates it off gets an exact zero there.
-    """
+    as one ``T.mlp`` node.  A ``taps`` list passed to a call receives the
+    backward's gradient at each hidden pre-activation (see ``T.mlp``)."""
 
     def __init__(self, dims, rng, activation="leaky_relu", slope=0.2):
         if len(dims) < 2:
@@ -129,17 +122,10 @@ class MLP:
         self.layers = [Linear(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
         self.activation = activation
         self.slope = slope
-        self.collect_hidden = False
-        self.last_hidden = []
 
-    def __call__(self, x):
-        probes = ()
-        if self.collect_hidden:
-            probes = [Tensor(np.zeros((x.shape[0], layer.b.shape[0])), requires_grad=True)
-                      for layer in self.layers[:-1]]
-            self.last_hidden.extend(probes)
+    def __call__(self, x, taps=None):
         return T.mlp(x, [(layer.W, layer.b) for layer in self.layers], self.activation,
-                     self.slope, probes)
+                     self.slope, taps)
 
     def named_parameters(self, prefix):
         out = {}
@@ -458,11 +444,11 @@ class Discriminator:
         dims = (config.hidden_dim,) + config.classifier_mlp_hidden + (1,)
         self.classifier = MLP(dims, rng, config.activation, config.leaky_slope)
 
-    def score_steps(self, steps, onehots):
+    def score_steps(self, steps, onehots, taps=None):
         """Real-vs-fake logits of the (T*R, 2) time-major displacements of R
-        trajectories with their (R, 6) one-hots, as an (R, 1) tensor."""
-        hidden = self.encoder.encode(steps, onehots)
-        return self.classifier(hidden)
+        trajectories with their (R, 6) one-hots, as an (R, 1) tensor; a
+        ``taps`` list goes to the classifier (see ``MLP``)."""
+        return self.classifier(self.encoder.encode(steps, onehots), taps)
 
     def named_parameters(self):
         out = self.encoder.named_parameters("encoder")

@@ -531,30 +531,27 @@ def activation(a, kind, slope=0.2):
 # Model parts as one node each.  Every part makes the numpy calls of the ops
 # it replaces, in their order, so its values are theirs bit for bit.
 
-def mlp(x, layers, activation="leaky_relu", slope=0.2, probes=()):
+def mlp(x, layers, activation="leaky_relu", slope=0.2, taps=None):
     """The (N, n) ``x`` through the affine ``layers`` = [(W, b), ...] with the
     nonlinearity ``activation``, one of ACTIVATIONS, between them, as one
-    tape node.
+    tape node whose inputs are ``x`` and the layer parameters.
 
-    ``probes`` is empty or holds one (N, width) tensor per hidden layer,
-    added to its pre-activation: a zero-valued leaf there leaves the values
-    as they are and receives the loss gradient at the pre-activation.  The
+    When ``taps`` is a list, the backward appends to it the loss gradient it
+    computes at each hidden pre-activation, an (N, width) array, top layer
+    first; a node the activation gates off gets an exact zero there.  The
     forward and backward make the numpy products and sums of the composed
     matmul, add and activation ops, so values and gradients are theirs bit
     for bit.  No dx is computed when ``x`` needs no gradient, and no weight
     gradient for a parameter that needs none.
     """
     layers = [tuple(layer) for layer in layers]
-    probes = tuple(probes)
-    rows, n_in = x.shape if x.data.ndim == 2 else (-1, -1)
+    n_in = x.shape[1] if x.data.ndim == 2 else -1
     widths = [n_in] + [W.shape[-1] for W, _ in layers]
-    if (rows < 0 or not layers or len(probes) not in (0, len(layers) - 1)
+    if (n_in < 0 or not layers
             or any(W.data.ndim != 2 or W.shape[0] != n or b.shape != (m,)
-                   for (W, b), n, m in zip(layers, widths, widths[1:]))
-            or any(p.shape != (rows, m) for p, m in zip(probes, widths[1:]))):
+                   for (W, b), n, m in zip(layers, widths, widths[1:]))):
         raise ShapeError(f"mlp shapes do not fit: x {x.shape}, layers "
-                         f"{[(W.shape, b.shape) for W, b in layers]}, probes "
-                         f"{[p.shape for p in probes]}")
+                         f"{[(W.shape, b.shape) for W, b in layers]}")
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation kind {activation!r}; "
                          f"expected one of {ACTIVATIONS}")
@@ -565,13 +562,11 @@ def mlp(x, layers, activation="leaky_relu", slope=0.2, probes=()):
         z += b.data
         if j == len(layers) - 1:
             break
-        if probes:
-            z += probes[j].data
         pres.append(z)
         ins.append(_activate(z, activation, slope))
 
     def bwd(g):
-        grads, probe_grads = [], []
+        grads = []
         for j in reversed(range(len(layers))):
             W, b = layers[j]
             grads += [g.sum(axis=0) if b.requires_grad else None,
@@ -580,12 +575,11 @@ def mlp(x, layers, activation="leaky_relu", slope=0.2, probes=()):
                 grads.append(g @ W.data.T if x.requires_grad else None)
             else:
                 g = _activate_grad(g @ W.data.T, pres[j - 1], activation, slope)
-                if probes:
-                    probe_grads.append(g)
-        return (*grads[::-1], *probe_grads[::-1])
+                if taps is not None:
+                    taps.append(g)
+        return grads[::-1]
 
-    inputs = (x,) + tuple(p for layer in layers for p in layer) + probes
-    return _make(z, inputs, bwd)
+    return _make(z, (x,) + tuple(p for layer in layers for p in layer), bwd)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):

@@ -166,11 +166,12 @@ def _update(network, opt, loss, config):
     return norm
 
 
-def _discriminator_loss(batch, gen, disc, rng, encoded=None):
+def _discriminator_loss(batch, gen, disc, rng, encoded=None, taps=None):
     """Discriminator loss on every window's truth against one generated
     sample, drawn without gradient so nothing leaks into the generator;
     ``encoded`` is the batch's ``encode_windows``, computed when not given.
-    Real and fake rows share one discriminator pass: real rows first."""
+    Real and fake rows share one discriminator pass: real rows first.  A
+    ``taps`` list goes to ``Discriminator.score_steps``."""
     with no_grad():
         preds = generator_forward(gen, batch, k=1, rng=rng, encoded=encoded)
     # both sides are constants: interleave them step by step in numpy
@@ -178,7 +179,7 @@ def _discriminator_loss(batch, gen, disc, rng, encoded=None):
     real, fake = (s.data.reshape(-1, rows, 2) for s in (real_steps(batch), fake_steps(preds)))
     steps = T.constant(np.concatenate([real, fake], axis=1).reshape(-1, 2))
     onehots = stacked_onehots(batch)
-    logits = disc.score_steps(steps, T.constant(np.concatenate([onehots, onehots])))
+    logits = disc.score_steps(steps, T.constant(np.concatenate([onehots, onehots])), taps)
     return d_loss(logits, rows)
 
 
@@ -298,16 +299,10 @@ class AblationResult:
     hidden_grad_fraction: float
 
 
-def hidden_grad_fraction(hidden_tensors):
-    """Fraction of nonzero entries across the gradients of the given leaves,
-    such as the probes an MLP collects in ``last_hidden``."""
-    total = nonzero = 0
-    for h in hidden_tensors:
-        if h.grad is None:
-            raise ContractError("hidden tensor carries no gradient; "
-                                "run backward first")
-        total += h.grad.size
-        nonzero += int(np.count_nonzero(h.grad))
+def hidden_grad_fraction(taps):
+    """Fraction of nonzero entries across the gradient arrays ``taps``."""
+    total = sum(g.size for g in taps)
+    nonzero = sum(int(np.count_nonzero(g)) for g in taps)
     if total == 0:
         raise ContractError("no hidden activations to inspect")
     return nonzero / total
@@ -317,16 +312,18 @@ def discriminator_hidden_fraction(batch, gen, disc, rng):
     """Run one discriminator pass and measure gradient flow through the
     classifier's hidden nodes.  Inactive nodes contribute exact zeros.
 
-    The discriminator's parameters are frozen for the pass, so it leaves no
-    gradient on them for a later update to pick up."""
-    disc.classifier.last_hidden = []
-    disc.classifier.collect_hidden = True
+    Each discriminator parameter's gradient is put back as it was, so the
+    pass leaves nothing for a later update to pick up."""
+    params = disc.parameters()
+    saved = [p.grad for p in params]
+    taps = []
     try:
-        with _frozen(disc.parameters()), Tape():
-            T.backward(_discriminator_loss(batch, gen, disc, rng))
+        with Tape():
+            T.backward(_discriminator_loss(batch, gen, disc, rng, taps=taps))
     finally:
-        disc.classifier.collect_hidden = False
-    return hidden_grad_fraction(disc.classifier.last_hidden)
+        for p, g in zip(params, saved):
+            p.grad = g
+    return hidden_grad_fraction(taps)
 
 
 def run_activation_ablation(windows, model_config, train_config, steps=200):

@@ -7,6 +7,7 @@ library is a real two-route check rather than the same code twice.
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -666,6 +667,8 @@ def _check_line_ref(line, ln):
         lost, occluded, generated = (int(p) != 0 for p in parts[6:9])
     except ValueError as e:
         raise AnnotationParseError(str(e), ln) from None
+    if not all(math.isfinite(v) for v in bbox):
+        raise AnnotationParseError(f"bbox not finite: {bbox}", ln)
     if bbox[0] > bbox[2] or bbox[1] > bbox[3]:
         raise AnnotationParseError(f"bbox not ordered: {bbox}", ln)
     raw_label = parts[9].strip().strip('"')
@@ -702,6 +705,8 @@ def parse_annotations_ref(source):
             frame = int(parts[5])
         except ValueError as e:
             raise AnnotationParseError(str(e), ln) from None
+        if not all(math.isfinite(v) for v in (xmin, ymin, xmax, ymax)):
+            raise AnnotationParseError(f"bbox not finite: {(xmin, ymin, xmax, ymax)}", ln)
         if xmin > xmax or ymin > ymax:
             raise AnnotationParseError(f"bbox not ordered: {(xmin, ymin, xmax, ymax)}", ln)
         lost, occluded, generated, label = tail

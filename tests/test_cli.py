@@ -771,6 +771,30 @@ def test_input_that_is_not_utf8_exits_with_its_kind_of_error(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("command", ["parse", "train"])
+@pytest.mark.parametrize("fault,message", [
+    ("1 2 3", "line 50: expected 10 fields, got 3"),
+    ('1 nan 10 20 20 1 0 0 0 "Pedestrian"', "line 50: bbox not finite: (nan, 10.0, 20.0, 20.0)")],
+    ids=["short_line", "nan"])
+def test_annotation_errors_name_the_file_and_the_line(tmp_path, capsys, command, fault,
+                                                      message):
+    root = write_fixture_dataset(tmp_path / "ds")
+    lines = (root / "plaza" / "video0" / "annotations.txt").read_text().splitlines()
+    lines[49] = fault
+    second = root / "plaza" / "video1" / "annotations.txt"
+    second.parent.mkdir()
+    second.write_text("\n".join(lines) + "\n")
+    if command == "parse":
+        argv = ["parse", str(root), "--out", str(tmp_path / "run")]
+    else:
+        cfg = small_experiment(tmp_path)
+        cfg.data = C.DataConfig(source="annotations", root=str(root))
+        argv = ["train", "--config", str(write_config(tmp_path, cfg))]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert f"error: annotation file {second}: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["parse", "train"])
 def test_directory_name_that_is_not_utf8_exits_3_before_writing(tmp_path, capsys, command):
     # the name is made through a bytes path: as str it would hold a surrogate
     video = os.path.join(os.fsencode(tmp_path / "ds"), b"pl\xffza", b"video0")

@@ -133,7 +133,7 @@ PARSE_TOLERANCE = {
          record(4, (0, 0, 2, 2), 0, label="pedestrian"),
          record(5, (0, 0, 2, 2), 0, label="golf cart")]),
     # errors: (class, line, message); a line's first fault is reported, checked
-    # in the order field count, fields in turn, bbox order, label
+    # in the order field count, fields in turn, bbox finite, bbox order, label
     "repeated unknown label": ('1 0 0 2 2 0 0 0 0 "Car"\n\n3 0 0 2 2 0 0 0 0 "Unicycle"\n'
                                '4 0 0 2 2 0 0 0 0 "Unicycle"\n',
                                (D.UnknownLabelError, 3, "unknown class label 'Unicycle'")),
@@ -155,6 +155,20 @@ PARSE_TOLERANCE = {
                                     (D.AnnotationParseError, 1,
                                      "bbox not ordered: (3.0, 0.0, 2.0, 2.0)")),
     "flags before bbox order": ('1 3 0 2 2 0 0 y 0 "Car"\n',
+                                (D.AnnotationParseError, 1,
+                                 "invalid literal for int() with base 10: 'y'")),
+    "nan coordinate": ('1 nan 10 20 20 1 0 0 0 "Pedestrian"\n',
+                       (D.AnnotationParseError, 1, "bbox not finite: (nan, 10.0, 20.0, 20.0)")),
+    "infinite coordinate after a seen label": (
+        '1 0 0 2 2 0 0 0 0 "Car"\n1 0 -inf 2 2 1 0 0 0 "Car"\n',
+        (D.AnnotationParseError, 2, "bbox not finite: (0.0, -inf, 2.0, 2.0)")),
+    "non-finite coordinate on a lost line": ('1 0 0 inf 2 0 1 0 0 "Car"\n',
+                                             (D.AnnotationParseError, 1,
+                                              "bbox not finite: (0.0, 0.0, inf, 2.0)")),
+    "non-finite before bbox order": ('1 3 0 2 nan 0 0 0 0 "Unicycle"\n',
+                                     (D.AnnotationParseError, 1,
+                                      "bbox not finite: (3.0, 0.0, 2.0, nan)")),
+    "flags before non-finite": ('1 nan 0 2 2 0 0 y 0 "Car"\n',
                                 (D.AnnotationParseError, 1,
                                  "invalid literal for int() with base 10: 'y'")),
 }
@@ -191,12 +205,12 @@ def parse_outcome(parse, source):
 # valid spellings of each of the ten fields, then spellings that break it;
 # few flag and label spellings, so that line tails repeat
 GOOD_FIELDS = (["1", "7", "-3", "+2", "1_0"],
-               ["0", "1.5", "-2"], ["0", "-0.5", "1e1"], ["2", "3.5", "inf"], ["2", "1e3"],
+               ["0", "1.5", "-2"], ["0", "-0.5", "1e1"], ["2", "3.5"], ["2", "1e3"],
                ["0", "5", "-1"],
                ["0", "0", "1"], ["0", "1"], ["0", "1", "2"],
                ['"Car"', '"Biker"', '"CART"', '"Golf Cart"', "Skater", '"bus"'])
 BAD_FIELDS = (["x", "1.5", "0x1"],
-              ["5", "nan", "x"], ["9", "nan", "1,0"], ["-inf", "nan", "x"], ["-5", "y"],
+              ["5", "nan", "x"], ["9", "nan", "1,0"], ["-inf", "nan", "x", "inf"], ["-5", "y"],
               ["3.0", "y"],
               ["y", "-0", "0.0"], ["y", "1e1"], ["z"],
               ['"Unicycle"', '""', '"car" 1', '"golf  cart"'])
@@ -823,6 +837,17 @@ def write_fixture_dataset(root):
                          f'{f} 0 0 0 "{label}"')
     (scene / "annotations.txt").write_text("\n".join(lines) + "\n")
     return root
+
+
+def test_a_fault_in_an_annotation_file_names_the_file(tmp_path):
+    root = write_fixture_dataset(tmp_path)
+    second = root / "plaza" / "video1" / "annotations.txt"
+    second.parent.mkdir()
+    second.write_text('1 0 0 2 2 0 0 0 0 "Car"\n\n3 0 0 2 2 0 0 0 0 "Unicycle"\n')
+    with pytest.raises(D.UnknownLabelError) as exc:
+        D.load_annotation_files(D.scan_annotation_dirs(root))
+    assert exc.value.line_number == 3
+    assert str(exc.value) == f"annotation file {second}: line 3: unknown class label 'Unicycle'"
 
 
 def test_load_annotation_dataset(tmp_path):

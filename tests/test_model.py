@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (assert_grads_match, full_rows_transformer_run, looped_attention,
-                     looped_decode, looped_draw_noise, looped_pair_indices, score_fake,
-                     score_real, sigmoid_ref)
+from oracles import (assert_grads_match, composed_mlp, full_rows_transformer_run,
+                     looped_attention, looped_decode, looped_draw_noise, looped_pair_indices,
+                     score_fake, score_real, sigmoid_ref)
 from trajgan import data as D
 from trajgan import model as M
 from trajgan import tensor as T
@@ -64,7 +64,7 @@ def test_default_config_matches_training_setup():
 # MLP
 
 @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
-def test_mlp_probe_leaves_carry_the_pre_activation_gradient(activation, monkeypatch):
+def test_mlp_taps_carry_the_pre_activation_gradient(activation):
     rng = np.random.default_rng(8)
     mlp = M.MLP((3, 4, 5, 1), rng, activation)
     for layer in mlp.layers:  # a row whose units are all off would sit on the kink
@@ -72,37 +72,45 @@ def test_mlp_probe_leaves_carry_the_pre_activation_gradient(activation, monkeypa
     x = Tensor(rng.standard_normal((6, 3)))
     w = Tensor(rng.standard_normal((6, 1)))
     plain = mlp(x).data
-    mlp.collect_hidden = True
-    assert np.array_equal(mlp(x).data, plain)
-    probes = mlp.last_hidden
-    assert [p.shape for p in probes] == [(6, 4), (6, 5)]
-    assert all(p.requires_grad and p.node_id is None and not p.data.any() for p in probes)
+    taps = []
+    with Tape():
+        out = mlp(x, taps)
+        backward(T.tsum(T.mul(out, w)))
+    assert out.data.tobytes() == plain.tobytes()
+    assert [t.shape for t in taps] == [(6, 5), (6, 4)]  # top layer first
 
-    # finite differences move the probes, so every call gets the same ones
-    supply = []
-    monkeypatch.setattr(M, "Tensor", lambda data, requires_grad=False: supply.pop(0))
-
-    def loss():
-        supply[:] = probes
-        return T.tsum(T.mul(mlp(x), w))
-
-    assert_grads_match(loss, probes)
+    # each tap is the finite-difference gradient at its pre-activation, as
+    # seen through a zero leaf added there in the composed ops
+    probes = [Tensor(np.zeros(t.shape), requires_grad=True) for t in taps[::-1]]
+    layers = [(layer.W, layer.b) for layer in mlp.layers]
+    assert_grads_match(
+        lambda: T.tsum(T.mul(composed_mlp(x, layers, activation, mlp.slope, probes), w)),
+        probes)
+    assert [t.tobytes() for t in taps[::-1]] == [p.grad.tobytes() for p in probes]
     if activation == "relu":
-        assert not all(p.grad.all() for p in probes)  # relu gates some nodes off
+        assert not all(t.all() for t in taps)  # relu gates some nodes off
 
 
-@pytest.mark.parametrize("collect_hidden", [False, True])
-def test_linear_mlp_and_layer_norm_record_one_node_each(collect_hidden):
+@pytest.mark.parametrize("with_taps", [False, True])
+def test_linear_mlp_and_layer_norm_record_one_node_each(with_taps):
+    # a taps list adds no node and no input: the MLP's node reads x and its
+    # parameters only, and its backward fills the list
     rng = np.random.default_rng(9)
     x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     mlp = M.MLP((3, 4, 5, 2), rng)
-    mlp.collect_hidden = collect_hidden
+    taps = [] if with_taps else None
     for part, kind in ((M.Linear(3, 2, rng), "mlp"), (mlp, "mlp"),
                        (M.LayerNorm(3), "layer_norm")):
         with Tape() as tape:
-            part(x)
+            part(x, taps) if part is mlp else part(x)
         assert node_kinds(tape) == [kind]
-    assert len(mlp.last_hidden) == (2 if collect_hidden else 0)
+        if part is mlp:
+            (node,) = tape.nodes
+    params = [p for layer in mlp.layers for p in (layer.W, layer.b)]
+    assert len(node.inputs) == 7 and all(a is b for a, b in zip(node.inputs, [x, *params]))
+    node.bwd(np.ones((6, 2)))
+    assert len(taps or ()) == (2 if with_taps else 0)
+    assert set(vars(mlp)) == {"layers", "activation", "slope"}
 
 
 def test_transformer_layer_records_one_node_per_part():

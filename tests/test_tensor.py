@@ -1136,26 +1136,24 @@ def test_mlp_chain_grads():
 # ---------------------------------------------------------------------------
 # model parts as one node: T.mlp, T.layer_norm and T.min_of_k_norms
 
-def mlp_leaves(rng, widths, rows=5, probes=True):
-    """x, the (W, b) layers of an MLP through ``widths``, and a zero probe
-    per hidden layer when ``probes``."""
+def mlp_leaves(rng, widths, rows=5):
+    """x and the (W, b) layers of an MLP through ``widths``."""
     x = rand_leaf(rng, (rows, widths[0]))
     layers = [(rand_leaf(rng, (n, m)), rand_leaf(rng, (m,)))
               for n, m in zip(widths, widths[1:])]
-    hidden = [leaf(np.zeros((rows, m))) for m in widths[1:-1]] if probes else []
-    return x, layers, hidden
+    return x, layers
 
 
 @pytest.mark.parametrize("widths", [(3, 2), (3, 4, 2), (2, 5, 4, 3)])
 @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
 def test_mlp_grads(widths, activation):
     rng = np.random.default_rng(31)
-    x, layers, probes = mlp_leaves(rng, widths)
+    x, layers = mlp_leaves(rng, widths)
     w = Tensor(rng.standard_normal((5, widths[-1])))
     params = [p for layer in layers for p in layer]
     worst = assert_grads_match(
-        lambda: T.tsum(T.mul(T.mlp(x, layers, activation, 0.3, probes), w)),
-        [x, *params, *probes], rtol=1e-6)
+        lambda: T.tsum(T.mul(T.mlp(x, layers, activation, 0.3), w)),
+        [x, *params], rtol=1e-6)
     assert worst < 1e-6
 
 
@@ -1168,7 +1166,7 @@ def test_mlp_grads_at_the_kink(activation):
     # branch's, which a forward difference gives, since on positive inputs
     # it moves every row's pre-activation above 0
     rng = np.random.default_rng(33)
-    x, layers, _ = mlp_leaves(rng, (3, 4, 2), probes=False)
+    x, layers = mlp_leaves(rng, (3, 4, 2))
     x.data[...] = np.abs(x.data) + 0.5
     (W1, b1), (W2, b2) = layers
     W1.data[:, 0] = 0.0
@@ -1209,27 +1207,34 @@ def test_leaky_relu_gradient_keeps_the_bits_of_the_product_form():
 
 @pytest.mark.parametrize("widths", [(3, 2), (3, 4, 1), (2, 5, 4, 3)])
 @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
-@pytest.mark.parametrize("with_probes", [False, True])
+@pytest.mark.parametrize("with_taps", [False, True])
 @pytest.mark.parametrize("x_grad", [False, True])
-def test_mlp_matches_composed_ops_bit_for_bit(widths, activation, with_probes, x_grad):
+def test_mlp_matches_composed_ops_bit_for_bit(widths, activation, with_taps, x_grad):
+    # the taps are the gradients of zero probe leaves added to the composed
+    # ops' hidden pre-activations
     rng = np.random.default_rng(32)
-    x, layers, probes = mlp_leaves(rng, widths, rows=7, probes=with_probes)
+    x, layers = mlp_leaves(rng, widths, rows=7)
     x.requires_grad = x_grad
-    leaves = [x, *(p for layer in layers for p in layer), *probes]
+    probes = [leaf(np.zeros((7, m))) for m in widths[1:-1]] if with_taps else []
+    taps = [] if with_taps else None
+    leaves = [x, *(p for layer in layers for p in layer)]
     w = [Tensor(rng.standard_normal((7, widths[-1])))]
-    got, got_grads = values_and_grads(lambda: T.mlp(x, layers, activation, 0.2, probes),
+    got, got_grads = values_and_grads(lambda: T.mlp(x, layers, activation, 0.2, taps),
                                       leaves, w)
     want, want_grads = values_and_grads(
-        lambda: composed_mlp(x, layers, activation, 0.2, probes), leaves, w)
+        lambda: composed_mlp(x, layers, activation, 0.2, probes), leaves + probes, w)
     assert got[0].tobytes() == want[0].tobytes()
+    assert len(want_grads) == len(got_grads) + len(probes)
     for g, v in zip(got_grads, want_grads):
         assert (g is None and v is None) or g.tobytes() == v.tobytes()
     assert (x.grad is None) == (not x_grad)
+    if with_taps:
+        assert [t.tobytes() for t in taps[::-1]] == [p.grad.tobytes() for p in probes]
 
 
 def test_mlp_computes_no_gradient_nothing_needs():
     rng = np.random.default_rng(33)
-    x, layers, _ = mlp_leaves(rng, (3, 4, 2))
+    x, layers = mlp_leaves(rng, (3, 4, 2))
     x.requires_grad = False
     layers[1][0].requires_grad = False
     with Tape() as tape:
@@ -1239,28 +1244,23 @@ def test_mlp_computes_no_gradient_nothing_needs():
     assert all(d is not None for d in (dW1, db1, db2))
 
 
-@pytest.mark.parametrize("change", ["x_1d", "inner", "bias", "no_layers", "probes",
-                                    "probe_shape"])
+@pytest.mark.parametrize("change", ["x_1d", "inner", "bias", "no_layers"])
 def test_mlp_rejects_bad_shapes(change):
-    x, layers, probes = mlp_leaves(np.random.default_rng(34), (3, 4, 2))
+    x, layers = mlp_leaves(np.random.default_rng(34), (3, 4, 2))
     if change == "x_1d":
         x = leaf(np.zeros(3))
     elif change == "inner":
         layers[1] = (leaf(np.zeros((3, 2))), layers[1][1])
     elif change == "bias":
         layers[0] = (layers[0][0], leaf(np.zeros((1, 4))))
-    elif change == "no_layers":
-        layers, probes = [], []
-    elif change == "probes":
-        probes = probes * 2
     else:
-        probes = [leaf(np.zeros((5, 2)))]
+        layers = []
     with pytest.raises(ShapeError):
-        T.mlp(x, layers, "relu", 0.0, probes)
+        T.mlp(x, layers, "relu", 0.0)
 
 
 def test_mlp_rejects_an_unknown_activation():
-    x, layers, _ = mlp_leaves(np.random.default_rng(35), (3, 4, 2))
+    x, layers = mlp_leaves(np.random.default_rng(35), (3, 4, 2))
     with pytest.raises(ValueError, match="tanh"):
         T.mlp(x, layers, "tanh")
 

@@ -416,7 +416,10 @@ def test_step_encodes_once_per_generator_update(mode, tc_kw):
 PRESETS = pathlib.Path(__file__).resolve().parents[1] / "presets"
 
 
-@pytest.mark.parametrize("preset,most", [("gan_lstm", 28), ("nogan_transformer", 37)])
+@pytest.mark.parametrize("preset,most", [
+    ("gan_lstm", 28), ("gan_lstm_label", 34), ("gan_transformer", 94),
+    ("gan_transformer_label", 100), ("nogan_lstm", 15), ("nogan_lstm_label", 17),
+    ("nogan_transformer", 37), ("sgan_relu", 28)])
 def test_step_records_one_node_per_model_part(monkeypatch, preset, most):
     # each Linear, MLP, LayerNorm, feed-forward block and the variety norms
     # is one node; a part that went back to composed ops adds several
@@ -435,7 +438,7 @@ def test_step_records_one_node_per_model_part(monkeypatch, preset, most):
                       Adam(gen.parameters()), None if disc is None else Adam(disc.parameters()),
                       cfg.train, np.random.default_rng(2))
     (tape,) = tapes
-    assert len(tape.nodes) <= most
+    assert len(tape.nodes) == most
 
 
 def test_nogan_step_is_variety_only():
@@ -722,20 +725,46 @@ def test_nogan_overfit_drives_variety_down():
 def test_hidden_grad_fraction_contracts():
     with pytest.raises(ContractError):
         TR.hidden_grad_fraction([])
-    t = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):
-        TR.hidden_grad_fraction([t])
+        TR.hidden_grad_fraction([np.ones((0, 3))])
+    assert TR.hidden_grad_fraction([np.ones((2, 2)), np.array([[0.0, -0.0, 2.0, 0.0]])]) \
+        == 5 / 8
 
 
-def test_discriminator_hidden_fraction_collects_real_and_fake_passes():
+def test_discriminator_hidden_fraction_collects_real_and_fake_passes(monkeypatch):
     gen, disc = built_pair(seed=49)
     ws = some_windows(seed=50)
+    seen = []
+    fraction = TR.hidden_grad_fraction
+
+    def spy(taps):
+        seen.extend(taps)
+        return fraction(taps)
+
+    monkeypatch.setattr(TR, "hidden_grad_fraction", spy)
     frac = TR.discriminator_hidden_fraction(ws, gen, disc, np.random.default_rng(51))
     assert frac == 1.0  # the per-window passes gave 1.0 on these seeds too
     hidden_layers = len(disc.classifier.layers) - 1
     rows = 2 * sum(w.n_agents for w in ws)  # every real and every fake row
-    assert [h.shape[0] for h in disc.classifier.last_hidden] == [rows] * hidden_layers
-    assert not disc.classifier.collect_hidden
+    assert [h.shape[0] for h in seen] == [rows] * hidden_layers
+    assert set(vars(disc.classifier)) == {"layers", "activation", "slope"}
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+def test_discriminator_loss_is_the_same_with_taps(activation):
+    # a taps list only reads the backward: the loss and every parameter
+    # gradient keep their bits
+    gen, disc = built_pair(seed=52, activation=activation)
+    ws = some_windows(seed=53)
+    runs = []
+    for taps in (None, []):
+        for p in disc.parameters():
+            p.grad = None
+        with Tape():
+            loss = TR._discriminator_loss(ws, gen, disc, np.random.default_rng(54), taps=taps)
+            backward(loss)
+        runs.append([loss.data.tobytes()] + [p.grad.tobytes() for p in disc.parameters()])
+    assert runs[0] == runs[1]
 
 
 def test_discriminator_hidden_fraction_leaves_no_parameter_gradient():
