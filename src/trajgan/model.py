@@ -138,10 +138,11 @@ class LSTMCell:
     """Single LSTM cell, run over whole sequences at once.
 
     The gate blocks of ``W_x``, ``W_h`` and ``b`` are stored in the order
-    (input, forget, cell, output), which checkpoints keep; the ops compute
-    feature-major in the order (input, forget, output, cell) and permute
-    once per call (see ``tensor.lstm_sequence``).  Forget-gate bias starts
-    at 1 so early training does not erase state.
+    (input, forget, cell, output), which checkpoints keep.  The ops'
+    forward computes feature-major in the order (input, forget, output,
+    cell) and permutes the weights once per call (see
+    ``tensor.lstm_sequence``); their backward works in the stored order.
+    Forget-gate bias starts at 1 so early training does not erase state.
     """
 
     def __init__(self, input_dim, hidden_dim, rng):

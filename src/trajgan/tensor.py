@@ -413,10 +413,10 @@ def tmean(a, axis=None, keepdims=False):
 # ---------------------------------------------------------------------------
 # Nonlinearities.  Kinked ops take their subgradient from the positive branch.
 
-def _sigmoid(x, out=None):
-    """1/(1+exp(-x)) of an array, into ``out`` (which may be ``x``) where
-    given; 0 where exp(-x) overflows, below about -709.8."""
-    out = np.negative(x, out=out)
+def _sigmoid(x):
+    """1/(1+exp(-x)) of an array, as a fresh array; 0 where exp(-x)
+    overflows, below about -709.8."""
+    out = np.negative(x)
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -719,19 +719,6 @@ def _gate_order(hd):
     return order
 
 
-@functools.lru_cache(maxsize=None)
-def _grad_order(hd):
-    """Columns that take the stored gate blocks (input, forget, cell,
-    output) of hidden size ``hd`` to the order (cell, input, forget,
-    output) of ``_lstm_factors``, and the columns that take them back.
-    Cached per ``hd``; read-only."""
-    r = np.arange(hd)
-    order = np.concatenate([r + 2 * hd, r, r + hd, r + 3 * hd])
-    back = np.argsort(order)
-    order.flags.writeable = back.flags.writeable = False
-    return order, back
-
-
 def _compute_order(W):
     """An LSTM's stored (n, 4H) gate weights, or its (4H,) bias, as the
     fresh (4H, n) transposed array, or (4H,) vector, that the feature-major
@@ -781,21 +768,21 @@ def _lstm_factors(blocks, hd):
     alone, for all steps at once, from the (T, 6H, R) blocks that its
     ``_lstm_step`` calls of hidden size ``hd`` wrote.
 
-    Returns a fresh (T, 4H, R) array of i(1-g²), i(1-i)g, f(1-f)c and
-    o(1-o)tanh(c'), c the cell state the step read, in the gradient order
-    (cell, input, forget, output) of ``_grad_order``; and a fresh (T, H, R)
-    array of o(1-tanh²(c')).  A block's three sigmoid gates and the three
-    blocks after them are contiguous, so the sigmoid factors are one pass.
-    ``blocks`` is left as it is.
+    Returns a fresh (T, 4H, R) array of i(1-i)g, f(1-f)c, i(1-g²) and
+    o(1-o)tanh(c'), c the cell state the step read, in the stored gate
+    order (input, forget, cell, output); and a fresh (T, H, R) array of
+    o(1-tanh²(c')).  The sigmoid factors are two passes, one over (i, f),
+    whose factors g and c are contiguous too, and one over o.  ``blocks``
+    is left as it is.
     """
     steps, _, rows = blocks.shape
     D, P = np.empty((steps, 4 * hd, rows)), np.empty((steps, hd, rows))
-    sig, Ds = blocks[:, :3 * hd], D[:, hd:]
-    np.subtract(1.0, sig, out=Ds)  # s(1-s)y of each sigmoid gate s
-    Ds *= sig
-    Ds *= blocks[:, 3 * hd:]
-    for k, j, out in ((3, 0, D[:, :hd]), (5, 2, P)):
-        s, y = blocks[:, k * hd:(k + 1) * hd], blocks[:, j * hd:(j + 1) * hd]
+    B, D4 = blocks.reshape(steps, 6, hd, rows), D.reshape(steps, 4, hd, rows)
+    for s, y, out in ((B[:, :2], B[:, 3:5], D4[:, :2]), (B[:, 2], B[:, 5], D4[:, 3])):
+        np.subtract(1.0, s, out=out)  # s(1-s)y of a sigmoid s
+        out *= s
+        out *= y
+    for s, y, out in ((B[:, 3], B[:, 0], D4[:, 2]), (B[:, 5], B[:, 2], P)):
         np.multiply(s, s, out=out)  # (1-s²)y of a tanh s
         np.subtract(1.0, out, out=out)
         out *= y
@@ -806,11 +793,11 @@ def _bptt(D, P, blocks, W_h, dh, dc):
     """Backpropagate through the steps of an LSTM, the last one first.
 
     ``D`` and ``P`` are the ``_lstm_factors`` of its step ``blocks``, ``W_h``
-    the (H, 4H) recurrent weights with their columns in the gradient order,
-    and ``dh`` and ``dc`` the (H, R) gradients of the last step's h and c.
+    the stored (H, 4H) recurrent weights, and ``dh`` and ``dc`` the (H, R)
+    gradients of the last step's h and c.
     Yields each step's index first, for the caller to add to ``dh`` what
     else reached the step's h.  The step then multiplies its rows of ``D``
-    by dc (cell, input and forget gates) and dh (output gate) in place,
+    by dc (input, forget and cell gates) and dh (output gate) in place,
     which makes them its gate gradients, and sets ``dh`` and ``dc`` to those
     of the h and c it read.
     """
@@ -834,12 +821,6 @@ def _weight_grad(a, G):
     return np.matmul(a, G.transpose(0, 2, 1)).sum(axis=0)
 
 
-def _bias_grad(G):
-    """The (m,) gradient of a bias added to every column of each step's G
-    in ``G``, (T, m, R): two sums, twice as fast as one over both axes."""
-    return G.sum(axis=0).sum(axis=1)
-
-
 def lstm_sequence(x, W_x, W_h, b, rows):
     """Run an LSTM from a zero state over ``rows`` sequences at once.
 
@@ -857,11 +838,12 @@ def lstm_sequence(x, W_x, W_h, b, rows):
     concat, transpose, take_rows, matmul, narrow, sigmoid, tanh, mul and add
     ops, so the values are the same bit for bit.  Each step writes its h
     into the next step's stacked input and its c' into the next step's
-    block, and keeps its own, with or without a tape.  The backward computes
-    the gate gradients' factors for all steps at once (``_lstm_factors``),
-    loops only over the dh/dc recurrence (``_bptt``), then takes dx and the
-    stacked weight's gradient, whose blocks are W_x's, W_h's and b's, in one
-    product each, only for inputs that require grad.
+    block, and keeps its own, with or without a tape.  The backward works
+    in the stored gate order, so it reads W_x and W_h as they are: it
+    computes the gate gradients' factors for all steps at once
+    (``_lstm_factors``), loops only over the dh/dc recurrence (``_bptt``),
+    then takes dx and the stacked weight's gradient, whose blocks are W_x's,
+    W_h's and b's, in one product each, only for inputs that require grad.
     """
     hd = W_h.shape[0]
     if (x.data.ndim != 2 or rows < 1 or x.shape[0] < rows or x.shape[0] % rows
@@ -886,13 +868,11 @@ def lstm_sequence(x, W_x, W_h, b, rows):
 
     def bwd(grad):
         D, P = _lstm_factors(blocks[:-1], hd)
-        order, back = _grad_order(hd)
-        for _ in _bptt(D, P, blocks[:-1], W_h.data[:, order], grad.T.copy(),
-                       np.zeros((hd, rows))):
+        for _ in _bptt(D, P, blocks[:-1], W_h.data, grad.T.copy(), np.zeros((hd, rows))):
             pass
-        dx = (np.matmul(D.transpose(0, 2, 1), W_x.data[:, order].T).reshape(x.shape)
+        dx = (np.matmul(D.transpose(0, 2, 1), W_x.data.T).reshape(x.shape)
               if x.requires_grad else None)
-        G = (_weight_grad(S[:-1], D)[:, back]
+        G = (_weight_grad(S[:-1], D)
              if W_x.requires_grad or W_h.requires_grad or b.requires_grad else None)
         return (dx, G[:n_in] if W_x.requires_grad else None,
                 G[n_in:-1] if W_h.requires_grad else None, G[-1] if b.requires_grad else None)
@@ -935,10 +915,11 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
     overlaps the next: a 640-row min-of-20 evaluation with a block a step
     measured 20% more peak memory and 17% less throughput.  The backward
     loops only over the recurrence, which runs through gamma and the
-    stacked weight's x block as well as the cell (see ``lstm_sequence``).
-    The stacked weight's gradient, each step's gate gradients times its
-    stacked input summed over steps, is one batched product, and each
-    parameter's comes from its blocks.
+    stacked weight's x block as well as the cell (see ``lstm_sequence``),
+    in the stored gate order.  The stacked weight's gradient, each step's
+    gate gradients times its stacked input summed over steps, is one
+    batched product, and each parameter's comes from its blocks; so is each
+    gamma layer's, whose ones-row block is its bias gradient.
     """
     W_e, b_e = embed
     W_x, W_h, b = cell
@@ -1016,7 +997,6 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
         g_pos, g_disp = (np.zeros(shape) if g is None else g
                          for g, shape in zip(grads, ((rows, 2 * t_pred), (t_pred * rows, 2))))
         D, P = _lstm_factors(blocks[:-1], hd)
-        order, back_order = _grad_order(hd)
         # the gradient of each step's gamma output, (T, 2, rows): its
         # displacement's and every later position's, over scale; the loop
         # adds what reaches it through the next step's input
@@ -1034,10 +1014,10 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
         Gs.append(G_out)
         # from a step's gate gradients to the previous step's gamma output,
         # through the x block of the stacked weight and the division by scale
-        back = stacked[:2, order] * inv
+        back = stacked[:2] * inv
         dh, dc, dh_gamma, gx = (np.zeros((hd, rows)), np.zeros((hd, rows)),
                                 np.empty((hd, rows)), np.empty((2, rows)))
-        for t in _bptt(D, P, blocks[:-1], W_h.data[:, order], dh, dc):
+        for t in _bptt(D, P, blocks[:-1], W_h.data, dh, dc):
             g = G_out[t]
             if t + 1 < t_pred:
                 g += np.matmul(back, D[t + 1], out=gx)
@@ -1046,12 +1026,14 @@ def lstm_rollout(h0, embed, cell, gamma, last_pos, last_disp, t_pred, scale,
             dh += np.matmul(layers[0][0].data, g, out=dh_gamma)
         # the stacked weight's gradient; its x block is W_e scale W_x, and its
         # last row b_e W_x + b
-        G_A = _weight_grad(S[:-1], D)[:, back_order]
+        G_A = _weight_grad(S[:-1], D)
         G_x, db = G_A[:2], G_A[-1]
+        # each gamma layer's input ends in a ones row, whose gradient row is
+        # the layer's bias gradient, as the stacked weight's last row is b's
+        G_gamma = [_weight_grad(a, G) for a, G in zip([S[1:, 2:], *acts], Gs)]
         return (dh.T, (G_x @ W_x.data.T) * scale, W_x.data @ db,
                 W_es.T @ G_x + np.outer(b_e.data, db), G_A[2:-1], db,
-                *(d for a, G in zip([S[1:, 2:-1], *(Y[:, :-1] for Y in acts)], Gs)
-                  for d in (_weight_grad(a, G), _bias_grad(G))))
+                *(d for G in G_gamma for d in (G[:-1], G[-1])))
 
     return _make((positions, disps), inputs, bwd)
 

@@ -29,11 +29,7 @@ from .model import (ConfigError, build_discriminator, build_generator, encode_wi
 TRAIN_MODES = ("gan", "nogan")
 
 
-class TrainingError(RuntimeError):
-    pass
-
-
-class TrainingDiverged(TrainingError):
+class TrainingDiverged(RuntimeError):
     """Loss or gradient norm left the finite range; the update was not applied."""
 
 
@@ -312,13 +308,15 @@ def discriminator_hidden_fraction(batch, gen, disc, rng):
     """Run one discriminator pass and measure gradient flow through the
     classifier's hidden nodes.  Inactive nodes contribute exact zeros.
 
-    Each discriminator parameter's gradient is put back as it was, so the
-    pass leaves nothing for a later update to pick up."""
+    The taps lie above the encoder, so its parameters are frozen for the
+    pass and the backward stops at the classifier.  Each discriminator
+    parameter's gradient is put back as it was, so the pass leaves nothing
+    for a later update to pick up."""
     params = disc.parameters()
     saved = [p.grad for p in params]
     taps = []
     try:
-        with Tape():
+        with Tape(), _frozen(disc.encoder.named_parameters("encoder").values()):
             T.backward(_discriminator_loss(batch, gen, disc, rng, taps=taps))
     finally:
         for p, g in zip(params, saved):
@@ -332,6 +330,9 @@ def run_activation_ablation(windows, model_config, train_config, steps=200):
     Afterwards the discriminator's live hidden-gradient fraction is measured
     on one extra scoring pass.  Returns one AblationResult per activation,
     relu first."""
+    if not model_config.classifier_mlp_hidden:
+        raise ConfigError("the activation ablation compares the classifier's hidden "
+                          "activations; classifier_mlp_hidden is empty")
     config = replace(train_config, mode="gan", epochs=steps, batch_size=len(windows))
     results = []
     for act in ("relu", "leaky_relu"):

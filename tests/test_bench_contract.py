@@ -19,6 +19,9 @@ from trajgan import config, data, evaluate, model, optim, train
 from trajgan import tensor as T
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+# the trajgan modules, as the benchmark's workloads take them
+PROGRAM = types.SimpleNamespace(config=config, data=data, evaluate=evaluate, model=model,
+                                optim=optim, tensor=T, train=train)
 
 # tape-recording ops the benchmark's op pass does not wrap yet: their time
 # counts as the calling layer's self time and their nodes as tensor.nodes.other
@@ -134,10 +137,25 @@ def test_model_workloads_set_up_and_run_an_op(monkeypatch, tmp_path, name):
     # the workloads build their configs from their own dicts and save and
     # load a checkpoint, so a config-schema or checkpoint change that the
     # benchmark cannot load fails here
-    workloads = load_workloads(monkeypatch)
-    tg = types.SimpleNamespace(config=config, data=data, evaluate=evaluate, model=model,
-                               optim=optim, tensor=T, train=train)
-    wl = workloads.build(tg)[name]
+    wl = load_workloads(monkeypatch).build(PROGRAM)[name]
     st = wl.setup(seed=1, workdir=str(tmp_path))
     assert st.get("round_trip", True)
     assert wl.check_op(st, 0, wl.run_op(st, 0)) > 0
+
+
+# each workload's output fingerprint (output_error_px), which the benchmark
+# holds to a relative bound of 1e-9 against the parent commit; it is computed
+# on reference inputs, so it reads the same at every workload seed
+FINGERPRINTS = {"train_gan_lstm": 194.39821107488552,
+                "train_nogan_transformer_crowded": 107.08605119178162,
+                "eval_crowded_k20": 74.39064275952748,
+                "parse_annotations": 3.5194401452812554}
+
+
+@pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+def test_workload_fingerprints_hold(monkeypatch, tmp_path, name):
+    wl = load_workloads(monkeypatch).build(PROGRAM)[name]
+    st = wl.setup(seed=1, workdir=str(tmp_path))
+    error_px, failed = wl.fingerprint(st, [wl.run_op(st, i) for i in range(wl.fixed_ops)])
+    assert failed == []
+    assert error_px == pytest.approx(FINGERPRINTS[name], rel=1e-9, abs=0.0)

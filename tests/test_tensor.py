@@ -146,14 +146,6 @@ def test_sigmoid_matches_decimal_reference():
     assert edges[:4].tolist() == [0.0, 0.0, 0.0, 1.0] and np.isnan(edges[4])
 
 
-def test_sigmoid_into_given_output_and_in_place():
-    for x in sigmoid_inputs():
-        fresh, out, y = T._sigmoid(x), np.full(x.shape, 7.0), x.copy()
-        assert T._sigmoid(x, out) is out and T._sigmoid(y, y) is y
-        assert np.array_equal(out, fresh, equal_nan=True)
-        assert np.array_equal(y, fresh, equal_nan=True)
-
-
 def test_activation_dispatcher_rejects_unknown():
     # tanh and sigmoid are ops of their own, not kinds an MLP can select
     for kind in ("gelu", "tanh", "sigmoid"):
@@ -661,6 +653,25 @@ def test_lstm_sequence_matches_separate_products(rows, length, in_dim, hidden):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     for g, w_ in zip(got_grads, want_grads):
         np.testing.assert_allclose(g, w_, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("steps,hidden,rows", [(3, 4, 5), (1, 1, 1), (20, 16, 36)])
+def test_lstm_factors_follow_the_hand_formulas_in_the_stored_order(steps, hidden, rows):
+    # a step block holds (i, f, o, g, c, tanh c'), its gates activated; the
+    # factors come back in the stored gate order (i, f, g, o), each product
+    # taken in the order written here.  The blocks are the first T of T+1,
+    # as the LSTM ops pass them
+    rng = np.random.default_rng(31)
+    blocks = rng.uniform(-1.0, 1.0, (steps + 1, 6 * hidden, rows))[:-1]
+    kept = blocks.copy()
+    i, f, o, g, c, tc = np.split(blocks, 6, axis=1)
+    D, P = T._lstm_factors(blocks, hidden)
+    assert D.shape == (steps, 4 * hidden, rows) and P.shape == (steps, hidden, rows)
+    want = [(1.0 - i) * i * g, (1.0 - f) * f * c, (1.0 - g * g) * i, (1.0 - o) * o * tc]
+    for got, w in zip(np.split(D, 4, axis=1), want):
+        assert got.tobytes() == w.tobytes()
+    assert P.tobytes() == ((1.0 - tc * tc) * o).tobytes()
+    assert blocks.tobytes() == kept.tobytes()
 
 
 def test_lstm_sequence_grads():

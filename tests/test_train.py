@@ -779,6 +779,39 @@ def test_discriminator_hidden_fraction_leaves_no_parameter_gradient():
     assert all(p.grad is None for p in gen.parameters())
 
 
+def test_discriminator_hidden_fraction_stops_its_backward_at_the_classifier(monkeypatch):
+    # the taps lie above the encoder, so the probe records no encoder node
+    # and computes no encoder gradient
+    tapes = []
+
+    class KeptTape(Tape):
+        def __enter__(self):
+            tapes.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(TR, "Tape", KeptTape)
+    gen, disc = built_pair(seed=49)
+    assert disc.config.encoder == "lstm"
+    frac = TR.discriminator_hidden_fraction(some_windows(seed=50), gen, disc,
+                                            np.random.default_rng(51))
+    assert frac == 1.0
+    (tape,) = tapes
+    assert [n.bwd.__qualname__.split(".")[0] for n in tape.nodes] == ["mlp", "bce_logits",
+                                                                      "mul_scalar"]
+
+
+def test_activation_ablation_rejects_a_classifier_without_hidden_layers(monkeypatch):
+    # the probe reads hidden activations; with none it must fail before training
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the classifier")
+
+    monkeypatch.setattr(TR, "run_training", no_training)
+    with pytest.raises(M.ConfigError, match="classifier_mlp_hidden"):
+        TR.run_activation_ablation(some_windows(seed=42, n_windows=1),
+                                   replace(tiny_config(), classifier_mlp_hidden=()),
+                                   tiny_train_config(k=1), steps=2)
+
+
 def test_activation_ablation_runs_and_orders_fractions():
     cfg = tiny_train_config(k=1, seed=41)
     ws = some_windows(n_agents=2, seed=42, n_windows=1)
