@@ -162,7 +162,7 @@ def from_json(text):
 
 def load_config(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return from_json(fh.read())
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err

@@ -4,7 +4,8 @@ Annotations follow the drone-footage format, one box per line:
 
     track_id xmin ymin xmax ymax frame lost occluded generated "label"
 
-Trajectories are bounding-box centers in pixels.  Tracks are cut into
+Kept lines are parsed into columns (AnnotationColumns), not one record per
+line.  Trajectories are bounding-box centers in pixels.  Tracks are cut into
 fixed-length scene windows (8 observed + 12 future positions by default) in
 which every included agent is present at all 20 frames.
 """
@@ -15,10 +16,9 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from math import inf, isfinite
-from operator import itemgetter, ne
-from typing import NamedTuple
+from operator import ne
 
 import numpy as np
 
@@ -72,24 +72,23 @@ def normalize_label(name):
     return key if key in CLASS_NAMES else None
 
 
-class RawAnnotation(NamedTuple):
-    """One annotated box that was not lost: an immutable named tuple.
+@dataclass
+class AnnotationColumns:
+    """The kept lines of an annotation text as columns, one entry per line:
+    no object per line is left for the cyclic garbage collector to scan."""
 
-    Records with equal fields compare equal.  A named tuple is built in about
-    a quarter of a frozen dataclass's time, which counts at one record per
-    annotation line.
-    """
+    track_ids: list = field(default_factory=list)  # Python ints: may exceed int64
+    frames: list = field(default_factory=list)     # Python ints: may exceed int64
+    boxes: list = field(default_factory=list)      # floats: xmin, ymin, xmax, ymax per line
+    tails: list = field(default_factory=list)      # (occluded, generated, label) per line
+    n_lines: int = 0  # lines read, blank and lost ones included
 
-    track_id: int
-    bbox: tuple  # (xmin, ymin, xmax, ymax)
-    frame: int
-    occluded: bool
-    generated: bool
-    label: str  # canonical class name
+    def __len__(self):
+        return len(self.frames)
 
 
 def parse_annotations(source):
-    """Parse annotation text into RawAnnotations.
+    """Parse annotation text into AnnotationColumns, one entry per kept line.
 
     ``source`` is the file content as a string, split into lines as a
     text-mode file is (at LF, CR LF and CR only), or any iterable of lines.
@@ -103,13 +102,14 @@ def parse_annotations(source):
     """
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     # A line's last four fields (lost, occluded, generated, label) take few
-    # distinct spellings.  Each spelling is split and converted at its first
-    # line and cached as (lost, occluded, generated, label, raw label), with
-    # label None when unknown; later lines convert only their first six fields.
+    # distinct spellings.  Each is split and converted at its first line and
+    # cached as (lost, raw label, tail), label None in the tail when unknown;
+    # later lines convert only their first six fields and share that tail.
     tails = {}
-    out = []
-    append = out.append
-    new_record = tuple.__new__  # skips the named tuple's Python-level __new__
+    out = AnnotationColumns()
+    add_id, add_frame, add_tail = out.track_ids.append, out.frames.append, out.tails.append
+    boxes = out.boxes
+    ln = 0
     for ln, line in enumerate(lines, start=1):
         parts = line.split(None, 6)
         tail = tails.get(parts[6]) if len(parts) == 7 else None
@@ -128,22 +128,24 @@ def parse_annotations(source):
             frame = int(parts[5])
             if tail is None:
                 raw_label = fields[9].strip().strip('"')
-                tail = tails[parts[6]] = (int(fields[6]) != 0, int(fields[7]) != 0,
-                                          int(fields[8]) != 0, normalize_label(raw_label),
-                                          raw_label)
+                tail = tails[parts[6]] = (int(fields[6]) != 0, raw_label, (
+                    int(fields[7]) != 0, int(fields[8]) != 0, normalize_label(raw_label)))
         except ValueError as e:
             raise AnnotationParseError(str(e), ln) from None
         if not (-inf < xmin <= xmax < inf and -inf < ymin <= ymax < inf):
             bbox = (xmin, ymin, xmax, ymax)
             fault = "ordered" if all(map(isfinite, bbox)) else "finite"
             raise AnnotationParseError(f"bbox not {fault}: {bbox}", ln)
-        lost, occluded, generated, label, raw_label = tail
-        if label is None:
+        lost, raw_label, kept = tail
+        if kept[2] is None:
             raise UnknownLabelError(f"unknown class label {raw_label!r}", ln)
         if lost:
             continue
-        append(new_record(RawAnnotation, (track_id, (xmin, ymin, xmax, ymax), frame,
-                                          occluded, generated, label)))
+        add_id(track_id)
+        add_frame(frame)
+        boxes += (xmin, ymin, xmax, ymax)
+        add_tail(kept)
+    out.n_lines = ln
     return out
 
 
@@ -179,27 +181,27 @@ class AgentTrack:
 
 
 def build_tracks(annotations):
-    """Group annotations into per-agent tracks of bbox centers.
+    """Group AnnotationColumns into per-agent tracks of bbox centers.
 
-    A track is split wherever its annotated frames are not consecutive
-    (out-of-view gaps left by dropped lost records), so every returned track
-    has unit frame spacing.  Duplicate frames keep the first record.
+    The frame and box columns become arrays in one pass each; a track takes
+    its id and label from the columns at its first line.  A track is split
+    wherever its annotated frames are not consecutive (out-of-view gaps left
+    by dropped lost records), so every returned track has unit frame
+    spacing.  Duplicate frames keep the first line.
     """
-    annotations = list(annotations)
-    if not annotations:
-        return []
     n = len(annotations)
-    track_ids = list(map(itemgetter(0), annotations))
+    if not n:
+        return []
+    track_ids = annotations.track_ids
     # ids sort by rank, so an id need not fit in int64
     rank = {tid: r for r, tid in enumerate(sorted(set(track_ids)))}
     ids = np.fromiter(map(rank.__getitem__, track_ids), np.int64, n)
     try:
-        frames = np.fromiter(map(itemgetter(2), annotations), np.int64, n)
+        frames = np.fromiter(annotations.frames, np.int64, n)
     except OverflowError:
         raise DataError("an annotated frame lies outside the int64 range") from None
-    boxes = np.fromiter(chain.from_iterable(map(itemgetter(1), annotations)),
-                        np.float64, 4 * n).reshape(n, 4)
-    # stable: records of one (track, frame) stay in input order, first one wins
+    boxes = np.fromiter(annotations.boxes, np.float64, 4 * n).reshape(n, 4)
+    # stable: lines of one (track, frame) stay in input order, first one wins
     order = np.lexsort((frames, ids))
     ids, frames = ids[order], frames[order]
     first = np.ones(order.size, dtype=bool)
@@ -215,10 +217,10 @@ def build_tracks(annotations):
     tracks = []
     for start, end in zip(bounds[:-1], bounds[1:]):
         if start == 0 or new_id[start - 1]:
-            # every piece of a track takes the label of its first record
-            first_record = annotations[order[start]]
-        tracks.append(AgentTrack(first_record.track_id, first_record.label,
-                                 frames[start:end], xy[start:end]))
+            # every piece of a track takes the label of its first line
+            i = order[start]
+            track_id, label = track_ids[i], annotations.tails[i][2]
+        tracks.append(AgentTrack(track_id, label, frames[start:end], xy[start:end]))
     return tracks
 
 
@@ -524,7 +526,7 @@ _WINDOW_CSV_INTS = ("agent_id", "class_index", "t", "is_future", "frame_step")
 
 def _window_csv_error(path, row, message):
     """DataError naming the 1-based line that ends data row ``row`` of a window CSV."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for _ in range(row + 2):  # the header and rows 0..row
             next(reader)
@@ -581,7 +583,7 @@ def read_windows_csv(path):
     so the windows are made without checking each one again.
     """
     width = len(WINDOW_CSV_HEADER)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
 
         def full_row(row):
@@ -747,14 +749,11 @@ def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_
     lines = 0
     for scene_id, path in files.items():
         try:
-            with open(path, encoding="utf-8") as fh:
-                # number the lines as they are read: zip stops at the end of
-                # the file before it draws a number, so the next one is the count
-                numbers = count()
-                annotations = parse_annotations(map(itemgetter(0), zip(fh, numbers)))
-                lines += next(numbers)
+            with open(path, encoding="utf-8-sig") as fh:
+                annotations = parse_annotations(fh)
+            lines += annotations.n_lines
             tracks = build_tracks(annotations)
-            subs = [subsample(t, stride) for t in tracks]
+            tracks_by_scene[scene_id] = [subsample(t, stride) for t in tracks]
         except UnicodeDecodeError as e:
             raise DataError(f"annotation file {path} is not UTF-8 text: {e}") from None
         except DataError as e:
@@ -762,7 +761,6 @@ def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_
             raise
         for t in tracks:
             track_counts[t.class_name] += 1
-        tracks_by_scene[scene_id] = [t for t in subs if len(t) > 0]
     return build_windows(tracks_by_scene, t_obs, t_pred), track_counts, lines
 
 

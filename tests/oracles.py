@@ -8,12 +8,13 @@ library is a real two-route check rather than the same code twice.
 import csv
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from trajgan import tensor as T
 from trajgan.data import (CLASS_NAMES, LABEL_ALIASES, WINDOW_CSV_HEADER, AgentTrack,
-                          AnnotationParseError, DataError, RawAnnotation, SceneWindow,
+                          AnnotationColumns, AnnotationParseError, DataError, SceneWindow,
                           UnknownLabelError)
 from trajgan.evaluate import constant_velocity_baseline
 from trajgan.model import (fake_steps, generator_forward, real_steps, sinusoidal_positions,
@@ -679,12 +680,46 @@ def _check_line_ref(line, ln):
     return lost, occluded, generated, label
 
 
+class RawAnnotation(NamedTuple):
+    """One annotated box that was not lost, as one record: the row form of
+    ``AnnotationColumns``, for comparing parses field by field."""
+
+    track_id: int
+    bbox: tuple  # (xmin, ymin, xmax, ymax)
+    frame: int
+    occluded: bool
+    generated: bool
+    label: str  # canonical class name
+
+
+def records(columns):
+    """The RawAnnotations of ``AnnotationColumns``, one per kept line."""
+    n = len(columns)
+    assert len(columns.track_ids) == len(columns.tails) == n and len(columns.boxes) == 4 * n
+    boxes = columns.boxes
+    return [RawAnnotation(columns.track_ids[k], tuple(boxes[4 * k:4 * k + 4]),
+                          columns.frames[k], *columns.tails[k]) for k in range(n)]
+
+
+def columns(records):
+    """``AnnotationColumns`` holding ``records``, the inverse of ``records()``
+    (``n_lines`` counts one line per record)."""
+    out = AnnotationColumns(n_lines=len(records))
+    for a in records:
+        out.track_ids.append(a.track_id)
+        out.frames.append(a.frame)
+        out.boxes.extend(a.bbox)
+        out.tails.append((a.occluded, a.generated, a.label))
+    return out
+
+
 def parse_annotations_ref(source):
     """The two-pass annotation parser: a line whose last four fields are new
     is first checked in full, field by field, and then converted again.
-    ``trajgan.data.parse_annotations`` must give the same records, or raise
-    the same error class with the same line and message.  A string is split
-    into lines at CR LF, CR and LF, as a text-mode file is."""
+    ``trajgan.data.parse_annotations`` must give columns that hold the same
+    records, or raise the same error class with the same line and message.
+    A string is split into lines at CR LF, CR and LF, as a text-mode file
+    is."""
     lines = (source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
              if isinstance(source, str) else source)
     tails = {}

@@ -770,6 +770,30 @@ def test_input_that_is_not_utf8_exits_with_its_kind_of_error(tmp_path, capsys, c
     assert f"{path} is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_cmd_parse_reads_an_annotation_file_that_starts_with_a_bom(tmp_path):
+    plain = write_fixture_dataset(tmp_path / "plain")
+    bom = write_fixture_dataset(tmp_path / "bom")
+    path = bom / "plaza" / "video0" / "annotations.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    outs = []
+    for root in (plain, bom):
+        outs.append(tmp_path / f"parsed_{root.name}")
+        assert cli.main(["parse", str(root), "--out", str(outs[-1])]) == cli.EXIT_OK
+    assert (outs[1] / "windows.csv").read_bytes() == (outs[0] / "windows.csv").read_bytes()
+    counts = [json.loads((out / "manifest.json").read_text())["counts"] for out in outs]
+    assert counts[1] == counts[0] == {"lines": 576, "tracks": 2, "windows": 5}
+
+
+def test_cmd_train_reads_a_config_that_starts_with_a_bom(tmp_path):
+    cfg_path = write_config(tmp_path, small_experiment(tmp_path))
+    plain = cfg_path.read_bytes()
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_OK
+    first = (tmp_path / "run" / "checkpoint.json").read_bytes()
+    cfg_path.write_bytes(b"\xef\xbb\xbf" + plain)
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_OK
+    assert (tmp_path / "run" / "checkpoint.json").read_bytes() == first
+
+
 @pytest.mark.parametrize("command", ["parse", "train"])
 @pytest.mark.parametrize("fault,message", [
     ("1 2 3", "line 50: expected 10 fields, got 3"),

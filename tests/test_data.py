@@ -1,6 +1,9 @@
 import ast
 import dataclasses
+import gc
+import hashlib
 import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -14,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (csv_writer_windows_text, looped_build_tracks, looped_build_windows,
-                     parse_annotations_ref, serialize_annotations)
+from oracles import (RawAnnotation, columns, csv_writer_windows_text, looped_build_tracks,
+                     looped_build_windows, parse_annotations_ref, records,
+                     serialize_annotations)
+from trajgan import cli
 from trajgan import data as D
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -33,20 +38,24 @@ def make_track(tid, frames, cls="pedestrian", rng=None):
 # ---------------------------------------------------------------------------
 # parsing
 
+def parse_records(source):
+    return records(D.parse_annotations(source))
+
+
 def test_parse_single_line():
-    (a,) = D.parse_annotations(SAMPLE)
+    (a,) = parse_records(SAMPLE)
     assert a.track_id == 3
     assert a.frame == 0
     assert a.label == "pedestrian"
     assert a.bbox == (10.0, 20.0, 30.0, 40.0)
-    (track,) = D.build_tracks([a])
+    (track,) = D.build_tracks(columns([a]))
     assert track.xy.tolist() == [[20.0, 30.0]]  # the box centre
 
 
 def test_parse_drops_lost_keeps_occluded():
     text = ('1 0 0 2 2 0 1 0 0 "Pedestrian"\n'   # lost
             '1 0 0 2 2 1 0 1 0 "Pedestrian"\n')  # occluded
-    annos = D.parse_annotations(text)
+    annos = parse_records(text)
     assert len(annos) == 1
     assert annos[0].occluded
 
@@ -56,7 +65,7 @@ def test_label_normalization():
             '2 0 0 2 2 0 0 0 0 "Cart"\n'
             '3 0 0 2 2 0 0 0 0 "SKATER"\n'
             '4 0 0 2 2 0 0 0 0 "golf cart"\n')
-    labels = [a.label for a in D.parse_annotations(text)]
+    labels = [a.label for a in parse_records(text)]
     assert labels == ["bicyclist", "golf cart", "skateboarder", "golf cart"]
 
 
@@ -79,8 +88,8 @@ def test_parse_serialize_round_trip():
     text = ('1 10 20 30 40 0 0 0 0 "Biker"\n'
             '1 11 21 31 41 1 0 1 0 "Biker"\n'
             '2 5.5 6.5 7.5 8.5 0 0 0 1 "Bus"\n')
-    once = D.parse_annotations(text)
-    again = D.parse_annotations(serialize_annotations(once))
+    once = parse_records(text)
+    again = parse_records(serialize_annotations(once))
     assert once == again
 
 
@@ -90,9 +99,9 @@ def raw_annotations(draw):
     coord = st.floats(allow_nan=False, allow_infinity=False)
     (xmin, xmax), (ymin, ymax) = (sorted(draw(st.tuples(coord, coord))) for _ in range(2))
     ints = st.integers(-2 ** 70, 2 ** 70)
-    return D.RawAnnotation(draw(ints), (xmin, ymin, xmax, ymax), draw(ints),
-                           draw(st.booleans()), draw(st.booleans()),
-                           draw(st.sampled_from(D.CLASS_NAMES)))
+    return RawAnnotation(draw(ints), (xmin, ymin, xmax, ymax), draw(ints),
+                         draw(st.booleans()), draw(st.booleans()),
+                         draw(st.sampled_from(D.CLASS_NAMES)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -102,7 +111,7 @@ def test_serialized_annotations_parse_back_field_for_field(records):
         return (a.track_id, tuple(map(repr, a.bbox)), a.frame, a.occluded, a.generated,
                 a.label)
 
-    back = D.parse_annotations(serialize_annotations(records))
+    back = parse_records(serialize_annotations(records))
     assert [fields(a) for a in back] == [fields(a) for a in records]
 
 
@@ -185,7 +194,7 @@ def test_parser_tolerance(case):
             assert (type(exc.value), exc.value.line_number, str(exc.value)) == \
                 (error, line, f"line {line}: {message}")
         else:
-            got = D.parse_annotations(source)
+            got = parse_records(source)
             assert [(a.track_id, a.bbox, a.frame, a.occluded, a.generated, a.label)
                     for a in got] == want
             assert all(type(a.occluded) is bool and type(a.generated) is bool for a in got)
@@ -198,7 +207,7 @@ def parse_outcome(parse, source):
         records = parse(source)
     except D.AnnotationParseError as e:
         return repr((type(e), e.line_number, str(e)))
-    assert all(type(a) is D.RawAnnotation for a in records)
+    assert all(type(a) is RawAnnotation for a in records)
     return repr(records)
 
 
@@ -245,7 +254,7 @@ def annotation_texts(draw):
 @given(text=annotation_texts())
 def test_parser_matches_two_pass_reference(text):
     for source in (text, text.splitlines(keepends=True)):
-        assert parse_outcome(D.parse_annotations, source) == \
+        assert parse_outcome(parse_records, source) == \
             parse_outcome(parse_annotations_ref, source)
 
 
@@ -255,7 +264,7 @@ def file_outcome(tmp_path, text):
     path = tmp_path / "annotations.txt"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
-        return parse_outcome(D.parse_annotations, fh)
+        return parse_outcome(parse_records, fh)
 
 
 def test_string_source_splits_lines_as_a_text_mode_file(tmp_path):
@@ -268,8 +277,8 @@ def test_string_source_splits_lines_as_a_text_mode_file(tmp_path):
     mixed = (SAMPLE + '1 0 0 2\x0c2 0 0\x850 0 "Car"\u2028\r'
              '4 0 0 2 2 0 0 0 0 "Unicycle"\r\n')
     for text in (golf, mixed, mixed.replace("Unicycle", "Bus")):
-        assert parse_outcome(D.parse_annotations, text) == file_outcome(tmp_path, text)
-    assert "line 3: unknown class label 'Unicycle'" in parse_outcome(D.parse_annotations, mixed)
+        assert parse_outcome(parse_records, text) == file_outcome(tmp_path, text)
+    assert "line 3: unknown class label 'Unicycle'" in parse_outcome(parse_records, mixed)
 
 
 @pytest.fixture
@@ -289,18 +298,42 @@ def test_parser_matches_reference_on_benchmark_traffic(tmp_path, bench_inputs):
         with open(tmp_path / f"seed{seed}" / "scene0" / "video0" / "annotations.txt") as fh:
             lines = fh.readlines()
         assert len(lines) == root.n_lines == 22_798
-        got = D.parse_annotations(lines)
+        parsed = D.parse_annotations(lines)
+        got = records(parsed)
         assert got == parse_annotations_ref(lines)
+        assert parsed.n_lines == len(lines)
         assert 0 < len(got) < len(lines)  # lost records are dropped
         assert {a.label for a in got} == set(D.CLASS_NAMES)
 
 
-def test_raw_annotation_is_an_immutable_record():
-    (a,) = D.parse_annotations(SAMPLE)
-    assert a == D.RawAnnotation(3, (10.0, 20.0, 30.0, 40.0), 0, False, False, "pedestrian")
-    assert a._replace(frame=1) != a
-    with pytest.raises(AttributeError):
-        a.frame = 1
+def test_parse_gives_columns_of_the_kept_lines():
+    text = '\n' + SAMPLE + '5 1 2 3 4 7 1 0 0 "Car"\n' + f'{2**70} 1 2 3 4.5 -9 0 1 1 "Cart"\n'
+    parsed = D.parse_annotations(text)
+    assert parsed == D.AnnotationColumns(
+        [3, 2**70], [0, -9], [10.0, 20.0, 30.0, 40.0, 1.0, 2.0, 3.0, 4.5],
+        [(False, False, "pedestrian"), (True, True, "golf cart")], n_lines=4)
+    assert len(parsed) == 2  # kept lines, not fields
+    assert all(type(v) is int for v in parsed.track_ids + parsed.frames)
+    assert all(type(v) is float for v in parsed.boxes)
+    assert columns(records(parsed)) == dataclasses.replace(parsed, n_lines=2)
+    assert len(D.parse_annotations("")) == D.parse_annotations("").n_lines == 0
+
+
+def test_parse_keeps_no_per_line_containers():
+    # a line's values are ints, floats and a shared tail tuple, none of which
+    # the cyclic garbage collector tracks per line
+    text = "".join(f'{i % 13} {i} 0 {i + 9} 2 {i} {int(i % 97 == 0)} 0 0 "Car"\n'
+                   for i in range(5000))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        parsed = D.parse_annotations(text)
+        grown = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(parsed) == 5000 - 52 and grown < 50
 
 
 def test_class_ordering_is_alphabetical():
@@ -360,14 +393,14 @@ def annotation_lists(draw):
         label = draw(st.sampled_from(("car", "bus", "pedestrian")))
         for frame in draw(st.lists(st.integers(0, 30), min_size=1, max_size=25)):
             bbox = tuple(draw(coords) for _ in range(4))
-            out.append(D.RawAnnotation(tid, bbox, frame, False, False, label))
+            out.append(RawAnnotation(tid, bbox, frame, False, False, label))
     return draw(st.permutations(out))
 
 
 @settings(max_examples=150, deadline=None)
 @given(annotations=annotation_lists())
 def test_build_tracks_matches_looped_reference(annotations):
-    assert_same_tracks(D.build_tracks(annotations), looped_build_tracks(annotations))
+    assert_same_tracks(D.build_tracks(columns(annotations)), looped_build_tracks(annotations))
 
 
 def test_subsample_keeps_aligned_frames():
@@ -537,6 +570,19 @@ def test_loaded_windows_own_their_arrays(tmp_path):
     assert_windows_own_their_arrays(D.read_windows_csv(path))
 
 
+def test_cmd_parse_output_on_benchmark_traffic_is_pinned(tmp_path, bench_inputs, capsys):
+    # a root of the parse benchmark: 22,798 lines at 30 Hz with label
+    # aliases and lost records that split tracks
+    root = bench_inputs.write_annotation_root(str(tmp_path / "root"), seed=1, index=0)
+    out = tmp_path / "parsed"
+    assert cli.main(["parse", root.path, "--out", str(out)]) == cli.EXIT_OK
+    digest = hashlib.sha256((out / "windows.csv").read_bytes()).hexdigest()
+    assert digest == "7cbee599f9a6d665fd1b50293f8261c0edb2e35e42d0ca3334a24f0332397c98"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == {"windows.csv": digest}
+    assert manifest["counts"] == {"lines": 22_798, "tracks": 58, "windows": 423}
+
+
 def test_benchmark_roots_window_and_round_trip_exactly(tmp_path, bench_inputs):
     for seed in (1, 2):
         root = bench_inputs.write_annotation_root(str(tmp_path / f"seed{seed}"), seed, 0)
@@ -554,6 +600,23 @@ def test_benchmark_roots_window_and_round_trip_exactly(tmp_path, bench_inputs):
         with open(path, newline="") as fh:
             assert fh.read() == csv_writer_windows_text(windows)
         assert_same_windows(D.read_windows_csv(path), windows)
+
+
+def test_window_csv_that_starts_with_a_bom_reads_as_the_plain_file(tmp_path):
+    windows = D.build_windows({"s": [make_track(1, range(24)), make_track(2, range(2, 25))]})
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    D.write_windows_csv(windows, plain)
+    text = plain.read_bytes()
+    assert not text.startswith(b"\xef\xbb\xbf")  # written without one
+    bom.write_bytes(b"\xef\xbb\xbf" + text)
+    assert_same_windows(D.read_windows_csv(bom), D.read_windows_csv(plain))
+    # an error found on re-reading names the same line
+    for path in (plain, bom):
+        path.write_bytes(path.read_bytes().replace(b",1,4,3,", b",1,4,x,", 1))
+    with pytest.raises(D.DataError) as want:
+        D.read_windows_csv(plain)
+    with pytest.raises(D.DataError, match=f"^{re.escape(str(want.value))}$"):
+        D.read_windows_csv(bom)
 
 
 # ---------------------------------------------------------------------------
