@@ -100,14 +100,6 @@ def _load_experiment(args):
     return cfg.validate()
 
 
-def _data_input_paths(data_config):
-    if data_config.source == "windows_csv":
-        return [data_config.resolved_root()]
-    if data_config.source == "annotations":
-        return list(D.scan_annotation_dirs(data_config.resolved_root()).values())
-    return []
-
-
 def _rebuild_from_checkpoint(path):
     payload = load_checkpoint_payload(path)
     cfg = C.from_dict(payload.get("config") or {}).validate()
@@ -146,7 +138,7 @@ def cmd_parse(args):
 
 def cmd_train(args):
     cfg = _load_experiment(args)
-    windows = C.load_windows(cfg.data)
+    windows, data_paths = C.load_windows(cfg.data)
     split = D.split_dataset(windows, seed=cfg.seed)
 
     _make_out_dir(cfg.out_dir)
@@ -170,7 +162,7 @@ def cmd_train(args):
         D.write_atomic(os.path.join(cfg.out_dir, "val_log.csv"), log.epochs_csv())
         C.save_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
         _write_manifest(cfg.out_dir, C.config_hash(cfg), cfg.seed,
-                        [args.config] + _data_input_paths(cfg.data))
+                        [args.config] + data_paths)
     finally:
         os.unlink(lock)
 
@@ -191,7 +183,7 @@ def cmd_eval(args):
         raise ConfigError(f"--k must be at least 1, got {k}")
     if seed < 0:
         raise ConfigError(f"--seed must be at least 0, got {seed}")
-    windows = C.load_windows(cfg.data)
+    windows, data_paths = C.load_windows(cfg.data)
     split = D.split_dataset(windows, seed=cfg.seed)  # no part is empty
     chosen = getattr(split, args.split)
 
@@ -206,7 +198,7 @@ def cmd_eval(args):
             + f"\nsplit {args.split}, k=1\n" + report_1.to_text(cfg.name))
     D.write_atomic(os.path.join(out, "report.txt"), text)
     _write_manifest(out, C.config_hash(cfg), seed,
-                    [args.checkpoint] + _data_input_paths(cfg.data))
+                    [args.checkpoint] + data_paths)
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -161,13 +161,8 @@ def from_json(text):
 
 
 def load_config(path):
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return from_json(fh.read())
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"config {path} is not UTF-8 text: {err}") from err
+    with D.open_text(path, "config", ConfigError) as fh:
+        return from_json(fh.read())
 
 
 def save_config(path, config):
@@ -181,14 +176,14 @@ def config_hash(config):
 
 
 def load_windows(data_config):
-    """Materialize the scene windows a DataConfig points at."""
+    """The scene windows a DataConfig points at, and the files they were read from."""
     data_config.validate()
     if data_config.source == "synth":
         return D.synth_scene(data_config.scene_kind, data_config.n_agents,
                              list(data_config.classes), data_config.seed,
                              n_windows=data_config.n_windows,
                              jitter=data_config.jitter,
-                             t_obs=data_config.t_obs, t_pred=data_config.t_pred)
+                             t_obs=data_config.t_obs, t_pred=data_config.t_pred), []
     root = data_config.resolved_root()
     if not root:
         raise ConfigError(f"data source {data_config.source!r} needs root "
@@ -202,10 +197,10 @@ def load_windows(data_config):
             if (w.t_obs, w.t_pred) != want:
                 raise D.DataError(f"window {w.window_id!r} in {root} has t_obs {w.t_obs}, "
                                   f"t_pred {w.t_pred}; data config says {want[0]}, {want[1]}")
-        return windows
+        return windows, [root]
     if not os.path.isdir(root):
         raise D.DataError(f"annotation root not found: {root}")
-    windows, _ = D.load_annotation_dataset(root, stride=data_config.stride,
-                                           t_obs=data_config.t_obs,
-                                           t_pred=data_config.t_pred)
-    return windows
+    files = D.scan_annotation_dirs(root)
+    windows, _, _ = D.load_annotation_files(files, data_config.stride, data_config.t_obs,
+                                            data_config.t_pred)
+    return windows, list(files.values())

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import inf, isfinite
@@ -488,6 +489,20 @@ def write_atomic(path, text):
             os.unlink(tmp)
 
 
+@contextmanager
+def open_text(path, what, error, newline=None):
+    """``path`` open for reading as UTF-8 text, a leading byte-order mark skipped.
+    An OSError or UnicodeDecodeError, also one raised in the ``with`` body,
+    becomes ``error`` naming ``what`` and ``path``."""
+    try:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
+    except OSError as err:
+        raise error(f"cannot read {what} {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise error(f"{what} {path} is not UTF-8 text: {err}") from err
+
+
 def csv_text(rows):
     """``rows`` as csv.writer writes them: each row's cells joined by commas,
     quoted where needed, and ended by "\r\n"."""
@@ -526,7 +541,7 @@ _WINDOW_CSV_INTS = ("agent_id", "class_index", "t", "is_future", "frame_step")
 
 def _window_csv_error(path, row, message):
     """DataError naming the 1-based line that ends data row ``row`` of a window CSV."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with open_text(path, "window CSV", DataError, newline="") as fh:
         reader = csv.reader(fh)
         for _ in range(row + 2):  # the header and rows 0..row
             next(reader)
@@ -583,7 +598,7 @@ def read_windows_csv(path):
     so the windows are made without checking each one again.
     """
     width = len(WINDOW_CSV_HEADER)
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with open_text(path, "window CSV", DataError, newline="") as fh:
         reader = csv.reader(fh)
 
         def full_row(row):
@@ -603,8 +618,6 @@ def read_windows_csv(path):
             cells = list(chain.from_iterable(map(full_row, reader)))
         except csv.Error as e:
             raise DataError(f"line {reader.line_num}: {e}") from None
-        except UnicodeDecodeError as e:
-            raise DataError(f"window CSV {path} is not UTF-8 text: {e}") from None
     n = len(cells) // width
     if n == 0:
         return []
@@ -709,25 +722,29 @@ def scan_annotation_dirs(root):
     """Find scene_name/video_id/annotations.txt files under a dataset root.
 
     Returns a sorted dict of scene id ("scene/video") to file path; a scene
-    or video directory name that is not UTF-8 raises DataError.
+    or video directory name that is not UTF-8, or a directory that cannot be
+    listed, raises DataError.
     """
     found = {}
     if not os.path.isdir(root):
         raise DataError(f"dataset root {root!r} is not a directory")
-    for scene in sorted(os.listdir(root)):
-        scene_dir = os.path.join(root, scene)
-        if not os.path.isdir(scene_dir):
-            continue
-        for video in sorted(os.listdir(scene_dir)):
-            path = os.path.join(scene_dir, video, "annotations.txt")
-            if os.path.isfile(path):
-                scene_id = f"{scene}/{video}"
-                try:
-                    scene_id.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise DataError(f"directory name is not UTF-8: "
-                                    f"{os.fsencode(os.path.dirname(path))!r}") from None
-                found[scene_id] = path
+    try:
+        for scene in sorted(os.listdir(root)):
+            scene_dir = os.path.join(root, scene)
+            if not os.path.isdir(scene_dir):
+                continue
+            for video in sorted(os.listdir(scene_dir)):
+                path = os.path.join(scene_dir, video, "annotations.txt")
+                if os.path.isfile(path):
+                    scene_id = f"{scene}/{video}"
+                    try:
+                        scene_id.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise DataError(f"directory name is not UTF-8: "
+                                        f"{os.fsencode(os.path.dirname(path))!r}") from None
+                    found[scene_id] = path
+    except OSError as err:  # from os.listdir, which names the directory
+        raise DataError(f"cannot read directory {err.filename}: {err.strerror}") from err
     if not found:
         raise DataError(f"no scene_name/video_id/annotations.txt files under {root!r}")
     return found
@@ -742,23 +759,21 @@ def load_annotation_dataset(root, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T
 
 def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED):
     """load_annotation_dataset on the files scan_annotation_dirs found; also
-    returns the number of lines the files hold.  A DataError raised while a
-    file loads starts ``annotation file <path>: `` and keeps its class."""
+    returns the number of lines the files hold.  A DataError from parsing a
+    file or making its tracks starts ``annotation file <path>: ``."""
     tracks_by_scene = {}
     track_counts = dict.fromkeys(CLASS_NAMES, 0)
     lines = 0
     for scene_id, path in files.items():
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
+        with open_text(path, "annotation file", DataError) as fh:
+            try:
                 annotations = parse_annotations(fh)
-            lines += annotations.n_lines
-            tracks = build_tracks(annotations)
-            tracks_by_scene[scene_id] = [subsample(t, stride) for t in tracks]
-        except UnicodeDecodeError as e:
-            raise DataError(f"annotation file {path} is not UTF-8 text: {e}") from None
-        except DataError as e:
-            e.args = (f"annotation file {path}: {e}",)
-            raise
+                tracks = build_tracks(annotations)
+                tracks_by_scene[scene_id] = [subsample(t, stride) for t in tracks]
+            except DataError as e:
+                e.args = (f"annotation file {path}: {e}",)
+                raise
+        lines += annotations.n_lines
         for t in tracks:
             track_counts[t.class_name] += 1
     return build_windows(tracks_by_scene, t_obs, t_pred), track_counts, lines

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .data import N_CLASSES, SceneWindow, displacements, write_atomic
+from .data import N_CLASSES, SceneWindow, displacements, open_text, write_atomic
 from .tensor import ContractError, Tensor
 
 ENCODER_KINDS = ("lstm", "transformer")
@@ -662,15 +662,11 @@ def save_checkpoint(path, gen, disc=None, config_dict=None, meta=None):
 
 
 def load_checkpoint_payload(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open_text(path, "checkpoint", CheckpointError) as fh:
+        try:
             payload = json.load(fh)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"checkpoint {path} does not hold a JSON object")
     version = payload.get("format_version")

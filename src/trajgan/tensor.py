@@ -45,12 +45,13 @@ def _keep_freed_heap():
     A train step allocates and frees megabytes of tape arrays, and an LSTM
     call frees its step blocks.  glibc hands the top of its heap back to the
     kernel whenever more than M_TRIM_THRESHOLD (128 KiB at start) is free
-    there, and the next step or call faults those pages in again: about 500
-    minor faults per transformer train step, and 18 per no-grad
-    ``lstm_sequence`` plus ``lstm_rollout`` at eval's 640 rows.  So this
-    sets the mmap and trim thresholds to the most glibc's dynamic adjustment
-    would raise them to.  Called once, when this module is imported;
-    process-wide; a no-op off Linux or where the C library has no mallopt.
+    there, and the next step or call faults those pages in again: without
+    this, a warm train_nogan_transformer_crowded, train_gan_lstm and
+    eval_crowded_k20 benchmark operation takes 650, 450 and 235 minor faults
+    and runs 22%, 13% and 2% slower (2-vCPU Linux box).  So this sets the
+    mmap and trim thresholds to the most glibc's dynamic adjustment would
+    raise them to.  Called once, at import; process-wide; a no-op off Linux
+    or where the C library has no mallopt.
     """
     if not sys.platform.startswith("linux"):
         return

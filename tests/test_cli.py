@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import json
 import math
@@ -196,16 +197,16 @@ def test_data_validation_errors(tmp_path):
 
 def test_load_windows_synth_and_env_override(tmp_path, monkeypatch):
     cfg = small_experiment(tmp_path)
-    ws = C.load_windows(cfg.data)
-    assert len(ws) == 6
+    ws, paths = C.load_windows(cfg.data)
+    assert len(ws) == 6 and paths == []
     assert all(w.n_agents == 2 for w in ws)
 
     csv_path = tmp_path / "w.csv"
     D.write_windows_csv(ws, csv_path)
     dc = C.DataConfig(source="windows_csv", root="does/not/exist")
     monkeypatch.setenv(C.DATA_ROOT_ENV, str(csv_path))
-    back = C.load_windows(dc)
-    assert len(back) == 6
+    back, paths = C.load_windows(dc)
+    assert len(back) == 6 and paths == [str(csv_path)]
     monkeypatch.delenv(C.DATA_ROOT_ENV)
     with pytest.raises(D.DataError):
         C.load_windows(dc)
@@ -518,7 +519,7 @@ def test_cmd_train_rejects_a_negative_seed_flag(tmp_path, capsys):
 
 
 def test_cmd_train_malformed_window_csv_exit(tmp_path, capsys):
-    windows = C.load_windows(small_experiment(tmp_path).data)
+    windows, _ = C.load_windows(small_experiment(tmp_path).data)
     csv_path = tmp_path / "w.csv"
     D.write_windows_csv(windows, csv_path)
     header, *rows = csv_path.read_text().splitlines()
@@ -770,28 +771,126 @@ def test_input_that_is_not_utf8_exits_with_its_kind_of_error(tmp_path, capsys, c
     assert f"{path} is not UTF-8 text" in capsys.readouterr().err
 
 
-def test_cmd_parse_reads_an_annotation_file_that_starts_with_a_bom(tmp_path):
-    plain = write_fixture_dataset(tmp_path / "plain")
-    bom = write_fixture_dataset(tmp_path / "bom")
-    path = bom / "plaza" / "video0" / "annotations.txt"
-    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    outs = []
-    for root in (plain, bom):
-        outs.append(tmp_path / f"parsed_{root.name}")
-        assert cli.main(["parse", str(root), "--out", str(outs[-1])]) == cli.EXIT_OK
-    assert (outs[1] / "windows.csv").read_bytes() == (outs[0] / "windows.csv").read_bytes()
-    counts = [json.loads((out / "manifest.json").read_text())["counts"] for out in outs]
-    assert counts[1] == counts[0] == {"lines": 576, "tracks": 2, "windows": 5}
+INPUT_KINDS = pytest.mark.parametrize("kind", ["config", "checkpoint", "annotation file",
+                                               "window CSV"],
+                                      ids=["config", "checkpoint", "annotation_file",
+                                           "window_csv"])
 
 
-def test_cmd_train_reads_a_config_that_starts_with_a_bom(tmp_path):
-    cfg_path = write_config(tmp_path, small_experiment(tmp_path))
-    plain = cfg_path.read_bytes()
+def one_input_run(tmp_path, kind):
+    """Arguments of a command that reads an input file of ``kind``, that file,
+    and the command's output directory."""
+    out = tmp_path / "out"
+    if kind == "annotation file":
+        root = write_fixture_dataset(tmp_path / "ds")
+        return (["parse", str(root), "--out", str(out)],
+                root / "plaza" / "video0" / "annotations.txt", out)
+    cfg = small_experiment(tmp_path)
+    if kind == "checkpoint":
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, build_generator(cfg.model, seed=cfg.seed),
+                        config_dict=C.to_dict(cfg))
+        return ["eval", "--checkpoint", str(path), "--out", str(out)], path, out
+    if kind == "window CSV":
+        path = tmp_path / "windows.csv"
+        D.write_windows_csv(C.load_windows(cfg.data)[0], path)
+        cfg.data = C.DataConfig(source="windows_csv", root=str(path))
+    cfg_path = write_config(tmp_path, cfg)
+    return (["train", "--config", str(cfg_path), "--out", str(out)],
+            cfg_path if kind == "config" else path, out)
+
+
+@INPUT_KINDS
+def test_input_that_starts_with_a_bom_gives_the_same_output(tmp_path, kind):
+    argv, path, out = one_input_run(tmp_path, kind)
+    plain = path.read_bytes()
+    runs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + plain)
+        assert cli.main(argv) == cli.EXIT_OK
+        # every output but the step times; the manifest less the input's checksum
+        files = {p.name: p.read_bytes() for p in out.iterdir()
+                 if p.name not in ("manifest.json", "train_log.csv")}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest.pop("inputs")[str(path)] == hashlib.sha256(mark + plain).hexdigest()
+        runs.append((files, manifest))
+    assert runs[1] == runs[0]
+    assert {"checkpoint.json", "report.txt", "windows.csv"} & set(runs[0][0])
+    if kind == "annotation file":
+        assert runs[0][1]["counts"] == {"lines": 576, "tracks": 2, "windows": 5}
+
+
+@INPUT_KINDS
+def test_input_that_cannot_be_read_exits_with_its_kind_of_error(tmp_path, capsys,
+                                                                monkeypatch, kind):
+    argv, path, out = one_input_run(tmp_path, kind)
+    real_open = open
+
+    def refuse(file, *args, **kwargs):
+        if str(file) == str(path):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr("builtins.open", refuse)
+    code = cli.EXIT_CONFIG if kind in ("config", "checkpoint") else cli.EXIT_DATA
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err == f"error: cannot read {kind} {path}: Permission denied\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["parse", "train"])
+def test_scene_directory_that_cannot_be_listed_exits_3(tmp_path, capsys, monkeypatch,
+                                                       command):
+    root = write_fixture_dataset(tmp_path / "ds")
+    if command == "parse":
+        argv = ["parse", str(root), "--out", str(tmp_path / "run")]
+    else:
+        cfg = small_experiment(tmp_path)
+        cfg.data = C.DataConfig(source="annotations", root=str(root))
+        argv = ["train", "--config", str(write_config(tmp_path, cfg))]
+    scene = str(root / "plaza")
+    real_listdir = os.listdir
+
+    def refuse(path="."):
+        if os.fspath(path) == scene:
+            raise PermissionError(errno.EACCES, "Permission denied", scene)
+        return real_listdir(path)
+    monkeypatch.setattr(os, "listdir", refuse)
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: cannot read directory {scene}: Permission denied\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("source", ["preset", "windows_csv", "annotations"])
+def test_train_and_eval_manifests_list_the_data_files_read(tmp_path, source):
+    if source == "preset":
+        cfg, data_files = C.load_config(PRESET_DIR / "nogan_lstm.json"), []
+        cfg.out_dir = str(tmp_path / "run")
+    else:
+        cfg = small_experiment(tmp_path)
+        root = write_fixture_dataset(tmp_path / "ds")
+        (root / "plaza" / "video1").mkdir()  # a second video, for more windows
+        (root / "plaza" / "video1" / "annotations.txt").write_bytes(
+            (root / "plaza" / "video0" / "annotations.txt").read_bytes())
+        data_files = sorted(root.glob("*/*/annotations.txt"))
+        if source == "windows_csv":
+            parsed = tmp_path / "parsed"
+            assert cli.main(["parse", str(root), "--out", str(parsed)]) == cli.EXIT_OK
+            root = parsed / "windows.csv"
+            data_files = [root]
+        cfg.data = C.DataConfig(source=source, root=str(root))
+    cfg_path = write_config(tmp_path, cfg)
+    ckpt = tmp_path / "run" / "checkpoint.json"
     assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_OK
-    first = (tmp_path / "run" / "checkpoint.json").read_bytes()
-    cfg_path.write_bytes(b"\xef\xbb\xbf" + plain)
-    assert cli.main(["train", "--config", str(cfg_path)]) == cli.EXIT_OK
-    assert (tmp_path / "run" / "checkpoint.json").read_bytes() == first
+    assert cli.main(["eval", "--checkpoint", str(ckpt)]) == cli.EXIT_OK
+
+    def manifest(first_input):
+        inputs = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in [first_input] + data_files}
+        return json.dumps({"config_hash": C.config_hash(cfg), "seed": cfg.seed,
+                           "inputs": inputs, "python": platform.python_version(),
+                           "numpy": np.__version__}, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "run" / "manifest.json").read_text() == manifest(cfg_path)
+    assert (tmp_path / "run" / "eval" / "manifest.json").read_text() == manifest(ckpt)
 
 
 @pytest.mark.parametrize("command", ["parse", "train"])

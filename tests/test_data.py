@@ -1000,10 +1000,17 @@ def test_text_that_is_not_utf8_is_a_data_error(tmp_path):
 
 
 def test_every_text_mode_open_names_its_encoding():
-    # a text file opened without encoding= is read in the locale's encoding
-    missing = []
+    # a text file opened without encoding= is read in the locale's encoding;
+    # text is read only through data.open_text and written only by
+    # data.write_atomic, so one function holds each rule
+    missing, stray = [], []
     for source in sorted((ROOT / "src" / "trajgan").glob("*.py")):
-        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        owner = {}  # node -> name of the innermost function around it
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "open"):
                 continue
@@ -1012,7 +1019,29 @@ def test_every_text_mode_open_names_its_encoding():
             binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
             if not binary and not any(k.arg == "encoding" for k in node.keywords):
                 missing.append(f"{source.name}:{node.lineno}")
+            if binary:
+                continue
+            if mode is None:
+                allowed = "open_text"
+            elif isinstance(mode, ast.Constant):
+                allowed = "write_atomic" if set("wax+") & set(str(mode.value)) else "open_text"
+            else:
+                allowed = None  # a mode that is not a literal is never allowed
+            if (source.name, owner.get(node)) != ("data.py", allowed):
+                stray.append(f"{source.name}:{node.lineno} in {owner.get(node)}")
     assert missing == []
+    assert stray == []
+
+
+def test_input_file_that_cannot_be_opened_is_a_data_error_naming_it(tmp_path):
+    path = tmp_path / "missing"
+    named = re.escape(str(path))
+    with pytest.raises(D.DataError, match=f"^cannot read annotation file {named}: "
+                                          "No such file or directory$"):
+        D.load_annotation_files({"s/v": str(path)})
+    with pytest.raises(D.DataError, match=f"^cannot read window CSV {named}: "
+                                          "No such file or directory$"):
+        D.read_windows_csv(path)
 
 
 def test_interrupted_csv_write_keeps_the_old_file(tmp_path):

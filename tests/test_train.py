@@ -434,7 +434,7 @@ def test_step_records_one_node_per_model_part(monkeypatch, preset, most):
     monkeypatch.setattr(TR, "Tape", CountingTape)
     gen = M.build_generator(cfg.model, seed=0)
     disc = M.build_discriminator(cfg.model, seed=1) if cfg.train.mode == "gan" else None
-    TR.train_step_gan(C.load_windows(cfg.data)[:cfg.train.batch_size], gen, disc,
+    TR.train_step_gan(C.load_windows(cfg.data)[0][:cfg.train.batch_size], gen, disc,
                       Adam(gen.parameters()), None if disc is None else Adam(disc.parameters()),
                       cfg.train, np.random.default_rng(2))
     (tape,) = tapes
