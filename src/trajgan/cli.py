@@ -34,7 +34,6 @@ EXIT_NUMERIC = 4
 EXIT_LOCK = 5
 
 LOCK_NAME = "run.lock"
-LAYOUT_HINT = "expected layout: <root>/<scene>/<video>/annotations.txt"
 
 
 class OutputLocked(RuntimeError):
@@ -56,8 +55,7 @@ def _write_manifest(out_dir, cfg_hash, seed, input_paths, **extra):
     manifest = {
         "config_hash": cfg_hash,
         "seed": seed,
-        "inputs": {str(p): _sha256_file(p) for p in sorted(input_paths)
-                   if os.path.isfile(p)},
+        "inputs": {str(p): _sha256_file(p) for p in sorted(input_paths)},
         "python": platform.python_version(),
         "numpy": np.__version__,
         **extra,
@@ -114,11 +112,7 @@ def _rebuild_from_checkpoint(path):
 def cmd_parse(args):
     if args.stride < 1:
         raise ConfigError(f"--stride must be at least 1, got {args.stride}")
-    root = args.input_dir
-    if not os.path.isdir(root):
-        raise D.DataError(f"not a directory: {root}; {LAYOUT_HINT}")
-    files = D.scan_annotation_dirs(root)
-    windows, counts, lines = D.load_annotation_files(files, stride=args.stride)
+    windows, (files, counts, lines) = D.load_annotation_dataset(args.input_dir, args.stride)
     _make_out_dir(args.out)
     csv_path = os.path.join(args.out, "windows.csv")
     D.write_windows_csv(windows, csv_path)

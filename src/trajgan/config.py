@@ -189,8 +189,6 @@ def load_windows(data_config):
         raise ConfigError(f"data source {data_config.source!r} needs root "
                           f"(or ${DATA_ROOT_ENV})")
     if data_config.source == "windows_csv":
-        if not os.path.isfile(root):
-            raise D.DataError(f"window CSV not found: {root}")
         windows = D.read_windows_csv(root)
         want = (data_config.t_obs, data_config.t_pred)
         for w in windows:
@@ -198,9 +196,6 @@ def load_windows(data_config):
                 raise D.DataError(f"window {w.window_id!r} in {root} has t_obs {w.t_obs}, "
                                   f"t_pred {w.t_pred}; data config says {want[0]}, {want[1]}")
         return windows, [root]
-    if not os.path.isdir(root):
-        raise D.DataError(f"annotation root not found: {root}")
-    files = D.scan_annotation_dirs(root)
-    windows, _, _ = D.load_annotation_files(files, data_config.stride, data_config.t_obs,
-                                            data_config.t_pred)
-    return windows, list(files.values())
+    windows, tree = D.load_annotation_dataset(root, data_config.stride, data_config.t_obs,
+                                              data_config.t_pred)
+    return windows, list(tree.files.values())

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from math import inf, isfinite
 from operator import ne
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,6 +182,13 @@ class AgentTrack:
         return self.frames.size
 
 
+def _ranks(values):
+    """Sorted distinct ``values``, and each value's index among them as int64."""
+    distinct = sorted(set(values))
+    rank = {v: r for r, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(rank.__getitem__, values), np.int64, len(values))
+
+
 def build_tracks(annotations):
     """Group AnnotationColumns into per-agent tracks of bbox centers.
 
@@ -194,9 +202,7 @@ def build_tracks(annotations):
     if not n:
         return []
     track_ids = annotations.track_ids
-    # ids sort by rank, so an id need not fit in int64
-    rank = {tid: r for r, tid in enumerate(sorted(set(track_ids)))}
-    ids = np.fromiter(map(rank.__getitem__, track_ids), np.int64, n)
+    _, ids = _ranks(track_ids)  # an id need not fit in int64
     try:
         frames = np.fromiter(annotations.frames, np.int64, n)
     except OverflowError:
@@ -536,7 +542,7 @@ def write_windows_csv(windows, path):
     write_atomic(path, "".join(lines))
 
 
-_WINDOW_CSV_INTS = ("agent_id", "class_index", "t", "is_future", "frame_step")
+_WINDOW_CSV_INTS = ("class_index", "t", "is_future", "frame_step")  # agent_id: any int
 
 
 def _window_csv_error(path, row, message):
@@ -563,13 +569,15 @@ def _int_column(cells):
 
 def _first_bad_cell(cells):
     """(row, message) for the first numeric cell of the flattened rows that is
-    not a number of its column's kind, or an integer that int64 cannot hold."""
+    not a number of its column's kind, or outside int64 in an int64 column."""
     width = len(WINDOW_CSV_HEADER)
     for k, cell in enumerate(cells):
         name = WINDOW_CSV_HEADER[k % width]
         try:
             if name in _WINDOW_CSV_INTS:
                 np.int64(int(cell))
+            elif name == "agent_id":
+                int(cell)
             elif name in ("x", "y"):
                 float(cell)
         except (ValueError, OverflowError):
@@ -623,8 +631,10 @@ def read_windows_csv(path):
         return []
     scene_ids, window_ids = cells[0::width], cells[1::width]
     try:
-        agent, cls, t, is_future, steps = (_int_column(cells[col::width])
-                                           for col in (2, 3, 4, 7, 8))
+        id_of = {cell: int(cell) for cell in set(cells[2::width])}
+        # an agent id need not fit in int64; agents sort by its rank
+        agent_ids, agent = _ranks(list(map(id_of.__getitem__, cells[2::width])))
+        cls, t, is_future, steps = (_int_column(cells[col::width]) for col in (3, 4, 7, 8))
         xy = np.empty((n, 2))
         xy[:, 0] = np.fromiter(map(float, cells[5::width]), np.float64, n)
         xy[:, 1] = np.fromiter(map(float, cells[6::width]), np.float64, n)
@@ -654,7 +664,7 @@ def read_windows_csv(path):
 
     def error(j, message):
         return _window_csv_error(path, order[j], f"window {window_ids[order[j]]!r} "
-                                                 f"agent {agent[j]}: {message}")
+                                                 f"agent {agent_ids[agent[j]]}: {message}")
 
     row_checks = (
         (same_agent & (t == np.r_[0, t[:-1]]), "duplicate row for step {t}"),
@@ -692,7 +702,7 @@ def read_windows_csv(path):
     bad_xy = ~np.isfinite(xy).all(axis=1)
     bad_row = bad_xy | (cls < 0) | (cls >= N_CLASSES)
     first_bad = int(window[bad_row].min()) if bad_row.any() else -1
-    ids, agent_cls = agent[starts].tolist(), cls[starts]
+    ids, agent_cls = list(map(agent_ids.__getitem__, agent[starts].tolist())), cls[starts]
     starts, lengths, observed = starts.tolist(), lengths.tolist(), observed.tolist()
     windows = []
     for number, ((scene_id, window_id, frame_step), a0, count) in enumerate(
@@ -719,15 +729,13 @@ def read_windows_csv(path):
 
 
 def scan_annotation_dirs(root):
-    """Find scene_name/video_id/annotations.txt files under a dataset root.
+    """Find the <root>/<scene>/<video>/annotations.txt files of a dataset tree.
 
-    Returns a sorted dict of scene id ("scene/video") to file path; a scene
-    or video directory name that is not UTF-8, or a directory that cannot be
-    listed, raises DataError.
+    Returns a sorted dict of scene id ("scene/video") to file path; a root
+    or directory that cannot be listed, a scene or video directory name that
+    is not UTF-8, or a tree without such files raises DataError.
     """
     found = {}
-    if not os.path.isdir(root):
-        raise DataError(f"dataset root {root!r} is not a directory")
     try:
         for scene in sorted(os.listdir(root)):
             scene_dir = os.path.join(root, scene)
@@ -746,21 +754,22 @@ def scan_annotation_dirs(root):
     except OSError as err:  # from os.listdir, which names the directory
         raise DataError(f"cannot read directory {err.filename}: {err.strerror}") from err
     if not found:
-        raise DataError(f"no scene_name/video_id/annotations.txt files under {root!r}")
+        raise DataError(f"no annotation files under {root}; "
+                        "expected layout: <root>/<scene>/<video>/annotations.txt")
     return found
 
 
+class AnnotationTree(NamedTuple):
+    """What load_annotation_dataset read besides the windows."""
+    files: dict         # scene id -> annotation file path, as scan_annotation_dirs gives
+    track_counts: dict  # class name -> tracks of that class
+    lines: int          # lines the files hold, blank and lost ones included
+
+
 def load_annotation_dataset(root, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED):
-    """Parse a dataset directory into scene windows plus per-class track counts."""
-    windows, track_counts, _ = load_annotation_files(scan_annotation_dirs(root), stride,
-                                                     t_obs, t_pred)
-    return windows, track_counts
-
-
-def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED):
-    """load_annotation_dataset on the files scan_annotation_dirs found; also
-    returns the number of lines the files hold.  A DataError from parsing a
-    file or making its tracks starts ``annotation file <path>: ``."""
+    """Scene windows and an AnnotationTree from the tree under ``root``; a DataError
+    from parsing a file or making its tracks starts ``annotation file <path>: ``."""
+    files = scan_annotation_dirs(root)
     tracks_by_scene = {}
     track_counts = dict.fromkeys(CLASS_NAMES, 0)
     lines = 0
@@ -776,7 +785,8 @@ def load_annotation_files(files, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_
         lines += annotations.n_lines
         for t in tracks:
             track_counts[t.class_name] += 1
-    return build_windows(tracks_by_scene, t_obs, t_pred), track_counts, lines
+    return (build_windows(tracks_by_scene, t_obs, t_pred),
+            AnnotationTree(files, track_counts, lines))
 
 
 def class_histogram(counts):

@@ -330,16 +330,6 @@ def test_cmd_parse_reads_each_annotation_file_as_text_once(tmp_path, monkeypatch
     assert opened.count(("annotations.txt", False)) == 1
 
 
-def test_cmd_parse_missing_and_empty_dirs(tmp_path, capsys):
-    rc = cli.main(["parse", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
-    assert rc == cli.EXIT_DATA
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    rc = cli.main(["parse", str(empty), "--out", str(tmp_path / "o2")])
-    assert rc == cli.EXIT_DATA
-    assert "expected layout" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("stride", ["0", "-3"])
 def test_cmd_parse_rejects_stride_below_one(tmp_path, capsys, stride):
     data_root = write_fixture_dataset(tmp_path / "ds")
@@ -357,6 +347,16 @@ def write_config(tmp_path, cfg):
     path = tmp_path / f"{cfg.name}.json"
     C.save_config(path, cfg)
     return path
+
+
+def data_argv(tmp_path, command, path, source="annotations"):
+    """Arguments of ``parse`` on the tree ``path``, or of ``train`` on a
+    config whose data ``source`` is ``path``; both write under tmp_path/run."""
+    if command == "parse":
+        return ["parse", str(path), "--out", str(tmp_path / "run")]
+    cfg = small_experiment(tmp_path)
+    cfg.data = C.DataConfig(source=source, root=str(path))
+    return ["train", "--config", str(write_config(tmp_path, cfg))]
 
 
 def test_cmd_train_eval_analyze_pipeline(tmp_path, capsys):
@@ -841,12 +841,7 @@ def test_input_that_cannot_be_read_exits_with_its_kind_of_error(tmp_path, capsys
 def test_scene_directory_that_cannot_be_listed_exits_3(tmp_path, capsys, monkeypatch,
                                                        command):
     root = write_fixture_dataset(tmp_path / "ds")
-    if command == "parse":
-        argv = ["parse", str(root), "--out", str(tmp_path / "run")]
-    else:
-        cfg = small_experiment(tmp_path)
-        cfg.data = C.DataConfig(source="annotations", root=str(root))
-        argv = ["train", "--config", str(write_config(tmp_path, cfg))]
+    argv = data_argv(tmp_path, command, root)
     scene = str(root / "plaza")
     real_listdir = os.listdir
 
@@ -858,6 +853,62 @@ def test_scene_directory_that_cannot_be_listed_exits_3(tmp_path, capsys, monkeyp
     assert cli.main(argv) == cli.EXIT_DATA
     assert capsys.readouterr().err == f"error: cannot read directory {scene}: Permission denied\n"
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command,source", [
+    ("parse", "annotations"), ("train", "annotations"), ("train", "windows_csv")],
+    ids=["parse", "train_annotations", "train_windows_csv"])
+@pytest.mark.parametrize("fault", ["missing", "wrong_kind"])
+def test_data_input_that_cannot_be_read_has_one_wording_at_every_entry(tmp_path, capsys,
+                                                                      command, source, fault):
+    kind = "window CSV" if source == "windows_csv" else "directory"
+    if fault == "missing":
+        path, code = tmp_path / "missing", errno.ENOENT
+    elif kind == "directory":
+        path, code = tmp_path / "afile", errno.ENOTDIR
+        path.write_text("not a tree\n")
+    else:
+        path, code = tmp_path / "adir", errno.EISDIR
+        path.mkdir()
+    assert cli.main(data_argv(tmp_path, command, path, source)) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: cannot read {kind} {path}: {os.strerror(code)}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["parse", "train"])
+def test_tree_without_annotation_files_exits_3_naming_the_layout(tmp_path, capsys, command):
+    root = tmp_path / "ds"
+    (root / "plaza" / "video0").mkdir(parents=True)
+    assert cli.main(data_argv(tmp_path, command, root)) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (f"error: no annotation files under {root}; expected "
+                                       "layout: <root>/<scene>/<video>/annotations.txt\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["parse", "train"])
+def test_commands_load_a_tree_through_load_annotation_dataset(tmp_path, monkeypatch, command):
+    # the parse benchmark times load_annotation_dataset: it must be what the commands run
+    calls, real = [], D.load_annotation_dataset
+
+    def spy(root, *args, **kwargs):
+        calls.append(root)
+        return real(root, *args, **kwargs)
+    monkeypatch.setattr(D, "load_annotation_dataset", spy)
+    root = write_fixture_dataset(tmp_path / "ds")
+    assert cli.main(data_argv(tmp_path, command, root)) == cli.EXIT_OK
+    assert calls == [str(root)]
+
+
+def test_track_ids_beyond_int64_go_from_parse_to_train(tmp_path):
+    root = write_fixture_dataset(tmp_path / "ds")
+    path = root / "plaza" / "video0" / "annotations.txt"
+    lines = path.read_text().splitlines()
+    path.write_text("".join(f"{2**70 if line[0] == '1' else 3}{line[1:]}\n" for line in lines))
+    assert cli.main(data_argv(tmp_path, "parse", root)) == cli.EXIT_OK
+    csv_path = tmp_path / "run" / "windows.csv"
+    assert {w.agent_ids for w in D.read_windows_csv(csv_path)} == {(3, 2**70)}
+    assert cli.main(data_argv(tmp_path, "train", csv_path, "windows_csv")
+                    + ["--out", str(tmp_path / "trained")]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("source", ["preset", "windows_csv", "annotations"])
@@ -906,13 +957,7 @@ def test_annotation_errors_name_the_file_and_the_line(tmp_path, capsys, command,
     second = root / "plaza" / "video1" / "annotations.txt"
     second.parent.mkdir()
     second.write_text("\n".join(lines) + "\n")
-    if command == "parse":
-        argv = ["parse", str(root), "--out", str(tmp_path / "run")]
-    else:
-        cfg = small_experiment(tmp_path)
-        cfg.data = C.DataConfig(source="annotations", root=str(root))
-        argv = ["train", "--config", str(write_config(tmp_path, cfg))]
-    assert cli.main(argv) == cli.EXIT_DATA
+    assert cli.main(data_argv(tmp_path, command, root)) == cli.EXIT_DATA
     assert f"error: annotation file {second}: {message}\n" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
@@ -924,13 +969,7 @@ def test_directory_name_that_is_not_utf8_exits_3_before_writing(tmp_path, capsys
     os.makedirs(video)
     with open(os.path.join(video, b"annotations.txt"), "wb") as fh:
         fh.write(b'1 0 0 2 2 0 0 0 0 "Car"\n')
-    if command == "parse":
-        argv = ["parse", str(tmp_path / "ds"), "--out", str(tmp_path / "run")]
-    else:
-        cfg = small_experiment(tmp_path)
-        cfg.data = C.DataConfig(source="annotations", root=str(tmp_path / "ds"))
-        argv = ["train", "--config", str(write_config(tmp_path, cfg))]
-    assert cli.main(argv) == cli.EXIT_DATA
+    assert cli.main(data_argv(tmp_path, command, tmp_path / "ds")) == cli.EXIT_DATA
     assert "pl\\xffza" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 

@@ -756,6 +756,15 @@ def test_window_csv_round_trip(tmp_path):
         assert np.array_equal(w0.future, w1.future)
 
 
+def test_window_csv_keeps_agent_ids_beyond_int64(tmp_path):
+    # the parser takes any integer track id, so a parsed window may hold one
+    w = D.synth_scene("turn", 3, ["car", "bus", "pedestrian"], seed=5)[0]
+    windows = [dataclasses.replace(w, agent_ids=(-2**70, 3, 2**70))]
+    path = tmp_path / "windows.csv"
+    D.write_windows_csv(windows, path)
+    assert_same_windows(D.read_windows_csv(path), windows)
+
+
 @st.composite
 def csv_windows(draw):
     """Windows with distinct ids: scene ids the CSV must quote, any start
@@ -835,6 +844,8 @@ def replaced(rows, i, **cells):
 MALFORMED_WINDOW_CSV = {
     "short row": (lambda r: r[:3] + ["s,s:0,2,4,0,0.5"] + r[4:], 5, "expected 9 cells"),
     "non-numeric cell": (lambda r: replaced(r, 1, x="abc"), 3, "x 'abc'"),
+    "agent id that is not an integer": (lambda r: replaced(r, 4, agent_id="2.5"), 6,
+                                        "agent_id '2.5' is not a valid number"),
     "agent missing its last step": (lambda r: r[:5], 6, "has 2 steps"),
     "no observed step": (lambda r: [replaced(r, i, is_future="1")[i] for i in range(6)], 4,
                          "no observed step"),
@@ -908,14 +919,15 @@ def test_a_fault_in_an_annotation_file_names_the_file(tmp_path):
     second.parent.mkdir()
     second.write_text('1 0 0 2 2 0 0 0 0 "Car"\n\n3 0 0 2 2 0 0 0 0 "Unicycle"\n')
     with pytest.raises(D.UnknownLabelError) as exc:
-        D.load_annotation_files(D.scan_annotation_dirs(root))
+        D.load_annotation_dataset(root)
     assert exc.value.line_number == 3
     assert str(exc.value) == f"annotation file {second}: line 3: unknown class label 'Unicycle'"
 
 
 def test_load_annotation_dataset(tmp_path):
     root = write_fixture_dataset(tmp_path)
-    windows, counts = D.load_annotation_dataset(root, stride=12)
+    windows, tree = D.load_annotation_dataset(root, stride=12)
+    counts = tree.track_counts
     assert len(windows) > 0
     assert counts["pedestrian"] == 1 and counts["bicyclist"] == 1
     assert all(w.scene_id == "plaza/video0" for w in windows)
@@ -924,18 +936,18 @@ def test_load_annotation_dataset(tmp_path):
     assert sum(hist.values()) == pytest.approx(100.0, abs=0.01)
 
 
-def test_load_annotation_files_counts_the_lines_of_its_files(tmp_path):
+def test_load_annotation_dataset_counts_the_lines_of_its_files(tmp_path):
     # as many lines as iterating each file in text mode gives: blank lines
     # count, a last line without its newline too; \r and \r\n end lines
-    files = D.scan_annotation_dirs(write_fixture_dataset(tmp_path / "ds"))
-    extra = tmp_path / "ds" / "plaza" / "video1" / "annotations.txt"
+    root = write_fixture_dataset(tmp_path / "ds")
+    extra = root / "plaza" / "video1" / "annotations.txt"
     extra.parent.mkdir()
     extra.write_bytes(b'1 0 0 2 2 0 0 0 0 "Car"\r\n\n2 0 0 2 2 0 0 0 0 "Car"\r'
                       b'3 0 0 2 2 0 0 0 0 "Car"')
-    files["plaza/video1"] = str(extra)
-    windows, counts, lines = D.load_annotation_files(files, stride=12)
-    assert lines == 576 + 4
-    assert len(windows) == 5 and counts["car"] == 3
+    windows, tree = D.load_annotation_dataset(root, stride=12)
+    assert tree.files["plaza/video1"] == str(extra)
+    assert tree.lines == 576 + 4
+    assert len(windows) == 5 and tree.track_counts["car"] == 3
 
 
 def test_window_csv_keeps_frame_step_of_parsed_windows(tmp_path):
@@ -992,11 +1004,23 @@ def test_text_that_is_not_utf8_is_a_data_error(tmp_path):
     annotations.write_bytes(annotations.read_bytes() + b'3 0 0 2 2 0 0 0 0 "Caf\xff"\n')
     with pytest.raises(D.DataError, match=f"annotation file {re.escape(str(annotations))} "
                                           "is not UTF-8 text"):
-        D.load_annotation_files(files)
+        D.load_annotation_dataset(tmp_path / "ds")
     path = tmp_path / "windows.csv"
     path.write_bytes(",".join(D.WINDOW_CSV_HEADER).encode() + b"\n\xff,s:0\n")
     with pytest.raises(D.DataError, match=f"window CSV {re.escape(str(path))} is not UTF-8"):
         D.read_windows_csv(path)
+
+
+def source_trees():
+    """(path, syntax tree, node -> name of the innermost function around it)
+    for each module of the package."""
+    for source in sorted((ROOT / "src" / "trajgan").glob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        yield source, tree, owner
 
 
 def test_every_text_mode_open_names_its_encoding():
@@ -1004,12 +1028,7 @@ def test_every_text_mode_open_names_its_encoding():
     # text is read only through data.open_text and written only by
     # data.write_atomic, so one function holds each rule
     missing, stray = [], []
-    for source in sorted((ROOT / "src" / "trajgan").glob("*.py")):
-        tree = ast.parse(source.read_text(encoding="utf-8"))
-        owner = {}  # node -> name of the innermost function around it
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    for source, tree, owner in source_trees():
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "open"):
@@ -1033,12 +1052,30 @@ def test_every_text_mode_open_names_its_encoding():
     assert stray == []
 
 
-def test_input_file_that_cannot_be_opened_is_a_data_error_naming_it(tmp_path):
+def test_no_existence_check_stands_in_front_of_a_reader():
+    # a missing or unreadable input is reported by the call that reads it,
+    # so each entry point gives one wording; only the tree walk's filters and
+    # write_atomic's temporary-file cleanup ask whether a path exists
+    allowed = {("data.py", "scan_annotation_dirs", "os.path.isdir(scene_dir)"),
+               ("data.py", "scan_annotation_dirs", "os.path.isfile(path)"),
+               ("data.py", "write_atomic", "os.path.exists(tmp)")}
+    uses = []
+    for source, tree, owner in source_trees():
+        call_of = {n.func: n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in (
+                    "os.path.isfile", "os.path.isdir", "os.path.exists"):
+                uses.append((source.name, owner.get(node), ast.unparse(call_of.get(node, node))))
+    assert [use for use in uses if use not in allowed] == []
+
+
+def test_input_file_that_cannot_be_opened_is_a_data_error_naming_it(tmp_path, monkeypatch):
     path = tmp_path / "missing"
     named = re.escape(str(path))
+    monkeypatch.setattr(D, "scan_annotation_dirs", lambda root: {"s/v": str(path)})
     with pytest.raises(D.DataError, match=f"^cannot read annotation file {named}: "
                                           "No such file or directory$"):
-        D.load_annotation_files({"s/v": str(path)})
+        D.load_annotation_dataset(tmp_path)
     with pytest.raises(D.DataError, match=f"^cannot read window CSV {named}: "
                                           "No such file or directory$"):
         D.read_windows_csv(path)
