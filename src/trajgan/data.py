@@ -15,11 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from math import inf, isfinite
-from operator import ne
 from typing import NamedTuple
 
 import numpy as np
@@ -471,8 +471,14 @@ def synth_scene(kind, n_agents, classes, seed, *, n_windows=1, jitter=0.0,
 # ---------------------------------------------------------------------------
 # serialization and dataset scanning
 
-WINDOW_CSV_HEADER = ["scene_id", "window_id", "agent_id", "class_index",
-                     "t", "x", "y", "is_future", "frame_step"]
+# the window CSV's columns as read_windows_csv reads them: the ids as text
+# (an agent id need not fit in int64), the other cells as numbers
+_WINDOW_CSV_DTYPE = np.dtype([
+    ("scene_id", object), ("window_id", object), ("agent_id", object),
+    ("class_index", np.int64), ("t", np.int64), ("x", np.float64), ("y", np.float64),
+    ("is_future", np.int64), ("frame_step", np.int64)])
+_WINDOW_CSV_LOADTXT = dict(delimiter=",", quotechar='"', comments=None)
+WINDOW_CSV_HEADER = list(_WINDOW_CSV_DTYPE.names)
 
 
 def write_atomic(path, text):
@@ -542,51 +548,73 @@ def write_windows_csv(windows, path):
     write_atomic(path, "".join(lines))
 
 
-_WINDOW_CSV_INTS = ("class_index", "t", "is_future", "frame_step")  # agent_id: any int
-
-
 def _window_csv_error(path, row, message):
-    """DataError naming the 1-based line that ends data row ``row`` of a window CSV."""
+    """DataError naming the 1-based line that ends data row ``row`` of a window
+    CSV, counting rows as np.loadtxt does: empty lines are no rows."""
     with open_text(path, "window CSV", DataError, newline="") as fh:
         reader = csv.reader(fh)
+        rows = filter(None, reader)
         for _ in range(row + 2):  # the header and rows 0..row
-            next(reader)
+            next(rows)
         return DataError(f"line {reader.line_num}: {message}")
 
 
-def _changes(cells):
-    """Whether each cell differs from the one before it (the first does);
-    comparing neighbours is cheaper than hashing every cell."""
-    return np.r_[True, np.fromiter(map(ne, cells[1:], cells[:-1]), bool, len(cells) - 1)]
+def _rows_read(lines, rows):
+    """Whether np.loadtxt reads the window CSV ``lines``, the text of the
+    nine-cell ``rows``, and int() each row's agent id."""
+    try:
+        np.loadtxt(lines, _WINDOW_CSV_DTYPE, ndmin=1, **_WINDOW_CSV_LOADTXT)
+        for row in rows:
+            int(row[2])
+    except ValueError:
+        return False
+    return True
 
 
-def _int_column(cells):
-    """int64 array of integer cells, converting each distinct cell once (ids,
-    steps and flags take few values)."""
-    values = {cell: int(cell) for cell in set(cells)}
-    return np.fromiter(map(values.__getitem__, cells), np.int64, len(cells))
-
-
-def _first_bad_cell(cells):
-    """(row, message) for the first numeric cell of the flattened rows that is
-    not a number of its column's kind, or outside int64 in an int64 column."""
+def _window_csv_fault(path, cause):
+    """DataError for the first data row of a window CSV, in file order, that
+    has other than nine cells or a cell _rows_read rejects; the table
+    reader's ``cause`` if there is none."""
     width = len(WINDOW_CSV_HEADER)
-    for k, cell in enumerate(cells):
-        name = WINDOW_CSV_HEADER[k % width]
-        try:
-            if name in _WINDOW_CSV_INTS:
-                np.int64(int(cell))
-            elif name == "agent_id":
-                int(cell)
-            elif name in ("x", "y"):
-                float(cell)
-        except (ValueError, OverflowError):
-            return k // width, f"{name} {cell!r} is not a valid number"
-    raise AssertionError("every numeric cell converts")
+    with open_text(path, "window CSV", DataError, newline="") as fh:
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    next(reader)  # the header, checked before
+    ends = [reader.line_num]  # row i is lines[ends[i]:ends[i + 1]], with empty lines
+    rows, fault = [], DataError(f"window CSV {path}: {cause}")
+    try:
+        for row in filter(None, reader):  # np.loadtxt skips empty lines
+            if len(row) != width:
+                fault = DataError(f"line {reader.line_num}: expected {width} cells, "
+                                  f"got {len(row)}")
+                break
+            rows.append(row)
+            ends.append(reader.line_num)
+    except csv.Error as e:
+        fault = DataError(f"line {reader.line_num}: {e}")
+    if not rows or _rows_read(lines[ends[0]:ends[-1]], rows):
+        return fault
+    lo, hi = 0, len(rows)  # rows[lo:hi] hold the first row that does not read
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _rows_read(lines[ends[lo]:ends[mid]], rows[lo:mid]) else (lo, mid)
+    row = rows[lo]
+    # its first bad cell: the first k at which its cells 0..k, "0" after them, fail
+    prefixes = (row[:k + 1] + ["0"] * (width - k - 1) for k in range(width))
+    k = next(k for k, cells in enumerate(prefixes) if not _rows_read([_csv_cells(cells)],
+                                                                     [cells]))
+    return DataError(f"line {ends[lo + 1]}: {WINDOW_CSV_HEADER[k]} {row[k]!r} "
+                     "is not a valid number")
 
 
 def read_windows_csv(path):
     """Rebuild SceneWindows from a window CSV such as write_windows_csv writes.
+
+    The header is read with csv.reader and the rows in one np.loadtxt call,
+    which skips empty lines and reads numbers by its own rule: ASCII digits
+    with an optional sign and surrounding whitespace, no underscores, and
+    int64 cells within int64.  ``agent_id`` is read by int() and may be any
+    integer.
 
     Rows may come in any order.  The rows that share ``scene_id``,
     ``window_id`` and ``frame_step`` make one window; windows come in the
@@ -596,57 +624,54 @@ def read_windows_csv(path):
     0 on its first steps and 1 on the rest.  All agents of a window have the
     same ``T`` and the same number of observed steps, at least one.  A row
     that breaks this, or that has other than nine cells, a numeric cell that
-    does not parse, a non-finite ``x`` or ``y`` or a ``class_index`` outside
+    does not read, a non-finite ``x`` or ``y`` or a ``class_index`` outside
     0..5, raises DataError naming its 1-based line; a window id other than
     ``<scene_id>:<start frame>``, the window's first line.  The last three
     faults are looked for window by window: a window's id first, then its
-    first bad row in file order.
+    first bad row in file order.  When the table reader rejects the file,
+    _window_csv_fault reads it again to name the first faulty row.
 
     Coordinates and classes are checked as stacked columns, once per file,
     so the windows are made without checking each one again.
     """
-    width = len(WINDOW_CSV_HEADER)
     with open_text(path, "window CSV", DataError, newline="") as fh:
         reader = csv.reader(fh)
-
-        def full_row(row):
-            if len(row) != width:
-                raise DataError(f"line {reader.line_num}: expected {width} cells, "
-                                f"got {len(row)}")
-            return row
-
         try:
             header = next(reader, None)
-            if header != WINDOW_CSV_HEADER:
-                missing = [c for c in WINDOW_CSV_HEADER if c not in (header or [])]
-                raise DataError(f"unexpected window CSV header {header}; "
-                                f"missing columns: {missing}")
-            # flattened as they are read: keeping every row's list alive would
-            # set off the cyclic garbage collector again and again
-            cells = list(chain.from_iterable(map(full_row, reader)))
         except csv.Error as e:
             raise DataError(f"line {reader.line_num}: {e}") from None
-    n = len(cells) // width
+        if header != WINDOW_CSV_HEADER:
+            missing = [c for c in WINDOW_CSV_HEADER if c not in (header or [])]
+            raise DataError(f"unexpected window CSV header {header}; "
+                            f"missing columns: {missing}")
+        try:
+            with warnings.catch_warnings():
+                # a header alone is a file of no windows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                table = np.loadtxt(fh, _WINDOW_CSV_DTYPE, ndmin=1, **_WINDOW_CSV_LOADTXT)
+        except ValueError as e:
+            raise _window_csv_fault(path, e) from None
+    n = table.size
     if n == 0:
         return []
-    scene_ids, window_ids = cells[0::width], cells[1::width]
+    scene_ids, window_ids, steps = table["scene_id"], table["window_id"], table["frame_step"]
+    cells = table["agent_id"].tolist()
     try:
-        id_of = {cell: int(cell) for cell in set(cells[2::width])}
-        # an agent id need not fit in int64; agents sort by its rank
-        agent_ids, agent = _ranks(list(map(id_of.__getitem__, cells[2::width])))
-        cls, t, is_future, steps = (_int_column(cells[col::width]) for col in (3, 4, 7, 8))
-        xy = np.empty((n, 2))
-        xy[:, 0] = np.fromiter(map(float, cells[5::width]), np.float64, n)
-        xy[:, 1] = np.fromiter(map(float, cells[6::width]), np.float64, n)
-    except (ValueError, OverflowError):
-        raise _window_csv_error(path, *_first_bad_cell(cells)) from None
+        id_of = {cell: int(cell) for cell in set(cells)}
+    except ValueError as e:
+        raise _window_csv_fault(path, e) from None
+    # an agent id need not fit in int64; agents sort by its rank
+    agent_ids, agent = _ranks(list(map(id_of.__getitem__, cells)))
     del cells
+    cls, t, is_future = table["class_index"], table["t"], table["is_future"]
+    xy = np.stack((table["x"], table["y"]), axis=1)
     # (scene_id, window_id, frame_step) -> window number, in order of first
     # row, looked up for the first row of each run of rows with one key
-    runs = np.flatnonzero(_changes(scene_ids) | _changes(window_ids)
-                          | np.r_[True, steps[1:] != steps[:-1]])
-    heads = runs.tolist()
-    run_keys = list(zip(map(scene_ids.__getitem__, heads), map(window_ids.__getitem__, heads),
+    runs = np.flatnonzero(np.r_[True, (scene_ids[1:] != scene_ids[:-1])
+                                | (window_ids[1:] != window_ids[:-1])
+                                | (steps[1:] != steps[:-1])])
+    run_keys = list(zip(scene_ids[runs].tolist(), window_ids[runs].tolist(),
                         steps[runs].tolist()))
     keys = dict.fromkeys(run_keys)
     for number, key in enumerate(keys):
@@ -731,9 +756,11 @@ def read_windows_csv(path):
 def scan_annotation_dirs(root):
     """Find the <root>/<scene>/<video>/annotations.txt files of a dataset tree.
 
-    Returns a sorted dict of scene id ("scene/video") to file path; a root
-    or directory that cannot be listed, a scene or video directory name that
-    is not UTF-8, or a tree without such files raises DataError.
+    Returns a sorted dict of scene id ("scene/video") to file path, for each
+    video directory holding an entry of that name: a broken or looping link
+    is listed too, so that reading it reports the fault.  A root or directory
+    that cannot be listed, a scene or video directory name that is not
+    UTF-8, or a tree without such files raises DataError.
     """
     found = {}
     try:
@@ -743,7 +770,7 @@ def scan_annotation_dirs(root):
                 continue
             for video in sorted(os.listdir(scene_dir)):
                 path = os.path.join(scene_dir, video, "annotations.txt")
-                if os.path.isfile(path):
+                if os.path.lexists(path):
                     scene_id = f"{scene}/{video}"
                     try:
                         scene_id.encode("utf-8")

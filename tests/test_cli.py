@@ -886,6 +886,30 @@ def test_tree_without_annotation_files_exits_3_naming_the_layout(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["parse", "train"])
+def test_annotation_link_to_a_missing_file_exits_3(tmp_path, capsys, command):
+    root = write_fixture_dataset(tmp_path / "ds")
+    path = root / "plaza" / "video1" / "annotations.txt"
+    path.parent.mkdir()
+    path.symlink_to(tmp_path / "missing")
+    assert cli.main(data_argv(tmp_path, command, root)) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (f"error: cannot read annotation file {path}: "
+                                       "No such file or directory\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١"])
+def test_window_csv_step_that_numpy_does_not_read_exits_3(tmp_path, capsys, cell):
+    path = tmp_path / "windows.csv"
+    D.write_windows_csv(D.synth_scene("linear", 2, ["car", "bus"], seed=0), path)
+    header, first, second, *rest = path.read_text().splitlines()
+    cells = second.split(",")
+    cells[D.WINDOW_CSV_HEADER.index("t")] = cell
+    path.write_text("\n".join([header, first, ",".join(cells), *rest]) + "\n")
+    assert cli.main(data_argv(tmp_path, "train", path, "windows_csv")) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"error: line 3: t {cell!r} is not a valid number\n"
+
+
+@pytest.mark.parametrize("command", ["parse", "train"])
 def test_commands_load_a_tree_through_load_annotation_dataset(tmp_path, monkeypatch, command):
     # the parse benchmark times load_annotation_dataset: it must be what the commands run
     calls, real = [], D.load_annotation_dataset

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import errno
 import gc
 import hashlib
 import importlib.util
@@ -897,6 +898,94 @@ def test_valid_window_csv_rows_read_back(tmp_path):
     assert w.points()[1, :, 0].tolist() == [0.5, 1.5, 2.5]
 
 
+def write_window_csv_lines(path, rows):
+    """The header and ``rows`` as lines of a window CSV at ``path``."""
+    path.write_text("\n".join([",".join(D.WINDOW_CSV_HEADER)] + rows) + "\n")
+
+
+def test_window_csv_of_a_header_alone_reads_as_no_windows(tmp_path):
+    # np.loadtxt warns "input contained no data"; the suite's warnings are errors
+    path = tmp_path / "windows.csv"
+    for rows in ([], [""]):
+        write_window_csv_lines(path, rows)
+        assert D.read_windows_csv(path) == []
+
+
+def test_window_csv_empty_lines_are_skipped(tmp_path):
+    rows = window_csv_rows()
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    write_window_csv_lines(plain, rows)
+    write_window_csv_lines(spaced, ["", *rows[:3], "", "", *rows[3:], ""])
+    assert_same_windows(D.read_windows_csv(spaced), D.read_windows_csv(plain))
+
+
+@pytest.mark.parametrize("edit,line,message", [
+    (lambda r: replaced(r, 3, t="x"), 6, "t 'x' is not a valid number"),
+    (lambda r: r[:3] + ["s,s:0,2,4,0,0.5"] + r[4:], 6, "expected 9 cells, got 6"),
+    (lambda r: replaced(r, 4, x="nan"), 7, "agent 2: non-finite coordinates (nan, 2.0)"),
+    (lambda r: r[:4] + [r[3]] + r[4:], 7, "agent 2: duplicate row for step 0"),
+], ids=["number", "cells", "coordinates", "duplicate"])
+def test_window_csv_fault_after_an_empty_line_names_its_line(tmp_path, edit, line, message):
+    # line 3 is empty: each row after it is one line further down
+    path = tmp_path / "windows.csv"
+    rows = edit(window_csv_rows())
+    write_window_csv_lines(path, rows[:1] + [""] + rows[1:])
+    with pytest.raises(D.DataError, match=rf"^line {line}: .*{re.escape(message)}$"):
+        D.read_windows_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["1_0", "١", " ١ "])
+@pytest.mark.parametrize("column", ["t", "x", "frame_step"])
+def test_window_csv_numbers_are_read_by_numpys_rule(tmp_path, column, cell):
+    # int() and float() take underscores and non-ASCII digits; np.loadtxt does not
+    path = tmp_path / "windows.csv"
+    write_window_csv_lines(path, replaced(window_csv_rows(), 2, **{column: cell}))
+    with pytest.raises(D.DataError,
+                       match=rf"^line 4: {column} {re.escape(repr(cell))} is not a valid number$"):
+        D.read_windows_csv(path)
+
+
+def test_window_csv_fault_is_the_first_faulty_row_in_file_order(tmp_path):
+    # a row with a bad number comes before a row with too many cells
+    path = tmp_path / "windows.csv"
+    rows = replaced(window_csv_rows(), 1, y="y")
+    write_window_csv_lines(path, rows[:4] + [rows[4] + ",9"] + rows[5:])
+    with pytest.raises(D.DataError, match=r"^line 3: y 'y' is not a valid number$"):
+        D.read_windows_csv(path)
+    write_window_csv_lines(path, rows[:1] + [rows[1] + ",9"] + rows[2:])
+    with pytest.raises(D.DataError, match=r"^line 3: expected 9 cells, got 10$"):
+        D.read_windows_csv(path)
+
+
+def profiled_calls(fn, *args):
+    """Python functions and builtins called while ``fn(*args)`` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_window_csv_read_makes_no_python_call_per_row(tmp_path):
+    # the same 5 windows of 4 agents at 50 and at 200 steps: 1,000 and 4,000
+    # rows. What grows with the file is the text decoder, one call a chunk.
+    counts = []
+    for steps in (50, 200):
+        windows = D.synth_scene("turn", 4, ["car", "bus"], seed=0, n_windows=5, t_obs=10,
+                                t_pred=steps - 10)
+        path = tmp_path / f"windows{steps}.csv"
+        D.write_windows_csv(windows, path)
+        D.read_windows_csv(path)  # warm: imports and caches
+        counts.append(profiled_calls(D.read_windows_csv, path))
+    assert counts[1] - counts[0] < (4000 - 1000) // 10, counts
+
+
 def write_fixture_dataset(root):
     rng = np.random.default_rng(0)
     scene = root / "plaza" / "video0"
@@ -1057,14 +1146,14 @@ def test_no_existence_check_stands_in_front_of_a_reader():
     # so each entry point gives one wording; only the tree walk's filters and
     # write_atomic's temporary-file cleanup ask whether a path exists
     allowed = {("data.py", "scan_annotation_dirs", "os.path.isdir(scene_dir)"),
-               ("data.py", "scan_annotation_dirs", "os.path.isfile(path)"),
+               ("data.py", "scan_annotation_dirs", "os.path.lexists(path)"),
                ("data.py", "write_atomic", "os.path.exists(tmp)")}
     uses = []
     for source, tree, owner in source_trees():
         call_of = {n.func: n for n in ast.walk(tree) if isinstance(n, ast.Call)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and ast.unparse(node) in (
-                    "os.path.isfile", "os.path.isdir", "os.path.exists"):
+                    "os.path.isfile", "os.path.isdir", "os.path.exists", "os.path.lexists"):
                 uses.append((source.name, owner.get(node), ast.unparse(call_of.get(node, node))))
     assert [use for use in uses if use not in allowed] == []
 
@@ -1105,6 +1194,19 @@ def test_write_atomic_failed_replace_leaves_no_temporary(tmp_path, monkeypatch):
         D.write_atomic(path, "new\n")
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("link", ["dangling", "looping"])
+def test_annotation_file_that_is_a_broken_link_is_reported(tmp_path, link):
+    root = write_fixture_dataset(tmp_path / "ds")
+    path = root / "plaza" / "video1" / "annotations.txt"
+    path.parent.mkdir()
+    path.symlink_to(tmp_path / "missing" if link == "dangling" else path)
+    assert list(D.scan_annotation_dirs(root)) == ["plaza/video0", "plaza/video1"]
+    code = errno.ENOENT if link == "dangling" else errno.ELOOP
+    with pytest.raises(D.DataError, match=f"^cannot read annotation file {re.escape(str(path))}: "
+                                          f"{re.escape(os.strerror(code))}$"):
+        D.load_annotation_dataset(root)
 
 
 def test_scan_missing_root():
