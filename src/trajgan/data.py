@@ -559,11 +559,24 @@ def _window_csv_error(path, row, message):
         return DataError(f"line {reader.line_num}: {message}")
 
 
+def _load_window_rows(lines):
+    """The window CSV data ``lines`` (an open file after its header, or a list
+    of lines) read by np.loadtxt into _WINDOW_CSV_DTYPE; no lines read as no
+    rows.  numpy from 1.23 reads an int64 cell that is not an integer (``1.5``,
+    ``nan``, one beyond int64) as a float and only warns that this is
+    deprecated; that warning is made an error here, so numpy raises the
+    ValueError it raises for any other cell it does not read."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, _WINDOW_CSV_DTYPE, ndmin=1, **_WINDOW_CSV_LOADTXT)
+
+
 def _rows_read(lines, rows):
-    """Whether np.loadtxt reads the window CSV ``lines``, the text of the
-    nine-cell ``rows``, and int() each row's agent id."""
+    """Whether _load_window_rows reads the window CSV ``lines``, the text of
+    the nine-cell ``rows``, and int() each row's agent id."""
     try:
-        np.loadtxt(lines, _WINDOW_CSV_DTYPE, ndmin=1, **_WINDOW_CSV_LOADTXT)
+        _load_window_rows(lines)
         for row in rows:
             int(row[2])
     except ValueError:
@@ -594,16 +607,14 @@ def _window_csv_fault(path, cause):
         fault = DataError(f"line {reader.line_num}: {e}")
     if not rows or _rows_read(lines[ends[0]:ends[-1]], rows):
         return fault
-    lo, hi = 0, len(rows)  # rows[lo:hi] hold the first row that does not read
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _rows_read(lines[ends[lo]:ends[mid]], rows[lo:mid]) else (lo, mid)
-    row = rows[lo]
+    i = next(i for i, row in enumerate(rows)
+             if not _rows_read(lines[ends[i]:ends[i + 1]], [row]))
+    row = rows[i]
     # its first bad cell: the first k at which its cells 0..k, "0" after them, fail
     prefixes = (row[:k + 1] + ["0"] * (width - k - 1) for k in range(width))
     k = next(k for k, cells in enumerate(prefixes) if not _rows_read([_csv_cells(cells)],
                                                                      [cells]))
-    return DataError(f"line {ends[lo + 1]}: {WINDOW_CSV_HEADER[k]} {row[k]!r} "
+    return DataError(f"line {ends[i + 1]}: {WINDOW_CSV_HEADER[k]} {row[k]!r} "
                      "is not a valid number")
 
 
@@ -613,8 +624,8 @@ def read_windows_csv(path):
     The header is read with csv.reader and the rows in one np.loadtxt call,
     which skips empty lines and reads numbers by its own rule: ASCII digits
     with an optional sign and surrounding whitespace, no underscores, and
-    int64 cells within int64.  ``agent_id`` is read by int() and may be any
-    integer.
+    int64 cells whole numbers within int64 (_load_window_rows).  ``agent_id``
+    is read by int() and may be any integer.
 
     Rows may come in any order.  The rows that share ``scene_id``,
     ``window_id`` and ``frame_step`` make one window; windows come in the
@@ -645,11 +656,7 @@ def read_windows_csv(path):
             raise DataError(f"unexpected window CSV header {header}; "
                             f"missing columns: {missing}")
         try:
-            with warnings.catch_warnings():
-                # a header alone is a file of no windows
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                table = np.loadtxt(fh, _WINDOW_CSV_DTYPE, ndmin=1, **_WINDOW_CSV_LOADTXT)
+            table = _load_window_rows(fh)
         except ValueError as e:
             raise _window_csv_fault(path, e) from None
     n = table.size

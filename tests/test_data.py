@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -942,6 +943,42 @@ def test_window_csv_numbers_are_read_by_numpys_rule(tmp_path, column, cell):
     write_window_csv_lines(path, replaced(window_csv_rows(), 2, **{column: cell}))
     with pytest.raises(D.DataError,
                        match=rf"^line 4: {column} {re.escape(repr(cell))} is not a valid number$"):
+        D.read_windows_csv(path)
+
+
+@pytest.mark.filterwarnings("default")  # the read may not lean on the suite's "error"
+@pytest.mark.parametrize("column,cell", [("t", "1.5"), ("t", "1.0"),
+                                         ("frame_step", "9223372036854775808"),
+                                         ("class_index", "nan")])
+def test_window_csv_integer_cell_that_is_not_an_integer_names_its_line(tmp_path, column,
+                                                                       cell):
+    path = tmp_path / "windows.csv"
+    write_window_csv_lines(path, replaced(window_csv_rows(), 2, **{column: cell}))
+    with pytest.raises(D.DataError,
+                       match=rf"^line 4: {column} {re.escape(repr(cell))} is not a valid number$"):
+        D.read_windows_csv(path)
+
+
+@pytest.mark.filterwarnings("default")
+def test_window_csv_integer_read_via_a_float_with_a_warning_is_a_fault(tmp_path, monkeypatch):
+    # numpy from 1.23 reads an int64 cell such as 7.25 as 7 and only warns that
+    # this is deprecated; where that warning is an error it raises ValueError.
+    # The stand-in does both for 7.25, in the whole read and the fault search.
+    real = np.loadtxt
+
+    def loadtxt(lines, *args, **kwargs):
+        text = lines.read() if hasattr(lines, "read") else "".join(lines)
+        if ",7.25," in text:
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning)
+            except DeprecationWarning as e:
+                raise ValueError("could not convert string '7.25' to int64") from e
+        return real(text.replace(",7.25,", ",7,").splitlines(True), *args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    path = tmp_path / "windows.csv"
+    write_window_csv_lines(path, replaced(window_csv_rows(), 2, t="7.25"))
+    with pytest.raises(D.DataError, match=r"^line 4: t '7.25' is not a valid number$"):
         D.read_windows_csv(path)
 
 
