@@ -532,19 +532,46 @@ def write_windows_csv(windows, path):
     """Write one row per agent per step, with the text csv_text would give.
 
     Only ``scene_id`` and ``window_id`` can need quoting; they go through
-    csv_text once per window, and the numeric cells are formatted directly
-    (``repr`` of each coordinate, which reads back exactly).
+    csv_text once per window.  Each coordinate is written as the ``repr`` of
+    its float, which reads back exactly: one ``repr`` per distinct value,
+    told apart by its bits so that ``-0.0`` keeps its sign.  Each agent's
+    rows are one template, made once per (t_obs, span, frame_step), filled
+    with its coordinates and then its leading cells.
+
+    A window list that read_windows_csv would not give back is refused with
+    a DataError naming the window, and the old file is kept: two windows
+    with the same ``scene_id``, start frame and ``frame_step`` (their rows
+    would read as one window), a window with no observed step, or one that
+    lists an agent id twice.
     """
+    points = [win.points().view(np.uint64) for win in windows]
+    bits = np.unique(np.concatenate([np.empty(0, np.uint64), *map(np.ravel, points)]))
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     lines = [_csv_cells(WINDOW_CSV_HEADER) + "\r\n"]
-    append = lines.append
-    for win in windows:
-        quoted_ids = _csv_cells((win.scene_id, win.window_id))
-        t_obs, step = win.t_obs, win.frame_step
-        for aid, cls, agent in zip(win.agent_ids, win.class_indices.tolist(),
-                                   win.points().tolist()):
-            head = f"{quoted_ids},{aid},{cls}"
-            for t, (x, y) in enumerate(agent):
-                append(f"{head},{t},{x!r},{y!r},{int(t >= t_obs)},{step}\r\n")
+    keys, templates = set(), {}
+    for win, pts in zip(windows, points):
+        window_id = win.window_id
+        key = (win.scene_id, window_id, win.frame_step)  # read_windows_csv's window key
+        if key in keys:
+            raise DataError(f"window {window_id!r} comes twice with frame step "
+                            f"{win.frame_step}; its rows would read back as one window")
+        if win.t_obs == 0:
+            raise DataError(f"window {window_id!r} has no observed step")
+        if len(set(win.agent_ids)) < win.n_agents:
+            aid = next(a for i, a in enumerate(win.agent_ids) if a in win.agent_ids[:i])
+            raise DataError(f"window {window_id!r} agent {aid} comes twice")
+        keys.add(key)
+        n, span = pts.shape[:2]
+        form = (win.t_obs, span, win.frame_step)
+        if form not in templates:  # "\0" stands for the agent's leading cells
+            is_future = [0] * win.t_obs + [1] * (span - win.t_obs)
+            templates[form] = "".join(map("\0,{},%s,%s,{},{}\r\n".format, range(span),
+                                          is_future, repeat(win.frame_step)))
+        template = templates[form]
+        ids = _csv_cells((win.scene_id, window_id))
+        xy = texts[np.searchsorted(bits, pts.reshape(n, -1))].tolist()
+        lines += [(template % tuple(cells)).replace("\0", f"{ids},{aid},{cls}")
+                  for aid, cls, cells in zip(win.agent_ids, win.class_indices.tolist(), xy)]
     write_atomic(path, "".join(lines))
 
 

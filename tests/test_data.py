@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (RawAnnotation, columns, csv_writer_windows_text, looped_build_tracks,
@@ -818,6 +818,88 @@ def test_window_csv_text_matches_csv_writer(tmp_path):
     assert_same_windows(D.read_windows_csv(path), windows)
 
 
+@st.composite
+def windows_to_write(draw):
+    """Window lists for the writer, the empty list among them: windows of a
+    few scenes, ids the CSV must quote, each with its own t_obs, t_pred and
+    frame step, agent ids beyond int64, and coordinates drawn from one small
+    pool, so that windows share values, with 0.0, -0.0 and subnormals."""
+    scene_ids = draw(st.lists(st.text(st.sampled_from(',":%\r\n\0 é路ab'), max_size=4),
+                              min_size=1, max_size=2, unique=True))
+    special = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308])
+    pool = draw(st.lists(special | st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=8))
+    windows, keys = [], set()
+    for _ in range(draw(st.integers(0, 5))):
+        key = (draw(st.sampled_from(scene_ids)), draw(st.integers(-5, 10**12)),
+               draw(st.integers(1, 30)))
+        if key in keys:
+            continue
+        keys.add(key)
+        ids = draw(st.lists(st.integers(-2**80, 2**80), min_size=1, max_size=3, unique=True))
+        t_obs, t_pred = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        size = len(ids) * (t_obs + t_pred) * 2
+        pts = np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)),
+                       dtype=np.float64).reshape(len(ids), t_obs + t_pred, 2)
+        classes = draw(st.lists(st.integers(0, D.N_CLASSES - 1), min_size=len(ids),
+                                max_size=len(ids)))
+        windows.append(D.SceneWindow(*key, tuple(ids), classes, pts[:, :t_obs], pts[:, t_obs:]))
+    return windows
+
+
+SIGNED_ZEROS_AND_SUBNORMALS = [
+    D.SceneWindow("s", 0, 1, (1,), [0], [[[0.0, -0.0]]], [[[5e-324, -5e-324]]]),
+    D.SceneWindow("s", 1, 2, (2**70, 3), [1, 4],
+                  [[[-0.0, 0.0], [5e-324, 1.0]], [[0.0, 0.0], [-0.0, -0.0]]], np.empty((2, 0, 2))),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows=windows_to_write())
+@example(windows=[])
+@example(windows=SIGNED_ZEROS_AND_SUBNORMALS)
+def test_window_csv_text_matches_csv_writer_property(windows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "windows.csv")
+        D.write_windows_csv(windows, path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    assert text == csv_writer_windows_text(windows)
+    if not windows:
+        assert text == ",".join(D.WINDOW_CSV_HEADER) + "\r\n"
+
+
+def _window(start, ids, t_obs=2, t_pred=1, frame_step=1):
+    pts = np.arange(len(ids) * (t_obs + t_pred) * 2, dtype=np.float64)
+    pts = pts.reshape(len(ids), t_obs + t_pred, 2)
+    return D.SceneWindow("s", start, frame_step, ids, [0] * len(ids), pts[:, :t_obs],
+                         pts[:, t_obs:])
+
+
+@pytest.mark.parametrize("windows, message", [
+    ([_window(5, (1, 2)), _window(5, (3,))],
+     "window 's:5' comes twice with frame step 1; its rows would read back as one window"),
+    ([_window(4, (1,)), _window(5, (1, 2), t_obs=0, t_pred=3)],
+     "window 's:5' has no observed step"),
+    ([_window(5, (4, 7, 4))], "window 's:5' agent 4 comes twice"),
+], ids=["window_twice", "no_observed_step", "agent_twice"])
+def test_window_csv_write_refuses_windows_it_would_not_read_back(tmp_path, windows, message):
+    path = tmp_path / "windows.csv"
+    D.write_windows_csv([_window(0, (1,))], path)
+    old = path.read_bytes()
+    with pytest.raises(D.DataError, match=f"^{re.escape(message)}$"):
+        D.write_windows_csv(windows, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["windows.csv"]
+
+
+def test_window_csv_windows_that_differ_only_in_frame_step_read_back_apart(tmp_path):
+    windows = [_window(5, (1, 2)), _window(5, (3,), frame_step=2)]
+    path = tmp_path / "windows.csv"
+    D.write_windows_csv(windows, path)
+    assert_same_windows(D.read_windows_csv(path), windows)
+
+
 def test_window_csv_row_order_is_free(tmp_path):
     windows = D.synth_scene("turn", 3, ["car", "bus"], seed=4, n_windows=3, jitter=0.2)
     path = tmp_path / "windows.csv"
@@ -1020,6 +1102,18 @@ def test_window_csv_read_makes_no_python_call_per_row(tmp_path):
         D.write_windows_csv(windows, path)
         D.read_windows_csv(path)  # warm: imports and caches
         counts.append(profiled_calls(D.read_windows_csv, path))
+    assert counts[1] - counts[0] < (4000 - 1000) // 10, counts
+
+
+def test_window_csv_write_makes_no_python_call_per_row(tmp_path):
+    # the same 5 windows of 4 agents at 50 and at 200 steps: 1,000 and 4,000 rows
+    counts = []
+    for steps in (50, 200):
+        windows = D.synth_scene("turn", 4, ["car", "bus"], seed=0, n_windows=5, t_obs=10,
+                                t_pred=steps - 10)
+        path = tmp_path / f"windows{steps}.csv"
+        D.write_windows_csv(windows, path)  # warm: imports and caches
+        counts.append(profiled_calls(D.write_windows_csv, windows, path))
     assert counts[1] - counts[0] < (4000 - 1000) // 10, counts
 
 
