@@ -3,8 +3,8 @@
 Every command is deterministic given (config, seed, inputs) and leaves a
 manifest recording the resolved config hash, the seed, and checksums of its
 file inputs; ``parse`` adds the checksum of the window CSV it wrote and its
-line, track and window counts.  Exit codes: 0 ok, 2 config problems, 3 data
-problems, 4 numeric failures, 5 output directory already locked.
+line, track, agent and window counts.  Exit codes: 0 ok, 2 config problems,
+3 data problems, 4 numeric failures, 5 output directory already locked.
 """
 
 from __future__ import annotations
@@ -112,21 +112,22 @@ def _rebuild_from_checkpoint(path):
 def cmd_parse(args):
     if args.stride < 1:
         raise ConfigError(f"--stride must be at least 1, got {args.stride}")
-    windows, (files, counts, lines) = D.load_annotation_dataset(args.input_dir, args.stride)
+    windows, tree = D.load_annotation_dataset(args.input_dir, args.stride)
     _make_out_dir(args.out)
     csv_path = os.path.join(args.out, "windows.csv")
     D.write_windows_csv(windows, csv_path)
 
-    hist = D.class_histogram(counts)
-    total = sum(counts.values())
-    print(f"{total} tracks -> {len(windows)} windows "
+    hist = D.class_histogram(tree.agents)
+    n_agents, n_tracks = sum(tree.agents.values()), sum(tree.track_counts.values())
+    print(f"{n_agents} agents in {n_tracks} tracks -> {len(windows)} windows "
           f"(stride {args.stride}, t_obs {D.T_OBS}, t_pred {D.T_PRED})")
     for name in D.CLASS_NAMES:
-        print(f"  {name:<14}{hist[name]:6.2f}%  ({counts[name]} tracks)")
+        print(f"  {name:<14}{hist[name]:6.2f}%  ({tree.agents[name]} agents)")
     print(f"wrote {csv_path}")
-    _write_manifest(args.out, "", 0, files.values(),
+    _write_manifest(args.out, "", 0, tree.files.values(),
                     outputs={"windows.csv": _sha256_file(csv_path)},
-                    counts={"lines": lines, "tracks": total, "windows": len(windows)})
+                    counts={"lines": tree.lines, "tracks": n_tracks, "agents": n_agents,
+                            "windows": len(windows)})
     return EXIT_OK
 
 

@@ -74,43 +74,145 @@ def normalize_label(name):
     return key if key in CLASS_NAMES else None
 
 
-@dataclass
-class AnnotationColumns:
-    """The kept lines of an annotation text as columns, one entry per line:
-    no object per line is left for the cyclic garbage collector to scan."""
+_CLASS_NUMBERS = {name: k for k, name in enumerate(CLASS_NAMES)}
 
-    track_ids: list = field(default_factory=list)  # Python ints: may exceed int64
-    frames: list = field(default_factory=list)     # Python ints: may exceed int64
-    boxes: list = field(default_factory=list)      # floats: xmin, ymin, xmax, ymax per line
-    tails: list = field(default_factory=list)      # (occluded, generated, label) per line
-    n_lines: int = 0  # lines read, blank and lost ones included
+
+@dataclass(eq=False)
+class AnnotationColumns:
+    """The kept lines of an annotation text as columns, one row per line: no
+    object per line is left for the cyclic garbage collector to scan.  The
+    id and frame columns are int64, or object arrays of Python ints when one
+    of their values lies outside the int64 range."""
+
+    track_ids: np.ndarray  # (n,)
+    frames: np.ndarray     # (n,)
+    boxes: np.ndarray      # (n, 4) float64: xmin, ymin, xmax, ymax
+    occluded: np.ndarray   # (n,) bool
+    generated: np.ndarray  # (n,) bool
+    classes: np.ndarray    # (n,) int64: indices into CLASS_NAMES
+    n_lines: int = 0       # lines read, blank and lost ones included
 
     def __len__(self):
         return len(self.frames)
 
 
+def _loadtxt(lines, dtype, delimiter):
+    """``lines`` (an open text file or a list of lines) read by np.loadtxt
+    into the structured ``dtype``: fields split at ``delimiter`` (None: at
+    runs of whitespace), '"' quoting, no comments; no lines read as no rows.
+    numpy from 1.23 reads an int64 field that is not an integer (``1.5``,
+    ``nan``, one beyond int64) as a float and only warns that this is
+    deprecated; that warning is made an error here, so numpy raises the
+    ValueError it raises for any other field it does not read."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype, ndmin=1, delimiter=delimiter, quotechar='"',
+                          comments=None)
+
+
+# an annotation line as np.loadtxt reads it; the box is four number fields
+_ANNOTATION_DTYPE = np.dtype([
+    ("track_id", np.int64), ("box", np.float64, (4,)), ("frame", np.int64),
+    ("lost", np.int64), ("occluded", np.int64), ("generated", np.int64),
+    ("label", object)])
+
+
 def parse_annotations(source):
-    """Parse annotation text into AnnotationColumns, one entry per kept line.
+    """Parse annotation text into AnnotationColumns, one row per kept line.
 
     ``source`` is the file content as a string, split into lines as a
-    text-mode file is (at LF, CR LF and CR only), or any iterable of lines.
-    Labels may be quoted, in any case, or aliased (``LABEL_ALIASES``).
-    Records flagged lost are dropped (out of view); occluded boxes are kept.
-    A malformed line or an unknown label, lost lines included, raises
-    AnnotationParseError (UnknownLabelError for the label) with the 1-based
-    line number.  The first fault is reported, checked in this order: the
-    field count, each field in turn, a non-finite bbox coordinate (``nan``,
-    ``inf``), the bbox order, the label.
+    text-mode file is (at LF, CR LF and CR only), an open text file, or any
+    iterable of lines.  Labels may be quoted, in any case, or aliased
+    (``LABEL_ALIASES``).  Records flagged lost are dropped (out of view);
+    occluded boxes are kept.  A malformed line or an unknown label, lost
+    lines included, raises AnnotationParseError (UnknownLabelError for the
+    label) with the 1-based line number.  The first fault is reported,
+    checked in this order: the field count, each field in turn, a non-finite
+    bbox coordinate (``nan``, ``inf``), the bbox order, the label.
+
+    The line parser (_parse_lines) defines this grammar.  A string or a
+    seekable text file is first read, from where it stands, in one
+    np.loadtxt call, and its table is taken where _table_columns shows that
+    the line parser gives the same columns, as for files in the dataset's
+    shape; any other text, and any other iterable of lines, goes to the line
+    parser.
     """
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    if isinstance(source, io.TextIOBase) and source.seekable():
+        try:
+            start = source.tell()
+        except OSError:  # a file read by next() cannot tell where it stands
+            return _parse_lines(source)
+        try:
+            table = _loadtxt(source, _ANNOTATION_DTYPE, None)
+        except ValueError:
+            table = None
+        source.seek(start)
+        columns = None if table is None else _table_columns(table, source.read())
+        if columns is not None:
+            return columns
+        source.seek(start)
+    return _parse_lines(source)
+
+
+def _table_columns(table, text):
+    """AnnotationColumns of the kept rows of ``table``, np.loadtxt's read of
+    ``text``; None unless the line parser would read ``text`` the same way.
+
+    numpy reads a number field as int() or float() do, or not at all
+    (``1_0`` and digits of other scripts), and splits fields at the same
+    whitespace; the two readers differ in quoting.  numpy opens a quote only
+    at the start of a field and keeps a line end inside one, and then reads
+    ``"1"`` as 1 and ``"Ca"r`` as ``Car``; the line parser strips '"' from
+    the ends of the label alone.  So the table is taken only when every line
+    is one row (no blank line, no line end inside quotes), ``text`` holds
+    two '"' per row and one at the end of each line, every label names a
+    class and every box is finite and ordered.  Then no '"' sits inside a
+    field, where numpy keeps it and no number or class reads, so each
+    line's last '"' closes a quote that an earlier one opened: every line
+    holds exactly two.  The first opens the line's last field, the label,
+    and the line parser reads the same label between them.
+    """
+    n = table.size
+    n_lines = text.count("\n") + (text[-1:] not in ("", "\n"))
+    if n != n_lines or text.count('"') != 2 * n or \
+            text.count('"\n') + text.endswith('"') != n:
+        return None
+    box = table["box"]
+    if not (np.isfinite(box).all() and (box[:, :2] <= box[:, 2:]).all()):
+        return None
+    labels = table["label"].tolist()
+    number = {label: _CLASS_NUMBERS.get(normalize_label(label)) for label in set(labels)}
+    if None in number.values():
+        return None
+    kept = table["lost"] == 0
+    classes = np.fromiter(map(number.__getitem__, labels), np.int64, n)
+    return AnnotationColumns(table["track_id"][kept], table["frame"][kept], box[kept],
+                             table["occluded"][kept] != 0, table["generated"][kept] != 0,
+                             classes[kept], n_lines)
+
+
+def _int_column(values):
+    """The Python ints ``values`` as an int64 array, or as an object array
+    when one lies outside the int64 range."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _parse_lines(lines):
+    """The line parser: AnnotationColumns of the text ``lines``, read line by
+    line by int() and float(); the grammar and faults of parse_annotations."""
     # A line's last four fields (lost, occluded, generated, label) take few
     # distinct spellings.  Each is split and converted at its first line and
     # cached as (lost, raw label, tail), label None in the tail when unknown;
     # later lines convert only their first six fields and share that tail.
     tails = {}
-    out = AnnotationColumns()
-    add_id, add_frame, add_tail = out.track_ids.append, out.frames.append, out.tails.append
-    boxes = out.boxes
+    track_ids, frames, boxes, kept_tails = [], [], [], []
+    add_id, add_frame, add_tail = track_ids.append, frames.append, kept_tails.append
     ln = 0
     for ln, line in enumerate(lines, start=1):
         parts = line.split(None, 6)
@@ -147,8 +249,13 @@ def parse_annotations(source):
         add_frame(frame)
         boxes += (xmin, ymin, xmax, ymax)
         add_tail(kept)
-    out.n_lines = ln
-    return out
+    n = len(frames)
+    occluded, generated, labels = zip(*kept_tails) if n else ((), (), ())
+    return AnnotationColumns(_int_column(track_ids), _int_column(frames),
+                             np.array(boxes, dtype=np.float64).reshape(n, 4),
+                             np.array(occluded, dtype=bool), np.array(generated, dtype=bool),
+                             np.fromiter(map(_CLASS_NUMBERS.__getitem__, labels), np.int64, n),
+                             ln)
 
 
 @dataclass
@@ -182,6 +289,14 @@ class AgentTrack:
         return self.frames.size
 
 
+def _checked_track(track_id, class_name, frames, xy):
+    """An AgentTrack made without ``__post_init__``: only for build_tracks and
+    subsample, whose inputs are checked in bulk."""
+    track = object.__new__(AgentTrack)
+    track.track_id, track.class_name, track.frames, track.xy = track_id, class_name, frames, xy
+    return track
+
+
 def _ranks(values):
     """Sorted distinct ``values``, and each value's index among them as int64."""
     distinct = sorted(set(values))
@@ -192,43 +307,35 @@ def _ranks(values):
 def build_tracks(annotations):
     """Group AnnotationColumns into per-agent tracks of bbox centers.
 
-    The frame and box columns become arrays in one pass each; a track takes
-    its id and label from the columns at its first line.  A track is split
-    wherever its annotated frames are not consecutive (out-of-view gaps left
-    by dropped lost records), so every returned track has unit frame
-    spacing.  Duplicate frames keep the first line.
+    A track takes its id and class from the columns at its first line.  A
+    track is split wherever its annotated frames are not consecutive
+    (out-of-view gaps left by dropped lost records), so every returned track
+    has unit frame spacing.  Duplicate frames keep the first line.
     """
     n = len(annotations)
     if not n:
         return []
-    track_ids = annotations.track_ids
-    _, ids = _ranks(track_ids)  # an id need not fit in int64
+    distinct, ids = np.unique(annotations.track_ids, return_inverse=True)
     try:
-        frames = np.fromiter(annotations.frames, np.int64, n)
+        frames = np.asarray(annotations.frames, dtype=np.int64)
     except OverflowError:
         raise DataError("an annotated frame lies outside the int64 range") from None
-    boxes = np.fromiter(annotations.boxes, np.float64, 4 * n).reshape(n, 4)
     # stable: lines of one (track, frame) stay in input order, first one wins
     order = np.lexsort((frames, ids))
     ids, frames = ids[order], frames[order]
-    first = np.ones(order.size, dtype=bool)
+    first = np.ones(n, dtype=bool)
     first[1:] = (ids[1:] != ids[:-1]) | (frames[1:] != frames[:-1])
     order, ids, frames = order[first], ids[first], frames[first]
-    box = boxes[order]
-    xy = np.empty((order.size, 2))
-    xy[:, 0] = (box[:, 0] + box[:, 2]) / 2.0
-    xy[:, 1] = (box[:, 1] + box[:, 3]) / 2.0
-    new_id = ids[1:] != ids[:-1]
-    cuts = np.flatnonzero(new_id | (frames[1:] - frames[:-1] != 1)) + 1
-    bounds = [0, *cuts.tolist(), order.size]
-    tracks = []
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        if start == 0 or new_id[start - 1]:
-            # every piece of a track takes the label of its first line
-            i = order[start]
-            track_id, label = track_ids[i], annotations.tails[i][2]
-        tracks.append(AgentTrack(track_id, label, frames[start:end], xy[start:end]))
-    return tracks
+    box = annotations.boxes[order]
+    xy = (box[:, :2] + box[:, 2:]) / 2.0
+    new_id = np.r_[True, ids[1:] != ids[:-1]]
+    starts = np.flatnonzero(new_id | np.r_[True, frames[1:] - frames[:-1] != 1])
+    # every piece of a track takes the id and class of the track's first line
+    heads = np.maximum.accumulate(np.where(new_id, np.arange(ids.size), 0))[starts]
+    names = map(CLASS_NAMES.__getitem__, annotations.classes[order[heads]].tolist())
+    bounds = [*starts.tolist(), ids.size]
+    return list(map(_checked_track, distinct[ids[starts]].tolist(), names,
+                    _split(frames, bounds), _split(xy, bounds)))
 
 
 def subsample(track, stride, offset=0):
@@ -244,7 +351,7 @@ def subsample(track, stride, offset=0):
     frames = track.frames[keep]
     if frames.size > 1 and not np.all(np.diff(frames) == stride):
         raise DataError(f"track {track.track_id} has frame gaps; split it before subsampling")
-    return AgentTrack(track.track_id, track.class_name, frames, track.xy[keep])
+    return _checked_track(track.track_id, track.class_name, frames, track.xy[keep])
 
 
 @dataclass
@@ -477,7 +584,6 @@ _WINDOW_CSV_DTYPE = np.dtype([
     ("scene_id", object), ("window_id", object), ("agent_id", object),
     ("class_index", np.int64), ("t", np.int64), ("x", np.float64), ("y", np.float64),
     ("is_future", np.int64), ("frame_step", np.int64)])
-_WINDOW_CSV_LOADTXT = dict(delimiter=",", quotechar='"', comments=None)
 WINDOW_CSV_HEADER = list(_WINDOW_CSV_DTYPE.names)
 
 
@@ -586,24 +692,11 @@ def _window_csv_error(path, row, message):
         return DataError(f"line {reader.line_num}: {message}")
 
 
-def _load_window_rows(lines):
-    """The window CSV data ``lines`` (an open file after its header, or a list
-    of lines) read by np.loadtxt into _WINDOW_CSV_DTYPE; no lines read as no
-    rows.  numpy from 1.23 reads an int64 cell that is not an integer (``1.5``,
-    ``nan``, one beyond int64) as a float and only warns that this is
-    deprecated; that warning is made an error here, so numpy raises the
-    ValueError it raises for any other cell it does not read."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(lines, _WINDOW_CSV_DTYPE, ndmin=1, **_WINDOW_CSV_LOADTXT)
-
-
 def _rows_read(lines, rows):
-    """Whether _load_window_rows reads the window CSV ``lines``, the text of
+    """Whether _loadtxt reads the window CSV ``lines``, the text of
     the nine-cell ``rows``, and int() each row's agent id."""
     try:
-        _load_window_rows(lines)
+        _loadtxt(lines, _WINDOW_CSV_DTYPE, ",")
         for row in rows:
             int(row[2])
     except ValueError:
@@ -651,7 +744,7 @@ def read_windows_csv(path):
     The header is read with csv.reader and the rows in one np.loadtxt call,
     which skips empty lines and reads numbers by its own rule: ASCII digits
     with an optional sign and surrounding whitespace, no underscores, and
-    int64 cells whole numbers within int64 (_load_window_rows).  ``agent_id``
+    int64 cells whole numbers within int64 (_loadtxt).  ``agent_id``
     is read by int() and may be any integer.
 
     Rows may come in any order.  The rows that share ``scene_id``,
@@ -683,7 +776,7 @@ def read_windows_csv(path):
             raise DataError(f"unexpected window CSV header {header}; "
                             f"missing columns: {missing}")
         try:
-            table = _load_window_rows(fh)
+            table = _loadtxt(fh, _WINDOW_CSV_DTYPE, ",")
         except ValueError as e:
             raise _window_csv_fault(path, e) from None
     n = table.size
@@ -823,16 +916,21 @@ def scan_annotation_dirs(root):
 class AnnotationTree(NamedTuple):
     """What load_annotation_dataset read besides the windows."""
     files: dict         # scene id -> annotation file path, as scan_annotation_dirs gives
-    track_counts: dict  # class name -> tracks of that class
+    track_counts: dict  # class name -> tracks of that class, a gap-split track once a piece
     lines: int          # lines the files hold, blank and lost ones included
+    agents: dict        # class name -> agents of that class: distinct (scene id, track id)
+                        # pairs with a kept line
 
 
 def load_annotation_dataset(root, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T_PRED):
     """Scene windows and an AnnotationTree from the tree under ``root``; a DataError
-    from parsing a file or making its tracks starts ``annotation file <path>: ``."""
+    from parsing a file or making its tracks starts ``annotation file <path>: ``.
+    An agent counts under the class of its tracks, which all take it from the
+    agent's first line."""
     files = scan_annotation_dirs(root)
     tracks_by_scene = {}
     track_counts = dict.fromkeys(CLASS_NAMES, 0)
+    agents = dict.fromkeys(CLASS_NAMES, 0)
     lines = 0
     for scene_id, path in files.items():
         with open_text(path, "annotation file", DataError) as fh:
@@ -846,8 +944,10 @@ def load_annotation_dataset(root, stride=SUBSAMPLE_STRIDE, t_obs=T_OBS, t_pred=T
         lines += annotations.n_lines
         for t in tracks:
             track_counts[t.class_name] += 1
+        for name in {t.track_id: t.class_name for t in tracks}.values():
+            agents[name] += 1
     return (build_windows(tracks_by_scene, t_obs, t_pred),
-            AnnotationTree(files, track_counts, lines))
+            AnnotationTree(files, track_counts, lines, agents))
 
 
 def class_histogram(counts):

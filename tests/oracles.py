@@ -693,24 +693,47 @@ class RawAnnotation(NamedTuple):
 
 
 def records(columns):
-    """The RawAnnotations of ``AnnotationColumns``, one per kept line."""
+    """The RawAnnotations of ``AnnotationColumns``, one per kept line, with
+    Python ints, floats and bools; the columns must have their dtypes."""
     n = len(columns)
-    assert len(columns.track_ids) == len(columns.tails) == n and len(columns.boxes) == 4 * n
-    boxes = columns.boxes
-    return [RawAnnotation(columns.track_ids[k], tuple(boxes[4 * k:4 * k + 4]),
-                          columns.frames[k], *columns.tails[k]) for k in range(n)]
+    assert columns.track_ids.dtype in (np.int64, object) and columns.track_ids.shape == (n,)
+    assert columns.frames.dtype in (np.int64, object) and columns.frames.shape == (n,)
+    assert columns.boxes.dtype == np.float64 and columns.boxes.shape == (n, 4)
+    for flags in (columns.occluded, columns.generated):
+        assert flags.dtype == bool and flags.shape == (n,)
+    assert columns.classes.dtype == np.int64 and columns.classes.shape == (n,)
+    return [RawAnnotation(tid, tuple(box), frame, occluded, generated, CLASS_NAMES[c])
+            for tid, box, frame, occluded, generated, c in zip(
+                columns.track_ids.tolist(), columns.boxes.tolist(), columns.frames.tolist(),
+                columns.occluded.tolist(), columns.generated.tolist(),
+                columns.classes.tolist())]
+
+
+def _ints(values):
+    """Python ints as int64, or as objects when one lies outside int64."""
+    fits = all(-2 ** 63 <= v < 2 ** 63 for v in values)
+    return np.array(values, dtype=np.int64 if fits else object)
 
 
 def columns(records):
     """``AnnotationColumns`` holding ``records``, the inverse of ``records()``
     (``n_lines`` counts one line per record)."""
-    out = AnnotationColumns(n_lines=len(records))
-    for a in records:
-        out.track_ids.append(a.track_id)
-        out.frames.append(a.frame)
-        out.boxes.extend(a.bbox)
-        out.tails.append((a.occluded, a.generated, a.label))
-    return out
+    n = len(records)
+    return AnnotationColumns(
+        _ints([a.track_id for a in records]), _ints([a.frame for a in records]),
+        np.array([a.bbox for a in records], dtype=np.float64).reshape(n, 4),
+        np.array([a.occluded for a in records], dtype=bool),
+        np.array([a.generated for a in records], dtype=bool),
+        np.array([CLASS_NAMES.index(a.label) for a in records], dtype=np.int64), n_lines=n)
+
+
+def annotation_lines(source):
+    """``source`` split into lines as a text-mode file splits it, at CR LF,
+    CR and LF, without their ends; a list of lines as it is."""
+    if not isinstance(source, str):
+        return list(source)
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def parse_annotations_ref(source):
@@ -720,8 +743,7 @@ def parse_annotations_ref(source):
     records, or raise the same error class with the same line and message.
     A string is split into lines at CR LF, CR and LF, as a text-mode file
     is."""
-    lines = (source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-             if isinstance(source, str) else source)
+    lines = annotation_lines(source)
     tails = {}
     out = []
     for ln, line in enumerate(lines, start=1):

@@ -307,7 +307,7 @@ def test_cmd_parse_manifest_records_output_and_counts(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     digest = hashlib.sha256((out / "windows.csv").read_bytes()).hexdigest()
     assert manifest["outputs"] == {"windows.csv": digest}
-    assert manifest["counts"] == {"lines": 576, "tracks": 2, "windows": 5}
+    assert manifest["counts"] == {"lines": 576, "tracks": 2, "agents": 2, "windows": 5}
     # a second parse of the same tree writes the same manifest
     again = tmp_path / "again"
     assert cli.main(["parse", str(data_root), "--out", str(again)]) == cli.EXIT_OK
@@ -817,7 +817,7 @@ def test_input_that_starts_with_a_bom_gives_the_same_output(tmp_path, kind):
     assert runs[1] == runs[0]
     assert {"checkpoint.json", "report.txt", "windows.csv"} & set(runs[0][0])
     if kind == "annotation file":
-        assert runs[0][1]["counts"] == {"lines": 576, "tracks": 2, "windows": 5}
+        assert runs[0][1]["counts"] == {"lines": 576, "tracks": 2, "agents": 2, "windows": 5}
 
 
 @INPUT_KINDS

@@ -13,15 +13,16 @@ import sys
 import tempfile
 import textwrap
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (RawAnnotation, columns, csv_writer_windows_text, looped_build_tracks,
-                     looped_build_windows, parse_annotations_ref, records,
-                     serialize_annotations)
+from oracles import (RawAnnotation, annotation_lines, columns, csv_writer_windows_text,
+                     looped_build_tracks, looped_build_windows, parse_annotations_ref,
+                     records, serialize_annotations)
 from trajgan import cli
 from trajgan import data as D
 
@@ -214,28 +215,54 @@ def parse_outcome(parse, source):
 
 
 # valid spellings of each of the ten fields, then spellings that break it;
-# few flag and label spellings, so that line tails repeat
-GOOD_FIELDS = (["1", "7", "-3", "+2", "1_0"],
+# few flag and label spellings, so that line tails repeat. Quotes: np.loadtxt
+# unquotes "1" and "Ca"r, int() and the label's strip('"') do not.
+GOOD_FIELDS = (["1", "7", "-3", "+2", "1_0", str(2**63), str(-2**63 - 1)],
                ["0", "1.5", "-2"], ["0", "-0.5", "1e1"], ["2", "3.5"], ["2", "1e3"],
-               ["0", "5", "-1"],
+               ["0", "5", "-1", str(2**63)],
                ["0", "0", "1"], ["0", "1"], ["0", "1", "2"],
-               ['"Car"', '"Biker"', '"CART"', '"Golf Cart"', "Skater", '"bus"'])
-BAD_FIELDS = (["x", "1.5", "0x1"],
-              ["5", "nan", "x"], ["9", "nan", "1,0"], ["-inf", "nan", "x", "inf"], ["-5", "y"],
-              ["3.0", "y"],
-              ["y", "-0", "0.0"], ["y", "1e1"], ["z"],
-              ['"Unicycle"', '""', '"car" 1', '"golf  cart"'])
+               ['"Car"', '"Biker"', '"CART"', '"Golf Cart"', "Skater", '"bus"', '"Car',
+                '"Car" '])
+BAD_FIELDS = (["x", "1.5", "0x1", '"1"'],
+              ["5", "nan", "x", '"1"'], ["9", "nan", "1,0"], ["-inf", "nan", "x", "inf"],
+              ["-5", "y"],
+              ["3.0", "y", '"1"'],
+              ["y", "-0", "0.0", '"1"'], ["y", "1e1"], ["z"],
+              ['"Unicycle"', '""', '"car" 1', '"golf  cart"', '"Ca"r', '"a""b"'])
+# the fields of lines in the dataset's shape, which np.loadtxt reads: numbers
+# within int64 and without "_", ordered boxes, labels quoted and nothing after
+SHAPED_FIELDS = (["1", "7", "-3", "+2"],
+                 ["0", "1.5", "-2"], ["0", "-0.5"], ["2", "3.5"], ["2", "1e3"],
+                 ["0", "5", "-1"],
+                 ["0", "0", "1"], ["0", "1"], ["0", "1", "2"],
+                 ['"Car"', '"Biker"', '"CART"', '"Golf Cart"', '"bus"', '" skater"'])
+
+
+# a field that takes a line out of the dataset's shape, as (field, spelling):
+# quotes that np.loadtxt and the line parser read apart, and values that
+# only one of them reads or that the line parser rejects
+SPOILED_FIELDS = ((0, '"1"'), (1, '"0"'), (5, '"5"'), (8, '"0"'), (9, '"Ca"r'), (9, 'Ca"r"'),
+                  (9, '"Car\n"'), (9, '"a""b"'), (9, '"Car'), (9, '"Car" '),
+                  (0, "1_0"), (0, str(2**63)), (5, str(-2**63 - 1)), (1, "nan"), (4, "inf"),
+                  (2, "9"), (9, '"Unicycle"'), (9, "Car"))
 
 
 @st.composite
 def annotation_texts(draw):
+    """An annotation text, and whether every line is in the dataset's shape.
+    A text of shaped lines may have one spoiled field."""
+    shaped = draw(st.integers(0, 3)) == 0
+    n = draw(st.integers(int(shaped), 8))
+    spoiled = draw(st.integers(-n, n - 1)) if shaped else -1  # the line, if any
     lines = []
-    for _ in range(draw(st.integers(0, 8))):
-        shape = draw(st.sampled_from(["good"] * 5 + ["bad", "bad", "short", "long", "blank"]))
+    for k in range(n):
+        shape = "shaped" if shaped else draw(st.sampled_from(
+            ["good"] * 5 + ["bad", "bad", "short", "long", "blank"]))
         if shape == "blank":
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
             continue
-        fields = [draw(st.sampled_from(options)) for options in GOOD_FIELDS]
+        options = SHAPED_FIELDS if shaped else GOOD_FIELDS
+        fields = [draw(st.sampled_from(spellings)) for spellings in options]
         if shape == "bad":
             j = draw(st.integers(0, 9))
             fields[j] = draw(st.sampled_from(BAD_FIELDS[j]))
@@ -243,21 +270,33 @@ def annotation_texts(draw):
             fields = fields[:draw(st.integers(1, 9))]
         elif shape == "long":
             fields.insert(draw(st.integers(0, 9)), "0")
+        elif k == spoiled:
+            j, fields[j] = draw(st.sampled_from(SPOILED_FIELDS))
         # whitespace that str.splitlines also breaks lines at, but a text-mode
         # file does not
         sep = draw(st.sampled_from([" ", "\t", "  ", " \t", "\x0b", " \x1c", "\u2028"]))
         lines.append(draw(st.sampled_from(["", " ", "\x0c"])) + sep.join(fields)
-                     + draw(st.sampled_from(["", " ", "\t", "\x85"])))
+                     + ("" if shaped else draw(st.sampled_from(["", " ", "\t", "\x85"]))))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return end.join(lines) + draw(st.sampled_from(["", end]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), shaped and spoiled < 0
 
 
 @settings(max_examples=400, deadline=None)
-@given(text=annotation_texts())
-def test_parser_matches_two_pass_reference(text):
+@given(drawn=annotation_texts())
+@example(drawn=('"1" 0 0 2 2 0 0 0 0 "Car"\n', False))  # numpy would read id 1
+@example(drawn=('1 0 0 2 2 0 0 0 0 "Car\n"\n', False))  # numpy: one row, label "Car\n"
+@example(drawn=('1 0 0 2 2 0 0 0 0 Ca"r"\n2 0 0 2 2 0 0 0 0 " Car "\n', False))
+@example(drawn=('1 0 0 2 inf 0 1 0 0 "Car"\n', False))  # non-finite on a lost line
+@example(drawn=('1 0 9 2 2 0 0 0 0 "Car"', False))  # not ordered
+def test_parser_matches_two_pass_reference(drawn):
+    text, shaped = drawn
     for source in (text, text.splitlines(keepends=True)):
-        assert parse_outcome(parse_records, source) == \
-            parse_outcome(parse_annotations_ref, source)
+        outcome = parse_outcome(parse_records, source)
+        assert outcome == parse_outcome(parse_annotations_ref, source)
+        if outcome.startswith("["):  # records, not an error
+            assert D.parse_annotations(source).n_lines == len(annotation_lines(source))
+    if shaped:  # these go to np.loadtxt and keep to the line parser's result
+        assert not parse_path(text)[1]
 
 
 def file_outcome(tmp_path, text):
@@ -308,34 +347,87 @@ def test_parser_matches_reference_on_benchmark_traffic(tmp_path, bench_inputs):
         assert {a.label for a in got} == set(D.CLASS_NAMES)
 
 
+def parse_path(source):
+    """The columns parse_annotations gives for ``source``, and whether its
+    line parser ran."""
+    calls, real = [], D._parse_lines
+
+    def spy(lines):
+        calls.append(lines)
+        return real(lines)
+    with mock.patch.object(D, "_parse_lines", spy):
+        return D.parse_annotations(source), bool(calls)
+
+
+def assert_same_columns(got, want):
+    for name in ("track_ids", "frames", "boxes", "occluded", "generated", "classes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist()), name
+    assert got.n_lines == want.n_lines
+
+
 def test_parse_gives_columns_of_the_kept_lines():
     text = '\n' + SAMPLE + '5 1 2 3 4 7 1 0 0 "Car"\n' + f'{2**70} 1 2 3 4.5 -9 0 1 1 "Cart"\n'
     parsed = D.parse_annotations(text)
-    assert parsed == D.AnnotationColumns(
-        [3, 2**70], [0, -9], [10.0, 20.0, 30.0, 40.0, 1.0, 2.0, 3.0, 4.5],
-        [(False, False, "pedestrian"), (True, True, "golf cart")], n_lines=4)
+    assert_same_columns(parsed, D.AnnotationColumns(
+        np.array([3, 2**70], dtype=object), np.array([0, -9], dtype=np.int64),
+        np.array([[10.0, 20.0, 30.0, 40.0], [1.0, 2.0, 3.0, 4.5]]),
+        np.array([False, True]), np.array([False, True]), np.array([4, 3], dtype=np.int64),
+        n_lines=4))
     assert len(parsed) == 2  # kept lines, not fields
-    assert all(type(v) is int for v in parsed.track_ids + parsed.frames)
-    assert all(type(v) is float for v in parsed.boxes)
-    assert columns(records(parsed)) == dataclasses.replace(parsed, n_lines=2)
+    assert all(type(v) is int for v in parsed.track_ids)
+    assert_same_columns(columns(records(parsed)), dataclasses.replace(parsed, n_lines=2))
     assert len(D.parse_annotations("")) == D.parse_annotations("").n_lines == 0
 
 
+def test_both_parse_paths_give_columns_of_one_layout():
+    # lines in the dataset's shape are read by np.loadtxt; a space after the
+    # last label sends the same lines to the line parser
+    text = SAMPLE + '5 1 2 3 4 7 1 0 0 "Car"\n' + '9 1 2 3 4.5 -9 0 1 1 "Cart"'
+    fast, fast_by_lines = parse_path(text)
+    slow, slow_by_lines = parse_path(text + " ")
+    assert (fast_by_lines, slow_by_lines) == (False, True)
+    assert_same_columns(fast, slow)
+    assert fast.track_ids.dtype == fast.frames.dtype == np.int64 and fast.n_lines == 3
+    for got in (fast, slow):
+        assert all(a.flags.c_contiguous for a in (got.track_ids, got.frames, got.boxes))
+    assert parse_path("")[1] is False and len(parse_path("")[0]) == 0
+
+
+def test_parse_reads_a_file_from_where_it_stands(tmp_path):
+    # after a header skipped by readline() the file is read by np.loadtxt;
+    # after one skipped by next(), which stops tell(), by the line parser
+    path = tmp_path / "annotations.txt"
+    body = SAMPLE + '5 1 2 3 4 7 1 0 0 "Car"\n'
+    path.write_text("header\n" + body)
+    want = D.parse_annotations(body)
+    for skip, by_lines in ((lambda fh: fh.readline(), False), (next, True)):
+        with open(path, encoding="utf-8") as fh:
+            skip(fh)
+            parsed, ran = parse_path(fh)
+        assert ran is by_lines
+        assert_same_columns(parsed, want)
+
+
 def test_parse_keeps_no_per_line_containers():
-    # a line's values are ints, floats and a shared tail tuple, none of which
-    # the cyclic garbage collector tracks per line
+    # the columns are arrays. np.loadtxt's labels are strings and the line
+    # parser's values ints, floats and a shared tail tuple, none of which the
+    # cyclic garbage collector tracks per line. A blank last line sends the
+    # text to the line parser.
     text = "".join(f'{i % 13} {i} 0 {i + 9} 2 {i} {int(i % 97 == 0)} 0 0 "Car"\n'
                    for i in range(5000))
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        before = len(gc.get_objects())
-        parsed = D.parse_annotations(text)
-        grown = len(gc.get_objects()) - before
-    finally:
-        if enabled:
-            gc.enable()
-    assert len(parsed) == 5000 - 52 and grown < 50
+    for source, by_lines in ((text, False), (text + " ", True)):
+        assert parse_path(source)[1] is by_lines
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            parsed = D.parse_annotations(source)
+            grown = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(parsed) == 5000 - 52 and grown < 50
 
 
 def test_class_ordering_is_alphabetical():
@@ -582,7 +674,7 @@ def test_cmd_parse_output_on_benchmark_traffic_is_pinned(tmp_path, bench_inputs,
     assert digest == "7cbee599f9a6d665fd1b50293f8261c0edb2e35e42d0ca3334a24f0332397c98"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == {"windows.csv": digest}
-    assert manifest["counts"] == {"lines": 22_798, "tracks": 58, "windows": 423}
+    assert manifest["counts"] == {"lines": 22_798, "tracks": 58, "agents": 13, "windows": 423}
 
 
 def test_benchmark_roots_window_and_round_trip_exactly(tmp_path, bench_inputs):
@@ -1091,6 +1183,42 @@ def profiled_calls(fn, *args):
     return calls
 
 
+LABEL_SPELLINGS = ("Pedestrian", "Biker", "Bicyclist", "Skater", "Skateboarder", "Cart",
+                   "Golf Cart", "Car", "Bus")
+
+
+def write_dataset_shaped_file(path, n_lines, end="\n", bom=False):
+    """``n_lines`` lines in the dataset's shape: tracks of 50 lines crossing
+    the view under every label spelling in turn, with lost, occluded and
+    generated lines."""
+    lines = [f'{i // 50} {i % 50} {2 * (i % 50)} {i % 50 + 9} {2 * (i % 50) + 18} {1000 + i} '
+             f'{int(i % 20 == 7)} {int(i % 13 == 0)} {int(i % 3 == 0)} '
+             f'"{LABEL_SPELLINGS[i // 50 % len(LABEL_SPELLINGS)]}"' for i in range(n_lines)]
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + (end.join(lines) + end).encode())
+
+
+def parse_file(path):
+    with D.open_text(path, "annotation file", D.DataError) as fh:
+        return D.parse_annotations(fh)
+
+
+def test_parse_annotations_makes_no_python_call_per_line(tmp_path):
+    # files in the dataset's shape of 1,000 and 4,000 lines, with LF and CR LF
+    # line ends and with a byte-order mark. What grows with the file is the
+    # text decoder, one call a chunk.
+    for end, bom in (("\n", False), ("\r\n", False), ("\n", True)):
+        counts = []
+        for n in (1000, 4000):
+            path = tmp_path / f"annotations{n}.txt"
+            write_dataset_shaped_file(path, n, end, bom)
+            parsed = parse_file(path)  # warm: imports and caches
+            assert records(parsed) == parse_annotations_ref(path.read_text("utf-8-sig"))
+            assert parsed.n_lines == n and {D.CLASS_NAMES[c] for c in parsed.classes} == \
+                set(D.CLASS_NAMES)
+            counts.append(profiled_calls(parse_file, path))
+        assert counts[1] - counts[0] < (4000 - 1000) // 10, (end, bom, counts)
+
+
 def test_window_csv_read_makes_no_python_call_per_row(tmp_path):
     # the same 5 windows of 4 agents at 50 and at 200 steps: 1,000 and 4,000
     # rows. What grows with the file is the text decoder, one call a chunk.
@@ -1168,6 +1296,31 @@ def test_load_annotation_dataset_counts_the_lines_of_its_files(tmp_path):
     assert tree.files["plaza/video1"] == str(extra)
     assert tree.lines == 576 + 4
     assert len(windows) == 5 and tree.track_counts["car"] == 3
+
+
+def test_classes_are_counted_per_agent_not_per_track_piece(tmp_path, capsys):
+    # two lost lines cut pedestrian 1 into three tracks; it is one agent.
+    # Track id 1 in another video is another agent.
+    root = tmp_path / "ds"
+    for video, agents in (("video0", [(1, "Pedestrian", (10, 20)), (2, "Car", ())]),
+                          ("video1", [(1, "Car", ())])):
+        folder = root / "plaza" / video
+        folder.mkdir(parents=True)
+        (folder / "annotations.txt").write_text("".join(
+            f'{tid} {f} 0 {f + 4} 4 {f} {int(f in lost)} 0 0 "{label}"\n'
+            for tid, label, lost in agents for f in range(30)))
+    windows, tree = D.load_annotation_dataset(root, stride=1)
+    assert len(windows) == 11 + 11  # the cars'
+    none = dict.fromkeys(D.CLASS_NAMES, 0)
+    assert tree.track_counts == {**none, "pedestrian": 3, "car": 2}
+    assert tree.agents == {**none, "pedestrian": 1, "car": 2}
+    out = tmp_path / "parsed"
+    assert cli.main(["parse", str(root), "--out", str(out), "--stride", "1"]) == cli.EXIT_OK
+    summary = capsys.readouterr().out
+    assert "  car            66.67%  (2 agents)\n" in summary
+    assert "  pedestrian     33.33%  (1 agents)\n" in summary
+    assert json.loads((out / "manifest.json").read_text())["counts"] == \
+        {"lines": 90, "tracks": 5, "agents": 3, "windows": 22}
 
 
 def test_window_csv_keeps_frame_step_of_parsed_windows(tmp_path):
